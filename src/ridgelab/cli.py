@@ -491,9 +491,6 @@ def main(argv=None):
                        help="directory for the CSV report")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (reports are deterministic "
-                            "regardless)")
 
     p_eval = sub.add_parser("eval", help="evaluate a saved network at points")
     p_eval.add_argument("network")

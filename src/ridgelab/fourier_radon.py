@@ -11,15 +11,14 @@ under this library's Fourier convention (see targets module); in one
 dimension M_1 = 1/2 and the back-projected profile is f(omega*u)/2.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy import fft as sp_fft
 from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
 
 from .quadrature import LineGrid
 
@@ -47,9 +46,6 @@ class RidgeProfile:
         """Cubic spline through the samples (reconstruction should be
         grid-limited, not interpolation-limited)."""
         return CubicSpline(self.grid.nodes, self.values)
-
-    def __call__(self, u):
-        return self.interpolator()(u)
 
 
 def multiplier(d, t):
@@ -100,45 +96,77 @@ def _kernel_samples(L, N, d, order, cutoff, oversample=16):
     return out
 
 
+def _convolution_length(N):
+    """FFT length of the full linear convolution of an N-sample row with
+    the (2N-1)-sample kernel (the length scipy's fftconvolve picks)."""
+    return sp_fft.next_fast_len(3 * N - 2, True)
+
+
+@lru_cache(maxsize=64)
+def _kernel_spectrum(L, N, d, order, cutoff):
+    """Real FFT of _kernel_samples, zero-padded to _convolution_length."""
+    out = sp_fft.rfft(_kernel_samples(L, N, d, order, cutoff),
+                      _convolution_length(N))
+    out.setflags(write=False)
+    return out
+
+
 def _effective_cutoff(values, grid):
-    """Smallest grid frequency whose taper keeps the input's significant band.
+    """Smallest grid frequency whose taper keeps each row's significant band.
 
-    Frequencies where the input spectrum is below 1e-13 of its peak carry
-    only rounding noise, so the kernel need not (and should not) pass them.
+    values has shape (..., N); one cutoff is returned per row.  Frequencies
+    where a row's spectrum is below 1e-13 of its peak carry only rounding
+    noise, so the kernel need not (and should not) pass them.
     """
-    spec = np.abs(np.fft.fft(values))
-    peak = spec.max()
-    if peak == 0.0:
-        return grid.nyquist
-    t = np.abs(grid.frequencies)
-    band = t[spec > 1e-13 * peak].max()
+    spec = np.abs(np.fft.fft(values, axis=-1))
+    peak = spec.max(axis=-1, keepdims=True)
+    band = np.where(spec > 1e-13 * peak, np.abs(grid.frequencies), 0.0).max(axis=-1)
     dt = np.pi / grid.L
-    cutoff = math.ceil(band / (TAPER_START * dt)) * dt
-    return min(grid.nyquist, max(cutoff, 8.0 * dt))
+    cutoff = np.ceil(band / (TAPER_START * dt)) * dt
+    cutoff = np.minimum(grid.nyquist, np.maximum(cutoff, 8.0 * dt))
+    return np.where(peak[..., 0] == 0.0, grid.nyquist, cutoff)
 
 
-def _apply_multiplier_linear(values, grid, d, order=0):
-    """Apply the multiplier as a zero-padded linear convolution.
+def _apply_multiplier_linear(values, grid, d, orders=(0,)):
+    """Apply the multipliers (i t)^m M_d(t), m in orders, row by row.
 
+    values has shape (..., N); the result has shape (len(orders), ..., N).
     For even d the multiplier has a |t| kink at t = 0 whose filtered tails
     decay slowly; circular (FFT) filtering would fold them back into the
-    window, so we convolve with the band-limited kernel instead.  For odd d
-    the multiplier is a plain polynomial in t (no kink), and circular
-    filtering is exact on the grid.
+    window, so each row is convolved (zero-padded, linearly) with the
+    band-limited kernel of its own cutoff.  For odd d the multiplier is a
+    plain polynomial in t (no kink), and circular filtering is exact on the
+    grid.  Each row's spectrum is computed once for all orders.
     """
-    cutoff = _effective_cutoff(values, grid)
+    values = np.asarray(values, float)
+    N = grid.N
+    rows = values.reshape(-1, N)
+    cutoffs = _effective_cutoff(rows, grid)
+    out = np.empty((len(orders), len(rows), N))
+    t = grid.frequencies
+    nfft = _convolution_length(N)
     if d % 2 == 1:
-        t = grid.frequencies
-        spec = (np.fft.fft(values) * (1j * t) ** order * multiplier(d, t)
-                * taper_window(t, cutoff))
-        return np.fft.ifft(spec).real
-    kernel = _kernel_samples(grid.L, grid.N, d, order, cutoff)
-    return fftconvolve(values, kernel)[grid.N - 1:2 * grid.N - 1] * grid.h
+        spec = np.fft.fft(rows, axis=-1)
+    else:
+        spec = sp_fft.rfft(rows, nfft, axis=-1)
+    for cutoff in np.unique(cutoffs):
+        sel = cutoffs == cutoff
+        part = spec[sel]
+        for i, m in enumerate(orders):
+            if d % 2 == 1:
+                filt = (part * (1j * t) ** m * multiplier(d, t)
+                        * taper_window(t, cutoff))
+                out[i, sel] = np.fft.ifft(filt, axis=-1).real
+            else:
+                kernel = _kernel_spectrum(grid.L, N, d, m, float(cutoff))
+                conv = sp_fft.irfft(part * kernel, nfft, axis=-1)
+                out[i, sel] = conv[:, N - 1:2 * N - 1] * grid.h
+    return out.reshape((len(orders),) + values.shape)
 
 
 def _check_unit(omega):
     omega = np.asarray(omega, float)
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(omega, axis=-1) - 1.0) > 1e-10):
         raise ValueError("omega must be a unit vector")
     return omega
 
@@ -146,22 +174,22 @@ def _check_unit(omega):
 def radon_slice(f, omega, grid):
     """Fourier-slice data: g_omega_hat(t_m) = f_hat(omega * t_m).
 
-    Returned in the grid's FFT frequency order.
+    omega is one direction, shape (d,), or a block of them, shape (B, d);
+    the result has shape (N,) or (B, N), in the grid's FFT frequency order.
     """
     omega = _check_unit(omega)
     t = grid.frequencies
-    return f.fourier(t[:, None] * omega[None, :])
+    return f.fourier(t[:, None] * omega[..., None, :])
 
 
 def _spectrum_to_profile(spectrum, grid):
-    """Invert a 1-D spectrum tabulated on grid.frequencies to node samples."""
+    """Invert spectra tabulated on grid.frequencies (last axis) to node samples."""
     phase = np.exp(-1j * grid.frequencies * grid.L)
     return np.fft.ifft(spectrum * phase) / grid.h
 
 
-def radon_transform(f, omega, grid):
-    """Samples of R f(omega, b) on the grid, via the Fourier slice theorem."""
-    omega = _check_unit(omega)
+def _check_grid(f, grid):
+    """Warn when the line grid is too coarse or too short for the target."""
     if f.bandwidth is not None and grid.nyquist < f.bandwidth:
         warnings.warn(
             "grid Nyquist frequency %.3g is below the target bandwidth %.3g; "
@@ -171,6 +199,12 @@ def radon_transform(f, omega, grid):
     if f.support_radius > 2.0 * grid.L:
         warnings.warn("profile support exceeds twice the grid half-width; "
                       "expect wrap-around error")
+
+
+def radon_transform(f, omega, grid):
+    """Samples of R f(omega, b) on the grid, via the Fourier slice theorem."""
+    omega = _check_unit(omega)
+    _check_grid(f, grid)
     vals = _spectrum_to_profile(radon_slice(f, omega, grid), grid)
     return RidgeProfile(omega=omega, grid=grid, values=vals.real, kind="radon")
 
@@ -222,7 +256,7 @@ def backproject_filter(profile, d, mode="linear"):
         raise ValueError("backproject_filter expects a radon-kind profile")
     grid = profile.grid
     if mode == "linear":
-        vals = _apply_multiplier_linear(profile.values, grid, d)
+        vals = _apply_multiplier_linear(profile.values, grid, d)[0]
     elif mode == "circular":
         spec = np.fft.fft(profile.values) * multiplier(d, grid.frequencies) * taper(grid)
         vals = np.fft.ifft(spec).real
@@ -252,11 +286,3 @@ def reconstruct(f, x, sphere, grid):
         prof = backprojected_profile(f, omega, grid)
         out += wj * prof.interpolator()(pts @ omega)
     return float(out[0]) if single else out
-
-
-def sinogram_rows(f, sphere, grid):
-    """Yield (omega_index, b, value) rows for a CSV sinogram dump."""
-    for j, omega in enumerate(sphere.nodes):
-        prof = radon_transform(f, omega, grid)
-        for b, v in zip(grid.nodes, prof.values):
-            yield j, b, v

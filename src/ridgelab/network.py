@@ -14,8 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .quadrature import sample_directions
-from .ridge_density import (PolynomialPart, _trapezoid_weights, derivative_profile,
-                            multi_indices, polynomial_part, zero_polynomial)
+from .ridge_density import (PolynomialPart, _trapezoid_weights, derivative_blocks,
+                            multi_indices, peano_polynomial, values_at_minus_one,
+                            zero_polynomial)
 
 FORMAT_MAGIC = "RIDGENET v1"
 
@@ -32,7 +33,9 @@ def activation(k, t):
     if k == 0:
         out = (t > 0).astype(float)
     else:
-        out = np.where(t > 0.0, t, 0.0) ** k
+        out = np.maximum(t, 0.0)
+        if k > 1:
+            out **= k
     return float(out) if out.ndim == 0 else out
 
 
@@ -82,7 +85,8 @@ class ShallowNetwork:
             # chunk the (points x neurons) matrix to bound memory
             block = max(1, int(2e7 / n))
             for lo in range(0, len(pts), block):
-                z = pts[lo:lo + block] @ self.omega.T - self.b[None, :]
+                z = pts[lo:lo + block] @ self.omega.T
+                z -= self.b
                 out[lo:lo + block] += activation(self.k, z) @ self.a
         return float(out[0]) if single else out
 
@@ -103,13 +107,19 @@ def _density_tables(f, k, sphere, grid):
     hit = _density_cache.get(key)
     if hit is not None and hit[0] is f and hit[1] is sphere:
         return hit[2]
+    if k < 0:
+        raise ValueError("k must be >= 0")
     mask = grid.knot_mask()
     knots = grid.nodes[mask]
     tw = _trapezoid_weights(knots)
     profiles = np.empty((len(sphere), len(knots)))
-    for j, omega in enumerate(sphere.nodes):
-        profiles[j] = derivative_profile(f, omega, k, grid).values[mask]
-    poly = polynomial_part(f, k, sphere, grid)
+    at_minus_one = np.empty((len(sphere), k + 1))
+    # one pass over the directions for F^{(0)}, ..., F^{(k+1)}
+    for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2)):
+        hi = lo + F.shape[1]
+        profiles[lo:hi] = F[k + 1][:, mask]
+        at_minus_one[lo:hi] = values_at_minus_one(F[:k + 1], grid).T
+    poly = peano_polynomial(f.d, k, sphere, at_minus_one)
     _density_cache[key] = (f, sphere, (knots, tw, profiles, poly))
     if len(_density_cache) > 32:
         _density_cache.pop(next(iter(_density_cache)))

@@ -17,31 +17,23 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
-from .fourier_radon import (RidgeProfile, _apply_multiplier_linear, multiplier,
-                            radon_slice, radon_transform, taper)
+from .fourier_radon import (RidgeProfile, _apply_multiplier_linear, _check_grid,
+                            _spectrum_to_profile, multiplier, radon_slice,
+                            taper)
 from .quadrature import sphere_grid
 
 SPECTRAL_MASS_TOL = 1e-8
+
+# Frequency points per block of directions in derivative_blocks; bounds the
+# (directions x frequencies) working arrays.
+BLOCK_POINTS = 2 ** 20
 
 
 def theorem_order(d, k):
     """Smoothness order s = (d + 2k + 1) / 2 at which the embedding holds."""
     return (d + 2 * k + 1) / 2.0
-
-
-@dataclass(frozen=True)
-class SmoothnessSpec:
-    """Sobolev order with L_2 integrability for seminorm computations."""
-
-    s: float
-    q: int = 2
-
-    def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("s must be > 0")
-        if self.q != 2:
-            raise ValueError("only q = 2 seminorms are computed Fourier-side")
 
 
 def multi_indices(d, max_degree):
@@ -87,29 +79,64 @@ def zero_polynomial(d):
     return PolynomialPart(d=d, coefficients={})
 
 
+def derivative_blocks(f, omegas, grid, orders):
+    """Samples of F_omega^{(m)} for every m in orders, a block of directions
+    at a time.
+
+    Yields (lo, F) with F[i, j] the samples of F^{(orders[i])} along
+    omegas[lo + j].  Each block evaluates the Fourier slice once; the Radon
+    rows, their cutoffs and their spectra are shared by all orders.  The
+    multiplier of order m is (i t)^m M_d(t) with the standard
+    high-frequency taper.  After the last block, warns once when the taper
+    removed a non-negligible share of some profile's spectral mass.
+    """
+    _check_grid(f, grid)
+    t = grid.frequencies
+    removed = 1.0 - taper(grid)
+    worst = 0.0
+    block = max(1, BLOCK_POINTS // grid.N)
+    for lo in range(0, len(omegas), block):
+        spectra = radon_slice(f, omegas[lo:lo + block], grid)
+        amplitude = np.abs(spectra)
+        for m in orders:
+            weight = np.abs(t) ** m * multiplier(f.d, t)
+            total = amplitude @ weight
+            lost = amplitude @ (weight * removed)
+            nonzero = total > 0
+            worst = max(worst, (lost[nonzero] / total[nonzero]).max(initial=0.0))
+        rows = _spectrum_to_profile(spectra, grid).real
+        yield lo, _apply_multiplier_linear(rows, grid, f.d, orders)
+    if worst > SPECTRAL_MASS_TOL:
+        warnings.warn(
+            "spectral taper removed %.3g of the derivative profile mass; "
+            "increase the grid resolution" % worst)
+
+
 def derivative_profile(f, omega, k, grid, order=None):
     """Samples of F_omega^{(order)} with order = k+1 by default.
 
-    Realized spectrally from the Fourier slice: the multiplier is
-    (i t)^{order} M_d(t), with the standard high-frequency taper.  Warns when
-    the taper removes a non-negligible share of the spectral mass.
+    One direction of derivative_blocks; warns as it does.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     order = k + 1 if order is None else order
-    t = grid.frequencies
-    base = np.abs(radon_slice(f, omega, grid) * (1j * t) ** order * multiplier(f.d, t))
-    total = np.sum(base)
-    if total > 0:
-        removed = np.sum(base * (1.0 - taper(grid))) / total
-        if removed > SPECTRAL_MASS_TOL:
-            warnings.warn(
-                "spectral taper removed %.3g of the derivative profile mass; "
-                "increase the grid resolution" % removed)
-    prof = radon_transform(f, omega, grid)
-    vals = _apply_multiplier_linear(prof.values, grid, f.d, order=order)
-    return RidgeProfile(omega=np.asarray(omega, float), grid=grid,
-                        values=vals, kind="derivative(%d)" % order)
+    omega = np.asarray(omega, float)
+    [(_, F)] = derivative_blocks(f, omega[None, :], grid, (order,))
+    return RidgeProfile(omega=omega, grid=grid, values=F[0, 0],
+                        kind="derivative(%d)" % order)
+
+
+def values_at_minus_one(F, grid):
+    """Grid samples along the last axis of F, evaluated at b = -1.
+
+    When -1 is a grid node (as on every L = 4 grid with N >= 8) this is the
+    sample there, which is exactly what the cubic spline through the
+    samples returns; otherwise the spline is built along the last axis.
+    """
+    node = np.flatnonzero(grid.nodes == -1.0)
+    if len(node):
+        return F[..., node[0]]
+    return CubicSpline(grid.nodes, F, axis=-1)(-1.0)
 
 
 def _trapezoid_weights(b):
@@ -133,34 +160,43 @@ def variation_upper_bound(f, k, sphere, grid):
     mask = grid.knot_mask()
     tw = _trapezoid_weights(grid.nodes[mask])
     total = 0.0
-    for wj, omega in zip(sphere.weights, sphere.nodes):
-        prof = derivative_profile(f, omega, k, grid)
-        total += wj * float(np.dot(tw, np.abs(prof.values[mask])))
+    for lo, F in derivative_blocks(f, sphere.nodes, grid, (k + 1,)):
+        for wj, row in zip(sphere.weights[lo:], F[0][:, mask]):
+            total += wj * float(np.dot(tw, np.abs(row)))
     return total / math.factorial(k)
 
 
-def polynomial_part(f, k, sphere, grid):
-    """Degree-<=k polynomial p from the Peano expansion at b = -1:
+def peano_polynomial(d, k, sphere, at_minus_one):
+    """The polynomial part from tabulated F_{omega_j}^{(m)}(-1):
 
         p(x) = sum_j w_j sum_{m=0}^{k} F_{omega_j}^{(m)}(-1)/m! (omega_j.x + 1)^m,
 
-    expanded into monomial coefficients.  The derivative values at -1 come
-    from spectrally computed profiles interpolated at the knot (spectral
-    accuracy; no finite differences of F).
+    expanded into monomial coefficients; at_minus_one[j, m] holds
+    F_{omega_j}^{(m)}(-1).
     """
-    coeffs = {a: 0.0 for a in multi_indices(f.d, k)}
-    for wj, omega in zip(sphere.weights, sphere.nodes):
+    coeffs = {a: 0.0 for a in multi_indices(d, k)}
+    for wj, omega, values in zip(sphere.weights, sphere.nodes, at_minus_one):
         for m in range(k + 1):
-            prof = derivative_profile(f, omega, k, grid, order=m)
-            fm = float(prof.interpolator()(-1.0)) / math.factorial(m)
+            fm = float(values[m]) / math.factorial(m)
             # expand (omega.x + 1)^m into monomials
-            for alpha in multi_indices(f.d, m):
+            for alpha in multi_indices(d, m):
                 j = m - sum(alpha)
                 mult = math.factorial(m) / (
                     math.prod(math.factorial(e) for e in alpha) * math.factorial(j))
                 w_pow = math.prod(omega[i] ** e for i, e in enumerate(alpha))
                 coeffs[alpha] += wj * fm * mult * w_pow
-    return PolynomialPart(d=f.d, coefficients=coeffs)
+    return PolynomialPart(d=d, coefficients=coeffs)
+
+
+def polynomial_part(f, k, sphere, grid):
+    """Degree-<=k polynomial p from the Peano expansion at b = -1 (see
+    peano_polynomial).  The derivative values at -1 come from spectrally
+    computed profiles (spectral accuracy; no finite differences of F).
+    """
+    at_minus_one = np.empty((len(sphere), k + 1))
+    for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 1)):
+        at_minus_one[lo:lo + F.shape[1]] = values_at_minus_one(F, grid).T
+    return peano_polynomial(f.d, k, sphere, at_minus_one)
 
 
 def sobolev_seminorm(f, s, angular_level=6, radial_points=8193, r_max=None):

@@ -27,6 +27,14 @@ class TestActivation:
         assert activation(0, 0.0) == 0.0
         assert activation(0, 0.7) == 1.0
 
+    def test_array_input_left_unchanged(self):
+        t = np.array([-1.5, -0.0, 0.0, 0.25, 2.0])
+        before = t.copy()
+        for k in range(4):
+            expected = (t > 0).astype(float) if k == 0 else np.where(t > 0, t, 0.0) ** k
+            np.testing.assert_array_equal(activation(k, t), expected)
+        np.testing.assert_array_equal(t, before)
+
     def test_absolute_value_identity(self):
         t = -0.3
         np.testing.assert_allclose(activation(1, t) + activation(1, -t), 0.3)

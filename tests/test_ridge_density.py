@@ -1,9 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
-from ridgelab.quadrature import LineGrid, sphere_grid
-from ridgelab.ridge_density import (derivative_profile, multi_indices,
+from ridgelab import ridge_density
+from ridgelab.fourier_radon import (_apply_multiplier_linear,
+                                    _effective_cutoff, radon_transform)
+from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
+from ridgelab.ridge_density import (derivative_blocks, derivative_profile,
+                                    multi_indices, peano_polynomial,
                                     polynomial_part, sobolev_seminorm,
                                     theorem_order, variation_upper_bound,
                                     zero_polynomial)
@@ -62,6 +69,64 @@ class TestDerivativeProfile:
                                    atol=1e-5)
 
 
+def _two_gaussians(d):
+    # off-centre bumps of different widths that nearly cancel: the Radon
+    # rows' spectra differ from direction to direction, and so do their
+    # cutoffs
+    c = np.zeros(d)
+    c[0] = 0.6
+    return combine(make_gaussian(GaussianSpec(d=d, center=c, width=0.3)),
+                   make_gaussian(GaussianSpec(d=d, center=-c, width=0.5)),
+                   1.0, -0.8)
+
+
+class TestDerivativeBlocks:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_one_direction_path(self, d, monkeypatch):
+        grid = LineGrid(L=4.0, N=512)
+        f = _two_gaussians(d)
+        omegas = (np.array([[1.0], [-1.0]]) if d == 1
+                  else sample_directions(d, 8, seed=7))
+        # blocks of 3 directions: 8 is not a multiple, so the last is short
+        monkeypatch.setattr(ridge_density, "BLOCK_POINTS", 3 * grid.N)
+        orders = (0, 1, 2, 3)
+        batched = np.concatenate(
+            [F for _, F in derivative_blocks(f, omegas, grid, orders)], axis=1)
+        assert batched.shape == (len(orders), len(omegas), grid.N)
+        rows = np.array([radon_transform(f, w, grid).values for w in omegas])
+        if d > 1:
+            assert len(np.unique(_effective_cutoff(rows, grid))) > 1
+        for j, row in enumerate(rows):
+            single = _apply_multiplier_linear(row, grid, d, orders)
+            for i in range(len(orders)):
+                scale = np.max(np.abs(single[i]))
+                assert np.max(np.abs(batched[i, j] - single[i])) <= 1e-13 * scale
+
+    def test_block_offsets(self, monkeypatch):
+        grid = LineGrid(L=4.0, N=64)
+        monkeypatch.setattr(ridge_density, "BLOCK_POINTS", 2 * grid.N)
+        f = make_gaussian(GaussianSpec(d=2))
+        blocks = list(derivative_blocks(f, sphere_grid(2, 2).nodes, grid, (1,)))
+        assert [lo for lo, _ in blocks] == [0, 2]
+        assert [F.shape for _, F in blocks] == [(1, 2, 64)] * 2
+
+    def test_taper_mass_warning_fires_once(self):
+        # N = 16 puts Nyquist below the Gaussian's band: every direction's
+        # taper removes mass, but the call warns once
+        f = make_gaussian(GaussianSpec(d=2))
+        coarse = LineGrid(L=4.0, N=16)
+        for call in (lambda: variation_upper_bound(f, 1, sphere_grid(2, 4), coarse),
+                     lambda: derivative_profile(f, np.array([0.6, 0.8]), 1, coarse)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            taper_msgs = [str(w.message) for w in caught
+                          if str(w.message).startswith("spectral taper removed")]
+            assert len(taper_msgs) == 1
+            assert taper_msgs[0].endswith(
+                "of the derivative profile mass; increase the grid resolution")
+
+
 class TestVariationUpperBound:
     def test_d1_total_variation_oracle(self):
         # d=1, k=0: integral of |F'| over [-1,1] = |f'| / 2 summed over
@@ -97,6 +162,35 @@ class TestPolynomialPart:
         # p(x) = sum_{w=+-1} f(-w)/2 + (w/2) f'(-w) (w x + 1)
         f = make_gaussian(GaussianSpec(d=1))
         p = polynomial_part(f, 1, sphere_grid(1, 1), GRID)
+        x = np.linspace(-1, 1, 21)
+        fp = lambda t: -t * np.exp(-t * t / 2)
+        oracle = sum(np.exp(-0.5) / 2 + (w / 2) * fp(-w) * (w * x + 1)
+                     for w in (-1.0, 1.0))
+        np.testing.assert_allclose(p(x[:, None]), oracle, atol=1e-6)
+
+    def test_minus_one_off_grid(self):
+        # on L = 3, N = 64 the knot -1 falls between nodes, so the values at
+        # -1 come from splines built along the block's last axis
+        grid = LineGrid(L=3.0, N=64)
+        assert not np.any(grid.nodes == -1.0)
+        f = _two_gaussians(2)
+        sphere = sphere_grid(2, 3)
+        k = 2
+        at_minus_one = np.array([
+            [CubicSpline(grid.nodes, derivative_profile(f, w, k, grid, m).values)(-1.0)
+             for m in range(k + 1)] for w in sphere.nodes])
+        expected = peano_polynomial(2, k, sphere, at_minus_one).coefficients
+        got = polynomial_part(f, k, sphere, grid).coefficients
+        assert got.keys() == expected.keys()
+        scale = max(abs(c) for c in expected.values())
+        for alpha, c in expected.items():
+            assert abs(got[alpha] - c) <= 1e-13 * scale
+
+    def test_d1_k1_taylor_oracle_off_grid(self):
+        grid = LineGrid(L=5.0, N=256)
+        assert not np.any(grid.nodes == -1.0)
+        f = make_gaussian(GaussianSpec(d=1))
+        p = polynomial_part(f, 1, sphere_grid(1, 1), grid)
         x = np.linspace(-1, 1, 21)
         fp = lambda t: -t * np.exp(-t * t / 2)
         oracle = sum(np.exp(-0.5) / 2 + (w / 2) * fp(-w) * (w * x + 1)
