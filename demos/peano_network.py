@@ -12,7 +12,7 @@ import numpy as np
 
 from ridgelab import (BallSampler, GaussianSpec, LineGrid, ball_points,
                       from_quadrature, from_sampling, make_gaussian,
-                      sphere_grid, variation_upper_bound)
+                      peano_tables, sphere_grid, variation_upper_bound)
 
 warnings.filterwarnings("ignore", message="profile support")
 
@@ -25,7 +25,7 @@ def main():
                                   seed=3))
 
     for k in (0, 1, 2):
-        net = from_quadrature(f, k, sphere, grid)
+        net = from_quadrature(peano_tables(f, k, sphere, grid))
         err = np.max(np.abs(net(pts) - f(pts)))
         print("k = %d: %6d neurons, sup error %.2e, ell_1 mass %.4f"
               % (k, len(net.a), err, net.l1_mass))
@@ -34,8 +34,9 @@ def main():
     v = variation_upper_bound(f, k, sphere, grid)
     print("\nvariation upper bound (k = 1): %.6f" % v)
     print("importance-sampled networks carry exactly that ell_1 mass:")
+    tables = peano_tables(f, k, sphere, grid)
     for n in (64, 256, 1024):
-        net = from_sampling(f, k, n, 12345, sphere, grid)
+        net = from_sampling(tables, n, 12345)
         err = np.max(np.abs(net(pts) - f(pts)))
         print("  n = %5d: sup error %.3e, ell_1 mass %.6f"
               % (n, err, net.l1_mass))

@@ -12,8 +12,10 @@ from .targets import (GaussianSpec, TargetFunction, combine,
                       gaussian_radon_oracle, make_gaussian, make_cusp_radial)
 from .quadrature import SphereGrid, LineGrid, BallSampler, sphere_grid, sample_directions, ball_points
 from .fourier_radon import RidgeProfile, radon_slice, radon_transform, radon_direct, backproject_filter, reconstruct
-from .ridge_density import PolynomialPart, derivative_profile, variation_upper_bound, polynomial_part, sobolev_seminorm
-from .network import (Neuron, ShallowNetwork, activation, from_quadrature,
+from .ridge_density import (PeanoTables, PolynomialPart, derivative_profile,
+                            peano_tables, variation_upper_bound,
+                            sobolev_seminorm)
+from .network import (ShallowNetwork, activation, from_quadrature,
                       from_sampling, poly_to_ridge, serialize, deserialize,
                       save, load)
 from .mollify import MollifierSpec, mollifier_value, finite_difference, smooth_approximant, epsilon_schedule

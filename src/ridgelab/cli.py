@@ -19,12 +19,13 @@ import numpy as np
 
 from . import __version__
 from .fourier_radon import radon_direct, radon_transform, reconstruct
-from .metrics import ErrorSeries, lp_error, rate_fit
+from .metrics import lp_error, rate_fit
 from .mollify import epsilon_schedule, smooth_approximant
 from .network import from_quadrature, from_sampling
 from .quadrature import (BallSampler, LineGrid, ball_points, component_seed,
                          sample_directions, sphere_grid)
-from .ridge_density import sobolev_seminorm, theorem_order, variation_upper_bound
+from .ridge_density import (peano_tables, sobolev_seminorm, theorem_order,
+                            variation_upper_bound)
 from .targets import GaussianSpec, make_cusp_radial, make_gaussian
 
 KINDS = ("radon-check", "inversion-check", "variation-bound",
@@ -171,20 +172,49 @@ def _validate(config):
         raise ConfigError("d = %d is not supported (d <= 3)" % config.d)
     if config.k < 0:
         raise ConfigError("k must be >= 0, got %d" % config.k)
+    if config.s is not None and config.s < 0:
+        raise ConfigError("s must be >= 0, got %d" % config.s)
     if config.target not in ("gaussian", "cusp"):
         raise ConfigError("unknown target %r" % config.target)
+    if config.target == "gaussian" and not config.width > 0:
+        raise ConfigError("width must be > 0, got %g" % config.width)
+    if config.target == "cusp" and not config.gamma > 0:
+        raise ConfigError("gamma must be > 0, got %g" % config.gamma)
+    if config.sphere_level < 1:
+        raise ConfigError("sphere_level must be >= 1, got %d"
+                          % config.sphere_level)
+    if config.line_n < 2 or config.line_n & (config.line_n - 1):
+        raise ConfigError("line_n must be a power of two, got %d"
+                          % config.line_n)
+    if not config.line_l >= 1.0:
+        raise ConfigError("line_l must be >= 1, got %g" % config.line_l)
+    for key in ("trials", "points", "eval_count", "n_seeds"):
+        if getattr(config, key) < 1:
+            raise ConfigError("%s must be >= 1, got %d"
+                              % (key, getattr(config, key)))
+    if config.kind in ("rate-sweep", "mollify-sweep") and \
+            config.p not in (2.0, math.inf):
+        raise ConfigError("p must be 2 or inf, got %g" % config.p)
     if config.kind == "rate-sweep":
         if not config.widths:
             raise ConfigError("rate-sweep requires a nonempty 'widths' list")
         if any(b <= a for a, b in zip(config.widths, config.widths[1:])):
             raise ConfigError("widths must be strictly increasing")
+        if config.widths[0] < 1:
+            raise ConfigError("widths must be >= 1, got %d" % config.widths[0])
         if config.constructor not in ("sampling", "quadrature"):
             raise ConfigError("constructor must be 'sampling' or 'quadrature'")
         if config.schedule not in ("none", "epsilon"):
             raise ConfigError("schedule must be 'none' or 'epsilon'")
+        if config.constructor == "sampling" and config.target == "gaussian" \
+                and config.amplitude == 0.0:
+            raise ConfigError("the sampling constructor needs a nonzero "
+                              "target (amplitude = 0)")
     if config.kind == "mollify-sweep":
         if not config.epsilons:
             raise ConfigError("mollify-sweep requires a nonempty 'epsilons' list")
+        if not all(0.0 < eps <= 1.0 for eps in config.epsilons):
+            raise ConfigError("epsilons must lie in (0, 1]")
         if config.s is None or config.s < 1:
             raise ConfigError("mollify-sweep requires s >= 1")
     if config.kind == "radon-check" and config.d == 1:
@@ -232,49 +262,61 @@ def _run_radon_check(config, f):
     return report
 
 
+def _refinement_stages(config, measure):
+    """Rows (stage, *measure(sphere, grid)): stage 0 at the configured
+    sphere level and line grid, stage 1 one sphere level up on the refined
+    line grid."""
+    grid = LineGrid(L=config.line_l, N=config.line_n)
+    return [(0,) + measure(sphere_grid(config.d, config.sphere_level), grid),
+            (1,) + measure(sphere_grid(config.d, config.sphere_level + 1),
+                           grid.refine())]
+
+
+def _check_refinement(report, what):
+    """Fail when the stage-0 error (the rows' last column) exceeds the
+    tolerance, 1e-3 by default, or when refining did not lower it."""
+    config = report.config
+    tol = 1e-3 if config.tolerance is None else config.tolerance
+    base, refined = (row[-1] for row in report.rows)
+    if base > tol:
+        raise _fail(report, "%s: %s %.3e exceeds %.1e"
+                    % (config.kind, what, base, tol))
+    if refined >= base:
+        raise _fail(report, "%s: refinement did not reduce the error "
+                    "(%.3e -> %.3e)" % (config.kind, base, refined))
+
+
 def _run_inversion_check(config, f):
     pts = ball_points(BallSampler(d=config.d, mode="pseudo-random",
                                   count=config.points,
                                   seed=component_seed(config.seed, "inv-pts")))
-    scale = np.max(np.abs(f(pts)))
-    rows = []
-    errors = []
-    sphere = sphere_grid(config.d, config.sphere_level)
-    grid = LineGrid(L=config.line_l, N=config.line_n)
-    for stage in range(2):
+    exact = f(pts)
+    scale = np.max(np.abs(exact))
+
+    def measure(sphere, grid):
         recon = reconstruct(f, pts, sphere, grid)
-        err = float(np.max(np.abs(recon - f(pts))) / scale)
-        rows.append((stage, len(sphere), grid.N, float(grid.L), err))
-        errors.append(err)
-        sphere = sphere_grid(config.d, config.sphere_level + 1)
-        grid = grid.refine()
-    tol = 1e-3 if config.tolerance is None else config.tolerance
+        err = float(np.max(np.abs(recon - exact)) / scale)
+        return len(sphere), grid.N, float(grid.L), err
+
+    rows = _refinement_stages(config, measure)
     report = ExperimentReport(config,
                               ("stage", "directions", "line_n", "line_l",
                                "max_rel_err"), rows,
-                              slopes={"max_rel_err": errors[0]})
-    if errors[0] > tol:
-        raise _fail(report, "inversion-check: error %.3e exceeds %.1e"
-                    % (errors[0], tol))
-    if errors[1] >= errors[0]:
-        raise _fail(report, "inversion-check: refinement did not reduce the "
-                    "error (%.3e -> %.3e)" % (errors[0], errors[1]))
+                              slopes={"max_rel_err": rows[0][-1]})
+    _check_refinement(report, "error")
     return report
 
 
 def _run_variation_bound(config, f):
     s = theorem_order(config.d, config.k) if config.s is None else config.s
     semi = sobolev_seminorm(f, s)
-    sphere = sphere_grid(config.d, config.sphere_level)
-    grid = LineGrid(L=config.line_l, N=config.line_n)
-    rows = []
-    ratios = []
-    for stage in range(2):
+
+    def measure(sphere, grid):
         v = variation_upper_bound(f, config.k, sphere, grid)
-        rows.append((stage, float(v), float(semi), float(v / semi)))
-        ratios.append(v / semi)
-        sphere = sphere_grid(config.d, config.sphere_level + 1)
-        grid = grid.refine()
+        return float(v), float(semi), float(v / semi)
+
+    rows = _refinement_stages(config, measure)
+    ratios = [row[-1] for row in rows]
     drift = abs(ratios[1] - ratios[0]) / ratios[0]
     report = ExperimentReport(config,
                               ("stage", "variation", "seminorm", "ratio"),
@@ -292,26 +334,15 @@ def _run_peano_reconstruct(config, f):
                                   count=config.points,
                                   seed=component_seed(config.seed, "peano-pts")))
     target = f(pts)
-    sphere = sphere_grid(config.d, config.sphere_level)
-    grid = LineGrid(L=config.line_l, N=config.line_n)
-    rows = []
-    errors = []
-    for stage in range(2):
-        net = from_quadrature(f, config.k, sphere, grid)
-        err = float(np.max(np.abs(net(pts) - target)))
-        rows.append((stage, len(net.a), err))
-        errors.append(err)
-        sphere = sphere_grid(config.d, config.sphere_level + 1)
-        grid = grid.refine()
-    tol = 1e-3 if config.tolerance is None else config.tolerance
+
+    def measure(sphere, grid):
+        net = from_quadrature(peano_tables(f, config.k, sphere, grid))
+        return len(net.a), float(np.max(np.abs(net(pts) - target)))
+
+    rows = _refinement_stages(config, measure)
     report = ExperimentReport(config, ("stage", "neurons", "sup_err"), rows,
-                              slopes={"sup_err": errors[0]})
-    if errors[0] > tol:
-        raise _fail(report, "peano-reconstruct: sup error %.3e exceeds %.1e"
-                    % (errors[0], tol))
-    if errors[1] >= errors[0]:
-        raise _fail(report, "peano-reconstruct: refinement did not reduce "
-                    "the error (%.3e -> %.3e)" % (errors[0], errors[1]))
+                              slopes={"sup_err": rows[0][-1]})
+    _check_refinement(report, "sup error")
     return report
 
 
@@ -334,27 +365,29 @@ def _quadrature_layout(n, d):
 
 
 def _run_rate_sweep(config, f):
-    sphere = sphere_grid(config.d, config.sphere_level)
-    grid = LineGrid(L=config.line_l, N=config.line_n)
     sampler = BallSampler(d=config.d, mode="lattice", count=config.eval_count,
                           seed=component_seed(config.seed, "rate-eval"))
     rows = []
     mean_errors = []
+    if config.constructor == "sampling":
+        # one table feeds every width and seed of the sweep
+        tables = peano_tables(f, config.k,
+                              sphere_grid(config.d, config.sphere_level),
+                              LineGrid(L=config.line_l, N=config.line_n))
     for n in config.widths:
         if config.constructor == "sampling":
             errs = []
             for sd in range(config.n_seeds):
-                net = from_sampling(f, config.k, n,
+                net = from_sampling(tables, n,
                                     component_seed(config.seed,
-                                                   "rate-%d-%d" % (n, sd)),
-                                    sphere, grid)
+                                                   "rate-%d-%d" % (n, sd)))
                 errs.append(lp_error(f, net, config.p, sampler))
             err = float(np.mean(errs))
             width = n
         else:
             level, qgrid = _quadrature_layout(n, config.d)
-            net = from_quadrature(f, config.k, sphere_grid(config.d, level),
-                                  qgrid)
+            net = from_quadrature(peano_tables(
+                f, config.k, sphere_grid(config.d, level), qgrid))
             err = float(lp_error(f, net, config.p, sampler))
             width = len(net.a)
         eps = epsilon_schedule(n, config.d)

@@ -8,15 +8,11 @@ PolynomialPart or its exact ridge lift).
 
 import io
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .quadrature import sample_directions
-from .ridge_density import (PolynomialPart, _trapezoid_weights, derivative_blocks,
-                            multi_indices, peano_polynomial, values_at_minus_one,
-                            zero_polynomial)
+from .ridge_density import PolynomialPart, multi_indices
 
 FORMAT_MAGIC = "RIDGENET v1"
 
@@ -27,23 +23,21 @@ def activation(k, t):
     sigma_0 is the Heaviside step with sigma_0(0) = 0, keeping
     sigma_k(0) = 0 for every k.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    t = np.asarray(t, float)
-    if k == 0:
-        out = (t > 0).astype(float)
-    else:
-        out = np.maximum(t, 0.0)
-        if k > 1:
-            out **= k
+    out = _truncated_power(k, np.array(t, float))
     return float(out) if out.ndim == 0 else out
 
 
-class Neuron(NamedTuple):
-    a: float
-    omega: tuple
-    b: float
-    k: int
+def _truncated_power(k, t):
+    """sigma_k of the float array t, written over t and returned."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        np.greater(t, 0.0, out=t)
+    else:
+        np.maximum(t, 0.0, out=t)
+        if k > 1:
+            t **= k
+    return t
 
 
 class ShallowNetwork:
@@ -64,11 +58,6 @@ class ShallowNetwork:
         return len(self.a)
 
     @property
-    def neurons(self):
-        return [Neuron(float(a), tuple(w), float(b), self.k)
-                for a, w, b in zip(self.a, self.omega, self.b)]
-
-    @property
     def l1_mass(self):
         """Outer-weight ell_1 mass (neurons only, excluding the polynomial)."""
         return float(np.sum(np.abs(self.a)))
@@ -82,69 +71,35 @@ class ShallowNetwork:
             out += self.poly(pts)
         n = len(self.a)
         if n:
-            # chunk the (points x neurons) matrix to bound memory
+            # chunk the (points x neurons) matrix to bound memory: one
+            # block is alive at a time, and sigma_k is applied in place
             block = max(1, int(2e7 / n))
             for lo in range(0, len(pts), block):
                 z = pts[lo:lo + block] @ self.omega.T
                 z -= self.b
-                out[lo:lo + block] += activation(self.k, z) @ self.a
+                out[lo:lo + block] += _truncated_power(self.k, z) @ self.a
+                del z
         return float(out[0]) if single else out
 
     __call__ = evaluate
 
 
-_density_cache = {}
-
-
-def _density_tables(f, k, sphere, grid):
-    """Tabulated Peano ingredients, cached per (target, k, grids).
-
-    Returns (knots, trapezoid weights, per-direction F^{(k+1)} samples on
-    the knots, polynomial part).  The cache makes repeated constructions
-    over seeds/widths cheap.
-    """
-    key = (id(f), k, id(sphere), grid.L, grid.N)
-    hit = _density_cache.get(key)
-    if hit is not None and hit[0] is f and hit[1] is sphere:
-        return hit[2]
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    mask = grid.knot_mask()
-    knots = grid.nodes[mask]
-    tw = _trapezoid_weights(knots)
-    profiles = np.empty((len(sphere), len(knots)))
-    at_minus_one = np.empty((len(sphere), k + 1))
-    # one pass over the directions for F^{(0)}, ..., F^{(k+1)}
-    for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2)):
-        hi = lo + F.shape[1]
-        profiles[lo:hi] = F[k + 1][:, mask]
-        at_minus_one[lo:hi] = values_at_minus_one(F[:k + 1], grid).T
-    poly = peano_polynomial(f.d, k, sphere, at_minus_one)
-    _density_cache[key] = (f, sphere, (knots, tw, profiles, poly))
-    if len(_density_cache) > 32:
-        _density_cache.pop(next(iter(_density_cache)))
-    return knots, tw, profiles, poly
-
-
-def from_quadrature(f, k, sphere, grid):
+def from_quadrature(tables):
     """Discretize the Peano integral into one neuron per (direction, knot).
 
-    Knots are the line-grid nodes in [-1, 1] with trapezoid weights; the
-    neuron weight is w_j * tw_m * F_{omega_j}^{(k+1)}(b_m) / k!.  The
+    The neuron weight is w_j * tw_m * F_{omega_j}^{(k+1)}(b_m) / k! with
+    trapezoid weights tw_m on the knots b_m (see PeanoTables).  The
     polynomial part is attached exactly.
     """
-    knots, tw, profiles, poly = _density_tables(f, k, sphere, grid)
-    a_all, w_all, b_all = [], [], []
-    for j, (wj, omega) in enumerate(zip(sphere.weights, sphere.nodes)):
-        a_all.append(wj * tw * profiles[j] / math.factorial(k))
-        w_all.append(np.tile(omega, (len(knots), 1)))
-        b_all.append(knots)
-    return ShallowNetwork(d=f.d, k=k, a=np.concatenate(a_all),
-                          omega=np.vstack(w_all), b=np.concatenate(b_all),
-                          poly=poly)
+    sphere, knots, k = tables.sphere, tables.knots, tables.k
+    a = (sphere.weights[:, None] * tables.weights * tables.profiles
+         / math.factorial(k))
+    return ShallowNetwork(d=tables.d, k=k, a=a.ravel(),
+                          omega=np.repeat(sphere.nodes, len(knots), axis=0),
+                          b=np.tile(knots, len(sphere)), poly=tables.poly)
 
 
-def from_sampling(f, k, n, seed, sphere, grid):
+def from_sampling(tables, n, seed):
     """Width-n importance-sampled network from the Peano density.
 
     (omega_i, b_i) are drawn from |F_omega^{(k+1)}(b)| / (k! V) with V the
@@ -154,34 +109,27 @@ def from_sampling(f, k, n, seed, sphere, grid):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    knots, tw, profiles, poly = _density_tables(f, k, sphere, grid)
-    masses = np.abs(profiles) @ tw
-    weighted = sphere.weights * masses
-    V = weighted.sum() / math.factorial(k)
+    sphere, knots, profiles = tables.sphere, tables.knots, tables.profiles
+    weighted = sphere.weights * (np.abs(profiles) @ tables.weights)
+    V = weighted.sum() / math.factorial(tables.k)
     if V <= 0:
         raise ValueError("variation upper bound is zero; nothing to sample")
     rng = np.random.default_rng(seed)
-    pj = weighted / weighted.sum()
-    js = rng.choice(len(sphere), size=n, p=pj)
+    js = rng.choice(len(sphere), size=n, p=weighted / weighted.sum())
     us = rng.uniform(size=n)
-    a = np.empty(n)
     b = np.empty(n)
-    w = np.empty((n, f.d))
+    positive = np.empty(n, bool)
     # per-direction piecewise-linear inverse CDF of |F^{(k+1)}|
-    cdfs = {}
     for j in np.unique(js):
         absv = np.abs(profiles[j])
-        cell = 0.5 * (absv[1:] + absv[:-1]) * np.diff(knots)
-        cdf = np.concatenate([[0.0], np.cumsum(cell)])
-        cdfs[j] = cdf / cdf[-1]
-    for i in range(n):
-        j = js[i]
-        bi = float(np.interp(us[i], cdfs[j], knots))
-        sign = 1.0 if np.interp(bi, knots, profiles[j]) >= 0 else -1.0
-        a[i] = sign * V / n
-        b[i] = bi
-        w[i] = sphere.nodes[j]
-    return ShallowNetwork(d=f.d, k=k, a=a, omega=w, b=b, poly=poly)
+        cdf = np.concatenate([[0.0], np.cumsum(
+            0.5 * (absv[1:] + absv[:-1]) * np.diff(knots))])
+        drawn = js == j
+        b[drawn] = np.interp(us[drawn], cdf / cdf[-1], knots)
+        positive[drawn] = np.interp(b[drawn], knots, profiles[j]) >= 0
+    return ShallowNetwork(d=tables.d, k=tables.k,
+                          a=np.where(positive, V, -V) / n,
+                          omega=sphere.nodes[js], b=b, poly=tables.poly)
 
 
 def poly_to_ridge(p, k, d=None):

@@ -7,7 +7,7 @@ Monte Carlo directions only (``sample_directions``).
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss

@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline
 from .fourier_radon import (RidgeProfile, _apply_multiplier_linear, _check_grid,
                             _spectrum_to_profile, multiplier, radon_slice,
                             taper)
-from .quadrature import sphere_grid
+from .quadrature import SphereGrid, sphere_grid
 
 SPECTRAL_MASS_TOL = 1e-8
 
@@ -188,15 +188,49 @@ def peano_polynomial(d, k, sphere, at_minus_one):
     return PolynomialPart(d=d, coefficients=coeffs)
 
 
-def polynomial_part(f, k, sphere, grid):
-    """Degree-<=k polynomial p from the Peano expansion at b = -1 (see
-    peano_polynomial).  The derivative values at -1 come from spectrally
-    computed profiles (spectral accuracy; no finite differences of F).
+@dataclass(frozen=True)
+class PeanoTables:
+    """The discretized Peano decomposition of a target on a sphere grid:
+
+        f ~ poly + (1/k!) sum_j w_j sum_m weights_m profiles[j, m]
+                   sigma_k(omega_j.x - knots_m),
+
+    with profiles[j, m] = F_{omega_j}^{(k+1)}(knots_m), the knots the line
+    grid's nodes in [-1, 1] and weights their trapezoid weights.  Both
+    network constructors read it; the arrays are read-only so that one
+    table can feed any number of networks.
     """
+
+    d: int
+    k: int
+    sphere: SphereGrid
+    knots: np.ndarray  # (M,)
+    weights: np.ndarray  # (M,)
+    profiles: np.ndarray  # (J, M)
+    poly: PolynomialPart
+
+
+def peano_tables(f, k, sphere, grid):
+    """Tabulate F^{(k+1)} on the knots for every direction of the sphere
+    grid, and the polynomial part from F^{(m)}(-1), m <= k, in one pass of
+    derivative_blocks; warns as it does.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    mask = grid.knot_mask()
+    knots = grid.nodes[mask]
+    weights = _trapezoid_weights(knots)
+    profiles = np.empty((len(sphere), len(knots)))
     at_minus_one = np.empty((len(sphere), k + 1))
-    for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 1)):
-        at_minus_one[lo:lo + F.shape[1]] = values_at_minus_one(F, grid).T
-    return peano_polynomial(f.d, k, sphere, at_minus_one)
+    for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2)):
+        hi = lo + F.shape[1]
+        profiles[lo:hi] = F[k + 1][:, mask]
+        at_minus_one[lo:hi] = values_at_minus_one(F[:k + 1], grid).T
+    for array in (knots, weights, profiles):
+        array.flags.writeable = False
+    return PeanoTables(d=f.d, k=k, sphere=sphere, knots=knots,
+                       weights=weights, profiles=profiles,
+                       poly=peano_polynomial(f.d, k, sphere, at_minus_one))
 
 
 def sobolev_seminorm(f, s, angular_level=6, radial_points=8193, r_max=None):

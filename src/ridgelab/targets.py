@@ -10,7 +10,7 @@ accepting arrays of shape (..., d).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special

@@ -5,6 +5,8 @@ experiments run through the CLI driver exactly as a user would invoke them;
 the determinism check re-runs them and compares CSV bodies byte for byte.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,15 @@ from ridgelab.targets import GaussianSpec, make_gaussian
 WIDTHS = (16, 32, 64, 128, 256, 512, 1024)
 EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 
+# sha256 of the seed-42 CSV bodies (every line but "# wallclock", each
+# ending in a newline), as bench/baseline.json records them.  A refactor
+# that changes a report fails here and must say why in CHANGES.md.
+GOLDEN_BODIES = {
+    "sampling": "dc976e826a51d17407c74ac275c525c802d7371d4e3ed76c416756dcd7cc6e18",
+    "schedule": "38ac3d2d3cb59ed650729cc801856cdcabddbd1f2a766b8515734ea76cb112b7",
+    "peano-d2k2": "0eafb72235e01c86cc9b0bef6dd75d68c69ff5a5c3edfc5924c91dc9089737f8",
+}
+
 
 @pytest.fixture(autouse=True)
 def _quiet_support_warning():
@@ -30,6 +41,10 @@ def _quiet_support_warning():
 def _csv_body(path):
     lines = path.read_text().splitlines()
     return "\n".join(l for l in lines if not l.startswith("# wallclock"))
+
+
+def _body_sha256(body):
+    return hashlib.sha256((body + "\n").encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +117,9 @@ def test_criterion_04_peano_reconstruction(tmp_path, d, k):
     base, refined = (row[-1] for row in report.rows)
     assert base <= 1e-3
     assert refined < base
+    if (d, k) == (2, 2):
+        body = _csv_body(tmp_path / "peano-reconstruct.csv")
+        assert _body_sha256(body) == GOLDEN_BODIES["peano-d2k2"]
 
 
 def test_criterion_05_polynomial_lift_exactness():
@@ -154,3 +172,10 @@ def test_criterion_10_deterministic_reports(sweep_reports):
     for name, runs in sweep_reports.items():
         (_, body_a), (_, body_b) = runs
         assert body_a == body_b, "%s report bodies differ" % name
+
+
+def test_criterion_11_golden_bodies(sweep_reports):
+    for name in ("sampling", "schedule"):
+        (_, body), _ = sweep_reports[name]
+        assert _body_sha256(body) == GOLDEN_BODIES[name], \
+            "%s report body changed" % name

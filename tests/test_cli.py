@@ -114,14 +114,39 @@ class TestMain:
         path.write_text("kind = radon-check\nd = 0\n")
         assert cli.main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "kind = variation-bound\nd = 1\nwidth = 0\n",
+        "kind = variation-bound\nd = 1\ntarget = cusp\ngamma = 0\n",
+        "kind = inversion-check\nd = 1\nline_n = 100\n",
+        "kind = inversion-check\nd = 1\nline_l = 0.5\n",
+        "kind = inversion-check\nd = 1\nsphere_level = 0\n",
+        "kind = inversion-check\nd = 1\npoints = 0\n",
+        "kind = radon-check\nd = 2\ntrials = -1\n",
+        "kind = rate-sweep\nd = 1\nwidths = 0, 1, 2\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\namplitude = 0\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\np = 1\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\neval_count = 0\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\nn_seeds = 0\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        "constructor = quadrature\nschedule = epsilon\ns = -1\n",
+        "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 2, 3, 4\n",
+        "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25\np = 1\n",
+    ])
+    def test_out_of_range_values_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 4
 
     def test_run_and_eval_round_trip(self, tmp_path, capsys):
         from ridgelab import (GaussianSpec, LineGrid, from_quadrature,
-                              make_gaussian, save, sphere_grid)
+                              make_gaussian, peano_tables, save, sphere_grid)
         f = make_gaussian(GaussianSpec(d=2))
-        net = from_quadrature(f, 1, sphere_grid(2, 3), LineGrid(4.0, 64))
+        net = from_quadrature(peano_tables(f, 1, sphere_grid(2, 3),
+                                           LineGrid(4.0, 64)))
         netfile = tmp_path / "net.rn"
         save(net, netfile)
         pts = np.array([[0.0, 0.0], [0.3, -0.2]])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from ridgelab.network import (ShallowNetwork, activation, deserialize,
                               from_quadrature, from_sampling, load,
                               poly_to_ridge, save, serialize)
 from ridgelab.quadrature import BallSampler, LineGrid, ball_points, sphere_grid
-from ridgelab.ridge_density import PolynomialPart, zero_polynomial
+from ridgelab.ridge_density import (PolynomialPart, peano_tables,
+                                    variation_upper_bound, zero_polynomial)
 from ridgelab.targets import GaussianSpec, make_gaussian
 
 GRID = LineGrid(L=4.0, N=2048)
@@ -69,13 +72,13 @@ class TestShallowNetwork:
 class TestFromQuadrature:
     def test_zero_target(self):
         f = make_gaussian(GaussianSpec(d=1, amplitude=0.0))
-        net = from_quadrature(f, 1, sphere_grid(1, 1), GRID)
+        net = from_quadrature(peano_tables(f, 1, sphere_grid(1, 1), GRID))
         np.testing.assert_allclose(net.a, 0.0, atol=1e-14)
         np.testing.assert_allclose(net(np.zeros((3, 1))), 0.0, atol=1e-14)
 
     def test_reconstructs_gaussian_d1_k1(self):
         f = make_gaussian(GaussianSpec(d=1))
-        net = from_quadrature(f, 1, sphere_grid(1, 1), GRID)
+        net = from_quadrature(peano_tables(f, 1, sphere_grid(1, 1), GRID))
         pts = ball_points(BallSampler(d=1, mode="pseudo-random", count=200,
                                       seed=2))
         np.testing.assert_allclose(net(pts), f(pts), atol=1e-3)
@@ -86,27 +89,78 @@ class TestFromQuadrature:
         errs = []
         grid = LineGrid(L=4.0, N=256)
         for _ in range(3):
-            net = from_quadrature(f, 1, sphere_grid(1, 1), grid)
+            net = from_quadrature(peano_tables(f, 1, sphere_grid(1, 1), grid))
             errs.append(np.max(np.abs(net(pts) - f(pts))))
             grid = LineGrid(L=grid.L, N=4 * grid.N)
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:])) / 2
         assert all(s >= 2.0 - 0.2 for s in slopes)
 
 
+def _offset_tables(k):
+    # two off-centre Gaussians: densities of both signs, unequal directions
+    from ridgelab.targets import combine
+    f = combine(make_gaussian(GaussianSpec(d=2, center=np.array([0.3, -0.2]),
+                                           width=0.5)),
+                make_gaussian(GaussianSpec(d=2)), 1.0, -0.7)
+    return peano_tables(f, k, sphere_grid(2, 4), LineGrid(3.0, 256))
+
+
+class TestConstructorsAgainstLoops:
+    """The vectorized constructors against one-neuron-at-a-time loops doing
+    the same arithmetic: the results must be equal bit for bit."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_quadrature(self, k):
+        tables = _offset_tables(k)
+        a, w, b = [], [], []
+        for wj, omega, row in zip(tables.sphere.weights, tables.sphere.nodes,
+                                  tables.profiles):
+            a.append(wj * tables.weights * row / math.factorial(k))
+            w.append(np.tile(omega, (len(tables.knots), 1)))
+            b.append(tables.knots)
+        net = from_quadrature(tables)
+        np.testing.assert_array_equal(net.a, np.concatenate(a))
+        np.testing.assert_array_equal(net.omega, np.vstack(w))
+        np.testing.assert_array_equal(net.b, np.concatenate(b))
+        assert net.poly is tables.poly
+
+    @pytest.mark.parametrize("k,n,seed", [(0, 1, 7), (1, 300, 3), (2, 64, 11)])
+    def test_sampling(self, k, n, seed):
+        tables = _offset_tables(k)
+        sphere, knots, profiles = tables.sphere, tables.knots, tables.profiles
+        weighted = sphere.weights * (np.abs(profiles) @ tables.weights)
+        V = weighted.sum() / math.factorial(k)
+        rng = np.random.default_rng(seed)
+        js = rng.choice(len(sphere), size=n, p=weighted / weighted.sum())
+        us = rng.uniform(size=n)
+        a, w, b = np.empty(n), np.empty((n, 2)), np.empty(n)
+        for i, (j, u) in enumerate(zip(js, us)):
+            absv = np.abs(profiles[j])
+            cell = 0.5 * (absv[1:] + absv[:-1]) * np.diff(knots)
+            cdf = np.concatenate([[0.0], np.cumsum(cell)])
+            b[i] = float(np.interp(u, cdf / cdf[-1], knots))
+            sign = 1.0 if np.interp(b[i], knots, profiles[j]) >= 0 else -1.0
+            a[i] = sign * V / n
+            w[i] = sphere.nodes[j]
+        net = from_sampling(tables, n, seed)
+        np.testing.assert_array_equal(net.a, a)
+        np.testing.assert_array_equal(net.omega, w)
+        np.testing.assert_array_equal(net.b, b)
+        assert net.poly is tables.poly
+
+
 class TestFromSampling:
     def test_l1_mass_equals_variation_bound(self):
-        from ridgelab.ridge_density import variation_upper_bound
         f = make_gaussian(GaussianSpec(d=2))
         sphere = sphere_grid(2, 6)
         v = variation_upper_bound(f, 1, sphere, GRID)
-        net = from_sampling(f, 1, 64, 99, sphere, GRID)
+        net = from_sampling(peano_tables(f, 1, sphere, GRID), 64, 99)
         np.testing.assert_allclose(net.l1_mass, v, rtol=1e-12)
 
     def test_single_sample(self):
-        from ridgelab.ridge_density import variation_upper_bound
         f = make_gaussian(GaussianSpec(d=1))
         sphere = sphere_grid(1, 1)
-        net = from_sampling(f, 0, 1, 7, sphere, GRID)
+        net = from_sampling(peano_tables(f, 0, sphere, GRID), 1, 7)
         assert len(net.a) == 1
         v = variation_upper_bound(f, 0, sphere, GRID)
         np.testing.assert_allclose(abs(net.a[0]), v, rtol=1e-12)
@@ -115,9 +169,9 @@ class TestFromSampling:
         f = make_gaussian(GaussianSpec(d=2))
         sphere = sphere_grid(2, 6)
         x = np.array([0.3, -0.4])
-        reference = float(from_quadrature(f, 1, sphere, GRID)(x))
-        vals = np.array([float(from_sampling(f, 1, 256, seed, sphere,
-                                             GRID)(x))
+        tables = peano_tables(f, 1, sphere, GRID)
+        reference = float(from_quadrature(tables)(x))
+        vals = np.array([float(from_sampling(tables, 256, seed)(x))
                          for seed in range(100)])
         stderr = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - reference) <= 3 * stderr
@@ -125,7 +179,7 @@ class TestFromSampling:
     def test_invalid_width(self):
         f = make_gaussian(GaussianSpec(d=1))
         with pytest.raises(ValueError):
-            from_sampling(f, 0, 0, 1, sphere_grid(1, 1), GRID)
+            from_sampling(peano_tables(f, 0, sphere_grid(1, 1), GRID), 0, 1)
 
 
 class TestPolyToRidge:
@@ -159,7 +213,8 @@ def _indices(d, max_degree):
 class TestSerialization:
     def _example(self):
         f = make_gaussian(GaussianSpec(d=2))
-        return from_quadrature(f, 1, sphere_grid(2, 3), LineGrid(4.0, 64))
+        return from_quadrature(peano_tables(f, 1, sphere_grid(2, 3),
+                                            LineGrid(4.0, 64)))
 
     def test_round_trip_bitwise(self):
         net = self._example()

@@ -11,7 +11,7 @@ from ridgelab.fourier_radon import (_apply_multiplier_linear,
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.ridge_density import (derivative_blocks, derivative_profile,
                                     multi_indices, peano_polynomial,
-                                    polynomial_part, sobolev_seminorm,
+                                    peano_tables, sobolev_seminorm,
                                     theorem_order, variation_upper_bound,
                                     zero_polynomial)
 from ridgelab.targets import GaussianSpec, combine, make_gaussian
@@ -151,17 +151,49 @@ class TestVariationUpperBound:
         np.testing.assert_allclose(vg, 2.5 * vf, rtol=1e-9)
 
 
+class TestPeanoTables:
+    def test_profiles_are_knot_windows_of_the_derivative(self):
+        grid = LineGrid(L=3.0, N=128)
+        f = _two_gaussians(2)
+        sphere = sphere_grid(2, 3)
+        k = 1
+        tables = peano_tables(f, k, sphere, grid)
+        mask = grid.knot_mask()
+        np.testing.assert_array_equal(tables.knots, grid.nodes[mask])
+        assert tables.profiles.shape == (len(sphere), mask.sum())
+        for row, w in zip(tables.profiles, sphere.nodes):
+            np.testing.assert_array_equal(
+                row, derivative_profile(f, w, k, grid).values[mask])
+        # -1 and 1 are not nodes of this grid: the rule spans the knots
+        np.testing.assert_allclose(tables.weights.sum(),
+                                   tables.knots[-1] - tables.knots[0],
+                                   rtol=1e-14)
+        assert (tables.d, tables.k, tables.sphere) == (2, k, sphere)
+
+    def test_arrays_are_read_only(self):
+        f = make_gaussian(GaussianSpec(d=1))
+        tables = peano_tables(f, 0, sphere_grid(1, 1), LineGrid(4.0, 64))
+        for array in (tables.knots, tables.weights, tables.profiles):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_negative_order_rejected(self):
+        f = make_gaussian(GaussianSpec(d=1))
+        with pytest.raises(ValueError):
+            peano_tables(f, -1, sphere_grid(1, 1), GRID)
+
+
 class TestPolynomialPart:
     def test_zero_target(self):
         f = make_gaussian(GaussianSpec(d=1, amplitude=0.0))
-        p = polynomial_part(f, 1, sphere_grid(1, 1), GRID)
+        p = peano_tables(f, 1, sphere_grid(1, 1), GRID).poly
         np.testing.assert_allclose(p(np.linspace(-1, 1, 9)[:, None]), 0.0,
                                    atol=1e-14)
 
     def test_d1_k1_taylor_oracle(self):
         # p(x) = sum_{w=+-1} f(-w)/2 + (w/2) f'(-w) (w x + 1)
         f = make_gaussian(GaussianSpec(d=1))
-        p = polynomial_part(f, 1, sphere_grid(1, 1), GRID)
+        p = peano_tables(f, 1, sphere_grid(1, 1), GRID).poly
         x = np.linspace(-1, 1, 21)
         fp = lambda t: -t * np.exp(-t * t / 2)
         oracle = sum(np.exp(-0.5) / 2 + (w / 2) * fp(-w) * (w * x + 1)
@@ -180,7 +212,7 @@ class TestPolynomialPart:
             [CubicSpline(grid.nodes, derivative_profile(f, w, k, grid, m).values)(-1.0)
              for m in range(k + 1)] for w in sphere.nodes])
         expected = peano_polynomial(2, k, sphere, at_minus_one).coefficients
-        got = polynomial_part(f, k, sphere, grid).coefficients
+        got = peano_tables(f, k, sphere, grid).poly.coefficients
         assert got.keys() == expected.keys()
         scale = max(abs(c) for c in expected.values())
         for alpha, c in expected.items():
@@ -190,7 +222,7 @@ class TestPolynomialPart:
         grid = LineGrid(L=5.0, N=256)
         assert not np.any(grid.nodes == -1.0)
         f = make_gaussian(GaussianSpec(d=1))
-        p = polynomial_part(f, 1, sphere_grid(1, 1), grid)
+        p = peano_tables(f, 1, sphere_grid(1, 1), grid).poly
         x = np.linspace(-1, 1, 21)
         fp = lambda t: -t * np.exp(-t * t / 2)
         oracle = sum(np.exp(-0.5) / 2 + (w / 2) * fp(-w) * (w * x + 1)
@@ -199,7 +231,7 @@ class TestPolynomialPart:
 
     def test_degree_bound(self):
         f = make_gaussian(GaussianSpec(d=2))
-        p = polynomial_part(f, 2, sphere_grid(2, 5), GRID)
+        p = peano_tables(f, 2, sphere_grid(2, 5), GRID).poly
         assert p.degree <= 2
 
     def test_zero_polynomial(self):
