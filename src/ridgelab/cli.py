@@ -217,6 +217,11 @@ def _validate(config):
             raise ConfigError("epsilons must lie in (0, 1]")
         if config.s is None or config.s < 1:
             raise ConfigError("mollify-sweep requires s >= 1")
+    if config.kind in ("radon-check", "inversion-check") and \
+            config.target == "gaussian" and config.amplitude == 0.0:
+        raise ConfigError("%s reports errors relative to the target's size "
+                          "and needs a nonzero target (amplitude = 0)"
+                          % config.kind)
     if config.kind == "radon-check" and config.d == 1:
         raise ConfigError("radon-check needs d >= 2 (the d = 1 transform is "
                           "a point evaluation)")

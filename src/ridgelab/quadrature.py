@@ -5,6 +5,7 @@ here.  Sphere grids are deterministic for d <= 3; higher dimensions get
 Monte Carlo directions only (``sample_directions``).
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -181,11 +182,15 @@ class BallSampler:
             raise ValueError("invalid sampler parameters")
 
 
+@functools.lru_cache(maxsize=8)
 def ball_points(sampler):
-    """Emit sampler.count points in the open unit ball of R^d."""
+    """Emit sampler.count points in the open unit ball of R^d.
+
+    The points of a sampler are generated once and shared by every later
+    call (a sweep measures all its networks on one point set), so the
+    returned array is read-only.
+    """
     d, m = sampler.d, sampler.count
-    if m == 0:
-        return np.empty((0, d))
     pts = np.empty((m, d))
     filled = 0
     if sampler.mode == "lattice":
@@ -204,4 +209,5 @@ def ball_points(sampler):
             take = min(len(batch), m - filled)
             pts[filled:filled + take] = batch[:take]
             filled += take
+    pts.flags.writeable = False
     return pts

@@ -196,9 +196,12 @@ class PeanoTables:
                    sigma_k(omega_j.x - knots_m),
 
     with profiles[j, m] = F_{omega_j}^{(k+1)}(knots_m), the knots the line
-    grid's nodes in [-1, 1] and weights their trapezoid weights.  Both
-    network constructors read it; the arrays are read-only so that one
-    table can feed any number of networks.
+    grid's nodes in [-1, 1] and weights their trapezoid weights.  cdf[j] is
+    the normalised cumulative trapezoid integral of |profiles[j]| over the
+    knots, the piecewise-linear CDF whose inverse from_sampling draws knots
+    from (all zeros for a direction without mass).  Both network
+    constructors read it; the arrays are read-only so that one table can
+    feed any number of networks.
     """
 
     d: int
@@ -207,6 +210,7 @@ class PeanoTables:
     knots: np.ndarray  # (M,)
     weights: np.ndarray  # (M,)
     profiles: np.ndarray  # (J, M)
+    cdf: np.ndarray  # (J, M)
     poly: PolynomialPart
 
 
@@ -226,10 +230,16 @@ def peano_tables(f, k, sphere, grid):
         hi = lo + F.shape[1]
         profiles[lo:hi] = F[k + 1][:, mask]
         at_minus_one[lo:hi] = values_at_minus_one(F[:k + 1], grid).T
-    for array in (knots, weights, profiles):
+    absv = np.abs(profiles)
+    cdf = np.zeros_like(absv)
+    np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
+              out=cdf[:, 1:])
+    del absv
+    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
+    for array in (knots, weights, profiles, cdf):
         array.flags.writeable = False
     return PeanoTables(d=f.d, k=k, sphere=sphere, knots=knots,
-                       weights=weights, profiles=profiles,
+                       weights=weights, profiles=profiles, cdf=cdf,
                        poly=peano_polynomial(f.d, k, sphere, at_minus_one))
 
 

@@ -131,6 +131,8 @@ class TestMain:
         "constructor = quadrature\nschedule = epsilon\ns = -1\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 2, 3, 4\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25\np = 1\n",
+        "kind = radon-check\nd = 2\ntrials = 3\namplitude = 0\n",
+        "kind = inversion-check\nd = 1\namplitude = 0\n",
     ])
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"

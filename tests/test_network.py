@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ridgelab.network import (ShallowNetwork, activation, deserialize,
-                              from_quadrature, from_sampling, load,
-                              poly_to_ridge, save, serialize)
+from ridgelab import network
+from ridgelab.network import (MIN_KNOTS_PER_DIRECTION, ShallowNetwork,
+                              activation, deserialize, from_quadrature,
+                              from_sampling, load, poly_to_ridge, save,
+                              serialize)
 from ridgelab.quadrature import BallSampler, LineGrid, ball_points, sphere_grid
 from ridgelab.ridge_density import (PolynomialPart, peano_tables,
                                     variation_upper_bound, zero_polynomial)
@@ -67,6 +69,122 @@ class TestShallowNetwork:
                              omega=np.array([[1.0], [-1.0]]),
                              b=np.zeros(2), poly=zero_polynomial(1))
         np.testing.assert_allclose(net.l1_mass, 3.5)
+
+
+def _fsum_values(net, pts):
+    """sum_i a_i sigma_k(omega_i.x - b_i) per point, summed with math.fsum."""
+    out = []
+    for x in pts:
+        z = net.omega @ x - net.b
+        s = (z > 0).astype(float) if net.k == 0 else np.where(z > 0, z, 0.0) ** net.k
+        out.append(math.fsum(net.a * s))
+    return np.array(out)
+
+
+def _neurons_only(net, order=slice(None)):
+    return ShallowNetwork(d=net.d, k=net.k, a=net.a[order],
+                          omega=net.omega[order], b=net.b[order])
+
+
+@pytest.fixture
+def grouped_only(monkeypatch):
+    """Make the dense path raise, so evaluate must take the grouped one."""
+    def refuse(net, pts):
+        raise AssertionError("dense path taken")
+    monkeypatch.setattr(network, "_evaluate_dense", refuse)
+
+
+class TestGroupedEvaluation:
+    """evaluate on networks with many knots per direction: one degree-k
+    spline per direction, from per-direction prefix sums."""
+
+    SPHERES = {1: sphere_grid(1, 1), 2: sphere_grid(2, 3), 3: sphere_grid(3, 2)}
+
+    def _tables(self, d, k):
+        f = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.1), width=0.6))
+        return peano_tables(f, k, self.SPHERES[d], LineGrid(4.0, 256))
+
+    def _points(self, d):
+        return ball_points(BallSampler(d=d, mode="pseudo-random", count=64,
+                                       seed=5))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_quadrature_against_fsum(self, grouped_only, d, k):
+        net = _neurons_only(from_quadrature(self._tables(d, k)))
+        pts = self._points(d)
+        tol = 1e-14 * (1.0 + net.l1_mass)
+        np.testing.assert_allclose(net(pts), _fsum_values(net, pts),
+                                   rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_sampling_against_fsum(self, grouped_only, d, k):
+        # about 2048 / J draws per direction, in unequal numbers
+        net = _neurons_only(from_sampling(self._tables(d, k), 2048, 17))
+        pts = self._points(d)
+        tol = 1e-14 * (1.0 + net.l1_mass)
+        np.testing.assert_allclose(net(pts), _fsum_values(net, pts),
+                                   rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_points_on_knots(self, grouped_only, k):
+        # unit weights on knots along e1 and e2; every point coordinate is
+        # a knot, so omega.x equals a knot exactly and sigma_k(0) = 0
+        # decides the value (for k = 0 it must not count that knot)
+        knots = np.linspace(-1.0, 1.0, 2 * MIN_KNOTS_PER_DIRECTION + 1)
+        eye = np.eye(2)
+        net = ShallowNetwork(d=2, k=k, a=np.ones(2 * len(knots)),
+                             omega=np.repeat(eye, len(knots), axis=0),
+                             b=np.tile(knots, 2))
+        grid = knots[::5]
+        pts = np.array([(x, y) for x in grid for y in grid])
+        values = net(pts)
+        if k == 0:
+            below = [np.sum(knots < x) + np.sum(knots < y) for x, y in pts]
+            np.testing.assert_array_equal(values, below)
+        np.testing.assert_allclose(values, _fsum_values(net, pts),
+                                   rtol=0, atol=1e-14 * (1.0 + net.l1_mass))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_shuffled_neurons(self, grouped_only, k):
+        net = _neurons_only(from_quadrature(self._tables(2, k)))
+        shuffled = _neurons_only(
+            net, np.random.default_rng(3).permutation(len(net)))
+        pts = self._points(2)
+        np.testing.assert_allclose(shuffled(pts), net(pts), rtol=0,
+                                   atol=1e-14)
+
+    def test_empty_network(self):
+        poly = PolynomialPart(d=2, coefficients={(0, 0): 1.5})
+        net = ShallowNetwork(d=2, k=2, poly=poly)
+        np.testing.assert_array_equal(net(self._points(2)), 1.5)
+        assert net(np.array([0.2, 0.1])) == 1.5
+
+    def test_deserialized_network(self, grouped_only):
+        net = from_quadrature(self._tables(2, 1))
+        pts = self._points(2)
+        np.testing.assert_array_equal(deserialize(serialize(net))(pts),
+                                      net(pts))
+
+    def test_polynomial_lift_stays_dense(self, monkeypatch):
+        def refuse(net, pts, ids, directions):
+            raise AssertionError("grouped path taken")
+        monkeypatch.setattr(network, "_evaluate_grouped", refuse)
+        p = PolynomialPart(d=2, coefficients={(0, 0): 0.5, (1, 1): -2.0,
+                                              (2, 0): 1.0})
+        pts = self._points(2)
+        np.testing.assert_allclose(poly_to_ridge(p, 2)(pts), p(pts),
+                                   rtol=0, atol=1e-10)
+
+    def test_agrees_with_dense_path(self):
+        net = from_quadrature(self._tables(3, 2))
+        pts = self._points(3)
+        ids, directions = network._direction_ids(net.omega)
+        np.testing.assert_allclose(
+            network._evaluate_grouped(net, pts, ids, directions),
+            network._evaluate_dense(net, pts), rtol=0,
+            atol=1e-14 * (1.0 + net.l1_mass))
 
 
 class TestFromQuadrature:

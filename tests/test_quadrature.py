@@ -112,6 +112,41 @@ class TestBallPoints:
         spec = BallSampler(d=3, mode="pseudo-random", count=50, seed=8)
         np.testing.assert_array_equal(ball_points(spec), ball_points(spec))
 
+    def test_second_call_shares_read_only_points(self):
+        first = ball_points(BallSampler(d=2, mode="lattice", count=256,
+                                        seed=9))
+        second = ball_points(BallSampler(d=2, mode="lattice", count=256,
+                                         seed=9))
+        np.testing.assert_array_equal(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+
+    def test_callers_leave_points_unchanged(self):
+        # the library's consumers of ball_points: lp_error on a target, on
+        # grouped and dense networks and on a smooth approximant, and
+        # reconstruct; a write into the shared points would raise
+        import warnings
+        from ridgelab.fourier_radon import reconstruct
+        from ridgelab.metrics import lp_error
+        from ridgelab.mollify import smooth_approximant
+        from ridgelab.network import from_quadrature, from_sampling
+        from ridgelab.ridge_density import peano_tables
+        from ridgelab.targets import GaussianSpec, make_gaussian
+        sampler = BallSampler(d=2, mode="lattice", count=128, seed=10)
+        pts = ball_points(sampler)
+        before = pts.copy()
+        f = make_gaussian(GaussianSpec(d=2, width=0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tables = peano_tables(f, 1, sphere_grid(2, 3), LineGrid(4.0, 256))
+            reconstruct(f, pts, sphere_grid(2, 3), LineGrid(4.0, 256))
+        for g in (from_quadrature(tables), from_sampling(tables, 16, 1),
+                  lambda x: smooth_approximant(f, 1, 0.5, x)):
+            for p in (2, np.inf):
+                assert np.isfinite(lp_error(f, g, p, sampler))
+        np.testing.assert_array_equal(ball_points(sampler), before)
+
     def test_ball_volume(self):
         np.testing.assert_allclose([ball_volume(d) for d in (1, 2, 3)],
                                    [2.0, np.pi, 4 * np.pi / 3])
