@@ -206,6 +206,9 @@ def _validate(config):
             raise ConfigError("constructor must be 'sampling' or 'quadrature'")
         if config.schedule not in ("none", "epsilon"):
             raise ConfigError("schedule must be 'none' or 'epsilon'")
+        if config.schedule == "epsilon" and config.s == 0:
+            raise ConfigError("schedule = epsilon mollifies with order s and "
+                              "needs s >= 1 (or s unset, for s = 1)")
         if config.constructor == "sampling" and config.target == "gaussian" \
                 and config.amplitude == 0.0:
             raise ConfigError("the sampling constructor needs a nonzero "
@@ -374,6 +377,8 @@ def _run_rate_sweep(config, f):
                           seed=component_seed(config.seed, "rate-eval"))
     rows = []
     mean_errors = []
+    # the mollifier's order for schedule = epsilon
+    order = 1 if config.s is None else config.s
     if config.constructor == "sampling":
         # one table feeds every width and seed of the sweep
         tables = peano_tables(f, config.k,
@@ -398,7 +403,7 @@ def _run_rate_sweep(config, f):
         eps = epsilon_schedule(n, config.d)
         if config.schedule == "epsilon":
             smooth_gap = lp_error(
-                f, lambda x, e=eps: smooth_approximant(f, config.s or 1, e, x),
+                f, lambda x, e=eps: smooth_approximant(f, order, e, x),
                 config.p, sampler)
             err = err + float(smooth_gap)
             rows.append((n, width, float(eps), err))

@@ -23,6 +23,15 @@ from .quadrature import surface_area
 
 MIN_NODES_PER_AXIS = 8
 
+# (point, node) pairs per call of f in smooth_approximant (a tile is at
+# least one point by one node chunk).  Measured as the time of the seven
+# calls of the epsilon schedule at 4096 points (d = 2, Gaussian target,
+# 1200 nodes at the smallest eps; best of 3, one BLAS thread, 2-core Xeon
+# with 4 MiB L2, numpy 2.4): 2^12 pairs 1.01 s, 2^13-2^16 0.91-0.95 s,
+# 2^17-2^18 0.99-1.02 s, untiled 2.1-2.5 s.  Past about 2^16 pairs the
+# (pairs, d) tile and f's temporaries no longer stay in cache.
+TILE_PAIRS = 2 ** 15
+
 
 @dataclass(frozen=True)
 class MollifierSpec:
@@ -101,10 +110,14 @@ def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
     """Evaluate the order-s binomial approximant f_eps at x (point or batch).
 
     Each convolution is computed by tensor Gauss-Legendre quadrature over
-    the eps-ball; nodes_per_axis controls the resolution.
+    the eps-ball; nodes_per_axis controls the resolution.  f is called on
+    tiles of at most TILE_PAIRS (point, node) pairs written into one
+    reused buffer, so it must not keep its argument.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
+    if s < 1:
+        raise ValueError("s must be >= 1")
     d = np.shape(x)[-1]
     if nodes_per_axis is None:
         nodes_per_axis = {1: 64, 2: 48, 3: 20}.get(d, 16)
@@ -117,12 +130,26 @@ def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
     ynodes, yw = _ball_quadrature(d, eps, nodes_per_axis)
     out = np.zeros(len(pts))
     chunk = max(1, int(5e6 / max(len(pts), 1)))
+    width = min(chunk, len(ynodes))
+    values = np.empty(len(pts) * width)
+    buf = np.empty(max(TILE_PAIRS, width) * d)
     for t, coef in binomial_weights(s):
         acc = np.zeros(len(pts))
         for lo in range(0, len(ynodes), chunk):
-            yq = ynodes[lo:lo + chunk]
-            shifted = pts[:, None, :] - t * yq[None, :, :]
-            acc += f(shifted) @ yw[lo:lo + chunk]
+            # f fills the chunk's values tile by tile; the chunk is then
+            # reduced by one matrix-vector product over all points, because
+            # BLAS rounds a row's sum differently with the number of rows
+            # and the thread split, and per-tile products would not
+            # reproduce the untiled sums
+            ty = t * ynodes[lo:lo + chunk]
+            fv = values[:len(pts) * len(ty)].reshape(len(pts), len(ty))
+            rows = max(1, TILE_PAIRS // len(ty))
+            for p in range(0, len(pts), rows):
+                tile = pts[p:p + rows]
+                shifted = buf[:tile.size * len(ty)].reshape(len(tile), -1, d)
+                np.subtract(tile[:, None, :], ty, out=shifted)
+                fv[p:p + rows] = f(shifted)
+            acc += fv @ yw[lo:lo + chunk]
         out += coef * acc
     return float(out[0]) if single else out
 

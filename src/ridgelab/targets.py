@@ -79,9 +79,21 @@ def make_gaussian(spec):
     d, c, s2, a = spec.d, spec.center, spec.width, spec.amplitude
 
     def evaluate(x):
+        # in place, with one temporary; the d < 8 squares are added one by
+        # one as np.sum adds them, so the values equal
+        # a * exp(-sum((x - c)**2, -1) / (2 s2)) bit for bit
         x = np.asarray(x, float)
-        r2 = np.sum((x - c) ** 2, axis=-1)
-        return a * np.exp(-r2 / (2.0 * s2))
+        r2 = np.zeros(x.shape[:-1])
+        sq = np.empty_like(r2)
+        for i in range(d):
+            np.subtract(x[..., i], c[i], out=sq)
+            np.multiply(sq, sq, out=sq)
+            r2 += sq
+        np.negative(r2, out=r2)
+        r2 /= 2.0 * s2
+        np.exp(r2, out=r2)
+        r2 *= a
+        return r2[()]
 
     norm = a * (2.0 * np.pi * s2) ** (d / 2.0)
 

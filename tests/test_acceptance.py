@@ -26,11 +26,14 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # records; "schedule" and "peano-d2k2" differ from it in the last printed
 # digit of a few rows, since direction-grouped evaluation sums the
 # quadrature networks in another order (as close to a math.fsum reference
-# as the neuron-by-neuron sum; see tests/test_network.py).
+# as the neuron-by-neuron sum; see tests/test_network.py).  "mollify" (the
+# d = 2, s = 2 sweep) covers the t = 2 translates of smooth_approximant,
+# which "schedule" (s = 1) does not.
 GOLDEN_BODIES = {
     "sampling": "dc976e826a51d17407c74ac275c525c802d7371d4e3ed76c416756dcd7cc6e18",
     "schedule": "b18d05391c2216420df5ea05914c8b25d4a21823fb5cc4f7d547fb7cfa97aca1",
     "peano-d2k2": "2b81083f6e51f49044641bc85e6336bad9c83fd1d38de972339d623c141f0fb0",
+    "mollify": "c8382b05c86678a65b85d9b3e246ec5942cddefa0f1d65d87b811e3621c33d19",
 }
 
 
@@ -179,7 +182,7 @@ def test_criterion_10_deterministic_reports(sweep_reports):
 
 
 def test_criterion_11_golden_bodies(sweep_reports):
-    for name in ("sampling", "schedule"):
+    for name in ("sampling", "schedule", "mollify"):
         (_, body), _ = sweep_reports[name]
         assert _body_sha256(body) == GOLDEN_BODIES[name], \
             "%s report body changed" % name

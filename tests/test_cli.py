@@ -129,6 +129,8 @@ class TestMain:
         "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\nn_seeds = 0\n",
         "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
         "constructor = quadrature\nschedule = epsilon\ns = -1\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        "constructor = quadrature\nschedule = epsilon\ns = 0\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 2, 3, 4\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25\np = 1\n",
         "kind = radon-check\nd = 2\ntrials = 3\namplitude = 0\n",

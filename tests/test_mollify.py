@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ridgelab.mollify import (MollifierSpec, binomial_weights,
-                              epsilon_schedule, finite_difference,
-                              mollifier_value, smooth_approximant)
-from ridgelab.targets import GaussianSpec, make_gaussian
+from ridgelab.mollify import (TILE_PAIRS, MollifierSpec, _ball_quadrature,
+                              binomial_weights, epsilon_schedule,
+                              finite_difference, mollifier_value,
+                              smooth_approximant)
+from ridgelab.targets import (GaussianSpec, combine, make_cusp_radial,
+                              make_gaussian)
 
 
 class TestMollifier:
@@ -107,3 +109,125 @@ class TestEpsilonSchedule:
 
     def test_clamped_to_unit_interval(self):
         assert 0 < epsilon_schedule(1, 1) <= 1.0
+
+
+DEFAULT_NODES = {1: 64, 2: 48, 3: 20}
+
+
+def _untiled_approximant(f, s, eps, x, nodes_per_axis=None):
+    """smooth_approximant as it was before tiling: one (points, nodes, d)
+    array per node chunk.  The reference for the tiled loop."""
+    d = np.shape(x)[-1]
+    if nodes_per_axis is None:
+        nodes_per_axis = DEFAULT_NODES[d]
+    x = np.asarray(x, float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    ynodes, yw = _ball_quadrature(d, eps, nodes_per_axis)
+    out = np.zeros(len(pts))
+    chunk = max(1, int(5e6 / max(len(pts), 1)))
+    for t, coef in binomial_weights(s):
+        acc = np.zeros(len(pts))
+        for lo in range(0, len(ynodes), chunk):
+            yq = ynodes[lo:lo + chunk]
+            shifted = pts[:, None, :] - t * yq[None, :, :]
+            acc += f(shifted) @ yw[lo:lo + chunk]
+        out += coef * acc
+    return float(out[0]) if single else out
+
+
+def _targets(d):
+    gauss = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.1),
+                                       width=0.3, amplitude=1.7))
+    narrow = make_gaussian(GaussianSpec(d=d, width=0.05))
+    return {"gaussian": gauss, "cusp": make_cusp_radial(2.5, d),
+            "combine": combine(gauss, narrow, 1.0, -0.5)}
+
+
+def _points(d, count):
+    return np.random.default_rng(10 * d + count).uniform(-0.7, 0.7,
+                                                         (count, d))
+
+
+class TestTiledApproximant:
+    """The tiled loop gives the untiled loop's values bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("target", ["gaussian", "cusp", "combine"])
+    def test_bit_identical(self, d, s, target):
+        f = _targets(d)[target]
+        # two full tiles and a part one
+        nodes = len(_ball_quadrature(d, 0.5, DEFAULT_NODES[d])[0])
+        pts = _points(d, 2 * (TILE_PAIRS // nodes) + 5)
+        for eps in (0.5, 0.03125):
+            assert np.array_equal(smooth_approximant(f, s, eps, pts),
+                                  _untiled_approximant(f, s, eps, pts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_single_point(self, d):
+        f = _targets(d)["gaussian"]
+        x = _points(d, 1)[0]
+        for s in (1, 2, 3):
+            value = smooth_approximant(f, s, 0.25, x)
+            assert isinstance(value, float)
+            assert value == _untiled_approximant(f, s, 0.25, x)
+
+    def test_many_points(self):
+        f = _targets(2)["gaussian"]
+        pts = _points(2, 1000)
+        assert np.array_equal(smooth_approximant(f, 2, 0.125, pts),
+                              _untiled_approximant(f, 2, 0.125, pts))
+
+    def test_several_node_chunks(self):
+        # 700 points allow 7142 nodes per chunk; 32 nodes per axis put
+        # 7416 in the d = 3 ball, so the chunks are two
+        f = _targets(3)["combine"]
+        pts = _points(3, 700)
+        assert np.array_equal(
+            smooth_approximant(f, 1, 0.5, pts, nodes_per_axis=32),
+            _untiled_approximant(f, 1, 0.5, pts, nodes_per_axis=32))
+
+    def test_no_points(self):
+        f = _targets(2)["gaussian"]
+        assert smooth_approximant(f, 1, 0.5, np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_calls_stay_within_tile_budget(self, d):
+        f = _targets(d)["cusp"]
+        pairs = []
+
+        def recording(x):
+            assert x.ndim == 3 and x.shape[-1] == d
+            pairs.append(x.shape[0] * x.shape[1])
+            return f(x)
+
+        count, s = 1000, 2
+        nodes = len(_ball_quadrature(d, 0.25, DEFAULT_NODES[d])[0])
+        smooth_approximant(recording, s, 0.25, _points(d, count))
+        assert max(pairs) <= TILE_PAIRS
+        # every (point, node) pair once per translate
+        assert sum(pairs) == s * count * nodes
+
+    def test_rejects_order_below_one(self):
+        f = _targets(2)["gaussian"]
+        for s in (0, -1):
+            with pytest.raises(ValueError, match="s must be >= 1"):
+                smooth_approximant(f, s, 0.5, _points(2, 3))
+
+
+class TestGaussianEvaluate:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_closed_form_bit_for_bit(self, d):
+        spec = GaussianSpec(d=d, center=np.linspace(-0.2, 0.3, d),
+                            width=0.37, amplitude=-1.3)
+        f = make_gaussian(spec)
+        c, s2, a = spec.center, spec.width, spec.amplitude
+        for x in (_points(d, 50), _points(d, 12).reshape(3, 4, d)):
+            expect = a * np.exp(-np.sum((x - c) ** 2, -1) / (2.0 * s2))
+            assert np.array_equal(f(x), expect)
+        x = _points(d, 1)[0]
+        value = f(x)
+        expect = a * np.exp(-np.sum((x - c) ** 2, -1) / (2.0 * s2))
+        assert type(value) is type(expect) is np.float64
+        assert value == expect

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ridgelab import network
-from ridgelab.network import (MIN_KNOTS_PER_DIRECTION, ShallowNetwork,
-                              activation, deserialize, from_quadrature,
-                              from_sampling, load, poly_to_ridge, save,
-                              serialize)
+from ridgelab.network import (MIN_GROUPED_POINTS, MIN_KNOTS_PER_DIRECTION,
+                              ShallowNetwork, activation, deserialize,
+                              from_quadrature, from_sampling, load,
+                              poly_to_ridge, save, serialize)
 from ridgelab.quadrature import BallSampler, LineGrid, ball_points, sphere_grid
 from ridgelab.ridge_density import (PolynomialPart, peano_tables,
                                     variation_upper_bound, zero_polynomial)
@@ -176,6 +176,24 @@ class TestGroupedEvaluation:
         pts = self._points(2)
         np.testing.assert_allclose(poly_to_ridge(p, 2)(pts), p(pts),
                                    rtol=0, atol=1e-10)
+
+    def test_few_points_stay_dense(self, monkeypatch):
+        # the grouped set-up costs more than a few points save
+        def refuse(net, pts, ids, directions):
+            raise AssertionError("grouped path taken")
+        net = _neurons_only(from_quadrature(self._tables(2, 1)))
+        pts = self._points(2)[:MIN_GROUPED_POINTS]
+        grouped = net(pts)
+        monkeypatch.setattr(network, "_evaluate_grouped", refuse)
+        tol = 1e-14 * (1.0 + net.l1_mass)
+        assert abs(net(pts[0]) - _fsum_values(net, pts[:1])[0]) <= tol
+        np.testing.assert_allclose(net(pts[:-1]),
+                                   _fsum_values(net, pts[:-1]),
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(grouped, _fsum_values(net, pts),
+                                   rtol=0, atol=tol)
+        with pytest.raises(AssertionError, match="grouped path taken"):
+            net(pts)
 
     def test_agrees_with_dense_path(self):
         net = from_quadrature(self._tables(3, 2))
