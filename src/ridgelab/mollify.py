@@ -26,10 +26,11 @@ MIN_NODES_PER_AXIS = 8
 # (point, node) pairs per call of f in smooth_approximant (a tile is at
 # least one point by one node chunk).  Measured as the time of the seven
 # calls of the epsilon schedule at 4096 points (d = 2, Gaussian target,
-# 1200 nodes at the smallest eps; best of 3, one BLAS thread, 2-core Xeon
-# with 4 MiB L2, numpy 2.4): 2^12 pairs 1.01 s, 2^13-2^16 0.91-0.95 s,
-# 2^17-2^18 0.99-1.02 s, untiled 2.1-2.5 s.  Past about 2^16 pairs the
-# (pairs, d) tile and f's temporaries no longer stay in cache.
+# 1200 nodes per translate; best of 3-5, one BLAS thread, 2-core Xeon with
+# 4 MiB L2, numpy 2.4; ranges over 2-5 interleaved sessions): 2^12 pairs
+# 1.01-1.02 s, 2^13 to 2^16 0.86-1.18 s with no size ahead of the others
+# in every session, 2^17 1.02 s, 2^18 0.99-1.11 s, untiled 2.1-2.5 s.
+# Smaller tiles pay more calls, larger ones leave the cache.
 TILE_PAIRS = 2 ** 15
 
 

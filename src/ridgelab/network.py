@@ -100,13 +100,16 @@ class ShallowNetwork:
 MIN_KNOTS_PER_DIRECTION = 32
 
 # Points from which evaluate may group: the grouped path redoes its O(n)
-# set-up (direction ids, knot sort, prefix sums) on every call.  Measured
-# as dense / grouped ms per call on random d = 2 networks with M knots on
-# each of J directions (best of 3-20 calls, one BLAS thread, 2-core Xeon,
-# numpy 2.4): J = 512, M = 2049, k = 2 (n = 1,049,088, the size of
-# peano-d2k2's stage 1) 7 / 98 at 1 point, 54 / 100 at 10, 116 / 100 at
-# 20, 183 / 101 at 30; J = 256, M = 1025 11 / 23 at 10, 26 / 20 at 20;
-# J = 64, M = 512, k = 1 1.4 / 1.8 at 20, 2.3 / 2.1 at 30.
+# set-up (direction ids, knot sort, prefix sums) on every call, the dense
+# one costs O(n) per point.  Measured as dense / grouped ms per call on
+# random d = 2 networks with M knots on each of J directions (best of 3-20
+# calls, two sessions, one BLAS thread, 2-core Xeon, numpy 2.4):
+# J = 512, M = 2049, k = 2 (n = 1,049,088, as peano-d2k2's stage 1)
+# 6-7 / 91-98 at 1 point, 52-54 / 90-100 at 10, 90-116 / 100-106 at 20,
+# 142-183 / 99-101 at 30; J = 256, M = 1025 8-11 / 18-23 at 10, 17-26 /
+# 20 at 20, 27-34 / 22 at 30; J = 64, M = 512, k = 1 1.4-1.5 / 1.4-1.8
+# at 20, 2.3 / 1.6-2.1 at 30.  The break-even is near 20 points at every
+# size.
 MIN_GROUPED_POINTS = 20
 
 
