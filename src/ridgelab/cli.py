@@ -196,8 +196,9 @@ def _validate(config):
             config.p not in (2.0, math.inf):
         raise ConfigError("p must be 2 or inf, got %g" % config.p)
     if config.kind == "rate-sweep":
-        if not config.widths:
-            raise ConfigError("rate-sweep requires a nonempty 'widths' list")
+        if len(config.widths) < 3:
+            raise ConfigError("rate-sweep fits a rate and needs at least 3 "
+                              "widths, got %d" % len(config.widths))
         if any(b <= a for a, b in zip(config.widths, config.widths[1:])):
             raise ConfigError("widths must be strictly increasing")
         if config.widths[0] < 1:
@@ -214,8 +215,10 @@ def _validate(config):
             raise ConfigError("the sampling constructor needs a nonzero "
                               "target (amplitude = 0)")
     if config.kind == "mollify-sweep":
-        if not config.epsilons:
-            raise ConfigError("mollify-sweep requires a nonempty 'epsilons' list")
+        if len(set(config.epsilons)) < 3:
+            raise ConfigError("mollify-sweep fits a rate and needs at least 3 "
+                              "distinct epsilons, got %d"
+                              % len(set(config.epsilons)))
         if not all(0.0 < eps <= 1.0 for eps in config.epsilons):
             raise ConfigError("epsilons must lie in (0, 1]")
         if config.s is None or config.s < 1:

@@ -1,5 +1,10 @@
 """Radon slices, Radon transforms, filtered back-projection, reconstruction.
 
+derivative_blocks is the one spectral core: it filters a block of Radon
+rows by the multipliers (i t)^m M_d(t) for any orders m, and both
+reconstruct (m = 0) and the Peano tables of ridge_density (m <= k + 1)
+read it.
+
 The filtered back-projection operator acts on a profile g by the Fourier
 multiplier
 
@@ -24,6 +29,14 @@ from .quadrature import LineGrid
 
 # Fraction of Nyquist above which the spectral taper rolls off.
 TAPER_START = 0.8
+
+# Share of a profile's spectral mass the taper may remove before
+# derivative_blocks warns.
+SPECTRAL_MASS_TOL = 1e-8
+
+# Frequency points per block of directions in derivative_blocks; bounds the
+# (directions x frequencies) working arrays.
+BLOCK_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -74,28 +87,6 @@ def taper(grid):
     return taper_window(grid.frequencies, grid.nyquist)
 
 
-@lru_cache(maxsize=64)
-def _kernel_samples(L, N, d, order, cutoff, oversample=16):
-    """Band-limited spatial kernel of the multiplier (i t)^order * M_d(t).
-
-    Computed on lags m*h for m = -(N-1)..(N-1) by a fine frequency
-    quadrature (spacing Nyquist-preserving, period large enough that the
-    kernel's own 1/u^2 tails are negligible).  The spectrum is tapered to
-    zero at ``cutoff``; keeping the cutoff near the input's own spectral
-    content avoids amplifying rounding noise by the t^order growth.
-    Cached per grid geometry and cutoff.
-    """
-    h = 2.0 * L / N
-    nf = oversample * N
-    t = 2.0 * np.pi * np.fft.fftfreq(nf, d=h)
-    spec = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
-    k_per = np.fft.ifft(spec).real / h
-    idx = (np.arange(-(N - 1), N) % nf)
-    out = k_per[idx]
-    out.setflags(write=False)
-    return out
-
-
 def _convolution_length(N):
     """FFT length of the full linear convolution of an N-sample row with
     the (2N-1)-sample kernel (the length scipy's fftconvolve picks)."""
@@ -103,10 +94,24 @@ def _convolution_length(N):
 
 
 @lru_cache(maxsize=64)
-def _kernel_spectrum(L, N, d, order, cutoff):
-    """Real FFT of _kernel_samples, zero-padded to _convolution_length."""
-    out = sp_fft.rfft(_kernel_samples(L, N, d, order, cutoff),
-                      _convolution_length(N))
+def _kernel_spectrum(L, N, d, order, cutoff, oversample=16):
+    """Real FFT, zero-padded to _convolution_length, of the band-limited
+    spatial kernel of the multiplier (i t)^order * M_d(t).
+
+    The kernel is sampled on lags m*h for m = -(N-1)..(N-1) by a fine
+    frequency quadrature (spacing Nyquist-preserving, period large enough
+    that the kernel's own 1/u^2 tails are negligible).  The spectrum is
+    tapered to zero at ``cutoff``; keeping the cutoff near the input's own
+    spectral content avoids amplifying rounding noise by the t^order
+    growth.  Cached per grid geometry and cutoff.
+    """
+    h = 2.0 * L / N
+    nf = oversample * N
+    t = 2.0 * np.pi * np.fft.fftfreq(nf, d=h)
+    spec = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
+    k_per = np.fft.ifft(spec).real / h
+    samples = k_per[np.arange(-(N - 1), N) % nf]
+    out = sp_fft.rfft(samples, _convolution_length(N))
     out.setflags(write=False)
     return out
 
@@ -209,6 +214,39 @@ def radon_transform(f, omega, grid):
     return RidgeProfile(omega=omega, grid=grid, values=vals.real, kind="radon")
 
 
+def derivative_blocks(f, omegas, grid, orders):
+    """Samples of F_omega^{(m)} for every m in orders, a block of directions
+    at a time.
+
+    Yields (lo, F) with F[i, j] the samples of F^{(orders[i])} along
+    omegas[lo + j].  Each block evaluates the Fourier slice once; the Radon
+    rows, their cutoffs and their spectra are shared by all orders.  The
+    multiplier of order m is (i t)^m M_d(t) with the standard
+    high-frequency taper.  After the last block, warns once when the taper
+    removed a non-negligible share of some profile's spectral mass.
+    """
+    _check_grid(f, grid)
+    t = grid.frequencies
+    removed = 1.0 - taper(grid)
+    worst = 0.0
+    block = max(1, BLOCK_POINTS // grid.N)
+    for lo in range(0, len(omegas), block):
+        spectra = radon_slice(f, omegas[lo:lo + block], grid)
+        amplitude = np.abs(spectra)
+        for m in orders:
+            weight = np.abs(t) ** m * multiplier(f.d, t)
+            total = amplitude @ weight
+            lost = amplitude @ (weight * removed)
+            nonzero = total > 0
+            worst = max(worst, (lost[nonzero] / total[nonzero]).max(initial=0.0))
+        rows = _spectrum_to_profile(spectra, grid).real
+        yield lo, _apply_multiplier_linear(rows, grid, f.d, orders)
+    if worst > SPECTRAL_MASS_TOL:
+        warnings.warn(
+            "spectral taper removed %.3g of the derivative profile mass; "
+            "increase the grid resolution" % worst)
+
+
 def radon_direct(f, omega, b, resolution=200):
     """Hyperplane quadrature of f over {x : omega.x = b}, d in {2, 3}.
 
@@ -244,45 +282,29 @@ def radon_direct(f, omega, b, resolution=200):
     return float(np.dot(ww.ravel(), f.evaluate(pts)))
 
 
-def backproject_filter(profile, d, mode="linear"):
-    """Apply the back-projection multiplier M_d to a radon profile.
-
-    mode "linear" (default) filters by zero-padded convolution with the
-    band-limited kernel, which is accurate for compactly supported inputs.
-    mode "circular" applies the multiplier on the grid's discrete spectrum;
-    pure grid harmonics are then exact eigenfunctions.
-    """
+def backproject_filter(profile, d):
+    """Apply the back-projection multiplier M_d to a radon profile, by
+    zero-padded convolution with the band-limited kernel (accurate for
+    compactly supported inputs)."""
     if profile.kind != "radon":
         raise ValueError("backproject_filter expects a radon-kind profile")
-    grid = profile.grid
-    if mode == "linear":
-        vals = _apply_multiplier_linear(profile.values, grid, d)[0]
-    elif mode == "circular":
-        spec = np.fft.fft(profile.values) * multiplier(d, grid.frequencies) * taper(grid)
-        vals = np.fft.ifft(spec).real
-    else:
-        raise ValueError("mode must be 'linear' or 'circular'")
-    return RidgeProfile(omega=profile.omega, grid=grid, values=vals,
+    vals = _apply_multiplier_linear(profile.values, profile.grid, d)[0]
+    return RidgeProfile(omega=profile.omega, grid=profile.grid, values=vals,
                         kind="backprojected")
-
-
-def backprojected_profile(f, omega, grid):
-    """F_omega = M_d applied to R f(omega, .)."""
-    prof = radon_transform(f, omega, grid)
-    return backproject_filter(prof, f.d)
 
 
 def reconstruct(f, x, sphere, grid):
     """Filtered back-projection estimate of f at x (single point or batch).
 
     Returns sum_j w_j F_{omega_j}(omega_j . x) with cubic interpolation of
-    each back-projected profile; directions are reduced in fixed order.
+    each back-projected profile F = F^{(0)} from derivative_blocks;
+    directions are reduced in fixed order.  Warns as derivative_blocks does.
     """
     x = np.asarray(x, float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
     out = np.zeros(len(pts))
-    for wj, omega in zip(sphere.weights, sphere.nodes):
-        prof = backprojected_profile(f, omega, grid)
-        out += wj * prof.interpolator()(pts @ omega)
+    for lo, F in derivative_blocks(f, sphere.nodes, grid, (0,)):
+        for wj, omega, row in zip(sphere.weights[lo:], sphere.nodes[lo:], F[0]):
+            out += wj * CubicSpline(grid.nodes, row)(pts @ omega)
     return float(out[0]) if single else out

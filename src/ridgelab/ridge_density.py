@@ -12,23 +12,14 @@ variation norm of the integral term.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .fourier_radon import (RidgeProfile, _apply_multiplier_linear, _check_grid,
-                            _spectrum_to_profile, multiplier, radon_slice,
-                            taper)
+from .fourier_radon import RidgeProfile, derivative_blocks
 from .quadrature import SphereGrid, sphere_grid
-
-SPECTRAL_MASS_TOL = 1e-8
-
-# Frequency points per block of directions in derivative_blocks; bounds the
-# (directions x frequencies) working arrays.
-BLOCK_POINTS = 2 ** 20
 
 
 def theorem_order(d, k):
@@ -77,39 +68,6 @@ class PolynomialPart:
 
 def zero_polynomial(d):
     return PolynomialPart(d=d, coefficients={})
-
-
-def derivative_blocks(f, omegas, grid, orders):
-    """Samples of F_omega^{(m)} for every m in orders, a block of directions
-    at a time.
-
-    Yields (lo, F) with F[i, j] the samples of F^{(orders[i])} along
-    omegas[lo + j].  Each block evaluates the Fourier slice once; the Radon
-    rows, their cutoffs and their spectra are shared by all orders.  The
-    multiplier of order m is (i t)^m M_d(t) with the standard
-    high-frequency taper.  After the last block, warns once when the taper
-    removed a non-negligible share of some profile's spectral mass.
-    """
-    _check_grid(f, grid)
-    t = grid.frequencies
-    removed = 1.0 - taper(grid)
-    worst = 0.0
-    block = max(1, BLOCK_POINTS // grid.N)
-    for lo in range(0, len(omegas), block):
-        spectra = radon_slice(f, omegas[lo:lo + block], grid)
-        amplitude = np.abs(spectra)
-        for m in orders:
-            weight = np.abs(t) ** m * multiplier(f.d, t)
-            total = amplitude @ weight
-            lost = amplitude @ (weight * removed)
-            nonzero = total > 0
-            worst = max(worst, (lost[nonzero] / total[nonzero]).max(initial=0.0))
-        rows = _spectrum_to_profile(spectra, grid).real
-        yield lo, _apply_multiplier_linear(rows, grid, f.d, orders)
-    if worst > SPECTRAL_MASS_TOL:
-        warnings.warn(
-            "spectral taper removed %.3g of the derivative profile mass; "
-            "increase the grid resolution" % worst)
 
 
 def derivative_profile(f, omega, k, grid, order=None):

@@ -28,12 +28,14 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # quadrature networks in another order (as close to a math.fsum reference
 # as the neuron-by-neuron sum; see tests/test_network.py).  "mollify" (the
 # d = 2, s = 2 sweep) covers the t = 2 translates of smooth_approximant,
-# which "schedule" (s = 1) does not.
+# which "schedule" (s = 1) does not.  "inversion" (d = 2, level 8,
+# N = 2048) pins the values of reconstruct.
 GOLDEN_BODIES = {
     "sampling": "dc976e826a51d17407c74ac275c525c802d7371d4e3ed76c416756dcd7cc6e18",
     "schedule": "b18d05391c2216420df5ea05914c8b25d4a21823fb5cc4f7d547fb7cfa97aca1",
     "peano-d2k2": "2b81083f6e51f49044641bc85e6336bad9c83fd1d38de972339d623c141f0fb0",
     "mollify": "c8382b05c86678a65b85d9b3e246ec5942cddefa0f1d65d87b811e3621c33d19",
+    "inversion": "bd243ca241395fbfd6ff51e8bf8221ded7c9386007e2fd8fdd5c36acdb2ebc94",
 }
 
 
@@ -103,6 +105,8 @@ def test_criterion_02_inversion_round_trip(tmp_path):
     base, refined = (row[-1] for row in report.rows)
     assert base <= 1e-3
     assert refined < base
+    body = _csv_body(tmp_path / "inversion-check.csv")
+    assert _body_sha256(body) == GOLDEN_BODIES["inversion"]
 
 
 def test_criterion_03_one_dimensional_profile_identity():

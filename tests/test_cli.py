@@ -133,6 +133,11 @@ class TestMain:
         "constructor = quadrature\nschedule = epsilon\ns = 0\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 2, 3, 4\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25\np = 1\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8\n",
+        "kind = rate-sweep\nd = 2\nwidths = 4, 8\n",
+        "kind = rate-sweep\nd = 3\nwidths = 4, 8\n",
+        "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5\n",
+        "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25, 0.5\n",
         "kind = radon-check\nd = 2\ntrials = 3\namplitude = 0\n",
         "kind = inversion-check\nd = 1\namplitude = 0\n",
     ])

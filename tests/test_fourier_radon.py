@@ -113,17 +113,6 @@ class TestBackprojectFilter:
         np.testing.assert_allclose(filt.values[inner],
                                    prof.values[inner] / 2, atol=1e-9)
 
-    def test_pure_frequency_eigenfunction_d2(self):
-        # a grid-harmonic cosine is an eigenfunction of the |t| multiplier;
-        # eigenvalue = 7 * multiplier-normalization = 7 / (4*pi)
-        grid = LineGrid(L=np.pi, N=512)
-        vals = np.cos(7 * grid.nodes)
-        prof = RidgeProfile(omega=np.array([1.0, 0.0]), grid=grid,
-                            values=vals, kind="radon")
-        filt = backproject_filter(prof, 2, mode="circular")
-        np.testing.assert_allclose(filt.values, (7 / (4 * np.pi)) * vals,
-                                   atol=1e-10)
-
     def test_zero_profile(self):
         grid = LineGrid(L=2.0, N=128)
         prof = RidgeProfile(omega=np.array([1.0, 0.0]), grid=grid,

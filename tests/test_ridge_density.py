@@ -5,15 +5,15 @@ import pytest
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from ridgelab import ridge_density
+from ridgelab import fourier_radon
 from ridgelab.fourier_radon import (_apply_multiplier_linear,
-                                    _effective_cutoff, radon_transform)
+                                    _effective_cutoff, derivative_blocks,
+                                    radon_transform, reconstruct)
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
-from ridgelab.ridge_density import (derivative_blocks, derivative_profile,
-                                    multi_indices, peano_polynomial,
-                                    peano_tables, sobolev_seminorm,
-                                    theorem_order, variation_upper_bound,
-                                    zero_polynomial)
+from ridgelab.ridge_density import (derivative_profile, multi_indices,
+                                    peano_polynomial, peano_tables,
+                                    sobolev_seminorm, theorem_order,
+                                    variation_upper_bound, zero_polynomial)
 from ridgelab.targets import GaussianSpec, combine, make_gaussian
 
 GRID = LineGrid(L=4.0, N=2048)
@@ -88,7 +88,7 @@ class TestDerivativeBlocks:
         omegas = (np.array([[1.0], [-1.0]]) if d == 1
                   else sample_directions(d, 8, seed=7))
         # blocks of 3 directions: 8 is not a multiple, so the last is short
-        monkeypatch.setattr(ridge_density, "BLOCK_POINTS", 3 * grid.N)
+        monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 3 * grid.N)
         orders = (0, 1, 2, 3)
         batched = np.concatenate(
             [F for _, F in derivative_blocks(f, omegas, grid, orders)], axis=1)
@@ -104,7 +104,7 @@ class TestDerivativeBlocks:
 
     def test_block_offsets(self, monkeypatch):
         grid = LineGrid(L=4.0, N=64)
-        monkeypatch.setattr(ridge_density, "BLOCK_POINTS", 2 * grid.N)
+        monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 2 * grid.N)
         f = make_gaussian(GaussianSpec(d=2))
         blocks = list(derivative_blocks(f, sphere_grid(2, 2).nodes, grid, (1,)))
         assert [lo for lo, _ in blocks] == [0, 2]
@@ -115,8 +115,10 @@ class TestDerivativeBlocks:
         # taper removes mass, but the call warns once
         f = make_gaussian(GaussianSpec(d=2))
         coarse = LineGrid(L=4.0, N=16)
-        for call in (lambda: variation_upper_bound(f, 1, sphere_grid(2, 4), coarse),
-                     lambda: derivative_profile(f, np.array([0.6, 0.8]), 1, coarse)):
+        sphere = sphere_grid(2, 4)
+        for call in (lambda: variation_upper_bound(f, 1, sphere, coarse),
+                     lambda: derivative_profile(f, np.array([0.6, 0.8]), 1, coarse),
+                     lambda: reconstruct(f, np.zeros((3, 2)), sphere, coarse)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 call()
@@ -125,6 +127,9 @@ class TestDerivativeBlocks:
             assert len(taper_msgs) == 1
             assert taper_msgs[0].endswith(
                 "of the derivative profile mass; increase the grid resolution")
+            # the grid check runs once per call, not once per direction
+            assert sum(str(w.message).startswith("grid Nyquist frequency")
+                       for w in caught) == 1
 
 
 class TestVariationUpperBound:
