@@ -214,33 +214,54 @@ def radon_transform(f, omega, grid):
     return RidgeProfile(omega=omega, grid=grid, values=vals.real, kind="radon")
 
 
+def _taper_loss(spectra, grid, d, orders):
+    """Largest share of a row's derivative spectral mass, over the rows of
+    spectra (shape (B, N)) and the orders, that the taper removes."""
+    t = grid.frequencies
+    removed = 1.0 - taper(grid)
+    amplitude = np.abs(spectra)
+    worst = 0.0
+    for m in orders:
+        weight = np.abs(t) ** m * multiplier(d, t)
+        total = amplitude @ weight
+        lost = amplitude @ (weight * removed)
+        nonzero = total > 0
+        worst = max(worst, (lost[nonzero] / total[nonzero]).max(initial=0.0))
+    return worst
+
+
 def derivative_blocks(f, omegas, grid, orders):
     """Samples of F_omega^{(m)} for every m in orders, a block of directions
     at a time.
 
     Yields (lo, F) with F[i, j] the samples of F^{(orders[i])} along
     omegas[lo + j].  Each block evaluates the Fourier slice once; the Radon
-    rows, their cutoffs and their spectra are shared by all orders.  The
-    multiplier of order m is (i t)^m M_d(t) with the standard
-    high-frequency taper.  After the last block, warns once when the taper
-    removed a non-negligible share of some profile's spectral mass.
+    rows, their cutoffs and their spectra are shared by all orders.  For a
+    radial target (f.radial set) every direction has the same Radon row,
+    so one row f.radial(|t|) is filtered once and each F is a read-only
+    view that broadcasts it to the block's directions.  The multiplier of
+    order m is (i t)^m M_d(t) with the standard high-frequency taper.
+    After the last block, warns once when the taper removed a
+    non-negligible share of some profile's spectral mass.
     """
     _check_grid(f, grid)
-    t = grid.frequencies
-    removed = 1.0 - taper(grid)
-    worst = 0.0
     block = max(1, BLOCK_POINTS // grid.N)
-    for lo in range(0, len(omegas), block):
-        spectra = radon_slice(f, omegas[lo:lo + block], grid)
-        amplitude = np.abs(spectra)
-        for m in orders:
-            weight = np.abs(t) ** m * multiplier(f.d, t)
-            total = amplitude @ weight
-            lost = amplitude @ (weight * removed)
-            nonzero = total > 0
-            worst = max(worst, (lost[nonzero] / total[nonzero]).max(initial=0.0))
-        rows = _spectrum_to_profile(spectra, grid).real
-        yield lo, _apply_multiplier_linear(rows, grid, f.d, orders)
+    if f.radial is not None:
+        _check_unit(omegas)
+        spectrum = f.radial(np.abs(grid.frequencies))[None, :]
+        worst = _taper_loss(spectrum, grid, f.d, orders)
+        rows = _spectrum_to_profile(spectrum, grid).real
+        F = _apply_multiplier_linear(rows, grid, f.d, orders)
+        for lo in range(0, len(omegas), block):
+            count = min(block, len(omegas) - lo)
+            yield lo, np.broadcast_to(F, (len(orders), count, grid.N))
+    else:
+        worst = 0.0
+        for lo in range(0, len(omegas), block):
+            spectra = radon_slice(f, omegas[lo:lo + block], grid)
+            worst = max(worst, _taper_loss(spectra, grid, f.d, orders))
+            rows = _spectrum_to_profile(spectra, grid).real
+            yield lo, _apply_multiplier_linear(rows, grid, f.d, orders)
     if worst > SPECTRAL_MASS_TOL:
         warnings.warn(
             "spectral taper removed %.3g of the derivative profile mass; "

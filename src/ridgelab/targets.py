@@ -27,6 +27,9 @@ class TargetFunction:
     Gaussian targets this is the effective decay radius, not a hard cutoff.
     bandwidth is a frequency beyond which the Fourier data is negligible
     (None when unknown); grid Nyquist checks use it as a heuristic.
+    radial, set for targets radial about the origin, maps radii rho to the
+    (real) Fourier data at |xi| = rho, so that fourier(xi) equals
+    radial(|xi|); None when the target is not radial.
     """
 
     d: int
@@ -35,6 +38,7 @@ class TargetFunction:
     support_radius: float
     smoothness_class: object  # "analytic" or a finite order gamma
     bandwidth: float = None
+    radial: callable = None
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -103,6 +107,9 @@ def make_gaussian(spec):
         phase = np.tensordot(xi, c, axes=([-1], [0]))
         return norm * np.exp(-s2 * q2 / 2.0) * np.exp(-1j * phase)
 
+    def radial(rho):
+        return norm * np.exp(-s2 * np.asarray(rho, float) ** 2 / 2.0)
+
     # frequency where the Fourier data drops below TRUNCATION_TOL
     bandwidth = None
     if abs(norm) > TRUNCATION_TOL:
@@ -115,6 +122,7 @@ def make_gaussian(spec):
         support_radius=spec.decay_radius(),
         smoothness_class="analytic",
         bandwidth=bandwidth,
+        radial=None if np.any(c) else radial,
     )
 
 
@@ -174,18 +182,19 @@ def make_cusp_radial(gamma, d):
     def profile(r):
         return max(0.0, 1.0 - r) ** gamma
 
-    def fourier(xi):
-        xi = np.asarray(xi, float)
-        rho = np.sqrt(np.sum(xi ** 2, axis=-1))
-        flat = np.atleast_1d(rho).ravel()
-        vals = np.empty(flat.shape)
-        for i, r in enumerate(flat):
+    def radial(rho):
+        rho = np.asarray(rho, float)
+        vals = np.empty(rho.size)
+        for i, r in enumerate(rho.ravel()):
             key = round(float(r), 12)
             if key not in cache:
                 cache[key] = _radial_fourier_quad(profile, d, key)
             vals[i] = cache[key]
-        out = vals.reshape(np.atleast_1d(rho).shape).astype(complex)
-        return out[0] if rho.ndim == 0 else out.reshape(rho.shape)
+        return vals.reshape(rho.shape)[()]
+
+    def fourier(xi):
+        xi = np.asarray(xi, float)
+        return radial(np.sqrt(np.sum(xi ** 2, axis=-1))).astype(complex)
 
     return TargetFunction(
         d=d,
@@ -194,13 +203,19 @@ def make_cusp_radial(gamma, d):
         support_radius=1.0,
         smoothness_class=float(gamma),
         bandwidth=None,
+        radial=radial,
     )
 
 
 def combine(f, g, cf=1.0, cg=1.0):
-    """Linear combination cf*f + cg*g of two targets on the same R^d."""
+    """Linear combination cf*f + cg*g of two targets on the same R^d;
+    radial when both parts are."""
     if f.d != g.d:
         raise ValueError("dimension mismatch")
+    radial = None
+    if f.radial is not None and g.radial is not None:
+        def radial(rho):
+            return cf * f.radial(rho) + cg * g.radial(rho)
     return TargetFunction(
         d=f.d,
         evaluate=lambda x: cf * f.evaluate(x) + cg * g.evaluate(x),
@@ -208,4 +223,5 @@ def combine(f, g, cf=1.0, cg=1.0):
         support_radius=max(f.support_radius, g.support_radius),
         smoothness_class=f.smoothness_class,
         bandwidth=max(f.bandwidth or 0.0, g.bandwidth or 0.0) or None,
+        radial=radial,
     )

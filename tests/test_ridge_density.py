@@ -1,20 +1,24 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 from scipy.interpolate import CubicSpline
 
 from ridgelab import fourier_radon
 from ridgelab.fourier_radon import (_apply_multiplier_linear,
-                                    _effective_cutoff, derivative_blocks,
+                                    _effective_cutoff, _spectrum_to_profile,
+                                    derivative_blocks, radon_slice,
                                     radon_transform, reconstruct)
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.ridge_density import (derivative_profile, multi_indices,
                                     peano_polynomial, peano_tables,
                                     sobolev_seminorm, theorem_order,
                                     variation_upper_bound, zero_polynomial)
-from ridgelab.targets import GaussianSpec, combine, make_gaussian
+from ridgelab.targets import (GaussianSpec, combine, gaussian_radon_oracle,
+                              make_cusp_radial, make_gaussian)
 
 GRID = LineGrid(L=4.0, N=2048)
 
@@ -130,6 +134,178 @@ class TestDerivativeBlocks:
             # the grid check runs once per call, not once per direction
             assert sum(str(w.message).startswith("grid Nyquist frequency")
                        for w in caught) == 1
+
+
+def _blocks(f, omegas, grid, orders):
+    return np.concatenate(
+        [F for _, F in derivative_blocks(f, omegas, grid, orders)], axis=1)
+
+
+def _per_direction(f):
+    """f with the radial route switched off: one Fourier slice per direction."""
+    return dataclasses.replace(f, radial=None)
+
+
+def _assert_rows_close(got, expected, rtol):
+    for g, e in zip(got, expected):
+        assert np.max(np.abs(g - e)) <= rtol * np.max(np.abs(e))
+
+
+def _dawson_profile(b, s2, a):
+    """Back-projected profile F of the centred d = 2 Gaussian
+    a exp(-|x|^2 / (2 s2)), in closed form.
+
+    The multiplier M_2(t) = |t| / (4 pi) acts as 1/(4 pi) times the
+    Hilbert transform H of the derivative.  R = C exp(-u^2) with
+    u = b / sqrt(2 s2) and C = a sqrt(2 pi s2), and
+    H[exp(-u^2)] = 2 D(u) / sqrt(pi) with Dawson's function D, so
+    F = C (1 - 2 u D(u)) / (2 pi^{3/2} sqrt(2 s2)).
+    """
+    scale = np.sqrt(2.0 * s2)
+    u = b / scale
+    c = a * np.sqrt(2.0 * np.pi * s2)
+    return c * (1.0 - 2.0 * u * special.dawsn(u)) / (2.0 * np.pi ** 1.5 * scale)
+
+
+class TestRadialRoute:
+    """A target radial about the origin has one Radon row for every
+    direction; derivative_blocks filters it once and broadcasts it."""
+
+    @pytest.mark.parametrize("s2,a", [(1.0, 1.0), (0.5, 2.0)])
+    def test_d2_dawson_oracle(self, s2, a):
+        f = make_gaussian(GaussianSpec(d=2, width=s2, amplitude=a))
+        omegas = np.array([[0.6, 0.8]])
+        errors = []
+        for grid in (LineGrid(4.0, 4096), LineGrid(8.0, 16384)):
+            F = _blocks(f, omegas, grid, (0,))[0, 0]
+            direct = _blocks(_per_direction(f), omegas, grid, (0,))[0, 0]
+            assert np.max(np.abs(F - direct)) <= 1e-12 * np.max(np.abs(direct))
+            mask = np.abs(grid.nodes) <= 1.0
+            exact = _dawson_profile(grid.nodes[mask], s2, a)
+            errors.append(np.max(np.abs(F[mask] - exact)) / np.max(np.abs(exact)))
+        # grid-limited, not exact: 2.3e-4 -> 5.0e-5 (s2 = a = 1) and
+        # 1.0e-4 -> 2.5e-5 (s2 = 0.5, a = 2) measured
+        assert errors[0] <= 3e-4
+        assert errors[1] <= errors[0] / 3.0
+
+    @pytest.mark.parametrize("s2,a", [(1.0, 1.0), (0.5, 2.0)])
+    def test_d3_second_derivative_oracle(self, s2, a):
+        # for odd d the filter is circular and exact: F = -R'' / (8 pi^2)
+        spec = GaussianSpec(d=3, width=s2, amplitude=a)
+        f = make_gaussian(spec)
+        grid = LineGrid(8.0, 1024)
+        omegas = sample_directions(3, 3, seed=5)
+        F = _blocks(f, omegas, grid, (0,))[0]
+        _assert_rows_close(F, _blocks(_per_direction(f), omegas, grid, (0,))[0],
+                           1e-12)
+        mask = np.abs(grid.nodes) <= 1.0
+        b = grid.nodes[mask]
+        radon = gaussian_radon_oracle(spec, omegas[0], b)
+        exact = -radon * (b ** 2 / s2 ** 2 - 1.0 / s2) / (8.0 * np.pi ** 2)
+        _assert_rows_close(F[:, mask], np.broadcast_to(exact, (3, len(b))),
+                           1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 3), k=st.integers(0, 2),
+           width=st.floats(0.2, 2.0),
+           amplitude=st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),
+           second=st.one_of(st.none(), st.tuples(st.floats(0.2, 2.0),
+                                                 st.floats(-2.0, 2.0))))
+    def test_matches_per_direction_route(self, d, k, width, amplitude, second):
+        f = make_gaussian(GaussianSpec(d=d, width=width, amplitude=amplitude))
+        if second is not None:
+            g = make_gaussian(GaussianSpec(d=d, width=second[0]))
+            f = combine(f, g, 1.0, second[1])
+        assert f.radial is not None
+        grid = LineGrid(4.0, 512)
+        omegas = (np.array([[1.0], [-1.0]]) if d == 1
+                  else sample_directions(d, 5, seed=11))
+        orders = range(k + 2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="profile support")
+            radial = _blocks(f, omegas, grid, orders)
+            direct = _blocks(_per_direction(f), omegas, grid, orders)
+        for got, rows in zip(radial, direct):
+            # the per-direction rows differ from each other by rounding
+            # alone (sum((t omega_i)^2) is not t^2); for a combine at order
+            # 3 that spread reaches 4e-12 of the row, since the larger
+            # part's rounding is amplified by t^3 M_d(t) where the narrower
+            # part dominates
+            scale = np.max(np.abs(rows))
+            spread = np.max(np.abs(rows - rows[0]))
+            assert np.max(np.abs(got - rows)) <= max(1e-12 * scale, 3 * spread)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cusp_matches_per_direction_route(self, d):
+        # the per-direction target is a fresh one, with its own quadratures
+        f = make_cusp_radial(2.5, d)
+        direct = _per_direction(make_cusp_radial(2.5, d))
+        grid = LineGrid(4.0, 256)
+        omegas = sample_directions(d, 4, seed=3)
+        orders = (0, 1, 2)
+        with warnings.catch_warnings():
+            # the cusp's spectrum is not band-limited; both routes warn
+            warnings.filterwarnings("ignore", message="spectral taper")
+            _assert_rows_close(_blocks(f, omegas, grid, orders),
+                               _blocks(direct, omegas, grid, orders), 1e-10)
+
+    def test_one_row_for_all_directions(self):
+        f = make_gaussian(GaussianSpec(d=2))
+        rows = []
+
+        def radial(rho):
+            rows.append(np.shape(rho))
+            return f.radial(rho)
+
+        def fourier(xi):
+            raise AssertionError("the radial route reads no Fourier slice")
+
+        counted = dataclasses.replace(f, radial=radial, fourier=fourier)
+        grid = LineGrid(4.0, 64)
+        sphere = sphere_grid(2, 6)
+        tables = peano_tables(counted, 1, sphere, grid)
+        assert rows == [(grid.N,)]
+        np.testing.assert_array_equal(tables.profiles,
+                                      peano_tables(f, 1, sphere, grid).profiles)
+
+    def test_views_are_read_only(self, monkeypatch):
+        grid = LineGrid(4.0, 64)
+        monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 3 * grid.N)
+        f = make_gaussian(GaussianSpec(d=2))
+        blocks = list(derivative_blocks(f, sphere_grid(2, 3).nodes, grid, (0, 2)))
+        assert [F.shape for _, F in blocks] == [(2, 3, 64)] * 2 + [(2, 2, 64)]
+        for _, F in blocks:
+            assert not F.flags.writeable
+            with pytest.raises(ValueError):
+                F[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("radial", [True, False])
+    def test_non_unit_direction_raises(self, radial):
+        f = make_gaussian(GaussianSpec(d=2))
+        f = f if radial else _per_direction(f)
+        omegas = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="unit vector"):
+            list(derivative_blocks(f, omegas, LineGrid(4.0, 64), (0,)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_off_centre_tables_keep_per_direction_path(self, d):
+        # the off-centre targets are not radial, and their tables equal
+        # those of one Fourier slice per block of directions bit for bit
+        c = np.zeros(d)
+        c[0] = 0.3
+        shifted = make_gaussian(GaussianSpec(d=d, center=c, width=0.6))
+        grid = LineGrid(4.0, 256)
+        sphere = sphere_grid(d, 3)
+        k = 1
+        for f in (shifted, combine(make_gaussian(GaussianSpec(d=d)), shifted,
+                                   1.0, -0.5)):
+            assert f.radial is None
+            spectra = radon_slice(f, sphere.nodes, grid)
+            rows = _spectrum_to_profile(spectra, grid).real
+            F = _apply_multiplier_linear(rows, grid, d, range(k + 2))
+            tables = peano_tables(f, k, sphere, grid)
+            np.testing.assert_array_equal(tables.profiles,
+                                          F[k + 1][:, grid.knot_mask()])
 
 
 class TestVariationUpperBound:

@@ -112,3 +112,43 @@ class TestCombine:
         xi = np.array([1.0, 2.0])
         np.testing.assert_allclose(h.fourier(xi),
                                    2 * f.fourier(xi) - g.fourier(xi))
+
+
+class TestRadialProfile:
+    """radial(rho) is the Fourier data at |xi| = rho, set only for targets
+    radial about the origin."""
+
+    XI = np.array([[0.0, 0.0, 0.0], [0.3, -1.2, 0.4], [2.0, 1.0, -2.0],
+                   [5.5, 0.0, 0.1]])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_fourier(self, d):
+        xi = self.XI[:, :d]
+        rho = np.linalg.norm(xi, axis=-1)
+        targets = [make_gaussian(GaussianSpec(d=d, width=0.7, amplitude=-1.5)),
+                   make_gaussian(GaussianSpec(d=d, center=np.zeros(d))),
+                   make_cusp_radial(2.5, d)]
+        targets.append(combine(targets[0], targets[2], 0.5, 2.0))
+        for f in targets:
+            assert f.radial is not None
+            np.testing.assert_allclose(f.radial(rho), f.fourier(xi).real,
+                                       rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(f.fourier(xi).imag, 0.0)
+            assert np.ndim(f.radial(rho[1])) == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_off_centre_is_not_radial(self, d):
+        c = np.zeros(d)
+        c[-1] = 0.25
+        shifted = make_gaussian(GaussianSpec(d=d, center=c))
+        centred = make_gaussian(GaussianSpec(d=d))
+        assert shifted.radial is None
+        assert combine(centred, shifted).radial is None
+        assert combine(shifted, centred).radial is None
+        assert combine(shifted, make_cusp_radial(2.0, d)).radial is None
+
+    def test_cusp_fourier_reads_radial_at_the_norm(self):
+        f = make_cusp_radial(2.0, 2)
+        value = f.radial(1.75)
+        assert f.fourier(np.array([1.05, 1.4])) == value
+        assert f.fourier(np.array([1.05, 1.4])).dtype == complex
