@@ -12,7 +12,7 @@ import numpy as np
 
 from ridgelab import (BallSampler, GaussianSpec, LineGrid, ball_points,
                       from_quadrature, from_sampling, make_gaussian,
-                      peano_tables, sphere_grid, variation_upper_bound)
+                      peano_tables, sphere_grid)
 
 warnings.filterwarnings("ignore", message="profile support")
 
@@ -30,11 +30,9 @@ def main():
         print("k = %d: %6d neurons, sup error %.2e, ell_1 mass %.4f"
               % (k, len(net.a), err, net.l1_mass))
 
-    k = 1
-    v = variation_upper_bound(f, k, sphere, grid)
-    print("\nvariation upper bound (k = 1): %.6f" % v)
+    tables = peano_tables(f, 1, sphere, grid)
+    print("\nvariation upper bound (k = 1): %.6f" % tables.variation)
     print("importance-sampled networks carry exactly that ell_1 mass:")
-    tables = peano_tables(f, k, sphere, grid)
     for n in (64, 256, 1024):
         net = from_sampling(tables, n, 12345)
         err = np.max(np.abs(net(pts) - f(pts)))

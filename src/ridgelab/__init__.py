@@ -13,12 +13,11 @@ from .targets import (GaussianSpec, TargetFunction, combine,
 from .quadrature import SphereGrid, LineGrid, BallSampler, sphere_grid, sample_directions, ball_points
 from .fourier_radon import RidgeProfile, radon_slice, radon_transform, radon_direct, backproject_filter, reconstruct
 from .ridge_density import (PeanoTables, PolynomialPart, derivative_profile,
-                            peano_tables, variation_upper_bound,
-                            sobolev_seminorm)
+                            peano_tables, sobolev_seminorm)
 from .network import (ShallowNetwork, activation, from_quadrature,
                       from_sampling, poly_to_ridge, serialize, deserialize,
                       save, load)
 from .mollify import MollifierSpec, mollifier_value, finite_difference, smooth_approximant, epsilon_schedule
-from .metrics import ErrorSeries, lp_error, rate_fit
+from .metrics import lp_error, rate_fit
 from .quadrature import component_seed
 from .ridge_density import theorem_order

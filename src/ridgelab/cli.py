@@ -24,8 +24,7 @@ from .mollify import epsilon_schedule, smooth_approximant
 from .network import from_quadrature, from_sampling
 from .quadrature import (BallSampler, LineGrid, ball_points, component_seed,
                          sample_directions, sphere_grid)
-from .ridge_density import (peano_tables, sobolev_seminorm, theorem_order,
-                            variation_upper_bound)
+from .ridge_density import peano_tables, sobolev_seminorm, theorem_order
 from .targets import GaussianSpec, make_cusp_radial, make_gaussian
 
 KINDS = ("radon-check", "inversion-check", "variation-bound",
@@ -323,7 +322,7 @@ def _run_variation_bound(config, f):
     semi = sobolev_seminorm(f, s)
 
     def measure(sphere, grid):
-        v = variation_upper_bound(f, config.k, sphere, grid)
+        v = peano_tables(f, config.k, sphere, grid).variation
         return float(v), float(semi), float(v / semi)
 
     rows = _refinement_stages(config, measure)

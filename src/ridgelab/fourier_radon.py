@@ -38,6 +38,10 @@ SPECTRAL_MASS_TOL = 1e-8
 # (directions x frequencies) working arrays.
 BLOCK_POINTS = 2 ** 20
 
+# Frequency samples per grid node in _kernel_spectrum's quadrature of the
+# spatial kernel: the period it sums over is this many grid widths.
+KERNEL_OVERSAMPLE = 16
+
 
 @dataclass(frozen=True)
 class RidgeProfile:
@@ -94,7 +98,7 @@ def _convolution_length(N):
 
 
 @lru_cache(maxsize=64)
-def _kernel_spectrum(L, N, d, order, cutoff, oversample=16):
+def _kernel_spectrum(L, N, d, order, cutoff):
     """Real FFT, zero-padded to _convolution_length, of the band-limited
     spatial kernel of the multiplier (i t)^order * M_d(t).
 
@@ -106,7 +110,7 @@ def _kernel_spectrum(L, N, d, order, cutoff, oversample=16):
     growth.  Cached per grid geometry and cutoff.
     """
     h = 2.0 * L / N
-    nf = oversample * N
+    nf = KERNEL_OVERSAMPLE * N
     t = 2.0 * np.pi * np.fft.fftfreq(nf, d=h)
     spec = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
     k_per = np.fft.ifft(spec).real / h

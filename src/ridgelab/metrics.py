@@ -1,28 +1,10 @@
 """L_p errors on the unit ball and log-log convergence slopes."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import ball_points, ball_volume
-
-
-@dataclass(frozen=True)
-class ErrorSeries:
-    """An (abscissa, error) table; abscissa_kind is "width" or "scale"."""
-
-    abscissa_kind: str
-    points: tuple  # of (abscissa, error)
-    p: object = 2
-
-    def __post_init__(self):
-        absc = [a for a, _ in self.points]
-        if any(b <= a for a, b in zip(absc, absc[1:])) and \
-           any(b >= a for a, b in zip(absc, absc[1:])):
-            raise ValueError("abscissae must be strictly monotone")
-        if any(e < 0 for _, e in self.points):
-            raise ValueError("errors must be nonnegative")
 
 
 def lp_error(f, g, p, sampler):
@@ -40,13 +22,14 @@ def lp_error(f, g, p, sampler):
     raise ValueError("only p in {2, inf} is supported")
 
 
-def rate_fit(series):
-    """Least-squares line through (log abscissa, log error).
+def rate_fit(points):
+    """Least-squares line through (log abscissa, log error) of the
+    (abscissa, error) pairs in points.
 
     Returns (slope, intercept, residual) with error ~ abscissa^slope;
     residual is the root-mean-square misfit of the log-log line.
     """
-    points = series.points if isinstance(series, ErrorSeries) else tuple(series)
+    points = tuple(points)
     if len(points) < 3:
         raise ValueError("need at least 3 points to fit a rate")
     a = np.array([p[0] for p in points], float)

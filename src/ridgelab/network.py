@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .quadrature import sample_directions
-from .ridge_density import PolynomialPart, multi_indices
+from .ridge_density import PolynomialPart, affine_powers, multi_indices
 
 FORMAT_MAGIC = "RIDGENET v1"
 
@@ -228,19 +228,19 @@ def from_sampling(tables, n, seed):
     """Width-n importance-sampled network from the Peano density.
 
     (omega_i, b_i) are drawn from |F_omega^{(k+1)}(b)| / (k! V) with V the
-    variation upper bound (per-direction inverse CDF over the tabulated
-    profiles); outer weights are sign(F^{(k+1)}(b_i)) * V / n, so the ell_1
-    mass equals V exactly.  The polynomial part is attached exactly.
+    variation upper bound tables.variation (directions by tables.mass, then
+    the per-direction inverse CDF over the tabulated profiles); outer
+    weights are sign(F^{(k+1)}(b_i)) * V / n, so the ell_1 mass equals V
+    exactly.  The polynomial part is attached exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     sphere, knots, profiles = tables.sphere, tables.knots, tables.profiles
-    weighted = sphere.weights * (np.abs(profiles) @ tables.weights)
-    V = weighted.sum() / math.factorial(tables.k)
+    V = tables.variation
     if V <= 0:
         raise ValueError("variation upper bound is zero; nothing to sample")
     rng = np.random.default_rng(seed)
-    js = rng.choice(len(sphere), size=n, p=weighted / weighted.sum())
+    js = rng.choice(len(sphere), size=n, p=tables.mass / tables.mass.sum())
     us = rng.uniform(size=n)
     b = np.empty(n)
     positive = np.empty(n, bool)
@@ -274,19 +274,11 @@ def poly_to_ridge(p, k, d=None):
                               omega=np.vstack([e1, -e1]),
                               b=np.array([-2.0, 2.0]))
     basis = multi_indices(d, k)
-    m = len(basis)
-    n_aff = 2 * m
+    n_aff = 2 * len(basis)
     dirs = sample_directions(d, n_aff, seed=12345)
     biases = np.linspace(-0.9, 0.9, n_aff)
     # A[alpha, i] = coefficient of x^alpha in (omega_i . x + b_i)^k
-    A = np.zeros((m, n_aff))
-    for i in range(n_aff):
-        for ai, alpha in enumerate(basis):
-            j = k - sum(alpha)
-            mult = math.factorial(k) / (
-                math.prod(math.factorial(e) for e in alpha) * math.factorial(j))
-            A[ai, i] = mult * biases[i] ** j * math.prod(
-                dirs[i, t] ** e for t, e in enumerate(alpha))
+    A = affine_powers(dirs, biases, k, basis)
     target = np.array([p.coefficients.get(alpha, 0.0) for alpha in basis])
     c, residual, _, _ = np.linalg.lstsq(A, target, rcond=None)
     if not np.allclose(A @ c, target, atol=1e-11):

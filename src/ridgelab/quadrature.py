@@ -155,10 +155,9 @@ class LineGrid:
         """One refinement step: halve the spacing and double the padding."""
         return LineGrid(L=2.0 * self.L, N=4 * self.N)
 
-    def knot_mask(self, lo=-1.0, hi=1.0):
-        """Boolean mask of nodes inside [lo, hi]."""
-        b = self.nodes
-        return (b >= lo - 1e-12) & (b <= hi + 1e-12)
+    def knot_mask(self):
+        """Boolean mask of nodes inside [-1, 1]."""
+        return np.abs(self.nodes) <= 1.0 + 1e-12
 
 
 @dataclass(frozen=True)

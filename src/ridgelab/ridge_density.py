@@ -1,5 +1,7 @@
-"""Peano-kernel ingredients: ridge derivative densities, the polynomial
-part, the variation-norm upper bound, and Fourier-side Sobolev seminorms.
+"""Peano-kernel ingredients: the tables of the ridge decomposition (ridge
+derivative densities, the variation-norm bound and the polynomial part),
+the monomial expansion of (omega.x + c)^m, and Fourier-side Sobolev
+seminorms.
 
 On the unit ball a smooth target decomposes as
 
@@ -8,7 +10,8 @@ On the unit ball a smooth target decomposes as
 
 where F_omega is the back-projected profile, p has degree <= k, and the
 double integral of |F^{(k+1)}| (divided by k!) upper-bounds the network
-variation norm of the integral term.
+variation norm of the integral term.  peano_tables tabulates all three
+from one pass of derivative_blocks.
 """
 
 import math
@@ -35,6 +38,26 @@ def multi_indices(d, max_degree):
             out.append(alpha)
     out.sort(key=lambda a: (sum(a), a))
     return out
+
+
+def affine_powers(omegas, offsets, m, basis):
+    """Monomial coefficients of (omega_i.x + c_i)^m, i < n, as the
+    (len(basis), n) matrix
+
+        m! / (alpha! (m - |alpha|)!) c_i^(m - |alpha|) omega_i^alpha,
+
+    with 0 where |alpha| > m.  omegas is (n, d); offsets is a scalar or
+    (n,); basis is a list of exponent tuples (as from multi_indices).
+    """
+    alpha = np.array(basis, dtype=int)
+    rest = m - alpha.sum(axis=1)
+    multinomial = np.array([
+        math.factorial(m) // (math.prod(map(math.factorial, a))
+                              * math.factorial(j)) if j >= 0 else 0
+        for a, j in zip(basis, rest)], float)
+    return (multinomial[:, None]
+            * np.asarray(offsets, float) ** np.maximum(rest, 0)[:, None]
+            * np.prod(np.asarray(omegas, float) ** alpha[:, None, :], axis=2))
 
 
 @dataclass(frozen=True)
@@ -64,10 +87,6 @@ class PolynomialPart:
                     term *= pts[:, i] ** e
             out += term
         return float(out[0]) if single else out
-
-
-def zero_polynomial(d):
-    return PolynomialPart(d=d, coefficients={})
 
 
 def derivative_profile(f, omega, k, grid, order=None):
@@ -108,42 +127,19 @@ def _trapezoid_weights(b):
     return w
 
 
-def variation_upper_bound(f, k, sphere, grid):
-    """Upper bound on the variation norm of the integral term:
-
-        (1/k!) sum_j w_j int_{-1}^{1} |F_{omega_j}^{(k+1)}(b)| db,
-
-    with the b-integral by the trapezoid rule on the sub-grid in [-1, 1].
-    """
-    mask = grid.knot_mask()
-    tw = _trapezoid_weights(grid.nodes[mask])
-    total = 0.0
-    for lo, F in derivative_blocks(f, sphere.nodes, grid, (k + 1,)):
-        for wj, row in zip(sphere.weights[lo:], F[0][:, mask]):
-            total += wj * float(np.dot(tw, np.abs(row)))
-    return total / math.factorial(k)
-
-
 def peano_polynomial(d, k, sphere, at_minus_one):
     """The polynomial part from tabulated F_{omega_j}^{(m)}(-1):
 
         p(x) = sum_j w_j sum_{m=0}^{k} F_{omega_j}^{(m)}(-1)/m! (omega_j.x + 1)^m,
 
-    expanded into monomial coefficients; at_minus_one[j, m] holds
-    F_{omega_j}^{(m)}(-1).
+    expanded into monomial coefficients, one matrix product per m;
+    at_minus_one[j, m] holds F_{omega_j}^{(m)}(-1).
     """
-    coeffs = {a: 0.0 for a in multi_indices(d, k)}
-    for wj, omega, values in zip(sphere.weights, sphere.nodes, at_minus_one):
-        for m in range(k + 1):
-            fm = float(values[m]) / math.factorial(m)
-            # expand (omega.x + 1)^m into monomials
-            for alpha in multi_indices(d, m):
-                j = m - sum(alpha)
-                mult = math.factorial(m) / (
-                    math.prod(math.factorial(e) for e in alpha) * math.factorial(j))
-                w_pow = math.prod(omega[i] ** e for i, e in enumerate(alpha))
-                coeffs[alpha] += wj * fm * mult * w_pow
-    return PolynomialPart(d=d, coefficients=coeffs)
+    basis = multi_indices(d, k)
+    coeffs = sum(affine_powers(sphere.nodes, 1.0, m, basis)
+                 @ (sphere.weights * at_minus_one[:, m] / math.factorial(m))
+                 for m in range(k + 1))
+    return PolynomialPart(d=d, coefficients=dict(zip(basis, coeffs.tolist())))
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,9 @@ class PeanoTables:
     grid's nodes in [-1, 1] and weights their trapezoid weights.  cdf[j] is
     the normalised cumulative trapezoid integral of |profiles[j]| over the
     knots, the piecewise-linear CDF whose inverse from_sampling draws knots
-    from (all zeros for a direction without mass).  Both network
+    from (all zeros for a direction without mass).  mass[j] is
+    w_j sum_m weights_m |profiles[j, m]|, and variation = sum_j mass[j] / k!
+    is the variation-norm upper bound of the integral term.  Both network
     constructors read it; the arrays are read-only so that one table can
     feed any number of networks.
     """
@@ -169,13 +167,15 @@ class PeanoTables:
     weights: np.ndarray  # (M,)
     profiles: np.ndarray  # (J, M)
     cdf: np.ndarray  # (J, M)
+    mass: np.ndarray  # (J,)
+    variation: float
     poly: PolynomialPart
 
 
 def peano_tables(f, k, sphere, grid):
     """Tabulate F^{(k+1)} on the knots for every direction of the sphere
-    grid, and the polynomial part from F^{(m)}(-1), m <= k, in one pass of
-    derivative_blocks; warns as it does.
+    grid, its mass and variation bound, and the polynomial part from
+    F^{(m)}(-1), m <= k, in one pass of derivative_blocks; warns as it does.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -192,28 +192,39 @@ def peano_tables(f, k, sphere, grid):
     cdf = np.zeros_like(absv)
     np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
               out=cdf[:, 1:])
+    mass = sphere.weights * (absv @ weights)
     del absv
     np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
-    for array in (knots, weights, profiles, cdf):
+    for array in (knots, weights, profiles, cdf, mass):
         array.flags.writeable = False
     return PeanoTables(d=f.d, k=k, sphere=sphere, knots=knots,
-                       weights=weights, profiles=profiles, cdf=cdf,
+                       weights=weights, profiles=profiles, cdf=cdf, mass=mass,
+                       variation=float(mass.sum() / math.factorial(k)),
                        poly=peano_polynomial(f.d, k, sphere, at_minus_one))
 
 
-def sobolev_seminorm(f, s, angular_level=6, radial_points=8193, r_max=None):
+# sobolev_seminorm's quadratures: the level of the sphere grid, the
+# Simpson points on [0, R], and the first cutoff R, which doubles while
+# the integrand has not decayed.
+SEMINORM_SPHERE_LEVEL = 6
+SEMINORM_RADIAL_POINTS = 8193
+SEMINORM_FIRST_CUTOFF = 16.0
+
+
+def sobolev_seminorm(f, s):
     """Fourier-side Sobolev seminorm of order s:
 
         ( (2 pi)^{-d} int |xi|^{2s} |f_hat(xi)|^2 dxi )^{1/2}.
 
     The angular integral uses a deterministic sphere grid (d <= 3) and the
-    radial integral a composite Simpson rule on [0, R], with R grown until
-    the integrand has decayed below 1e-14 of its peak.
+    radial integral a composite Simpson rule on [0, R], with R doubled from
+    SEMINORM_FIRST_CUTOFF until the integrand has decayed below 1e-14 of
+    its peak (ValueError past 1e4).
     """
     if s < 0:
         raise ValueError("s must be >= 0")
     d = f.d
-    grid = sphere_grid(d, angular_level)
+    grid = sphere_grid(d, SEMINORM_SPHERE_LEVEL)
 
     def shell(r):
         # int_{S^{d-1}} |f_hat(r omega)|^2 domega, vectorized over r
@@ -222,16 +233,16 @@ def sobolev_seminorm(f, s, angular_level=6, radial_points=8193, r_max=None):
         vals = np.abs(f.fourier(xi)) ** 2
         return vals @ grid.weights
 
-    R = r_max if r_max is not None else 16.0
+    R = SEMINORM_FIRST_CUTOFF
     while True:
-        r = np.linspace(0.0, R, radial_points)
+        r = np.linspace(0.0, R, SEMINORM_RADIAL_POINTS)
         integrand = r ** (2 * s + d - 1) * shell(r)
         peak = integrand.max()
         if peak == 0.0:
             return 0.0
         if integrand[-1] < 1e-14 * peak:
             break
-        if r_max is not None or R > 1e4:
+        if R > 1e4:
             raise ValueError("seminorm integrand has not decayed at the "
                              "radial cutoff; integral may diverge")
         R *= 2.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ridgelab.metrics import ErrorSeries, lp_error, rate_fit
+from ridgelab.metrics import lp_error, rate_fit
 from ridgelab.quadrature import BallSampler
 from ridgelab.targets import GaussianSpec, make_gaussian
 
@@ -34,28 +34,6 @@ class TestLpError:
         assert lp_error(one, zero, "inf", sampler) == 1.0
 
 
-class TestErrorSeries:
-    def test_valid_series(self):
-        s = ErrorSeries(abscissa_kind="width",
-                        points=((2, 0.5), (4, 0.2), (8, 0.1)))
-        assert len(s.points) == 3
-
-    def test_decreasing_abscissae_allowed(self):
-        s = ErrorSeries(abscissa_kind="scale",
-                        points=((0.25, 0.5), (0.125, 0.2)))
-        assert len(s.points) == 2
-
-    def test_rejects_unordered_abscissae(self):
-        with pytest.raises(ValueError):
-            ErrorSeries(abscissa_kind="width",
-                        points=((2, 0.5), (4, 0.2), (3, 0.1)))
-
-    def test_rejects_negative_errors(self):
-        with pytest.raises(ValueError):
-            ErrorSeries(abscissa_kind="width",
-                        points=((2, 0.5), (4, -0.1)))
-
-
 class TestRateFit:
     def test_exact_inverse_square_law(self):
         pts = [(n, n ** -2.0) for n in (2, 4, 8, 16)]
@@ -77,9 +55,3 @@ class TestRateFit:
     def test_requires_three_points(self):
         with pytest.raises(ValueError):
             rate_fit([(2, 0.5), (4, 0.25)])
-
-    def test_accepts_error_series(self):
-        s = ErrorSeries(abscissa_kind="width",
-                        points=((2, 0.4), (4, 0.1), (8, 0.025)))
-        slope, _, _ = rate_fit(s)
-        np.testing.assert_allclose(slope, -2.0, atol=1e-12)

@@ -9,8 +9,7 @@ from ridgelab.network import (MIN_GROUPED_POINTS, MIN_KNOTS_PER_DIRECTION,
                               from_quadrature, from_sampling, load,
                               poly_to_ridge, save, serialize)
 from ridgelab.quadrature import BallSampler, LineGrid, ball_points, sphere_grid
-from ridgelab.ridge_density import (PolynomialPart, peano_tables,
-                                    variation_upper_bound, zero_polynomial)
+from ridgelab.ridge_density import PolynomialPart, peano_tables
 from ridgelab.targets import GaussianSpec, make_gaussian
 
 GRID = LineGrid(L=4.0, N=2048)
@@ -49,25 +48,28 @@ class TestShallowNetwork:
     def test_empty_network_is_zero(self):
         net = ShallowNetwork(d=2, k=1, a=np.zeros(0),
                              omega=np.zeros((0, 2)), b=np.zeros(0),
-                             poly=zero_polynomial(2))
+                             poly=PolynomialPart(d=2, coefficients={}))
         np.testing.assert_array_equal(net(np.random.rand(5, 2)), 0.0)
 
     def test_single_neuron(self):
         net = ShallowNetwork(d=2, k=2, a=np.array([1.0]),
                              omega=np.array([[1.0, 0.0]]),
-                             b=np.array([0.0]), poly=zero_polynomial(2))
+                             b=np.array([0.0]),
+                             poly=PolynomialPart(d=2, coefficients={}))
         np.testing.assert_allclose(net(np.array([0.5, 0.0])), 0.25)
 
     def test_two_neuron_absolute_value(self):
         net = ShallowNetwork(d=2, k=1, a=np.array([1.0, 1.0]),
                              omega=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                             b=np.array([0.0, 0.0]), poly=zero_polynomial(2))
+                             b=np.array([0.0, 0.0]),
+                             poly=PolynomialPart(d=2, coefficients={}))
         np.testing.assert_allclose(net(np.array([-0.3, 0.0])), 0.3)
 
     def test_l1_mass(self):
         net = ShallowNetwork(d=1, k=0, a=np.array([1.5, -2.0]),
                              omega=np.array([[1.0], [-1.0]]),
-                             b=np.zeros(2), poly=zero_polynomial(1))
+                             b=np.zeros(2),
+                             poly=PolynomialPart(d=1, coefficients={}))
         np.testing.assert_allclose(net.l1_mass, 3.5)
 
 
@@ -289,17 +291,17 @@ class TestFromSampling:
     def test_l1_mass_equals_variation_bound(self):
         f = make_gaussian(GaussianSpec(d=2))
         sphere = sphere_grid(2, 6)
-        v = variation_upper_bound(f, 1, sphere, GRID)
-        net = from_sampling(peano_tables(f, 1, sphere, GRID), 64, 99)
-        np.testing.assert_allclose(net.l1_mass, v, rtol=1e-12)
+        tables = peano_tables(f, 1, sphere, GRID)
+        net = from_sampling(tables, 64, 99)
+        np.testing.assert_allclose(net.l1_mass, tables.variation, rtol=1e-12)
 
     def test_single_sample(self):
         f = make_gaussian(GaussianSpec(d=1))
         sphere = sphere_grid(1, 1)
-        net = from_sampling(peano_tables(f, 0, sphere, GRID), 1, 7)
+        tables = peano_tables(f, 0, sphere, GRID)
+        net = from_sampling(tables, 1, 7)
         assert len(net.a) == 1
-        v = variation_upper_bound(f, 0, sphere, GRID)
-        np.testing.assert_allclose(abs(net.a[0]), v, rtol=1e-12)
+        assert abs(net.a[0]) == tables.variation
 
     def test_unbiased_against_quadrature(self):
         f = make_gaussian(GaussianSpec(d=2))
@@ -364,7 +366,7 @@ class TestSerialization:
     def test_empty_network_round_trips(self):
         net = ShallowNetwork(d=3, k=2, a=np.zeros(0),
                              omega=np.zeros((0, 3)), b=np.zeros(0),
-                             poly=zero_polynomial(3))
+                             poly=PolynomialPart(d=3, coefficients={}))
         other = deserialize(serialize(net))
         assert other.d == 3 and other.k == 2 and len(other.a) == 0
 

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from ridgelab.fourier_radon import (_apply_multiplier_linear,
                                     derivative_blocks, radon_slice,
                                     radon_transform, reconstruct)
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
-from ridgelab.ridge_density import (derivative_profile, multi_indices,
+from ridgelab.ridge_density import (PolynomialPart, affine_powers,
+                                    derivative_profile, multi_indices,
                                     peano_polynomial, peano_tables,
                                     sobolev_seminorm, theorem_order,
-                                    variation_upper_bound, zero_polynomial)
+                                    values_at_minus_one)
 from ridgelab.targets import (GaussianSpec, combine, gaussian_radon_oracle,
                               make_cusp_radial, make_gaussian)
 
@@ -120,7 +123,7 @@ class TestDerivativeBlocks:
         f = make_gaussian(GaussianSpec(d=2))
         coarse = LineGrid(L=4.0, N=16)
         sphere = sphere_grid(2, 4)
-        for call in (lambda: variation_upper_bound(f, 1, sphere, coarse),
+        for call in (lambda: peano_tables(f, 1, sphere, coarse),
                      lambda: derivative_profile(f, np.array([0.6, 0.8]), 1, coarse),
                      lambda: reconstruct(f, np.zeros((3, 2)), sphere, coarse)):
             with warnings.catch_warnings(record=True) as caught:
@@ -313,7 +316,7 @@ class TestVariationUpperBound:
         # d=1, k=0: integral of |F'| over [-1,1] = |f'| / 2 summed over
         # both directions = 2 (1 - e^{-1/2})
         f = make_gaussian(GaussianSpec(d=1))
-        v = variation_upper_bound(f, 0, sphere_grid(1, 1), GRID)
+        v = peano_tables(f, 0, sphere_grid(1, 1), GRID).variation
         oracle, _ = integrate.quad(lambda b: abs(-b * np.exp(-b * b / 2)),
                                    -1, 1)
         np.testing.assert_allclose(v, oracle, rtol=1e-5)
@@ -321,15 +324,28 @@ class TestVariationUpperBound:
 
     def test_zero_target(self):
         f = make_gaussian(GaussianSpec(d=2, amplitude=0.0))
-        assert variation_upper_bound(f, 1, sphere_grid(2, 4), GRID) == 0.0
+        assert peano_tables(f, 1, sphere_grid(2, 4), GRID).variation == 0.0
 
     def test_scaling_homogeneity(self):
         f = make_gaussian(GaussianSpec(d=2))
         g = make_gaussian(GaussianSpec(d=2, amplitude=-2.5))
         sphere = sphere_grid(2, 5)
-        vf = variation_upper_bound(f, 1, sphere, GRID)
-        vg = variation_upper_bound(g, 1, sphere, GRID)
+        vf = peano_tables(f, 1, sphere, GRID).variation
+        vg = peano_tables(g, 1, sphere, GRID).variation
         np.testing.assert_allclose(vg, 2.5 * vf, rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_mass_is_the_weighted_trapezoid_integral(self, k):
+        # one direction at a time, with math.fsum: the mass of direction j
+        # is w_j int |F^{(k+1)}| over the knots, and V their sum over k!
+        tables = peano_tables(_two_gaussians(2), k, sphere_grid(2, 3),
+                              LineGrid(L=3.0, N=128))
+        mass = [wj * math.fsum(tables.weights * np.abs(row))
+                for wj, row in zip(tables.sphere.weights, tables.profiles)]
+        np.testing.assert_allclose(tables.mass, mass, rtol=1e-14, atol=0)
+        assert abs(tables.variation - math.fsum(mass) / math.factorial(k)) \
+            <= 1e-14 * tables.variation
+        assert isinstance(tables.variation, float)
 
 
 class TestPeanoTables:
@@ -354,7 +370,8 @@ class TestPeanoTables:
     def test_arrays_are_read_only(self):
         f = make_gaussian(GaussianSpec(d=1))
         tables = peano_tables(f, 0, sphere_grid(1, 1), LineGrid(4.0, 64))
-        for array in (tables.knots, tables.weights, tables.profiles):
+        for array in (tables.knots, tables.weights, tables.profiles,
+                      tables.cdf, tables.mass):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -416,8 +433,91 @@ class TestPolynomialPart:
         assert p.degree <= 2
 
     def test_zero_polynomial(self):
-        p = zero_polynomial(3)
+        p = PolynomialPart(d=3, coefficients={})
         assert p(np.ones((4, 3))).tolist() == [0.0] * 4
+
+
+def _looped_polynomial(d, k, sphere, at_minus_one):
+    """peano_polynomial as it was before affine_powers: (omega_j.x + 1)^m
+    expanded term by term, direction by direction, in Python floats.  The
+    reference for the matrix-product sum."""
+    coeffs = {a: 0.0 for a in multi_indices(d, k)}
+    for wj, omega, values in zip(sphere.weights, sphere.nodes, at_minus_one):
+        for m in range(k + 1):
+            fm = float(values[m]) / math.factorial(m)
+            for alpha in multi_indices(d, m):
+                j = m - sum(alpha)
+                mult = math.factorial(m) / (
+                    math.prod(math.factorial(e) for e in alpha) * math.factorial(j))
+                w_pow = math.prod(omega[i] ** e for i, e in enumerate(alpha))
+                coeffs[alpha] += wj * fm * mult * w_pow
+    return coeffs
+
+
+def _exact_polynomial(d, k, sphere, at_minus_one):
+    """The coefficients of peano_polynomial in exact rational arithmetic
+    on the same float inputs."""
+    coeffs = {a: Fraction(0) for a in multi_indices(d, k)}
+    for wj, omega, values in zip(sphere.weights, sphere.nodes, at_minus_one):
+        omega = [Fraction(float(o)) for o in omega]
+        for m in range(k + 1):
+            fm = Fraction(float(wj)) * Fraction(float(values[m])) / math.factorial(m)
+            for alpha in multi_indices(d, m):
+                mult = math.factorial(m) // (
+                    math.prod(map(math.factorial, alpha))
+                    * math.factorial(m - sum(alpha)))
+                coeffs[alpha] += fm * mult * math.prod(
+                    o ** e for o, e in zip(omega, alpha))
+    return coeffs
+
+
+class TestPolynomialExpansion:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_affine_powers_against_direct_powers(self, d, m):
+        rng = np.random.default_rng(10 * d + m)
+        n = 7
+        omegas = rng.uniform(-1.0, 1.0, (n, d))
+        offsets = rng.uniform(-1.0, 1.0, n)
+        basis = multi_indices(d, 3)
+        A = affine_powers(omegas, offsets, m, basis)
+        assert A.shape == (len(basis), n)
+        assert not A[[sum(alpha) > m for alpha in basis]].any()
+        x = rng.uniform(-1.0, 1.0, (50, d))
+        monomials = np.array([np.prod(x ** np.array(alpha), axis=1)
+                              for alpha in basis])
+        direct = (x @ omegas.T + offsets) ** m
+        np.testing.assert_allclose(monomials.T @ A, direct, rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_array_equal(affine_powers(omegas, 1.0, m, basis),
+                                      affine_powers(omegas, np.ones(n), m,
+                                                    basis))
+
+    @pytest.mark.parametrize("center,grid", [
+        (None, LineGrid(8.0, 16384)), ((0.3, 0.0), LineGrid(4.0, 1024))])
+    def test_peano_polynomial_against_exact_rationals(self, center, grid):
+        # d = 2, k = 2 on the level-9 sphere; the centred case is stage 1 of
+        # the peano-d2k2 acceptance run.  Errors over the coefficient
+        # scale, loop / matrix products, measured: 8.0e-15 / 1.2e-15
+        # centred, 3.8e-16 / 9.8e-17 off-centre
+        d, k = 2, 2
+        f = make_gaussian(GaussianSpec(
+            d=d, center=None if center is None else np.array(center)))
+        sphere = sphere_grid(d, 9)
+        at_minus_one = np.concatenate([
+            values_at_minus_one(F, grid).T
+            for _, F in derivative_blocks(f, sphere.nodes, grid, range(k + 1))])
+        exact = _exact_polynomial(d, k, sphere, at_minus_one)
+        scale = max(abs(c) for c in exact.values())
+
+        def error(coeffs):
+            assert coeffs.keys() == exact.keys()
+            return max(abs(Fraction(c) - exact[a])
+                       for a, c in coeffs.items()) / scale
+
+        new = error(peano_polynomial(d, k, sphere, at_minus_one).coefficients)
+        assert new <= 4e-15
+        assert new <= error(_looped_polynomial(d, k, sphere, at_minus_one))
 
 
 class TestSobolevSeminorm:
