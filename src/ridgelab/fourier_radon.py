@@ -323,13 +323,19 @@ def reconstruct(f, x, sphere, grid):
 
     Returns sum_j w_j F_{omega_j}(omega_j . x) with cubic interpolation of
     each back-projected profile F = F^{(0)} from derivative_blocks;
-    directions are reduced in fixed order.  Warns as derivative_blocks does.
+    directions are reduced in fixed order.  A radial target has one profile
+    for every direction, so one spline serves them all.  Warns as
+    derivative_blocks does.
     """
     x = np.asarray(x, float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
     out = np.zeros(len(pts))
+    shared = None
     for lo, F in derivative_blocks(f, sphere.nodes, grid, (0,)):
+        if f.radial is not None and shared is None:
+            shared = CubicSpline(grid.nodes, F[0, 0])
         for wj, omega, row in zip(sphere.weights[lo:], sphere.nodes[lo:], F[0]):
-            out += wj * CubicSpline(grid.nodes, row)(pts @ omega)
+            spline = shared if shared is not None else CubicSpline(grid.nodes, row)
+            out += wj * spline(pts @ omega)
     return float(out[0]) if single else out

@@ -24,12 +24,14 @@ from .quadrature import surface_area
 MIN_NODES_PER_AXIS = 8
 
 # (point, node) pairs per call of f in smooth_approximant (a tile is at
-# least one point by one node chunk).  Measured as the time of the seven
-# calls of the epsilon schedule at 4096 points (d = 2, Gaussian target,
-# 1200 nodes per translate; best of 3-5, one BLAS thread, 2-core Xeon with
-# 4 MiB L2, numpy 2.4; ranges over 2-5 interleaved sessions): 2^12 pairs
-# 1.01-1.02 s, 2^13 to 2^16 0.86-1.18 s with no size ahead of the others
-# in every session, 2^17 1.02 s, 2^18 0.99-1.11 s, untiled 2.1-2.5 s.
+# least one point by one node chunk).  Measured with the axis-major
+# translate buffer as the time of the seven calls of the epsilon schedule
+# at 4096 points (d = 2, Gaussian target, 1200 nodes per translate; best of
+# 3, one BLAS thread, 2-core Xeon with 2 MiB L2 per core, numpy 2.4; ranges
+# over 3 interleaved sessions): 2^12 pairs 0.58-0.65 s, 2^13 0.44-0.53 s,
+# 2^14 0.41 s, 2^15 0.37-0.44 s, 2^16 0.39-0.46 s, 2^17 0.46-0.49 s, 2^18
+# 0.50-0.56 s.  2^14 led one session, 2^15 another, and they tied in the
+# third, so no size led in every session.
 # Smaller tiles pay more calls, larger ones leave the cache.
 TILE_PAIRS = 2 ** 15
 
@@ -112,8 +114,9 @@ def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
 
     Each convolution is computed by tensor Gauss-Legendre quadrature over
     the eps-ball; nodes_per_axis controls the resolution.  f is called on
-    tiles of at most TILE_PAIRS (point, node) pairs written into one
-    reused buffer, so it must not keep its argument.
+    tiles of at most TILE_PAIRS (point, node) pairs: a (rows, nodes, d)
+    view, x[p, j] = x_p - t y_j, of one reused axis-major buffer.  The view
+    is not C-contiguous, and f must not keep it.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -134,6 +137,7 @@ def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
     width = min(chunk, len(ynodes))
     values = np.empty(len(pts) * width)
     buf = np.empty(max(TILE_PAIRS, width) * d)
+    ycols = np.ascontiguousarray(ynodes.T)
     for t, coef in binomial_weights(s):
         acc = np.zeros(len(pts))
         for lo in range(0, len(ynodes), chunk):
@@ -142,14 +146,18 @@ def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
             # BLAS rounds a row's sum differently with the number of rows
             # and the thread split, and per-tile products would not
             # reproduce the untiled sums
-            ty = t * ynodes[lo:lo + chunk]
-            fv = values[:len(pts) * len(ty)].reshape(len(pts), len(ty))
-            rows = max(1, TILE_PAIRS // len(ty))
+            ty = t * ycols[:, lo:lo + chunk]
+            nodes = ty.shape[1]
+            fv = values[:len(pts) * nodes].reshape(len(pts), nodes)
+            rows = max(1, TILE_PAIRS // nodes)
             for p in range(0, len(pts), rows):
                 tile = pts[p:p + rows]
-                shifted = buf[:tile.size * len(ty)].reshape(len(tile), -1, d)
-                np.subtract(tile[:, None, :], ty, out=shifted)
-                fv[p:p + rows] = f(shifted)
+                # axis-major, so that each axis is one contiguous subtract
+                # rather than a broadcast with an inner loop of d elements
+                shifted = buf[:tile.size * nodes].reshape(d, len(tile), nodes)
+                for i in range(d):
+                    np.subtract(tile[:, i, None], ty[i], out=shifted[i])
+                fv[p:p + rows] = f(np.moveaxis(shifted, 0, -1))
             acc += fv @ yw[lo:lo + chunk]
         out += coef * acc
     return float(out[0]) if single else out

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ridgelab import fourier_radon
 from ridgelab.fourier_radon import (backproject_filter, multiplier,
                                     radon_direct, radon_slice,
                                     radon_transform, reconstruct,
@@ -171,3 +174,46 @@ class TestReconstruct:
         err_c = np.max(np.abs(coarse - target))
         err_f = np.max(np.abs(fine - target))
         assert err_f < err_c
+
+
+class TestReconstructSplines:
+    """A radial target has one back-projected profile, so reconstruct
+    builds one spline; off-centre targets build one per direction."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        spline = fourier_radon.CubicSpline
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return spline(*args, **kwargs)
+
+        monkeypatch.setattr(fourier_radon, "CubicSpline", counting)
+        return builds
+
+    def test_one_spline_for_a_radial_target(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        pts = np.random.default_rng(7).uniform(-0.6, 0.6, size=(30, 2))
+        # 1024 directions: two blocks of derivative_blocks on this grid
+        reconstruct(make_gaussian(GaussianSpec(d=2)), pts, sphere_grid(2, 10),
+                    GRID)
+        assert len(builds) == 1
+
+    def test_one_spline_per_direction_off_centre(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        sphere = sphere_grid(2, 6)
+        f = make_gaussian(GaussianSpec(d=2, center=np.array([0.3, 0.0])))
+        reconstruct(f, np.zeros(2), sphere, GRID)
+        assert len(builds) == len(sphere.nodes)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_radial_matches_per_direction_route(self, d):
+        f = make_gaussian(GaussianSpec(d=d, width=0.6))
+        assert f.radial is not None
+        pts = np.random.default_rng(d).uniform(-0.5, 0.5, size=(40, d))
+        sphere = sphere_grid(d, 3 if d == 3 else 6)
+        radial = reconstruct(f, pts, sphere, GRID)
+        per_direction = reconstruct(dataclasses.replace(f, radial=None), pts,
+                                    sphere, GRID)
+        np.testing.assert_allclose(radial, per_direction, rtol=1e-12, atol=0)

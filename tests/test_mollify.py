@@ -216,6 +216,56 @@ class TestTiledApproximant:
                 smooth_approximant(f, s, 0.5, _points(2, 3))
 
 
+class TestTranslateLayout:
+    """f receives the translates x_p - t y_j tile by tile: for each t and
+    node chunk, the tiles stacked are pts[:, None, :] - t * ynodes[chunk]."""
+
+    @staticmethod
+    def _check_tiles(d, s, eps, pts, nodes_per_axis=None):
+        """Run smooth_approximant with an f that checks each tile against
+        its rows of the chunk's translates; returns the number of chunks."""
+        ynodes = _ball_quadrature(d, eps, nodes_per_axis or DEFAULT_NODES[d])[0]
+        at = {"t": 1, "lo": 0, "p": 0, "chunks": 0}
+
+        def recording(x):
+            assert x.ndim == 3 and x.shape[-1] == d
+            rows, width = x.shape[:2]
+            t, lo, p = at["t"], at["lo"], at["p"]
+            expect = pts[p:p + rows, None, :] - t * ynodes[lo:lo + width]
+            assert x.shape == expect.shape and np.array_equal(x, expect)
+            at["p"] += rows
+            if at["p"] == len(pts):
+                at.update(p=0, lo=lo + width, chunks=at["chunks"] + 1)
+                if at["lo"] == len(ynodes):
+                    at.update(lo=0, t=t + 1)
+            return np.zeros((rows, width))
+
+        smooth_approximant(recording, s, eps, pts, nodes_per_axis)
+        assert (at["t"], at["lo"], at["p"]) == (s + 1, 0, 0)
+        return at["chunks"]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tiles_are_the_translates(self, d):
+        # three tiles per chunk, one chunk per translate
+        nodes = len(_ball_quadrature(d, 0.25, DEFAULT_NODES[d])[0])
+        pts = _points(d, 2 * (TILE_PAIRS // nodes) + 5)
+        assert self._check_tiles(d, 2, 0.25, pts) == 2
+
+    def test_tiles_over_two_node_chunks(self):
+        # as in test_several_node_chunks: two chunks per translate
+        assert self._check_tiles(3, 2, 0.5, _points(3, 700), 32) == 4
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_contiguous_copy_gives_the_same_values(self, d):
+        f = _targets(d)["gaussian"]
+        pts = _points(d, 600)
+        for s in (1, 2):
+            assert np.array_equal(
+                smooth_approximant(lambda x: f(np.ascontiguousarray(x)),
+                                   s, 0.25, pts),
+                smooth_approximant(f, s, 0.25, pts))
+
+
 class TestGaussianEvaluate:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_closed_form_bit_for_bit(self, d):
