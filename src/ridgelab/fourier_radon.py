@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# numpy loads np.fft and np.ma on first use (np.unique reads
+# np.ma.is_masked); loading them with the library keeps that cost out of
+# the first run that filters a profile
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
 from numpy.polynomial.legendre import leggauss
-from scipy import fft as sp_fft
-from scipy.interpolate import CubicSpline
 
 from .quadrature import LineGrid
 
@@ -62,6 +65,7 @@ class RidgeProfile:
     def interpolator(self):
         """Cubic spline through the samples (reconstruction should be
         grid-limited, not interpolation-limited)."""
+        from scipy.interpolate import CubicSpline
         return CubicSpline(self.grid.nodes, self.values)
 
 
@@ -91,10 +95,27 @@ def taper(grid):
     return taper_window(grid.frequencies, grid.nyquist)
 
 
+def _next_fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n: the lengths pocketfft's real transforms
+    factor fastest, as scipy.fft.next_fast_len(n, real=True) picks them."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest 2^a p35 >= n
+            candidate = p35 << ((n - 1) // p35).bit_length()
+            if candidate < best:
+                best = candidate
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolution_length(N):
     """FFT length of the full linear convolution of an N-sample row with
     the (2N-1)-sample kernel (the length scipy's fftconvolve picks)."""
-    return sp_fft.next_fast_len(3 * N - 2, True)
+    return _next_fast_len(3 * N - 2)
 
 
 @lru_cache(maxsize=64)
@@ -115,7 +136,7 @@ def _kernel_spectrum(L, N, d, order, cutoff):
     spec = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
     k_per = np.fft.ifft(spec).real / h
     samples = k_per[np.arange(-(N - 1), N) % nf]
-    out = sp_fft.rfft(samples, _convolution_length(N))
+    out = np.fft.rfft(samples, _convolution_length(N))
     out.setflags(write=False)
     return out
 
@@ -157,7 +178,7 @@ def _apply_multiplier_linear(values, grid, d, orders=(0,)):
     if d % 2 == 1:
         spec = np.fft.fft(rows, axis=-1)
     else:
-        spec = sp_fft.rfft(rows, nfft, axis=-1)
+        spec = np.fft.rfft(rows, nfft, axis=-1)
     for cutoff in np.unique(cutoffs):
         sel = cutoffs == cutoff
         part = spec[sel]
@@ -168,7 +189,7 @@ def _apply_multiplier_linear(values, grid, d, orders=(0,)):
                 out[i, sel] = np.fft.ifft(filt, axis=-1).real
             else:
                 kernel = _kernel_spectrum(grid.L, N, d, m, float(cutoff))
-                conv = sp_fft.irfft(part * kernel, nfft, axis=-1)
+                conv = np.fft.irfft(part * kernel, nfft, axis=-1)
                 out[i, sel] = conv[:, N - 1:2 * N - 1] * grid.h
     return out.reshape((len(orders),) + values.shape)
 
@@ -327,6 +348,7 @@ def reconstruct(f, x, sphere, grid):
     for every direction, so one spline serves them all.  Warns as
     derivative_blocks does.
     """
+    from scipy.interpolate import CubicSpline
     x = np.asarray(x, float)
     single = x.ndim == 1
     pts = x[None, :] if single else x

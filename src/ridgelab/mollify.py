@@ -17,11 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .quadrature import surface_area
 
 MIN_NODES_PER_AXIS = 8
+
+# Gauss-Legendre nodes on [0, 1] for the bump's normalization Z_d: the
+# integrand is C-infinity, and 256 nodes put Z_1, Z_2 and Z_3 within 3e-16
+# (relative) of a 40-digit quadrature.
+BUMP_NORM_NODES = 256
 
 # (point, node) pairs per call of f in smooth_approximant (a tile is at
 # least one point by one node chunk).  Measured with the axis-major
@@ -58,10 +62,12 @@ def _bump_raw(r2):
 
 @lru_cache(maxsize=None)
 def _bump_norm(d):
-    """Z_d so that the unit-scale bump integrates to one."""
-    val, _ = quad(lambda r: r ** (d - 1) * math.exp(-1.0 / (1.0 - r * r)),
-                  0.0, 1.0, limit=200)
-    return surface_area(d) * val
+    """Z_d so that the unit-scale bump integrates to one: the area of
+    S^{d-1} times the integral of r^{d-1} exp(-1/(1-r^2)) over [0, 1]."""
+    u, w = leggauss(BUMP_NORM_NODES)
+    r = 0.5 * (u + 1.0)
+    return surface_area(d) * math.fsum(
+        0.5 * w * r ** (d - 1) * np.exp(-1.0 / (1.0 - r * r)))
 
 
 def mollifier_value(spec, x):

@@ -2,7 +2,8 @@
 
 All integral computations in the library pull their nodes and weights from
 here.  Sphere grids are deterministic for d <= 3; higher dimensions get
-Monte Carlo directions only (``sample_directions``).
+Monte Carlo directions only (``sample_directions``).  Lattice points in the
+ball come from a scrambled Sobol sequence, also limited to d <= 3.
 """
 
 import functools
@@ -11,8 +12,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads np.random on first use; loading it with the library keeps
+# that cost out of the first run that draws points
+import numpy.random  # noqa: F401
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import qmc
+
+# Joe & Kuo's Sobol direction numbers (SIAM J. Sci. Comput. 30, 2008) for
+# the first three dimensions: the primitive polynomials, with both end
+# coefficients as bits, and the initial numbers m_1..m_s (the first
+# dimension has m_j = 1 for every j).  Points carry SOBOL_BITS bits.
+SOBOL_POLYNOMIALS = (1, 3, 7)
+SOBOL_INITIAL = ((), (1,), (1, 3))
+SOBOL_BITS = 30
 
 
 def surface_area(d):
@@ -179,6 +190,61 @@ class BallSampler:
             raise ValueError("mode must be 'lattice' or 'pseudo-random'")
         if self.d < 1 or self.count < 0:
             raise ValueError("invalid sampler parameters")
+        if self.mode == "lattice" and self.d > len(SOBOL_POLYNOMIALS):
+            raise ValueError("lattice points are limited to d <= %d"
+                             % len(SOBOL_POLYNOMIALS))
+
+
+def _direction_numbers(dim):
+    """The SOBOL_BITS direction numbers v_j = m_j 2^(SOBOL_BITS - j) of one
+    dimension, from the recurrence of Bratley & Fox (ACM TOMS 14, 1988)."""
+    poly = SOBOL_POLYNOMIALS[dim]
+    s = poly.bit_length() - 1
+    m = list(SOBOL_INITIAL[dim]) if s else [1] * SOBOL_BITS
+    for j in range(len(m), SOBOL_BITS):
+        new = m[j - s]
+        for k in range(s):
+            if (poly >> (s - 1 - k)) & 1:
+                new ^= m[j - k - 1] << (k + 1)
+        m.append(new)
+    return [mj << (SOBOL_BITS - 1 - j) for j, mj in enumerate(m)]
+
+
+def _sobol(d, seed, start, stop):
+    """Points start..stop-1 of the scrambled Sobol sequence in [0, 1)^d.
+
+    The scrambling is Matousek's linear matrix scramble plus a digital
+    shift (J. Complexity 14, 1998), drawn from np.random.default_rng(seed)
+    as scipy.stats.qmc.Sobol(d, scramble=True, seed=seed) draws it, so the
+    points equal that engine's, bit for bit.  Point i is the shift XOR the
+    scrambled direction numbers of the bits of the Gray code i ^ (i >> 1).
+    """
+    if stop > 2 ** SOBOL_BITS:
+        raise ValueError("at most 2^%d Sobol points" % SOBOL_BITS)
+    rng = np.random.default_rng(seed)
+    powers = np.int64(1) << np.arange(SOBOL_BITS, dtype=np.int64)
+    shift = rng.integers(2, size=(d, SOBOL_BITS), dtype=np.uint32) @ powers
+    lower = (np.tril(rng.integers(2, size=(d, SOBOL_BITS, SOBOL_BITS),
+                                  dtype=np.uint32)).astype(np.int64)
+             | np.eye(SOBOL_BITS, dtype=np.int64))
+    # bit q of a scrambled number is the parity of the bits of v against
+    # row SOBOL_BITS - 1 - q of the matrix, whose column c meets bit
+    # SOBOL_BITS - 1 - c: both axes of the matrix are read in reverse
+    flipped = lower[:, ::-1, ::-1]
+    v = np.array([_direction_numbers(i) for i in range(d)], dtype=np.int64)
+    v_bits = (v[..., None] >> np.arange(SOBOL_BITS)) & 1
+    scrambled = (np.einsum("dqk,djk->djq", flipped, v_bits) % 2) @ powers
+    i = np.arange(start, stop, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    out = np.repeat(shift[None, :], len(i), axis=0)
+    for lo in range(0, int(gray.max(initial=0)).bit_length(), 8):
+        # the XOR of every subset of the numbers of bits lo..lo+7, indexed
+        # by that byte of the Gray code
+        table = np.zeros((1, d), dtype=np.int64)
+        for b in range(lo, min(lo + 8, SOBOL_BITS)):
+            table = np.concatenate([table, table ^ scrambled[:, b]])
+        out ^= table[(gray >> lo) & (len(table) - 1)]
+    return out * 2.0 ** -SOBOL_BITS
 
 
 @functools.lru_cache(maxsize=8)
@@ -193,9 +259,11 @@ def ball_points(sampler):
     pts = np.empty((m, d))
     filled = 0
     if sampler.mode == "lattice":
-        engine = qmc.Sobol(d=d, scramble=True, seed=sampler.seed)
+        drawn = 0
         while filled < m:
-            batch = 2.0 * engine.random(max(2 * (m - filled), 64)) - 1.0
+            size = max(2 * (m - filled), 64)
+            batch = 2.0 * _sobol(d, sampler.seed, drawn, drawn + size) - 1.0
+            drawn += size
             batch = batch[np.linalg.norm(batch, axis=1) < 1.0]
             take = min(len(batch), m - filled)
             pts[filled:filled + take] = batch[:take]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fourier_radon import RidgeProfile, derivative_blocks
 from .quadrature import SphereGrid, sphere_grid
@@ -113,6 +112,7 @@ def values_at_minus_one(F, grid):
     node = np.flatnonzero(grid.nodes == -1.0)
     if len(node):
         return F[..., node[0]]
+    from scipy.interpolate import CubicSpline
     return CubicSpline(grid.nodes, F, axis=-1)(-1.0)
 
 

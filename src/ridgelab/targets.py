@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 # Tail level below which a value is treated as machine-negligible.
 TRUNCATION_TOL = 1e-14
@@ -142,10 +141,15 @@ def gaussian_radon_oracle(spec, omega, b):
 
 
 def _radial_fourier_quad(profile, d, rho):
-    """Fourier transform of a radial function supported in [0, 1] at |xi| = rho."""
+    """Fourier transform of a radial function supported in [0, 1] at |xi| = rho.
+
+    At d = 1 the cosine is QUADPACK's QAWO weight, which stays accurate at
+    high rho where a plain adaptive rule loses the cancellation.
+    """
+    from scipy import integrate, special
     if d == 1:
-        val, _ = integrate.quad(lambda r: 2.0 * profile(r) * np.cos(r * rho),
-                                0.0, 1.0, limit=200)
+        val, _ = integrate.quad(lambda r: 2.0 * profile(r), 0.0, 1.0,
+                                weight="cos", wvar=rho, limit=200)
     elif d == 2:
         val, _ = integrate.quad(lambda r: 2.0 * np.pi * profile(r) * special.j0(r * rho) * r,
                                 0.0, 1.0, limit=200)

@@ -176,20 +176,29 @@ class TestReconstruct:
         assert err_f < err_c
 
 
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    for n in range(1, 10 ** 5 + 1):
+        assert fourier_radon._next_fast_len(n) == next_fast_len(n, True), n
+
+
 class TestReconstructSplines:
     """A radial target has one back-projected profile, so reconstruct
     builds one spline; off-centre targets build one per direction."""
 
     @staticmethod
     def _count_builds(monkeypatch):
+        # reconstruct imports CubicSpline when it is called, so the
+        # counter replaces it in scipy.interpolate
+        import scipy.interpolate
         builds = []
-        spline = fourier_radon.CubicSpline
+        spline = scipy.interpolate.CubicSpline
 
         def counting(*args, **kwargs):
             builds.append(1)
             return spline(*args, **kwargs)
 
-        monkeypatch.setattr(fourier_radon, "CubicSpline", counting)
+        monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
         return builds
 
     def test_one_spline_for_a_radial_target(self, monkeypatch):

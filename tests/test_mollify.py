@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+from ridgelab import mollify
 from ridgelab.mollify import (TILE_PAIRS, MollifierSpec, _ball_quadrature,
                               binomial_weights, epsilon_schedule,
                               finite_difference, mollifier_value,
@@ -32,6 +35,22 @@ class TestMollifier:
                                                       np.array([r, 0.0])),
             0, 1, limit=200)
         np.testing.assert_allclose(mass, 1.0, atol=1e-8)
+
+    def test_bump_norm_closed_forms(self):
+        # Z_1 = e^{-1/2} (K_1(1/2) - K_0(1/2)) and Z_2 = pi E_2(1)
+        z1 = math.exp(-0.5) * (special.k1(0.5) - special.k0(0.5))
+        z2 = math.pi * special.expn(2, 1.0)
+        np.testing.assert_allclose(mollify._bump_norm(1), z1, rtol=1e-15)
+        np.testing.assert_allclose(mollify._bump_norm(2), z2, rtol=1e-15)
+
+    def test_bump_norm_refined_rule_agrees(self, monkeypatch):
+        # no closed form at d = 3; the rule with twice the nodes agrees to
+        # the rounding of numpy's Gauss-Legendre weights (3.3e-15 here)
+        z3 = mollify._bump_norm(3)
+        monkeypatch.setattr(mollify, "BUMP_NORM_NODES",
+                            2 * mollify.BUMP_NORM_NODES)
+        np.testing.assert_allclose(mollify._bump_norm.__wrapped__(3), z3,
+                                   rtol=5e-15)
 
     def test_even_symmetry(self):
         spec = MollifierSpec(d=3, eps=0.7, s=1)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
-from ridgelab.quadrature import (BallSampler, LineGrid, ball_points,
-                                 ball_volume, component_seed,
+from ridgelab.quadrature import (BallSampler, LineGrid, _sobol,
+                                 ball_points, ball_volume, component_seed,
                                  sample_directions, sphere_grid, surface_area)
 
 
@@ -150,6 +153,50 @@ class TestBallPoints:
     def test_ball_volume(self):
         np.testing.assert_allclose([ball_volume(d) for d in (1, 2, 3)],
                                    [2.0, np.pi, 4 * np.pi / 3])
+
+
+class TestSobol:
+    """The numpy Sobol points against scipy's engine, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 23, 42])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chunked_draws_equal_scipy(self, d, seed):
+        engine = qmc.Sobol(d, scramble=True, seed=seed)
+        # uneven chunks, past 2^16 points
+        bounds = (0, 1, 100, 4096, 70000)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="The balance properties")
+            expected = np.concatenate([engine.random(hi - lo) for lo, hi
+                                       in zip(bounds, bounds[1:])])
+        got = np.concatenate([_sobol(d, seed, lo, hi) for lo, hi
+                              in zip(bounds, bounds[1:])])
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("count", [1, 1000, 2 ** 14])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_points_equal_scipy_filtering(self, d, count):
+        # the loop ball_points ran on scipy's engine
+        engine = qmc.Sobol(d, scramble=True, seed=23)
+        expected = np.empty((0, d))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="The balance properties")
+            while len(expected) < count:
+                batch = 2.0 * engine.random(
+                    max(2 * (count - len(expected)), 64)) - 1.0
+                batch = batch[np.linalg.norm(batch, axis=1) < 1.0]
+                expected = np.concatenate([expected, batch])
+        got = ball_points(BallSampler(d=d, mode="lattice", count=count,
+                                      seed=23))
+        assert np.array_equal(got, expected[:count])
+
+    def test_lattice_limited_to_three_dimensions(self):
+        with pytest.raises(ValueError):
+            BallSampler(d=4, mode="lattice")
+        BallSampler(d=4, mode="pseudo-random")
+
+    def test_index_range_limited_to_the_bits(self):
+        with pytest.raises(ValueError):
+            _sobol(1, 0, 2 ** 30, 2 ** 30 + 1)
 
 
 class TestComponentSeed:

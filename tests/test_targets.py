@@ -101,6 +101,14 @@ class TestCusp:
             np.testing.assert_allclose(f.fourier(np.array([xi])), oracle,
                                        atol=1e-9)
 
+    def test_fourier_1d_closed_form_at_high_frequency(self):
+        # gamma = 2: F(xi) = 4/xi^2 - 4 sin(xi)/xi^3; a plain adaptive
+        # quadrature returned -9.7e-4 at xi = 6000, where F is 1.1e-7
+        f = make_cusp_radial(2.0, 1)
+        xi = np.array([10.0, 1000.0, 6000.0])
+        exact = 4.0 / xi ** 2 - 4.0 * np.sin(xi) / xi ** 3
+        np.testing.assert_allclose(f.radial(xi), exact, rtol=1e-8, atol=0)
+
 
 class TestCombine:
     def test_linear_combination(self):
