@@ -319,7 +319,12 @@ def _run_inversion_check(config, f):
 
 def _run_variation_bound(config, f):
     s = theorem_order(config.d, config.k) if config.s is None else config.s
-    semi = sobolev_seminorm(f, s)
+    try:
+        semi = sobolev_seminorm(f, s)
+    except ValueError as exc:
+        # s >= 0 here, so this is the integrand failing to decay before
+        # the largest radial cutoff (the seminorm may be infinite)
+        raise NumericalCheckError("variation-bound: %s" % exc) from exc
 
     def measure(sphere, grid):
         v = peano_tables(f, config.k, sphere, grid).variation

@@ -2,8 +2,9 @@
 
 derivative_blocks is the one spectral core: it filters a block of Radon
 rows by the multipliers (i t)^m M_d(t) for any orders m, and both
-reconstruct (m = 0) and the Peano tables of ridge_density (m <= k + 1)
-read it.
+reconstruct (m = 0, 1) and the Peano tables of ridge_density (m <= k + 1)
+read it.  hermite is the one read of a profile between grid nodes: the
+cubic through the samples of F^(m) with the samples of F^(m+1) as slopes.
 
 The filtered back-projection operator acts on a profile g by the Fourier
 multiplier
@@ -18,7 +19,7 @@ dimension M_1 = 1/2 and the back-projected profile is f(omega*u)/2.
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 # numpy loads np.fft and np.ma on first use (np.unique reads
@@ -48,25 +49,42 @@ KERNEL_OVERSAMPLE = 16
 
 @dataclass(frozen=True)
 class RidgeProfile:
-    """Samples of a one-dimensional profile along direction omega.
-
-    kind is "radon", "backprojected", or "derivative(j)".
-    """
+    """Samples of a Radon profile R f(omega, .) and of its derivative
+    (slopes) on the grid nodes."""
 
     omega: np.ndarray
     grid: LineGrid
     values: np.ndarray
-    kind: str
+    slopes: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.grid.N:
-            raise ValueError("values length must equal grid count")
+        if len(self.values) != self.grid.N or len(self.slopes) != self.grid.N:
+            raise ValueError("values and slopes lengths must equal grid count")
 
     def interpolator(self):
-        """Cubic spline through the samples (reconstruction should be
-        grid-limited, not interpolation-limited)."""
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.grid.nodes, self.values)
+        """u -> R f(omega, u), the hermite read of the samples and slopes."""
+        return partial(hermite, self.values, self.slopes, self.grid)
+
+
+def hermite(F, dF, grid, u):
+    """Cubic Hermite interpolant of samples F with slopes dF (both on the
+    grid's nodes, along the last axis), evaluated at u.
+
+    The cell of u is floor((u + L) / h), clipped to [0, N - 2], so there is
+    no search and no linear solve; points beyond the grid read the cubic of
+    the end cell.  The result has shape F.shape[:-1] + np.shape(u).  At a
+    node (t = 0, or t = 1 in the last cell) every basis weight is exactly
+    0 or 1, so the sample itself is returned, bit for bit.
+    """
+    s = (np.asarray(u, float) + grid.L) / grid.h
+    i = np.clip(np.floor(s), 0, grid.N - 2).astype(int)
+    t = s - i
+    t2 = t * t
+    t3 = t2 * t
+    w1 = 3.0 * t2 - 2.0 * t3
+    return ((1.0 - w1) * F[..., i] + w1 * F[..., i + 1]
+            + grid.h * ((t3 - 2.0 * t2 + t) * dF[..., i]
+                        + (t3 - t2) * dF[..., i + 1]))
 
 
 def multiplier(d, t):
@@ -232,11 +250,15 @@ def _check_grid(f, grid):
 
 
 def radon_transform(f, omega, grid):
-    """Samples of R f(omega, b) on the grid, via the Fourier slice theorem."""
+    """Samples of R f(omega, b) and of its b-derivative on the grid, via the
+    Fourier slice theorem (the derivative's spectrum is i t times the
+    slice)."""
     omega = _check_unit(omega)
     _check_grid(f, grid)
-    vals = _spectrum_to_profile(radon_slice(f, omega, grid), grid)
-    return RidgeProfile(omega=omega, grid=grid, values=vals.real, kind="radon")
+    spectrum = radon_slice(f, omega, grid)
+    vals = _spectrum_to_profile(
+        np.stack([spectrum, 1j * grid.frequencies * spectrum]), grid).real
+    return RidgeProfile(omega=omega, grid=grid, values=vals[0], slopes=vals[1])
 
 
 def _taper_loss(spectra, grid, d, orders):
@@ -328,36 +350,20 @@ def radon_direct(f, omega, b, resolution=200):
     return float(np.dot(ww.ravel(), f.evaluate(pts)))
 
 
-def backproject_filter(profile, d):
-    """Apply the back-projection multiplier M_d to a radon profile, by
-    zero-padded convolution with the band-limited kernel (accurate for
-    compactly supported inputs)."""
-    if profile.kind != "radon":
-        raise ValueError("backproject_filter expects a radon-kind profile")
-    vals = _apply_multiplier_linear(profile.values, profile.grid, d)[0]
-    return RidgeProfile(omega=profile.omega, grid=profile.grid, values=vals,
-                        kind="backprojected")
-
-
 def reconstruct(f, x, sphere, grid):
     """Filtered back-projection estimate of f at x (single point or batch).
 
-    Returns sum_j w_j F_{omega_j}(omega_j . x) with cubic interpolation of
-    each back-projected profile F = F^{(0)} from derivative_blocks;
-    directions are reduced in fixed order.  A radial target has one profile
-    for every direction, so one spline serves them all.  Warns as
+    Returns sum_j w_j F_{omega_j}(omega_j . x), each back-projected profile
+    F = F^{(0)} read by hermite from the orders (0, 1) of
+    derivative_blocks; directions are reduced in fixed order.  Warns as
     derivative_blocks does.
     """
-    from scipy.interpolate import CubicSpline
     x = np.asarray(x, float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
     out = np.zeros(len(pts))
-    shared = None
-    for lo, F in derivative_blocks(f, sphere.nodes, grid, (0,)):
-        if f.radial is not None and shared is None:
-            shared = CubicSpline(grid.nodes, F[0, 0])
-        for wj, omega, row in zip(sphere.weights[lo:], sphere.nodes[lo:], F[0]):
-            spline = shared if shared is not None else CubicSpline(grid.nodes, row)
-            out += wj * spline(pts @ omega)
+    for lo, F in derivative_blocks(f, sphere.nodes, grid, (0, 1)):
+        for wj, omega, row, slope in zip(sphere.weights[lo:], sphere.nodes[lo:],
+                                         F[0], F[1]):
+            out += wj * hermite(row, slope, grid, pts @ omega)
     return float(out[0]) if single else out

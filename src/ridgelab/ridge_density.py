@@ -20,7 +20,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .fourier_radon import RidgeProfile, derivative_blocks
+from .fourier_radon import derivative_blocks, hermite
 from .quadrature import SphereGrid, sphere_grid
 
 
@@ -88,34 +88,6 @@ class PolynomialPart:
         return float(out[0]) if single else out
 
 
-def derivative_profile(f, omega, k, grid, order=None):
-    """Samples of F_omega^{(order)} with order = k+1 by default.
-
-    One direction of derivative_blocks; warns as it does.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    order = k + 1 if order is None else order
-    omega = np.asarray(omega, float)
-    [(_, F)] = derivative_blocks(f, omega[None, :], grid, (order,))
-    return RidgeProfile(omega=omega, grid=grid, values=F[0, 0],
-                        kind="derivative(%d)" % order)
-
-
-def values_at_minus_one(F, grid):
-    """Grid samples along the last axis of F, evaluated at b = -1.
-
-    When -1 is a grid node (as on every L = 4 grid with N >= 8) this is the
-    sample there, which is exactly what the cubic spline through the
-    samples returns; otherwise the spline is built along the last axis.
-    """
-    node = np.flatnonzero(grid.nodes == -1.0)
-    if len(node):
-        return F[..., node[0]]
-    from scipy.interpolate import CubicSpline
-    return CubicSpline(grid.nodes, F, axis=-1)(-1.0)
-
-
 def _trapezoid_weights(b):
     """Composite trapezoid weights on a sorted node vector."""
     w = np.zeros(len(b))
@@ -176,6 +148,8 @@ def peano_tables(f, k, sphere, grid):
     """Tabulate F^{(k+1)} on the knots for every direction of the sphere
     grid, its mass and variation bound, and the polynomial part from
     F^{(m)}(-1), m <= k, in one pass of derivative_blocks; warns as it does.
+    F^{(m)}(-1) is the hermite read with F^{(m+1)} as slopes, which is the
+    sample itself where -1 is a node (every L = 4 grid with N >= 8).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -187,7 +161,7 @@ def peano_tables(f, k, sphere, grid):
     for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2)):
         hi = lo + F.shape[1]
         profiles[lo:hi] = F[k + 1][:, mask]
-        at_minus_one[lo:hi] = values_at_minus_one(F[:k + 1], grid).T
+        at_minus_one[lo:hi] = hermite(F[:k + 1], F[1:k + 2], grid, -1.0).T
     absv = np.abs(profiles)
     cdf = np.zeros_like(absv)
     np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
@@ -246,6 +220,9 @@ def sobolev_seminorm(f, s):
             raise ValueError("seminorm integrand has not decayed at the "
                              "radial cutoff; integral may diverge")
         R *= 2.0
-    from scipy.integrate import simpson
-    total = simpson(integrand, x=r)
+    # composite Simpson on the uniform r (SEMINORM_RADIAL_POINTS is odd),
+    # summed panel by panel as scipy's rule sums, which keeps the last bits
+    h = r[1] - r[0]
+    total = np.sum(h / 3.0 * (integrand[:-2:2] + 4.0 * integrand[1::2]
+                              + integrand[2::2]))
     return math.sqrt(total) / (2.0 * np.pi) ** (d / 2.0)

@@ -143,8 +143,9 @@ def gaussian_radon_oracle(spec, omega, b):
 def _radial_fourier_quad(profile, d, rho):
     """Fourier transform of a radial function supported in [0, 1] at |xi| = rho.
 
-    At d = 1 the cosine is QUADPACK's QAWO weight, which stays accurate at
-    high rho where a plain adaptive rule loses the cancellation.
+    At d = 1 the cosine, and at d = 3 the sine, is QUADPACK's QAWO weight,
+    which stays accurate at high rho where a plain adaptive rule loses the
+    cancellation.
     """
     from scipy import integrate, special
     if d == 1:
@@ -159,8 +160,8 @@ def _radial_fourier_quad(profile, d, rho):
                                     0.0, 1.0, limit=200)
         else:
             val, _ = integrate.quad(
-                lambda r: 4.0 * np.pi * profile(r) * r * np.sin(r * rho) / rho,
-                0.0, 1.0, limit=200)
+                lambda r: 4.0 * np.pi * profile(r) * r / rho, 0.0, 1.0,
+                weight="sin", wvar=rho, limit=200)
     else:
         raise ValueError("radial Fourier quadrature is limited to d <= 3")
     return val

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ridgelab.cli import ExperimentConfig, run
-from ridgelab.fourier_radon import backproject_filter, radon_transform
+from ridgelab.fourier_radon import derivative_blocks, hermite
 from ridgelab.network import poly_to_ridge
 from ridgelab.quadrature import BallSampler, LineGrid, ball_points
 from ridgelab.ridge_density import PolynomialPart, multi_indices
@@ -130,10 +130,10 @@ def test_criterion_03_one_dimensional_profile_identity():
     f = make_gaussian(GaussianSpec(d=1, center=np.array([0.15]), width=0.9))
     grid = LineGrid(L=4.0, N=2048)
     u = np.linspace(-1.0, 1.0, 201)
-    for w in (-1.0, 1.0):
-        prof = backproject_filter(radon_transform(f, np.array([w]), grid), 1)
+    [(_, F)] = derivative_blocks(f, np.array([[-1.0], [1.0]]), grid, (0, 1))
+    for w, row, slope in zip((-1.0, 1.0), F[0], F[1]):
         exact = f((u * w)[:, None]) / 2.0
-        assert np.max(np.abs(prof.interpolator()(u) - exact)) <= 1e-6
+        assert np.max(np.abs(hermite(row, slope, grid, u) - exact)) <= 1e-6
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in (1, 2) for k in (0, 1, 2)])

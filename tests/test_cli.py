@@ -3,6 +3,7 @@ import pytest
 
 from ridgelab import cli
 from ridgelab.cli import ConfigError, ExperimentConfig, parse_config, run
+from ridgelab.targets import TargetFunction
 
 
 @pytest.fixture(autouse=True)
@@ -149,6 +150,21 @@ class TestMain:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 4
+
+    def test_seminorm_without_decay_exit_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the Fourier data of exp(-|x|) / 2 decays like 1/xi^2, so the
+        # s = 1 seminorm integrand never falls below 1e-14 of its peak
+        slow = TargetFunction(
+            d=1, evaluate=lambda x: np.exp(-np.abs(x[..., 0])) / 2.0,
+            fourier=lambda xi: 1.0 / (1.0 + np.sum(xi ** 2, axis=-1)),
+            support_radius=40.0, smoothness_class=1.0)
+        monkeypatch.setattr(cli, "_make_target", lambda config: slow)
+        path = tmp_path / "slow.cfg"
+        path.write_text("kind = variation-bound\nd = 1\nk = 0\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert "check failed: variation-bound: seminorm integrand has not " \
+            "decayed" in capsys.readouterr().err
 
     def test_run_and_eval_round_trip(self, tmp_path, capsys):
         from ridgelab import (GaussianSpec, LineGrid, from_quadrature,

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ridgelab import fourier_radon
-from ridgelab.fourier_radon import (backproject_filter, multiplier,
+from ridgelab.fourier_radon import (derivative_blocks, hermite, multiplier,
                                     radon_direct, radon_slice,
                                     radon_transform, reconstruct,
-                                    RidgeProfile, taper_window)
+                                    taper_window)
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.targets import (GaussianSpec, combine, gaussian_radon_oracle,
                               make_gaussian)
@@ -111,16 +112,16 @@ class TestBackprojectFilter:
         # d=1 the multiplier is flat, so filtering just halves the profile
         f = make_gaussian(GaussianSpec(d=1))
         prof = radon_transform(f, np.array([1.0]), GRID)
-        filt = backproject_filter(prof, 1)
+        [(_, F)] = derivative_blocks(f, np.array([[1.0]]), GRID, (0,))
         inner = np.abs(prof.grid.nodes) <= 2.0
-        np.testing.assert_allclose(filt.values[inner],
+        np.testing.assert_allclose(F[0, 0][inner],
                                    prof.values[inner] / 2, atol=1e-9)
 
     def test_zero_profile(self):
         grid = LineGrid(L=2.0, N=128)
-        prof = RidgeProfile(omega=np.array([1.0, 0.0]), grid=grid,
-                            values=np.zeros(128), kind="radon")
-        np.testing.assert_array_equal(backproject_filter(prof, 2).values, 0.0)
+        f = make_gaussian(GaussianSpec(d=2, amplitude=0.0))
+        [(_, F)] = derivative_blocks(f, np.array([[1.0, 0.0]]), grid, (0,))
+        np.testing.assert_array_equal(F, 0.0)
 
     def test_multiplier_values(self):
         np.testing.assert_allclose(multiplier(1, 3.0), 0.5)
@@ -140,11 +141,10 @@ class TestReconstruct:
         # F_omega(u) = f(omega * u) / 2 on [-1, 1]
         f = make_gaussian(GaussianSpec(d=1, center=np.array([0.2])))
         sphere = sphere_grid(1, 1)
-        for omega in sphere.nodes:
-            prof = radon_transform(f, omega, GRID)
-            filt = backproject_filter(prof, 1)
-            u = np.linspace(-1, 1, 101)
-            np.testing.assert_allclose(filt.interpolator()(u),
+        u = np.linspace(-1, 1, 101)
+        [(_, F)] = derivative_blocks(f, sphere.nodes, GRID, (0, 1))
+        for omega, row, slope in zip(sphere.nodes, F[0], F[1]):
+            np.testing.assert_allclose(hermite(row, slope, GRID, u),
                                        f((u * omega[0])[:, None]) / 2,
                                        atol=1e-6)
 
@@ -182,39 +182,8 @@ def test_next_fast_len_matches_scipy():
         assert fourier_radon._next_fast_len(n) == next_fast_len(n, True), n
 
 
-class TestReconstructSplines:
-    """A radial target has one back-projected profile, so reconstruct
-    builds one spline; off-centre targets build one per direction."""
-
-    @staticmethod
-    def _count_builds(monkeypatch):
-        # reconstruct imports CubicSpline when it is called, so the
-        # counter replaces it in scipy.interpolate
-        import scipy.interpolate
-        builds = []
-        spline = scipy.interpolate.CubicSpline
-
-        def counting(*args, **kwargs):
-            builds.append(1)
-            return spline(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.interpolate, "CubicSpline", counting)
-        return builds
-
-    def test_one_spline_for_a_radial_target(self, monkeypatch):
-        builds = self._count_builds(monkeypatch)
-        pts = np.random.default_rng(7).uniform(-0.6, 0.6, size=(30, 2))
-        # 1024 directions: two blocks of derivative_blocks on this grid
-        reconstruct(make_gaussian(GaussianSpec(d=2)), pts, sphere_grid(2, 10),
-                    GRID)
-        assert len(builds) == 1
-
-    def test_one_spline_per_direction_off_centre(self, monkeypatch):
-        builds = self._count_builds(monkeypatch)
-        sphere = sphere_grid(2, 6)
-        f = make_gaussian(GaussianSpec(d=2, center=np.array([0.3, 0.0])))
-        reconstruct(f, np.zeros(2), sphere, GRID)
-        assert len(builds) == len(sphere.nodes)
+class TestReconstructRadial:
+    """A radial target's directions all read one back-projected profile."""
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_radial_matches_per_direction_route(self, d):
@@ -226,3 +195,42 @@ class TestReconstructSplines:
         per_direction = reconstruct(dataclasses.replace(f, radial=None), pts,
                                     sphere, GRID)
         np.testing.assert_allclose(radial, per_direction, rtol=1e-12, atol=0)
+
+
+class TestHermite:
+    """hermite, the cubic Hermite read of grid samples and slopes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+           u=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=20))
+    def test_reproduces_cubics(self, coeffs, u):
+        grid = LineGrid(L=2.0, N=16)
+        p = np.polynomial.Polynomial(coeffs)
+        u = np.array(u)
+        got = hermite(p(grid.nodes), p.deriv()(grid.nodes), grid, u)
+        scale = 1.0 + np.abs(coeffs).sum() * 8.0
+        assert np.max(np.abs(got - p(u))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", [LineGrid(4.0, 16), LineGrid(3.0, 64),
+                                      LineGrid(8.0, 16384)])
+    def test_returns_samples_at_nodes(self, grid):
+        rng = np.random.default_rng(grid.N)
+        F = rng.standard_normal((3, grid.N))
+        dF = rng.standard_normal((3, grid.N))
+        # the last node lies at t = 1 of the last cell
+        np.testing.assert_array_equal(hermite(F, dF, grid, grid.nodes), F)
+        assert hermite(F, dF, grid, grid.nodes[5]).shape == (3,)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gaussian_radon_row_off_the_nodes(self, d):
+        # width 0.5 keeps the row's periodic wrap-around (exp(-7^2) at
+        # |b| = 1.5) far below the interpolation error, which is of order
+        # h^4 times the row's fourth derivative
+        spec = GaussianSpec(d=d, width=0.5)
+        omega = np.ones(d) / np.sqrt(d)
+        prof = radon_transform(make_gaussian(spec), omega, GRID)
+        u = np.random.default_rng(d).uniform(-1.5, 1.5, 500)
+        assert not np.isin(u, GRID.nodes).any()
+        exact = gaussian_radon_oracle(spec, omega, u)
+        err = np.max(np.abs(prof.interpolator()(u) - exact))
+        assert err <= 1e-10 * np.max(np.abs(exact))

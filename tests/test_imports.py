@@ -29,6 +29,13 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 SMALL_RUNS = {
+    "radon-check": "kind = radon-check\nd = 2\ntrials = 3\nline_n = 1024\n",
+    "inversion-check": ("kind = inversion-check\nd = 2\nsphere_level = 5\n"
+                        "line_n = 512\npoints = 20\ntolerance = 1\n"),
+    "variation-bound": ("kind = variation-bound\nd = 2\nk = 1\n"
+                        "sphere_level = 4\nline_n = 512\ntolerance = 1\n"),
+    "mollify-sweep": ("kind = mollify-sweep\nd = 1\ns = 1\n"
+                      "epsilons = 0.25, 0.125, 0.0625\neval_count = 64\n"),
     "peano-reconstruct": ("kind = peano-reconstruct\nd = 2\nk = 1\n"
                           "sphere_level = 5\nline_n = 1024\npoints = 20\n"),
     "rate-sweep, schedule none": (

@@ -12,14 +12,13 @@ from scipy.interpolate import CubicSpline
 from ridgelab import fourier_radon
 from ridgelab.fourier_radon import (_apply_multiplier_linear,
                                     _effective_cutoff, _spectrum_to_profile,
-                                    derivative_blocks, radon_slice,
+                                    derivative_blocks, hermite, radon_slice,
                                     radon_transform, reconstruct)
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.ridge_density import (PolynomialPart, affine_powers,
-                                    derivative_profile, multi_indices,
-                                    peano_polynomial, peano_tables,
-                                    sobolev_seminorm, theorem_order,
-                                    values_at_minus_one)
+                                    multi_indices, peano_polynomial,
+                                    peano_tables, sobolev_seminorm,
+                                    theorem_order)
 from ridgelab.targets import (GaussianSpec, combine, gaussian_radon_oracle,
                               make_cusp_radial, make_gaussian)
 
@@ -34,45 +33,45 @@ def _quiet_support_warning():
         yield
 
 
+def _profile(f, omega, grid, orders):
+    """F^{(m)} along one direction omega, for every m in orders."""
+    return _blocks(f, np.asarray(omega, float)[None, :], grid, orders)[:, 0]
+
+
 class TestDerivativeProfile:
     def test_d1_first_derivative_identity(self):
         # F_omega(u) = f(omega u)/2, so F' = omega f'(omega u)/2
         f = make_gaussian(GaussianSpec(d=1))
         for w in (-1.0, 1.0):
-            prof = derivative_profile(f, np.array([w]), 0, GRID)
+            F1, F2 = _profile(f, [w], GRID, (1, 2))
             u = np.linspace(-1, 1, 101)
             exact = w * (-u * w) * np.exp(-(u * w) ** 2 / 2) / 2
-            np.testing.assert_allclose(prof.interpolator()(u), exact,
+            np.testing.assert_allclose(hermite(F1, F2, GRID, u), exact,
                                        atol=1e-6)
 
     def test_zero_target(self):
         f = make_gaussian(GaussianSpec(d=2, amplitude=0.0))
-        prof = derivative_profile(f, np.array([1.0, 0.0]), 1, GRID)
-        np.testing.assert_allclose(prof.values, 0.0, atol=1e-14)
+        np.testing.assert_allclose(_profile(f, [1.0, 0.0], GRID, (2,)), 0.0,
+                                   atol=1e-14)
 
     def test_even_parity_for_odd_k(self):
         # for a centered target F_omega is even, so F^{(k+1)} with k odd too
         f = make_gaussian(GaussianSpec(d=2))
-        prof = derivative_profile(f, np.array([0.6, 0.8]), 1, GRID)
-        vals = prof.interpolator()(np.linspace(0, 1, 33))
-        vals_neg = prof.interpolator()(-np.linspace(0, 1, 33))
-        # parity holds at the level of the profile's discretization error
-        np.testing.assert_allclose(vals, vals_neg, atol=1e-3)
-        fine = derivative_profile(f, np.array([0.6, 0.8]), 1, GRID.refine())
-        vals = fine.interpolator()(np.linspace(0, 1, 33))
-        vals_neg = fine.interpolator()(-np.linspace(0, 1, 33))
-        np.testing.assert_allclose(vals, vals_neg, atol=1e-5)
+        u = np.linspace(0, 1, 33)
+        for grid, tol in ((GRID, 1e-3), (GRID.refine(), 1e-5)):
+            # parity holds at the level of the profile's discretization error
+            F2, F3 = _profile(f, [0.6, 0.8], grid, (2, 3))
+            np.testing.assert_allclose(hermite(F2, F3, grid, u),
+                                       hermite(F2, F3, grid, -u), atol=tol)
 
     def test_matches_spline_derivative_of_profile(self):
         # independent oracle: differentiate the filtered profile numerically
-        from ridgelab.fourier_radon import backproject_filter, radon_transform
         f = make_gaussian(GaussianSpec(d=2, width=0.8))
-        omega = np.array([0.8, -0.6])
-        base = backproject_filter(radon_transform(f, omega, GRID), 2)
-        oracle = base.interpolator().derivative(2)
-        prof = derivative_profile(f, omega, 1, GRID)
+        omega = [0.8, -0.6]
+        F0, F2, F3 = _profile(f, omega, GRID, (0, 2, 3))
+        oracle = CubicSpline(GRID.nodes, F0).derivative(2)
         u = np.linspace(-0.9, 0.9, 41)
-        np.testing.assert_allclose(prof.interpolator()(u), oracle(u),
+        np.testing.assert_allclose(hermite(F2, F3, GRID, u), oracle(u),
                                    atol=1e-5)
 
 
@@ -124,7 +123,7 @@ class TestDerivativeBlocks:
         coarse = LineGrid(L=4.0, N=16)
         sphere = sphere_grid(2, 4)
         for call in (lambda: peano_tables(f, 1, sphere, coarse),
-                     lambda: derivative_profile(f, np.array([0.6, 0.8]), 1, coarse),
+                     lambda: _profile(f, [0.6, 0.8], coarse, (2,)),
                      lambda: reconstruct(f, np.zeros((3, 2)), sphere, coarse)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -360,7 +359,7 @@ class TestPeanoTables:
         assert tables.profiles.shape == (len(sphere), mask.sum())
         for row, w in zip(tables.profiles, sphere.nodes):
             np.testing.assert_array_equal(
-                row, derivative_profile(f, w, k, grid).values[mask])
+                row, _profile(f, w, grid, (k + 1,))[0][mask])
         # -1 and 1 are not nodes of this grid: the rule spans the knots
         np.testing.assert_allclose(tables.weights.sum(),
                                    tables.knots[-1] - tables.knots[0],
@@ -400,14 +399,15 @@ class TestPolynomialPart:
 
     def test_minus_one_off_grid(self):
         # on L = 3, N = 64 the knot -1 falls between nodes, so the values at
-        # -1 come from splines built along the block's last axis
+        # -1 are hermite reads along the block's last axis; here one
+        # direction and one order at a time
         grid = LineGrid(L=3.0, N=64)
         assert not np.any(grid.nodes == -1.0)
         f = _two_gaussians(2)
         sphere = sphere_grid(2, 3)
         k = 2
         at_minus_one = np.array([
-            [CubicSpline(grid.nodes, derivative_profile(f, w, k, grid, m).values)(-1.0)
+            [hermite(*_profile(f, w, grid, (m, m + 1)), grid, -1.0)
              for m in range(k + 1)] for w in sphere.nodes])
         expected = peano_polynomial(2, k, sphere, at_minus_one).coefficients
         got = peano_tables(f, k, sphere, grid).poly.coefficients
@@ -505,8 +505,8 @@ class TestPolynomialExpansion:
             d=d, center=None if center is None else np.array(center)))
         sphere = sphere_grid(d, 9)
         at_minus_one = np.concatenate([
-            values_at_minus_one(F, grid).T
-            for _, F in derivative_blocks(f, sphere.nodes, grid, range(k + 1))])
+            hermite(F[:k + 1], F[1:], grid, -1.0).T
+            for _, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2))])
         exact = _exact_polynomial(d, k, sphere, at_minus_one)
         scale = max(abs(c) for c in exact.values())
 

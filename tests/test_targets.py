@@ -109,6 +109,16 @@ class TestCusp:
         exact = 4.0 / xi ** 2 - 4.0 * np.sin(xi) / xi ** 3
         np.testing.assert_allclose(f.radial(xi), exact, rtol=1e-8, atol=0)
 
+    def test_fourier_3d_closed_form_at_high_frequency(self):
+        # gamma = 2: F(rho) = 4 pi ((4 + 2 cos rho) / rho^4 - 6 sin rho / rho^5);
+        # a plain adaptive quadrature returned 2.6e-7 at rho = 3000, where
+        # F is 3.2e-13
+        f = make_cusp_radial(2.0, 3)
+        rho = np.array([10.0, 300.0, 3000.0])
+        exact = 4.0 * np.pi * ((4.0 + 2.0 * np.cos(rho)) / rho ** 4
+                               - 6.0 * np.sin(rho) / rho ** 5)
+        np.testing.assert_allclose(f.radial(rho), exact, rtol=1e-9, atol=0)
+
 
 class TestCombine:
     def test_linear_combination(self):
