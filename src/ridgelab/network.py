@@ -96,7 +96,15 @@ class ShallowNetwork:
 # at M = 16, 0.95-1.83 at M = 24 and 1.23-1.80 at M = 32; at 200 points,
 # where sorting the knots weighs more, 0.46-1.02 at M = 32 and 0.75-1.77
 # at M = 64.  Quadrature networks have hundreds of knots per direction,
-# sampled ones (one draw per neuron) a few.
+# sampled ones (one draw per neuron) a few.  Those ratios were measured
+# against the dense path before its lifted product and 2^16-entry blocks.
+# Re-measured on both dense paths (best of 3-7 calls, one BLAS thread,
+# k = 1 and 2, n = 1024 and 16384, and 262144 at 200 points), old -> new:
+# at 4096 and 16384 points 0.76-1.21 -> 0.41-0.58 at M = 32 and
+# 1.31-2.10 -> 0.73-1.00 at M = 64; at 200 points 0.67-1.04 -> 0.47-0.80
+# at M = 32 and 1.06-1.45 -> 0.69-1.25 at M = 64.  The crossover is now
+# near M = 64, but the value stays: moving it moves networks between the
+# paths and so can change pinned report bodies.
 MIN_KNOTS_PER_DIRECTION = 32
 
 # Points from which evaluate may group: the grouped path redoes its O(n)
@@ -109,7 +117,13 @@ MIN_KNOTS_PER_DIRECTION = 32
 # 142-183 / 99-101 at 30; J = 256, M = 1025 8-11 / 18-23 at 10, 17-26 /
 # 20 at 20, 27-34 / 22 at 30; J = 64, M = 512, k = 1 1.4-1.5 / 1.4-1.8
 # at 20, 2.3 / 1.6-2.1 at 30.  The break-even is near 20 points at every
-# size.
+# size.  Re-measured with the lifted dense product (best of 5): J = 512,
+# M = 2049 24 / 88 at 1 point, 100 / 91 at 10, 185 / 84 at 20; J = 256,
+# M = 1025 17 / 17 at 10, 32 / 21 at 20; J = 64, M = 512, k = 1 1.0 / 1.8
+# at 10, 2.4 / 2.0 at 20.  The break-even is now 10-15 points: on wide
+# networks the dense path is slower than before at few points, as it
+# copies [omega, b] into one (n, d + 1) array per call (the old path took
+# 8 ms at 1 point on the largest network).  The value stays, as above.
 MIN_GROUPED_POINTS = 20
 
 
@@ -139,19 +153,37 @@ def _row_changes(rows):
 
 
 def _evaluate_dense(net, pts):
-    """sum_i a_i sigma_k(omega_i.x - b_i) from (points x neurons) blocks."""
+    """sum_i a_i sigma_k(omega_i.x - b_i) from (points x neurons) blocks.
+
+    omega.x - b is one product of the lifted points [x, -1] with the rows
+    [omega, b]: the bias is the product's last term, so there is no pass
+    that subtracts it.  OpenBLAS adds that term last at d = 2, so the
+    values are those of the product and then the subtraction, bit for bit;
+    at d = 1 and 3 some shapes (one point, one neuron, the edge columns of
+    some d = 3 products) add it elsewhere and can differ in the last bit.
+    """
+    lifted = np.empty((len(pts), net.d + 1))
+    lifted[:, :-1] = pts
+    lifted[:, -1] = -1.0
+    # [omega, b] row by row, transposed: with a C-contiguous (d + 1, n)
+    # array instead, OpenBLAS rounds d = 2 products differently from the
+    # product and then the subtraction
+    weights = np.column_stack([net.omega, net.b]).T
     out = np.empty(len(pts))
-    # chunk the (points x neurons) matrix into blocks of about 2^20 entries
-    # (8 MiB), one alive at a time, with sigma_k applied in place.  Larger
-    # blocks are slower, as each is mapped and faulted in afresh: at 1024
-    # neurons and 16384 points (k = 1) a call took 38 ms with these blocks
-    # and 70 ms with blocks of 2e7 entries.
-    block = max(1, 2 ** 20 // len(net.a))
+    # blocks of about 2^16 entries (512 KiB) stay in the second-level cache
+    # from the product through sigma_k (in place) to the row sums.  At
+    # 16384 points, k = 1, d = 2 (one BLAS thread, 2-core Xeon, numpy 2.4)
+    # a call at 1024 neurons took 74 ms with blocks of 2^20 entries and a
+    # separate bias pass, 38 ms with blocks of 2^16 and 28 ms with these
+    # blocks and the lifted product (24, 8.0 and 6.8 ms at 256 neurons);
+    # blocks of 2^15 entries were as fast, 2^14 and 2^17 slower.  The row
+    # sums are a BLAS gemv, which rounds the rows of its groups of four
+    # one way and the 1-3 rows after a block's last group another, so the
+    # block size is part of the last bits of the values.
+    block = max(1, 2 ** 16 // len(net.a))
     for lo in range(0, len(pts), block):
-        z = pts[lo:lo + block] @ net.omega.T
-        z -= net.b
+        z = lifted[lo:lo + block] @ weights
         out[lo:lo + block] = _truncated_power(net.k, z) @ net.a
-        del z
     return out
 
 
@@ -242,17 +274,49 @@ def from_sampling(tables, n, seed):
     rng = np.random.default_rng(seed)
     js = rng.choice(len(sphere), size=n, p=tables.mass / tables.mass.sum())
     us = rng.uniform(size=n)
-    b = np.empty(n)
-    positive = np.empty(n, bool)
-    # the draws of each direction, one group per sampled direction
-    order = np.argsort(js, kind="stable")
-    for drawn in np.split(order, np.flatnonzero(np.diff(js[order])) + 1):
-        j = js[drawn[0]]
-        b[drawn] = np.interp(us[drawn], tables.cdf[j], knots)
-        positive[drawn] = np.interp(b[drawn], knots, profiles[j]) >= 0
+    # b = np.interp(u, cdf[j], knots), then the sign of
+    # np.interp(b, knots, profiles[j]), for all draws at once
+    b = _interp(us, _count_at_most(tables.cdf, js, us),
+                tables.cdf, js, knots[None], 0)
+    positive = _interp(b, np.searchsorted(knots, b, side="right"),
+                       knots[None], 0, profiles, js) >= 0
     return ShallowNetwork(d=tables.d, k=tables.k,
                           a=np.where(positive, V, -V) / n,
                           omega=sphere.nodes[js], b=b, poly=tables.poly)
+
+
+def _count_at_most(table, rows, x):
+    """np.searchsorted(table[rows[i]], x[i], side="right") for every i, by
+    one bisection over all i: log2(M) reads of n entries, where gathering
+    the rows table[rows] would read n * M."""
+    M = table.shape[1]
+    count = np.zeros(len(x), np.intp)
+    step = 1 << (M.bit_length() - 1)
+    while step:
+        # rows are nondecreasing: count + step entries are <= x exactly when
+        # the last of them is
+        probe = np.minimum(count + step, M)
+        np.copyto(count, probe, where=table[rows, probe - 1] <= x)
+        step >>= 1
+    return count
+
+
+def _interp(x, count, xp, xp_rows, fp, fp_rows):
+    """np.interp(x[i], xp[xp_rows[i]], fp[fp_rows[i]]) for every i, bit for
+    bit, given count[i] = np.searchsorted(xp[xp_rows[i]], x[i], "right")."""
+    last = xp.shape[1] - 1
+    at = np.clip(count - 1, 0, last)
+    after = np.minimum(at + 1, last)
+    x0, y0 = xp[xp_rows, at], fp[fp_rows, at]
+    # np.interp's slope formula, in the cell xp[at] <= x < xp[at + 1]; its
+    # divisor is positive there, so on finite tables np.interp's retry on
+    # a NaN never runs
+    with np.errstate(all="ignore"):
+        y = ((fp[fp_rows, after] - y0) / (xp[xp_rows, after] - x0) * (x - x0)
+             + y0)
+    # np.interp's node value at a node, fp[0] below xp[0] and fp[-1] from
+    # xp[-1] on (these cells have no slope)
+    return np.where((count == 0) | (count > last) | (x == x0), y0, y)
 
 
 def poly_to_ridge(p, k, d=None):
@@ -312,8 +376,15 @@ def deserialize(text):
     if not lines or not lines[0].startswith(FORMAT_MAGIC):
         raise ValueError("not a %s file" % FORMAT_MAGIC)
     header = lines[0][len(FORMAT_MAGIC):].split()
-    fields = dict(kv.split("=") for kv in header)
-    d, k, n = int(fields["d"]), int(fields["k"]), int(fields["n"])
+    fields = dict(kv.partition("=")[::2] for kv in header)
+    try:
+        d, k, n = (int(fields[key]) for key in "dkn")
+    except (KeyError, ValueError):
+        raise ValueError("header needs integer fields d=, k= and n=: %r"
+                         % lines[0]) from None
+    if len(lines) <= n:
+        raise ValueError("header declares %d neurons but %d lines follow it"
+                         % (n, len(lines) - 1))
     a = np.empty(n)
     omega = np.empty((n, d))
     b = np.empty(n)

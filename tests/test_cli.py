@@ -182,3 +182,21 @@ class TestMain:
         out = capsys.readouterr().out.strip().splitlines()
         np.testing.assert_allclose([float(v) for v in out], net(pts),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("text,message", [
+        ("RIDGENET v1 d=2 k=1 n=3\n0.5 1.0 0.0 0.1\n",
+         "header declares 3 neurons but 1 lines follow it"),
+        ("RIDGENET v1 d=2 k=1\n0.5 1.0 0.0 0.1\n",
+         "header needs integer fields d=, k= and n="),
+        ("RIDGENET v1 d=2 k=one n=1\n0.5 1.0 0.0 0.1\n",
+         "header needs integer fields d=, k= and n="),
+    ])
+    def test_eval_malformed_network_exit_2(self, tmp_path, capsys, text,
+                                           message):
+        netfile = tmp_path / "net.rn"
+        netfile.write_text(text)
+        ptsfile = tmp_path / "pts.csv"
+        ptsfile.write_text("0.1,0.2\n")
+        assert cli.main(["eval", str(netfile), "--points",
+                         str(ptsfile)]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message)

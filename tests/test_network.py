@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ridgelab import network
 from ridgelab.network import (MIN_GROUPED_POINTS, MIN_KNOTS_PER_DIRECTION,
@@ -207,6 +209,69 @@ class TestGroupedEvaluation:
             atol=1e-14 * (1.0 + net.l1_mass))
 
 
+def _random_layer(d, points, neurons, seed):
+    """Points in the unit cube, unit directions and knots in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    omega = rng.normal(size=(neurons, d))
+    omega /= np.linalg.norm(omega, axis=1)[:, None]
+    return (rng.uniform(-1.0, 1.0, (points, d)), omega,
+            rng.uniform(-1.0, 1.0, neurons), rng.normal(size=neurons))
+
+
+class TestDenseEvaluation:
+    """The dense path forms omega.x - b as one product of the lifted points
+    [x, -1] with [omega, b], in blocks of about 2^16 entries."""
+
+    @staticmethod
+    def _lifted(x, omega, b):
+        return (np.hstack([x, -np.ones((len(x), 1))])
+                @ np.hstack([omega, b[:, None]]).T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.integers(1, 80), neurons=st.integers(1, 700),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lifted_product_bitwise_at_d2(self, points, neurons, seed):
+        # BLAS adds the bias term last, fma(-1, b, acc) or acc + (-1 * b),
+        # both exactly acc - b; every pinned report body is d = 2
+        x, omega, b, _ = _random_layer(2, points, neurons, seed)
+        np.testing.assert_array_equal(self._lifted(x, omega, b),
+                                      x @ omega.T - b)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(points=st.integers(1, 80), neurons=st.integers(1, 700),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lifted_product_within_rounding(self, d, points, neurons, seed):
+        # OpenBLAS's AVX-512 kernels place the bias elsewhere in the sum for
+        # one point or one neuron (a matrix-vector product) and for the
+        # edge columns of some d = 3 products, so there the two can differ
+        # in the last bit: bound them by two sums of d + 1 terms,
+        # 2 gamma_(d+1) sum |terms|
+        x, omega, b, _ = _random_layer(d, points, neurons, seed)
+        eps = np.finfo(float).eps
+        gamma = (d + 1) * eps / (1 - (d + 1) * eps)
+        bound = 2 * gamma * (np.abs(x) @ np.abs(omega).T + np.abs(b))
+        assert np.all(np.abs(self._lifted(x, omega, b) - (x @ omega.T - b))
+                      <= bound)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("points,neurons", [(500, 300), (7, 2 ** 16 + 3)])
+    def test_dense_matches_two_step_blocks(self, k, points, neurons):
+        # blocks of 2^16 // n rows: 218, 218 and 64 at n = 300, one row
+        # each above 2^16 neurons; per block the reference forms the
+        # product, then subtracts the bias
+        x, omega, b, a = _random_layer(2, points, neurons, k)
+        block = max(1, 2 ** 16 // neurons)
+        expected = np.empty(points)
+        for lo in range(0, points, block):
+            z = x[lo:lo + block] @ omega.T
+            z -= b
+            expected[lo:lo + block] = activation(k, z) @ a
+        net = ShallowNetwork(d=2, k=k, a=a, omega=omega, b=b)
+        np.testing.assert_array_equal(network._evaluate_dense(net, x),
+                                      expected)
+
+
 class TestFromQuadrature:
     def test_zero_target(self):
         f = make_gaussian(GaussianSpec(d=1, amplitude=0.0))
@@ -262,16 +327,12 @@ class TestConstructorsAgainstLoops:
         np.testing.assert_array_equal(net.b, np.concatenate(b))
         assert net.poly is tables.poly
 
-    @pytest.mark.parametrize("k,n,seed", [(0, 1, 7), (1, 300, 3), (2, 64, 11)])
-    def test_sampling(self, k, n, seed):
-        tables = _offset_tables(k)
+    @staticmethod
+    def _sampling_loop(tables, n, js, us):
         sphere, knots, profiles = tables.sphere, tables.knots, tables.profiles
         weighted = sphere.weights * (np.abs(profiles) @ tables.weights)
-        V = weighted.sum() / math.factorial(k)
-        rng = np.random.default_rng(seed)
-        js = rng.choice(len(sphere), size=n, p=weighted / weighted.sum())
-        us = rng.uniform(size=n)
-        a, w, b = np.empty(n), np.empty((n, 2)), np.empty(n)
+        V = weighted.sum() / math.factorial(tables.k)
+        a, w, b = np.empty(n), np.empty((n, tables.d)), np.empty(n)
         for i, (j, u) in enumerate(zip(js, us)):
             absv = np.abs(profiles[j])
             cell = 0.5 * (absv[1:] + absv[:-1]) * np.diff(knots)
@@ -280,11 +341,104 @@ class TestConstructorsAgainstLoops:
             sign = 1.0 if np.interp(b[i], knots, profiles[j]) >= 0 else -1.0
             a[i] = sign * V / n
             w[i] = sphere.nodes[j]
+        return a, w, b
+
+    @pytest.mark.parametrize("k,n,seed", [(0, 1, 7), (1, 300, 3), (2, 64, 11)])
+    def test_sampling(self, k, n, seed):
+        tables = _offset_tables(k)
+        sphere, profiles = tables.sphere, tables.profiles
+        weighted = sphere.weights * (np.abs(profiles) @ tables.weights)
+        rng = np.random.default_rng(seed)
+        js = rng.choice(len(sphere), size=n, p=weighted / weighted.sum())
+        us = rng.uniform(size=n)
+        a, w, b = self._sampling_loop(tables, n, js, us)
         net = from_sampling(tables, n, seed)
         np.testing.assert_array_equal(net.a, a)
         np.testing.assert_array_equal(net.omega, w)
         np.testing.assert_array_equal(net.b, b)
         assert net.poly is tables.poly
+
+    def test_interp_branches(self):
+        # from_sampling's reads against np.interp row by row, in both roles
+        # (per-row xp with shared fp, shared xp with per-row fp), at points
+        # below the first node, on repeated nodes, on a node whose cell has
+        # an infinite slope (a subnormal width), inside cells, on the last
+        # node and past it
+        table = np.array([[0.0, 0.0, 0.25, 0.25, 0.5, 1.0],
+                          [0.0, 5e-324, 0.3, 0.6, 0.6, 1.0]])
+        knots = np.linspace(-1.0, 1.0, 6)
+        x = np.array([-0.5, 0.0, 5e-324, 0.1, 0.25, 0.3, 0.6, 0.7, 1.0, 1.5])
+        t = np.concatenate([knots, [-1.5, -0.7, 0.1, 0.95, 1.5]])
+        for row in range(len(table)):
+            rows = np.full(len(x), row)
+            count = network._count_at_most(table, rows, x)
+            np.testing.assert_array_equal(
+                count, np.searchsorted(table[row], x, side="right"))
+            np.testing.assert_array_equal(
+                network._interp(x, count, table, rows, knots[None], 0),
+                np.interp(x, table[row], knots))
+            np.testing.assert_array_equal(
+                network._interp(t, np.searchsorted(knots, t, side="right"),
+                                knots[None], 0, table, np.full(len(t), row)),
+                np.interp(t, knots, table[row]))
+
+    @pytest.mark.parametrize("d,k,level", [(1, 0, 1), (2, 1, 3), (3, 2, 2)])
+    def test_sampling_special_branches(self, d, k, level):
+        # profiles vanish on a stretch of knots, and on the first knots of
+        # every other direction, so each CDF row is flat there and repeats
+        # a value; the draws hit u = 0, CDF nodes (flat ones included, so
+        # b lands on a knot and on a zero of the profile) and the last node
+        f = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.2), width=0.5))
+        tables = peano_tables(f, k, sphere_grid(d, level), LineGrid(3.0, 256))
+        profiles = np.array(tables.profiles)
+        profiles[:, 60:90] = 0.0
+        profiles[::2, :20] = 0.0
+        tables = _with_profiles(tables, profiles)
+        J, M = profiles.shape
+        rng = np.random.default_rng(d)
+        js = np.concatenate([np.arange(J), np.arange(J), np.arange(J),
+                             rng.integers(0, J, 40)])
+        nodes = rng.integers(0, M, 40)
+        us = np.concatenate([np.zeros(J), tables.cdf[np.arange(J), 75],
+                             tables.cdf[np.arange(J), -1],
+                             tables.cdf[js[-40:], nodes]])
+        us[-10:] = rng.uniform(size=10)
+        n = len(js)
+        a, w, b = self._sampling_loop(tables, n, js, us)
+        net = from_sampling(tables, n, _FixedDraws(js, us))
+        assert np.isin(b, tables.knots).sum() >= 3 * J
+        np.testing.assert_array_equal(net.a, a)
+        np.testing.assert_array_equal(net.omega, w)
+        np.testing.assert_array_equal(net.b, b)
+
+
+def _with_profiles(tables, profiles):
+    """tables with other profiles, and the cdf, mass and variation that
+    peano_tables computes from them."""
+    absv = np.abs(profiles)
+    cdf = np.zeros_like(absv)
+    np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(tables.knots),
+              axis=1, out=cdf[:, 1:])
+    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
+    mass = tables.sphere.weights * (absv @ tables.weights)
+    return dataclasses.replace(
+        tables, profiles=profiles, cdf=cdf, mass=mass,
+        variation=float(mass.sum() / math.factorial(tables.k)))
+
+
+class _FixedDraws(np.random.Generator):
+    """A generator whose direction and uniform draws are given arrays;
+    np.random.default_rng passes a Generator through unchanged."""
+
+    def __init__(self, js, us):
+        super().__init__(np.random.PCG64(0))
+        self.js, self.us = js, us
+
+    def choice(self, *args, **kwargs):
+        return self.js
+
+    def uniform(self, *args, **kwargs):
+        return self.us
 
 
 class TestFromSampling:
