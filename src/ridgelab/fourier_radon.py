@@ -151,7 +151,12 @@ def _kernel_spectrum(L, N, d, order, cutoff):
     h = 2.0 * L / N
     nf = KERNEL_OVERSAMPLE * N
     t = 2.0 * np.pi * np.fft.fftfreq(nf, d=h)
-    spec = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
+    # the taper is zero above the cutoff, so the multiplier is evaluated
+    # on the band |t| <= cutoff only (a few of the nf frequencies)
+    band = np.abs(t) <= cutoff
+    t = t[band]
+    spec = np.zeros(nf, complex)
+    spec[band] = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
     k_per = np.fft.ifft(spec).real / h
     samples = k_per[np.arange(-(N - 1), N) % nf]
     out = np.fft.rfft(samples, _convolution_length(N))

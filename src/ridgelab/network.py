@@ -66,9 +66,9 @@ class ShallowNetwork:
         """Network values at one point (d,) or at the rows of x (P, d).
 
         Networks with at least MIN_KNOTS_PER_DIRECTION neurons per distinct
-        direction are evaluated one direction at a time as a degree-k
-        spline in omega.x (_evaluate_grouped) at MIN_GROUPED_POINTS points
-        or more; others, and fewer points, neuron by neuron.
+        direction are evaluated at MIN_GROUPED_POINTS points or more as a
+        (direction x knot) table of degree-k splines in omega.x
+        (_evaluate_grouped); others, and fewer points, neuron by neuron.
         """
         x = np.asarray(x, float)
         single = x.ndim == 1
@@ -90,41 +90,22 @@ class ShallowNetwork:
 
 
 # Neurons per distinct direction from which evaluate groups by direction.
-# Measured crossover, as dense time over grouped time on random networks
-# with M knots on each of n/M directions (k = 1 and 2, n = 1024 to 262144,
-# 2-core Xeon, numpy 2.4): at 4096 and 16384 points the ratio is 0.80-0.89
-# at M = 16, 0.95-1.83 at M = 24 and 1.23-1.80 at M = 32; at 200 points,
-# where sorting the knots weighs more, 0.46-1.02 at M = 32 and 0.75-1.77
-# at M = 64.  Quadrature networks have hundreds of knots per direction,
-# sampled ones (one draw per neuron) a few.  Those ratios were measured
-# against the dense path before its lifted product and 2^16-entry blocks.
-# Re-measured on both dense paths (best of 3-7 calls, one BLAS thread,
-# k = 1 and 2, n = 1024 and 16384, and 262144 at 200 points), old -> new:
-# at 4096 and 16384 points 0.76-1.21 -> 0.41-0.58 at M = 32 and
-# 1.31-2.10 -> 0.73-1.00 at M = 64; at 200 points 0.67-1.04 -> 0.47-0.80
-# at M = 32 and 1.06-1.45 -> 0.69-1.25 at M = 64.  The crossover is now
-# near M = 64, but the value stays: moving it moves networks between the
-# paths and so can change pinned report bodies.
+# Dense over grouped time per call on random d = 2 networks with M knots
+# on each of n/M directions (k = 1 and 2, n = 1024 and 16384, knots sorted
+# or not, best of 5, one BLAS thread, 2-core Xeon, numpy 2.4): at 4096 and
+# 16384 points 0.65-1.08 at M = 32, 0.88-1.76 at M = 48 and 1.06-2.14 at
+# M = 64, so the break-even lies between 32 and 48.  Quadrature networks
+# have hundreds of knots per direction, sampled ones a few.
 MIN_KNOTS_PER_DIRECTION = 32
 
 # Points from which evaluate may group: the grouped path redoes its O(n)
-# set-up (direction ids, knot sort, prefix sums) on every call, the dense
-# one costs O(n) per point.  Measured as dense / grouped ms per call on
-# random d = 2 networks with M knots on each of J directions (best of 3-20
-# calls, two sessions, one BLAS thread, 2-core Xeon, numpy 2.4):
-# J = 512, M = 2049, k = 2 (n = 1,049,088, as peano-d2k2's stage 1)
-# 6-7 / 91-98 at 1 point, 52-54 / 90-100 at 10, 90-116 / 100-106 at 20,
-# 142-183 / 99-101 at 30; J = 256, M = 1025 8-11 / 18-23 at 10, 17-26 /
-# 20 at 20, 27-34 / 22 at 30; J = 64, M = 512, k = 1 1.4-1.5 / 1.4-1.8
-# at 20, 2.3 / 1.6-2.1 at 30.  The break-even is near 20 points at every
-# size.  Re-measured with the lifted dense product (best of 5): J = 512,
-# M = 2049 24 / 88 at 1 point, 100 / 91 at 10, 185 / 84 at 20; J = 256,
-# M = 1025 17 / 17 at 10, 32 / 21 at 20; J = 64, M = 512, k = 1 1.0 / 1.8
-# at 10, 2.4 / 2.0 at 20.  The break-even is now 10-15 points: on wide
-# networks the dense path is slower than before at few points, as it
-# copies [omega, b] into one (n, d + 1) array per call (the old path took
-# 8 ms at 1 point on the largest network).  The value stays, as above.
-MIN_GROUPED_POINTS = 20
+# set-up (direction ids, knot table, prefix sums) on every call, the dense
+# one costs O(n) per point.  Dense / grouped ms per call, M sorted knots
+# on each of J directions (as above): J = 512, M = 2049, k = 2 (as
+# peano-d2k2's stage 1) 19 / 40 at 1 point, 58 / 38 at 5, 95 / 38 at 10;
+# J = 256, M = 1025 5.2 / 9.2 at 1, 11 / 9.5 at 5, 17 / 9.6 at 10; J = 64,
+# M = 512, k = 1 0.7 / 0.9 at 5, 1.0 / 0.9 at 10.
+MIN_GROUPED_POINTS = 10
 
 
 def _direction_ids(omega):
@@ -191,54 +172,63 @@ def _evaluate_grouped(net, pts, ids, directions):
     """sum_i a_i sigma_k(omega_i.x - b_i), one direction at a time.
 
     Along direction j the neurons are the spline sum_m a_m sigma_k(u - b_m)
-    in u = omega_j.x.  With the knots sorted, the knots strictly below u
-    (sigma_k(0) = 0) are a prefix, and the binomial expansion of (u - b)^k
-    gives sum_{i<=k} C(k, i) u^(k-i) S_i, where S_i is the prefix sum of
-    a_m (-b_m)^i.  Prefix sums restart at every direction, so their
-    rounding error stays that of one direction's knots.
+    in u = omega_j.x.  In row j of the (direction x knot) table from
+    _knot_table the knots strictly below u (sigma_k(0) = 0) are a prefix,
+    counted by bisection, and (u - b)^k expands to sum_{i<=k} C(k, i)
+    u^(k-i) S_i with S_i the prefix sum of a_m (-b_m)^i along the row, so
+    rounding stays that of one direction's knots.  The directions are
+    summed in lexicographic order.
     """
     k, J = net.k, len(directions)
-    # number the directions by knot count, so that directions with equal
-    # counts are adjacent once sorted and share one (count, size) cumsum
-    sizes = np.bincount(ids, minlength=J)
-    by_size = np.argsort(sizes, kind="stable")
-    relabel = np.empty(J, np.intp)
-    relabel[by_size] = np.arange(J)
-    directions, sizes = directions[by_size], sizes[by_size]
-    # complex keys sort by direction, then knot; the query j + 1j*u lands
-    # right after the knots of direction j that lie strictly below u
-    keys = relabel[ids] + 1j * net.b
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    b = net.b[order]
-    # prefix[i, s + j + m], with s the first sorted position of direction
-    # j: S_i over its first m knots
-    prefix = np.zeros((k + 1, len(b) + J))
-    power = net.a[order]
-    del order
-    size_of, count_of = np.unique(sizes, return_counts=True)
-    for i in range(k + 1):
-        lo = row = 0
-        for size, count in zip(size_of, count_of):
-            hi = lo + count * size
-            view = prefix[i, lo + row:hi + row + count]
-            np.cumsum(power[lo:hi].reshape(count, size), axis=1,
-                      out=view.reshape(count, size + 1)[:, 1:])
-            lo, row = hi, row + count
-        power *= -b
-    del power, b
+    rows, knots, power = _knot_table(net, ids, J)
+    M = knots.shape[1]
+    # prefix[i, r, m]: the sum of a b^i over the first m knots of row r (the
+    # sign of (-b)^i goes into the coefficient, exactly); past a row's last
+    # neuron 0 * inf padding makes NaN, which no finite u reads
+    prefix = np.zeros((k + 1, J, M + 1))
+    with np.errstate(invalid="ignore"):
+        for i in range(k + 1):
+            np.cumsum(power, axis=1, out=prefix[i, :, 1:])
+            if i < k:
+                power = power * knots
     out = np.empty(len(pts))
     block = max(1, 2 ** 18 // J)
     for lo in range(0, len(pts), block):
         u = pts[lo:lo + block] @ directions.T
-        at = np.searchsorted(keys, np.arange(J) + 1j * u)
-        at += np.arange(J)
-        acc = prefix[0][at]
+        at = _searchsorted_rows(knots, rows, u, "left") + rows * (M + 1)
+        acc = prefix[0].take(at)
         for i in range(1, k + 1):
             acc *= u
-            acc += math.comb(k, i) * prefix[i][at]
+            acc += (-1) ** i * math.comb(k, i) * prefix[i].take(at)
         out[lo:lo + block] = acc.sum(axis=1)
     return out
+
+
+def _knot_table(net, ids, J):
+    """(rows, knots, a): the neurons as (J, M) tables of knots, sorted
+    along each row, and weights, one direction to a row (direction j in row
+    rows[j]); shorter rows end in +inf knots of weight zero.  Networks made
+    of one sorted run of M knots per direction, as from_quadrature writes
+    them, are reshaped without a copy; others are put in lexicographic
+    direction order by one stable sort by (direction, knot).
+    """
+    n = len(net.a)
+    M = n // J
+    if M * J == n:
+        knots = net.b.reshape(J, M)
+        heads = ids[::M]
+        if ((ids.reshape(J, M) == heads[:, None]).all()
+                and (knots[:, 1:] >= knots[:, :-1]).all()):
+            return np.argsort(heads), knots, net.a.reshape(J, M)
+    order = np.lexsort((net.b, ids))
+    sizes = np.bincount(ids, minlength=J)
+    # a boolean mask fills in row-major order, as the sorted neurons come
+    filled = np.arange(sizes.max()) < sizes[:, None]
+    knots = np.full(filled.shape, np.inf)
+    knots[filled] = net.b[order]
+    a = np.zeros(filled.shape)
+    a[filled] = net.a[order]
+    return np.arange(J), knots, a
 
 
 def from_quadrature(tables):
@@ -276,7 +266,7 @@ def from_sampling(tables, n, seed):
     us = rng.uniform(size=n)
     # b = np.interp(u, cdf[j], knots), then the sign of
     # np.interp(b, knots, profiles[j]), for all draws at once
-    b = _interp(us, _count_at_most(tables.cdf, js, us),
+    b = _interp(us, _searchsorted_rows(tables.cdf, js, us),
                 tables.cdf, js, knots[None], 0)
     positive = _interp(b, np.searchsorted(knots, b, side="right"),
                        knots[None], 0, profiles, js) >= 0
@@ -285,20 +275,27 @@ def from_sampling(tables, n, seed):
                           omega=sphere.nodes[js], b=b, poly=tables.poly)
 
 
-def _count_at_most(table, rows, x):
-    """np.searchsorted(table[rows[i]], x[i], side="right") for every i, by
-    one bisection over all i: log2(M) reads of n entries, where gathering
-    the rows table[rows] would read n * M."""
+def _searchsorted_rows(table, rows, x, side="right"):
+    """np.searchsorted(table[rows[i]], x[i], side) for every i, by one
+    bisection over all i: log2(M) reads of x.size entries, where gathering
+    the rows table[rows] would read x.size * M.  rows broadcasts against
+    x."""
     M = table.shape[1]
-    count = np.zeros(len(x), np.intp)
-    step = 1 << (M.bit_length() - 1)
-    while step:
-        # rows are nondecreasing: count + step entries are <= x exactly when
-        # the last of them is
-        probe = np.minimum(count + step, M)
-        np.copyto(count, probe, where=table[rows, probe - 1] <= x)
-        step >>= 1
-    return count
+    flat = table.ravel()
+    below = np.less if side == "left" else np.less_equal
+    start = rows * M
+    # at: the flat index of entry count of the row, with the answer in
+    # [count, count + size]; the rows being sorted, it is past the first
+    # half when that half's last entry is <= x (< x for side "left").  A
+    # product moves at: a masked add would branch on a random mask, 8x
+    # slower.
+    at = np.broadcast_to(start, x.shape) + 0
+    size = M
+    while size:
+        half = (size + 1) // 2
+        at += half * below(flat.take(at + (half - 1)), x)
+        size -= half
+    return at - start
 
 
 def _interp(x, count, xp, xp_rows, fp, fp_rows):
@@ -382,28 +379,30 @@ def deserialize(text):
     except (KeyError, ValueError):
         raise ValueError("header needs integer fields d=, k= and n=: %r"
                          % lines[0]) from None
+    if d < 1 or k < 0 or n < 0:
+        raise ValueError("header needs d >= 1, k >= 0 and n >= 0: %r"
+                         % lines[0])
     if len(lines) <= n:
         raise ValueError("header declares %d neurons but %d lines follow it"
                          % (n, len(lines) - 1))
     a = np.empty(n)
     omega = np.empty((n, d))
     b = np.empty(n)
-    i = 1
     for row in range(n):
-        parts = lines[i].split()
+        parts = lines[row + 1].split()
         if len(parts) != d + 2:
-            raise ValueError("malformed neuron record on line %d" % (i + 1))
+            raise ValueError("malformed neuron record on line %d" % (row + 2))
         a[row] = float(parts[0])
         omega[row] = [float(x) for x in parts[1:1 + d]]
         b[row] = float(parts[-1])
-        i += 1
+    rest = [line.split() for line in lines[n + 1:] if line.strip()]
     poly = None
-    if i < len(lines) and lines[i].strip() == "POLY":
+    if rest:
+        if rest[0] != ["POLY"]:
+            raise ValueError("line after the %d declared neurons is not a "
+                             "POLY section: %r" % (n, " ".join(rest[0])))
         coeffs = {}
-        for line in lines[i + 1:]:
-            parts = line.split()
-            if not parts:
-                continue
+        for parts in rest[1:]:
             if len(parts) != d + 1:
                 raise ValueError("malformed POLY record")
             coeffs[tuple(int(e) for e in parts[:d])] = float(parts[-1])

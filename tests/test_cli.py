@@ -190,6 +190,14 @@ class TestMain:
          "header needs integer fields d=, k= and n="),
         ("RIDGENET v1 d=2 k=one n=1\n0.5 1.0 0.0 0.1\n",
          "header needs integer fields d=, k= and n="),
+        ("RIDGENET v1 d=2 k=-1 n=1\n0.5 1.0 0.0 0.1\n",
+         "header needs d >= 1, k >= 0 and n >= 0"),
+        ("RIDGENET v1 d=2 k=1 n=-1\n",
+         "header needs d >= 1, k >= 0 and n >= 0"),
+        ("RIDGENET v1 d=0 k=1 n=0\n",
+         "header needs d >= 1, k >= 0 and n >= 0"),
+        ("RIDGENET v1 d=2 k=1 n=1\n0.5 1.0 0.0 0.1\n0.5 0.0 1.0 0.1\n",
+         "line after the 1 declared neurons is not a POLY section"),
     ])
     def test_eval_malformed_network_exit_2(self, tmp_path, capsys, text,
                                            message):

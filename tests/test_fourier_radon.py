@@ -135,6 +135,26 @@ class TestBackprojectFilter:
         assert taper_window(11.0, 10.0) == 0.0
         assert 0.0 < taper_window(9.0, 10.0) < 1.0
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("fraction", [0.3, 1.0])
+    def test_kernel_spectrum_band_only(self, d, order, fraction):
+        # the spectrum built on the band |t| <= cutoff alone equals the
+        # one from the multiplier and taper at every quadrature frequency
+        grid = LineGrid(L=4.0, N=256)
+        dt = np.pi / grid.L
+        cutoff = np.ceil(fraction * grid.nyquist / dt) * dt
+        assert cutoff <= grid.nyquist
+        nf = fourier_radon.KERNEL_OVERSAMPLE * grid.N
+        t = 2.0 * np.pi * np.fft.fftfreq(nf, d=grid.h)
+        spec = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
+        lags = np.arange(-(grid.N - 1), grid.N) % nf
+        expected = np.fft.rfft((np.fft.ifft(spec).real / grid.h)[lags],
+                               fourier_radon._convolution_length(grid.N))
+        assert np.array_equal(
+            fourier_radon._kernel_spectrum(grid.L, grid.N, d, order, cutoff),
+            expected)
+
 
 class TestReconstruct:
     def test_d1_profile_identity(self):

@@ -152,12 +152,65 @@ class TestGroupedEvaluation:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_shuffled_neurons(self, grouped_only, k):
+        # the shuffled network is sorted into the same table as the one
+        # from_quadrature's sorted runs are reshaped into, so the values
+        # are the same bit for bit
         net = _neurons_only(from_quadrature(self._tables(2, k)))
         shuffled = _neurons_only(
             net, np.random.default_rng(3).permutation(len(net)))
         pts = self._points(2)
-        np.testing.assert_allclose(shuffled(pts), net(pts), rtol=0,
-                                   atol=1e-14)
+        np.testing.assert_array_equal(shuffled(pts), net(pts))
+
+    def test_sorted_runs_are_reshaped_in_place(self):
+        net = from_quadrature(self._tables(2, 1))
+        ids, directions = network._direction_ids(net.omega)
+        rows, knots, a = network._knot_table(net, ids, len(directions))
+        assert np.shares_memory(knots, net.b) and np.shares_memory(a, net.a)
+        np.testing.assert_array_equal(directions[np.argsort(rows)],
+                                      net.omega[::knots.shape[1]])
+
+    @staticmethod
+    def _table_layout(layout, k):
+        """Neurons on 5 directions with knots in [-0.5, 0.5], so the unit
+        ball has points beyond each direction's first and last knot."""
+        rng = np.random.default_rng(29)
+        angles = np.array([0.3, 1.9, 2.5, 4.0, 5.6])
+        directions = np.column_stack([np.cos(angles), np.sin(angles)])
+        M = MIN_KNOTS_PER_DIRECTION
+        counts = {"unequal_counts": [M, 3 * M, M + 5, 2 * M + 1, M],
+                  "duplicate_knots": [2 * M, M, 2 * M + 3, M + 1, M]}
+        counts = counts.get(layout, [2 * M] * 5)
+        if layout == "duplicate_knots":
+            # 9 knot values, so every direction repeats most of them
+            knots = [np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), c))
+                     for c in counts]
+        else:
+            knots = [np.sort(rng.uniform(-0.5, 0.5, c)) for c in counts]
+        j = np.repeat(np.arange(5), counts)
+        b = np.concatenate(knots)
+        order = np.arange(len(b))
+        if layout == "split_runs":
+            # the first halves of all directions, then the second halves
+            order = np.lexsort((j, np.arange(len(b)) % (2 * M) >= M))
+        elif layout == "unsorted_runs":
+            # one run per direction, its knots in random order
+            order = np.lexsort((rng.permutation(len(b)), j))
+        elif layout != "sorted_runs":
+            order = rng.permutation(len(b))
+        return ShallowNetwork(d=2, k=k, a=rng.normal(size=len(b))[order],
+                              omega=directions[j[order]], b=b[order])
+
+    @pytest.mark.parametrize("layout", ["sorted_runs", "unsorted_runs",
+                                        "split_runs", "unequal_counts",
+                                        "duplicate_knots"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_table_layouts_against_fsum(self, grouped_only, layout, k):
+        net = self._table_layout(layout, k)
+        pts = self._points(2)
+        u = pts @ net.omega.T
+        assert (u > net.b.max()).any() and (u < net.b.min()).any()
+        np.testing.assert_allclose(net(pts), _fsum_values(net, pts), rtol=0,
+                                   atol=1e-14 * (1.0 + net.l1_mass))
 
     def test_empty_network(self):
         poly = PolynomialPart(d=2, coefficients={(0, 0): 1.5})
@@ -371,9 +424,10 @@ class TestConstructorsAgainstLoops:
         t = np.concatenate([knots, [-1.5, -0.7, 0.1, 0.95, 1.5]])
         for row in range(len(table)):
             rows = np.full(len(x), row)
-            count = network._count_at_most(table, rows, x)
-            np.testing.assert_array_equal(
-                count, np.searchsorted(table[row], x, side="right"))
+            for side in ("left", "right"):
+                count = network._searchsorted_rows(table, rows, x, side)
+                np.testing.assert_array_equal(
+                    count, np.searchsorted(table[row], x, side=side))
             np.testing.assert_array_equal(
                 network._interp(x, count, table, rows, knots[None], 0),
                 np.interp(x, table[row], knots))
@@ -527,6 +581,23 @@ class TestSerialization:
     def test_wrong_magic_rejected(self):
         with pytest.raises(ValueError):
             deserialize("NOTANET v9 d=2 k=1 n=0\n")
+
+    @pytest.mark.parametrize("text", [
+        "RIDGENET v1 d=2 k=-1 n=1\n0.5 1.0 0.0 0.1\n",
+        "RIDGENET v1 d=2 k=1 n=-1\n",
+        "RIDGENET v1 d=0 k=1 n=0\n",
+        # a neuron line beyond the declared count, before and without POLY
+        "RIDGENET v1 d=2 k=1 n=1\n0.5 1.0 0.0 0.1\n0.5 0.0 1.0 0.1\n",
+        "RIDGENET v1 d=2 k=1 n=1\n0.5 1.0 0.0 0.1\n0.5 0.0 1.0 0.1\nPOLY\n",
+    ])
+    def test_malformed_header_or_trailer_rejected(self, text):
+        with pytest.raises(ValueError):
+            deserialize(text)
+
+    def test_blank_lines_around_poly_accepted(self):
+        net = deserialize("RIDGENET v1 d=2 k=1 n=1\n0.5 1.0 0.0 0.1\n\n"
+                          "POLY\n0 0 1.5\n\n")
+        assert len(net) == 1 and net.poly.coefficients == {(0, 0): 1.5}
 
     def test_save_load(self, tmp_path):
         net = self._example()
