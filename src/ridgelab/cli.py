@@ -161,6 +161,16 @@ def parse_config(text):
     return config
 
 
+# Why each of these kinds has no result for a zero target.
+_NONZERO_TARGET = {
+    "radon-check": "reports errors relative to the target's size",
+    "inversion-check": "reports errors relative to the target's size",
+    "variation-bound": "divides the variation by the target's seminorm",
+    "rate-sweep": "fits a rate to errors that a zero target makes 0",
+    "mollify-sweep": "fits a rate to errors that a zero target makes 0",
+}
+
+
 def _validate(config):
     if config.kind not in KINDS:
         raise ConfigError("unknown experiment kind %r (expected one of %s)"
@@ -209,10 +219,6 @@ def _validate(config):
         if config.schedule == "epsilon" and config.s == 0:
             raise ConfigError("schedule = epsilon mollifies with order s and "
                               "needs s >= 1 (or s unset, for s = 1)")
-        if config.constructor == "sampling" and config.target == "gaussian" \
-                and config.amplitude == 0.0:
-            raise ConfigError("the sampling constructor needs a nonzero "
-                              "target (amplitude = 0)")
     if config.kind == "mollify-sweep":
         if len(set(config.epsilons)) < 3:
             raise ConfigError("mollify-sweep fits a rate and needs at least 3 "
@@ -222,11 +228,10 @@ def _validate(config):
             raise ConfigError("epsilons must lie in (0, 1]")
         if config.s is None or config.s < 1:
             raise ConfigError("mollify-sweep requires s >= 1")
-    if config.kind in ("radon-check", "inversion-check") and \
-            config.target == "gaussian" and config.amplitude == 0.0:
-        raise ConfigError("%s reports errors relative to the target's size "
-                          "and needs a nonzero target (amplitude = 0)"
-                          % config.kind)
+    if config.kind in _NONZERO_TARGET and config.target == "gaussian" \
+            and config.amplitude == 0.0:
+        raise ConfigError("%s %s and needs a nonzero target (amplitude = 0)"
+                          % (config.kind, _NONZERO_TARGET[config.kind]))
     if config.kind == "radon-check" and config.d == 1:
         raise ConfigError("radon-check needs d >= 2 (the d = 1 transform is "
                           "a point evaluation)")
@@ -383,7 +388,6 @@ def _run_rate_sweep(config, f):
     sampler = BallSampler(d=config.d, mode="lattice", count=config.eval_count,
                           seed=component_seed(config.seed, "rate-eval"))
     rows = []
-    mean_errors = []
     # the mollifier's order for schedule = epsilon
     order = 1 if config.s is None else config.s
     if config.constructor == "sampling":
@@ -416,11 +420,9 @@ def _run_rate_sweep(config, f):
             rows.append((n, width, float(eps), err))
         else:
             rows.append((n, width, err))
-        mean_errors.append(err)
-    slope, _, _ = rate_fit(zip([r[0] for r in rows], mean_errors))
     columns = (("n", "neurons", "epsilon", "error")
                if config.schedule == "epsilon" else ("n", "neurons", "error"))
-    return ExperimentReport(config, columns, rows, slopes={"slope": slope})
+    return _fit_slope(ExperimentReport(config, columns, rows))
 
 
 def _run_mollify_sweep(config, f):
@@ -432,9 +434,21 @@ def _run_mollify_sweep(config, f):
         err = lp_error(f, lambda x: smooth_approximant(f, config.s, eps, x),
                        config.p, sampler)
         rows.append((float(eps), float(err)))
-    slope, _, _ = rate_fit(rows)
-    return ExperimentReport(config, ("epsilon", "error"), rows,
-                            slopes={"slope": slope})
+    return _fit_slope(ExperimentReport(config, ("epsilon", "error"), rows))
+
+
+def _fit_slope(report):
+    """Set the report's slope: the log-log rate of its error column (the
+    last) against its first.  An error of 0 has no logarithm, so it fails
+    the run, with the report written."""
+    for row in report.rows:
+        if row[-1] == 0.0:
+            raise _fail(report, "%s: the error at %s = %s is 0, so no rate "
+                        "can be fitted" % (report.config.kind,
+                                           report.columns[0], _fmt(row[0])))
+    report.slopes["slope"] = rate_fit((row[0], row[-1])
+                                      for row in report.rows)[0]
+    return report
 
 
 _DRIVERS = {"radon-check": _run_radon_check,

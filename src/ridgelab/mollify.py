@@ -28,16 +28,15 @@ MIN_NODES_PER_AXIS = 8
 BUMP_NORM_NODES = 256
 
 # (point, node) pairs per call of f in smooth_approximant (a tile is at
-# least one point by one node chunk).  Measured with the axis-major
-# translate buffer as the time of the seven calls of the epsilon schedule
-# at 4096 points (d = 2, Gaussian target, 1200 nodes per translate; best of
-# 3, one BLAS thread, 2-core Xeon with 2 MiB L2 per core, numpy 2.4; ranges
-# over 3 interleaved sessions): 2^12 pairs 0.58-0.65 s, 2^13 0.44-0.53 s,
-# 2^14 0.41 s, 2^15 0.37-0.44 s, 2^16 0.39-0.46 s, 2^17 0.46-0.49 s, 2^18
-# 0.50-0.56 s.  2^14 led one session, 2^15 another, and they tied in the
-# third, so no size led in every session.
+# least one point by the whole node set).  Measured as the time of the
+# seven calls of the epsilon schedule at 4096 points (d = 2, Gaussian
+# target, 1200 nodes per translate; best of 3, one BLAS thread, 2-core Xeon
+# with 2 MiB L2 per core, numpy 2.4; ranges over 3 interleaved sessions):
+# 2^12 pairs 0.33-0.47 s, 2^13 0.27-0.36 s, 2^14 0.22-0.30 s, 2^15
+# 0.25-0.31 s, 2^16 0.30-0.37 s, 2^17 0.35-0.43 s.  2^14 led two sessions
+# and tied 2^13 in the third.
 # Smaller tiles pay more calls, larger ones leave the cache.
-TILE_PAIRS = 2 ** 15
+TILE_PAIRS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,11 @@ def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
 
     Each convolution is computed by tensor Gauss-Legendre quadrature over
     the eps-ball; nodes_per_axis controls the resolution.  f is called on
-    tiles of at most TILE_PAIRS (point, node) pairs: a (rows, nodes, d)
-    view, x[p, j] = x_p - t y_j, of one reused axis-major buffer.  The view
-    is not C-contiguous, and f must not keep it.
+    tiles of whole rows, at most TILE_PAIRS (point, node) pairs or else one
+    point: a (rows, nodes, d) view, x[p, j] = x_p - t y_j, of one reused
+    axis-major buffer.  The view is not C-contiguous, and f must not keep
+    it.  Each tile's values are weighted and summed row by row at once, so
+    a point's value does not depend on the tile size.
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -138,33 +139,30 @@ def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
     single = x.ndim == 1
     pts = x[None, :] if single else x
     ynodes, yw = _ball_quadrature(d, eps, nodes_per_axis)
+    nodes = len(ynodes)
+    rows = max(1, TILE_PAIRS // nodes)
+    height = min(rows, len(pts))
+    # numpy runs a broadcast over a (rows, nodes) tile through its chunked
+    # buffers at up to twice the cost of a pass over contiguous tiles, so
+    # the node coordinates and weights are tiled out once and each tile's
+    # points are copied in; the translates are axis-major
+    shifted = np.empty((d, height, nodes))
+    weighted = np.empty((height, nodes))
+    wrows = np.tile(yw, (height, 1))
     out = np.zeros(len(pts))
-    chunk = max(1, int(5e6 / max(len(pts), 1)))
-    width = min(chunk, len(ynodes))
-    values = np.empty(len(pts) * width)
-    buf = np.empty(max(TILE_PAIRS, width) * d)
-    ycols = np.ascontiguousarray(ynodes.T)
+    acc = np.empty(len(pts))
     for t, coef in binomial_weights(s):
-        acc = np.zeros(len(pts))
-        for lo in range(0, len(ynodes), chunk):
-            # f fills the chunk's values tile by tile; the chunk is then
-            # reduced by one matrix-vector product over all points, because
-            # BLAS rounds a row's sum differently with the number of rows
-            # and the thread split, and per-tile products would not
-            # reproduce the untiled sums
-            ty = t * ycols[:, lo:lo + chunk]
-            nodes = ty.shape[1]
-            fv = values[:len(pts) * nodes].reshape(len(pts), nodes)
-            rows = max(1, TILE_PAIRS // nodes)
-            for p in range(0, len(pts), rows):
-                tile = pts[p:p + rows]
-                # axis-major, so that each axis is one contiguous subtract
-                # rather than a broadcast with an inner loop of d elements
-                shifted = buf[:tile.size * nodes].reshape(d, len(tile), nodes)
-                for i in range(d):
-                    np.subtract(tile[:, i, None], ty[i], out=shifted[i])
-                fv[p:p + rows] = f(np.moveaxis(shifted, 0, -1))
-            acc += fv @ yw[lo:lo + chunk]
+        trows = np.tile(t * ynodes.T[:, None, :], (1, height, 1))
+        for p in range(0, len(pts), rows):
+            tile = pts[p:p + rows]
+            xs = shifted[:, :len(tile)]
+            np.copyto(xs, tile.T[:, :, None])
+            np.subtract(xs, trows[:, :len(tile)], out=xs)
+            # reduced while in cache: numpy's pairwise sum along a row gives
+            # the same bits for any tile height and BLAS thread count
+            fw = np.multiply(f(xs.transpose(1, 2, 0)), wrows[:len(tile)],
+                             out=weighted[:len(tile)])
+            np.add.reduce(fw, axis=1, out=acc[p:p + rows])
         out += coef * acc
     return float(out[0]) if single else out
 

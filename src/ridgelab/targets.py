@@ -83,17 +83,21 @@ def make_gaussian(spec):
 
     def evaluate(x):
         # in place, with one temporary; the d < 8 squares are added one by
-        # one as np.sum adds them, so the values equal
+        # one as np.sum adds them, and (-r2) / (2 s2) = r2 / (-2 s2) in IEEE
+        # arithmetic, so the values equal
         # a * exp(-sum((x - c)**2, -1) / (2 s2)) bit for bit
         x = np.asarray(x, float)
-        r2 = np.zeros(x.shape[:-1])
+        if x.shape[-1:] != (d,):
+            raise ValueError("points must have %d coordinates, got shape %s"
+                             % (d, x.shape))
+        r2 = np.subtract(x[..., 0], c[0], out=np.empty(x.shape[:-1]))
+        np.multiply(r2, r2, out=r2)
         sq = np.empty_like(r2)
-        for i in range(d):
+        for i in range(1, d):
             np.subtract(x[..., i], c[i], out=sq)
             np.multiply(sq, sq, out=sq)
             r2 += sq
-        np.negative(r2, out=r2)
-        r2 /= 2.0 * s2
+        np.divide(r2, -2.0 * s2, out=r2)
         np.exp(r2, out=r2)
         r2 *= a
         return r2[()]

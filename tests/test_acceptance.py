@@ -45,12 +45,16 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # when the bump's normalization Z_d became a Gauss-Legendre sum, closer to
 # the closed forms (tests/test_mollify.py, test_bump_norm_closed_forms)
 # than the adaptive quadrature was; f - f_eps is small, so Z_2's 5.5e-15
-# change shows.
+# change shows.  "mollify" moved in the last printed digit of the
+# eps = 1/64 row (7.199142442486e-05 to 7.199142442487e-05) when
+# smooth_approximant began to sum each point's row pairwise instead of by
+# a BLAS matrix-vector product; a per-point math.fsum reference reads
+# 7.199142442487224e-05.
 GOLDEN_BODIES = {
     "sampling": "3e108409aab90c759db59aacfea30647f3601bab44f47c96fe42a52bf37ab99f",
     "schedule": "cb43069d7b3336200f0f6ace8f549c047a37f35316000a922fdb9e825eb4aca9",
     "peano-d2k2": "fac81bc72b5be89dfb2b6defb3668c1545f818cdd6e7790db07ec11993c849dc",
-    "mollify": "670329644c0c37278fb6eaefe93ca2a4f7c35e7e5b5fd4c333f3d9d0280eb0b9",
+    "mollify": "325d170b994d8bb7674d967fe294ebaee99f853bb965acc6bc18902f4174c0aa",
     "inversion": "86ed7527c267bebe83d1ab403f3bac0f172175bf6d8f3a6ee331aeab4e6695dd",
     "variation": "190f8c6191dab5b139c0acecbf231ec6f345d34b14ee645f636a17aa7d44ad03",
 }

@@ -3,7 +3,7 @@ import pytest
 
 from ridgelab import cli
 from ridgelab.cli import ConfigError, ExperimentConfig, parse_config, run
-from ridgelab.targets import TargetFunction
+from ridgelab.targets import GaussianSpec, TargetFunction, make_gaussian
 
 
 @pytest.fixture(autouse=True)
@@ -141,6 +141,13 @@ class TestMain:
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25, 0.5\n",
         "kind = radon-check\nd = 2\ntrials = 3\namplitude = 0\n",
         "kind = inversion-check\nd = 1\namplitude = 0\n",
+        "kind = variation-bound\nd = 1\namplitude = 0\n",
+        "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25, 0.125\n"
+        "amplitude = 0\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        "constructor = quadrature\namplitude = 0\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        "constructor = quadrature\nschedule = epsilon\namplitude = 0\n",
     ])
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "bad.cfg"
@@ -165,6 +172,34 @@ class TestMain:
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
         assert "check failed: variation-bound: seminorm integrand has not " \
             "decayed" in capsys.readouterr().err
+
+    def test_zero_errors_exit_3_with_report(self, tmp_path, capsys):
+        # exp(-|x - c|^2 / 2) underflows to 0 on the unit ball, so f and
+        # every f_eps are 0 there and the errors have no logarithm
+        path = tmp_path / "far.cfg"
+        path.write_text("kind = mollify-sweep\nd = 2\ns = 1\ncenter = 40, 40"
+                        "\nepsilons = 0.5, 0.25, 0.125\neval_count = 64\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert "check failed: mollify-sweep: the error at epsilon = " \
+            "1.250000000000e-01 is 0" in capsys.readouterr().err
+        lines = (tmp_path / "mollify-sweep.csv").read_text().splitlines()
+        assert lines[4:7] == ["%.12e,0.000000000000e+00" % eps
+                              for eps in (0.125, 0.25, 0.5)]
+
+    @pytest.mark.parametrize("schedule", ["none", "epsilon"])
+    def test_zero_target_rate_sweep_exit_3(self, tmp_path, capsys,
+                                           monkeypatch, schedule):
+        # a zero target that passes validation (amplitude 0 is rejected)
+        zero = make_gaussian(GaussianSpec(d=1, amplitude=0.0))
+        monkeypatch.setattr(cli, "_make_target", lambda config: zero)
+        path = tmp_path / "zero.cfg"
+        path.write_text("kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+                        "constructor = quadrature\nschedule = %s\n"
+                        "eval_count = 64\n" % schedule)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert "check failed: rate-sweep: the error at n = 4 is 0" \
+            in capsys.readouterr().err
+        assert (tmp_path / "rate-sweep.csv").exists()
 
     def test_run_and_eval_round_trip(self, tmp_path, capsys):
         from ridgelab import (GaussianSpec, LineGrid, from_quadrature,

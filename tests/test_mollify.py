@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,8 +135,9 @@ DEFAULT_NODES = {1: 64, 2: 48, 3: 20}
 
 
 def _untiled_approximant(f, s, eps, x, nodes_per_axis=None):
-    """smooth_approximant as it was before tiling: one (points, nodes, d)
-    array per node chunk.  The reference for the tiled loop."""
+    """smooth_approximant without tiles: one (points, nodes, d) array of
+    translates per t, each point's weighted values summed along its row.
+    The reference for the tiled loop."""
     d = np.shape(x)[-1]
     if nodes_per_axis is None:
         nodes_per_axis = DEFAULT_NODES[d]
@@ -144,14 +146,8 @@ def _untiled_approximant(f, s, eps, x, nodes_per_axis=None):
     pts = x[None, :] if single else x
     ynodes, yw = _ball_quadrature(d, eps, nodes_per_axis)
     out = np.zeros(len(pts))
-    chunk = max(1, int(5e6 / max(len(pts), 1)))
     for t, coef in binomial_weights(s):
-        acc = np.zeros(len(pts))
-        for lo in range(0, len(ynodes), chunk):
-            yq = ynodes[lo:lo + chunk]
-            shifted = pts[:, None, :] - t * yq[None, :, :]
-            acc += f(shifted) @ yw[lo:lo + chunk]
-        out += coef * acc
+        out += coef * np.add.reduce(f(pts[:, None] - t * ynodes) * yw, axis=1)
     return float(out[0]) if single else out
 
 
@@ -198,14 +194,41 @@ class TestTiledApproximant:
         assert np.array_equal(smooth_approximant(f, 2, 0.125, pts),
                               _untiled_approximant(f, 2, 0.125, pts))
 
-    def test_several_node_chunks(self):
-        # 700 points allow 7142 nodes per chunk; 32 nodes per axis put
-        # 7416 in the d = 3 ball, so the chunks are two
+    def test_more_nodes_than_tile_pairs(self, monkeypatch):
+        # 32 nodes per axis put 7416 in the d = 3 ball, more than a tile
+        # holds, so every tile is one point by the whole node set
+        monkeypatch.setattr(mollify, "TILE_PAIRS", 4096)
         f = _targets(3)["combine"]
-        pts = _points(3, 700)
+        pts = _points(3, 40)
         assert np.array_equal(
-            smooth_approximant(f, 1, 0.5, pts, nodes_per_axis=32),
-            _untiled_approximant(f, 1, 0.5, pts, nodes_per_axis=32))
+            smooth_approximant(f, 2, 0.5, pts, nodes_per_axis=32),
+            _untiled_approximant(f, 2, 0.5, pts, nodes_per_axis=32))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_values_for_every_tile_size(self, monkeypatch, d):
+        f = _targets(d)["combine"]
+        nodes = len(_ball_quadrature(d, 0.25, DEFAULT_NODES[d])[0])
+        pts = _points(d, 300)
+        values = []
+        for pairs in (1, nodes - 1, nodes, 2 ** 12, 2 ** 15, 2 ** 20):
+            monkeypatch.setattr(mollify, "TILE_PAIRS", pairs)
+            values.append(smooth_approximant(f, 2, 0.25, pts))
+        for other in values[1:]:
+            assert np.array_equal(other, values[0])
+
+    def test_working_memory_is_a_few_tiles(self):
+        # 4096 points by the 1200 nodes of the d = 2 ball: a (points x
+        # nodes) array of values would take 39 MB
+        f = _targets(2)["gaussian"]
+        pts = _points(2, 4096)
+        smooth_approximant(f, 1, 0.25, pts[:8])
+        tracemalloc.start()
+        try:
+            smooth_approximant(f, 1, 0.25, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_no_points(self):
         f = _targets(2)["gaussian"]
@@ -228,6 +251,29 @@ class TestTiledApproximant:
         # every (point, node) pair once per translate
         assert sum(pairs) == s * count * nodes
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("target", ["gaussian", "cusp", "combine"])
+    def test_against_fsum(self, d, s, target):
+        # an independent oracle: each point's value is within 4 ulp of
+        # sum |coef w_j f(x_p - t y_j)| of the terms' exactly rounded sum
+        f = _targets(d)[target]
+        eps = 0.25
+        ynodes, yw = _ball_quadrature(d, eps, DEFAULT_NODES[d])
+        pts = _points(d, 5)
+        values = smooth_approximant(f, s, eps, pts)
+        for x, value in zip(pts, values):
+            terms = [coef * w * v for t, coef in binomial_weights(s)
+                     for w, v in zip(yw, f(x - t * ynodes))]
+            size = math.fsum(abs(term) for term in terms)
+            assert abs(value - math.fsum(terms)) <= 4 * np.spacing(size)
+
+    def test_rejects_points_of_another_dimension(self):
+        # a d = 2 target is not mollified over the ball of R^3
+        f = _targets(2)["gaussian"]
+        with pytest.raises(ValueError, match="points must have 2 coordinates"):
+            smooth_approximant(f, 1, 0.5, _points(3, 4))
+
     def test_rejects_order_below_one(self):
         f = _targets(2)["gaussian"]
         for s in (0, -1):
@@ -236,43 +282,47 @@ class TestTiledApproximant:
 
 
 class TestTranslateLayout:
-    """f receives the translates x_p - t y_j tile by tile: for each t and
-    node chunk, the tiles stacked are pts[:, None, :] - t * ynodes[chunk]."""
+    """f receives the translates x_p - t y_j tile by tile: for each t, the
+    tiles stacked are pts[:, None, :] - t * ynodes, each tile whole rows."""
 
     @staticmethod
     def _check_tiles(d, s, eps, pts, nodes_per_axis=None):
         """Run smooth_approximant with an f that checks each tile against
-        its rows of the chunk's translates; returns the number of chunks."""
+        its rows of the translates; returns the tile heights."""
         ynodes = _ball_quadrature(d, eps, nodes_per_axis or DEFAULT_NODES[d])[0]
-        at = {"t": 1, "lo": 0, "p": 0, "chunks": 0}
+        at = {"t": 1, "p": 0}
+        heights = []
 
         def recording(x):
             assert x.ndim == 3 and x.shape[-1] == d
-            rows, width = x.shape[:2]
-            t, lo, p = at["t"], at["lo"], at["p"]
-            expect = pts[p:p + rows, None, :] - t * ynodes[lo:lo + width]
+            rows = x.shape[0]
+            t, p = at["t"], at["p"]
+            expect = pts[p:p + rows, None, :] - t * ynodes
             assert x.shape == expect.shape and np.array_equal(x, expect)
+            heights.append(rows)
             at["p"] += rows
             if at["p"] == len(pts):
-                at.update(p=0, lo=lo + width, chunks=at["chunks"] + 1)
-                if at["lo"] == len(ynodes):
-                    at.update(lo=0, t=t + 1)
-            return np.zeros((rows, width))
+                at.update(p=0, t=t + 1)
+            return np.zeros(x.shape[:2])
 
         smooth_approximant(recording, s, eps, pts, nodes_per_axis)
-        assert (at["t"], at["lo"], at["p"]) == (s + 1, 0, 0)
-        return at["chunks"]
+        assert (at["t"], at["p"]) == (s + 1, 0)
+        return heights
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_tiles_are_the_translates(self, d):
-        # three tiles per chunk, one chunk per translate
+        # three tiles per translate, the last one part full
         nodes = len(_ball_quadrature(d, 0.25, DEFAULT_NODES[d])[0])
-        pts = _points(d, 2 * (TILE_PAIRS // nodes) + 5)
-        assert self._check_tiles(d, 2, 0.25, pts) == 2
+        rows = TILE_PAIRS // nodes
+        pts = _points(d, 2 * rows + 5)
+        assert self._check_tiles(d, 2, 0.25, pts) == [rows, rows, 5] * 2
 
-    def test_tiles_over_two_node_chunks(self):
-        # as in test_several_node_chunks: two chunks per translate
-        assert self._check_tiles(3, 2, 0.5, _points(3, 700), 32) == 4
+    def test_one_point_tiles_beyond_tile_pairs(self, monkeypatch):
+        # the 7416 nodes of the d = 3 ball at 32 per axis fill more than a
+        # tile: a point's row is never split, so each tile is one point
+        monkeypatch.setattr(mollify, "TILE_PAIRS", 4096)
+        heights = self._check_tiles(3, 2, 0.5, _points(3, 30), 32)
+        assert heights == [1] * 60
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_contiguous_copy_gives_the_same_values(self, d):

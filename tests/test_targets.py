@@ -50,6 +50,13 @@ class TestGaussian:
         with pytest.raises(ValueError):
             GaussianSpec(d=1, width=0.0)
 
+    @pytest.mark.parametrize("x", [[[0.1, 0.2, 5.0]], [[0.1]], [0.1, 0.2, 5.0],
+                                   np.zeros((2, 3, 1))])
+    def test_rejects_points_of_another_dimension(self, x):
+        f = make_gaussian(GaussianSpec(d=2))
+        with pytest.raises(ValueError, match="points must have 2 coordinates"):
+            f(x)
+
 
 class TestRadonOracle:
     def test_d2_central_slice(self):
