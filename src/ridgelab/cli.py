@@ -168,6 +168,8 @@ _NONZERO_TARGET = {
     "variation-bound": "divides the variation by the target's seminorm",
     "rate-sweep": "fits a rate to errors that a zero target makes 0",
     "mollify-sweep": "fits a rate to errors that a zero target makes 0",
+    "peano-reconstruct": "gates on refinement reducing errors that a zero "
+                         "target makes 0",
 }
 
 

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-# numpy loads np.fft and np.ma on first use (np.unique reads
-# np.ma.is_masked); loading them with the library keeps that cost out of
-# the first run that filters a profile
+# numpy loads np.fft on first use; loading it with the library keeps that
+# cost out of the first run that filters a profile
 import numpy.fft  # noqa: F401
-import numpy.ma  # noqa: F401
 from numpy.polynomial.legendre import leggauss
 
 from .quadrature import LineGrid
@@ -142,24 +140,26 @@ def _kernel_spectrum(L, N, d, order, cutoff):
     spatial kernel of the multiplier (i t)^order * M_d(t).
 
     The kernel is sampled on lags m*h for m = -(N-1)..(N-1) by a fine
-    frequency quadrature (spacing Nyquist-preserving, period large enough
-    that the kernel's own 1/u^2 tails are negligible).  The spectrum is
-    tapered to zero at ``cutoff``; keeping the cutoff near the input's own
-    spectral content avoids amplifying rounding noise by the t^order
-    growth.  Cached per grid geometry and cutoff.
+    frequency quadrature of spacing dt / KERNEL_OVERSAMPLE: one inverse
+    real FFT of the Hermitian spectrum's half t >= 0.  Its period 32L is
+    not long enough for the order-0 kernel's 1/u^2 tails, whose copies add
+    about 1/(32L)^2 (ROADMAP item 1).  The spectrum is tapered to zero at
+    ``cutoff``; keeping the cutoff near the input's own spectral content
+    avoids amplifying rounding noise by the t^order growth.  Cached per
+    grid geometry and cutoff.
     """
     h = 2.0 * L / N
     nf = KERNEL_OVERSAMPLE * N
-    t = 2.0 * np.pi * np.fft.fftfreq(nf, d=h)
-    # the taper is zero above the cutoff, so the multiplier is evaluated
-    # on the band |t| <= cutoff only (a few of the nf frequencies)
-    band = np.abs(t) <= cutoff
-    t = t[band]
-    spec = np.zeros(nf, complex)
-    spec[band] = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
-    k_per = np.fft.ifft(spec).real / h
-    samples = k_per[np.arange(-(N - 1), N) % nf]
-    out = np.fft.rfft(samples, _convolution_length(N))
+    # the taper is zero above the cutoff, so the multiplier is evaluated on
+    # the band t_j = 2 pi j / (nf h) <= cutoff only
+    top = min(nf // 2, int(cutoff * nf * h / (2.0 * np.pi)) + 1)
+    t = 2.0 * np.pi * (np.arange(top + 1) * (1.0 / (nf * h)))
+    t = t[t <= cutoff]
+    spec = np.zeros(nf // 2 + 1, complex)
+    spec[:len(t)] = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
+    k_per = np.fft.irfft(spec, nf) / h
+    out = np.fft.rfft(np.concatenate([k_per[1 - N:], k_per[:N]]),
+                      _convolution_length(N))
     out.setflags(write=False)
     return out
 
@@ -202,7 +202,7 @@ def _apply_multiplier_linear(values, grid, d, orders=(0,)):
         spec = np.fft.fft(rows, axis=-1)
     else:
         spec = np.fft.rfft(rows, nfft, axis=-1)
-    for cutoff in np.unique(cutoffs):
+    for cutoff in sorted(set(cutoffs.tolist())):
         sel = cutoffs == cutoff
         part = spec[sel]
         for i, m in enumerate(orders):
@@ -211,7 +211,7 @@ def _apply_multiplier_linear(values, grid, d, orders=(0,)):
                         * taper_window(t, cutoff))
                 out[i, sel] = np.fft.ifft(filt, axis=-1).real
             else:
-                kernel = _kernel_spectrum(grid.L, N, d, m, float(cutoff))
+                kernel = _kernel_spectrum(grid.L, N, d, m, cutoff)
                 conv = np.fft.irfft(part * kernel, nfft, axis=-1)
                 out[i, sel] = conv[:, N - 1:2 * N - 1] * grid.h
     return out.reshape((len(orders),) + values.shape)

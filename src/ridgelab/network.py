@@ -279,8 +279,10 @@ def _searchsorted_rows(table, rows, x, side="right"):
     """np.searchsorted(table[rows[i]], x[i], side) for every i, by one
     bisection over all i: log2(M) reads of x.size entries, where gathering
     the rows table[rows] would read x.size * M.  rows broadcasts against
-    x."""
+    x.  Rows of stride 0 (radial Peano tables) read the one stored row."""
     M = table.shape[1]
+    if table.strides[0] == 0:
+        table, rows = table[:1], 0
     flat = table.ravel()
     below = np.less if side == "left" else np.less_equal
     start = rows * M

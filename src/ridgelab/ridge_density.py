@@ -104,8 +104,8 @@ def peano_polynomial(d, k, sphere, at_minus_one):
 
         p(x) = sum_j w_j sum_{m=0}^{k} F_{omega_j}^{(m)}(-1)/m! (omega_j.x + 1)^m,
 
-    expanded into monomial coefficients, one matrix product per m;
-    at_minus_one[j, m] holds F_{omega_j}^{(m)}(-1).
+    expanded into monomial coefficients, one matrix product per m; row j
+    of at_minus_one (or its one row) holds F_{omega_j}^{(m)}(-1), m <= k.
     """
     basis = multi_indices(d, k)
     coeffs = sum(affine_powers(sphere.nodes, 1.0, m, basis)
@@ -149,16 +149,19 @@ def peano_tables(f, k, sphere, grid):
     grid, its mass and variation bound, and the polynomial part from
     F^{(m)}(-1), m <= k, in one pass of derivative_blocks; warns as it does.
     F^{(m)}(-1) is the hermite read with F^{(m+1)} as slopes, which is the
-    sample itself where -1 is a node (every L = 4 grid with N >= 8).
+    sample itself where -1 is a node (every L = 4 grid with N >= 8).  A
+    radial target has the same F in every direction, so its tables are
+    built from one row and profiles and cdf broadcast that row (stride 0).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     mask = grid.knot_mask()
     knots = grid.nodes[mask]
     weights = _trapezoid_weights(knots)
-    profiles = np.empty((len(sphere), len(knots)))
-    at_minus_one = np.empty((len(sphere), k + 1))
-    for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2)):
+    omegas = sphere.nodes[:1] if f.radial is not None else sphere.nodes
+    profiles = np.empty((len(omegas), len(knots)))
+    at_minus_one = np.empty((len(omegas), k + 1))
+    for lo, F in derivative_blocks(f, omegas, grid, range(k + 2)):
         hi = lo + F.shape[1]
         profiles[lo:hi] = F[k + 1][:, mask]
         at_minus_one[lo:hi] = hermite(F[:k + 1], F[1:k + 2], grid, -1.0).T
@@ -169,7 +172,9 @@ def peano_tables(f, k, sphere, grid):
     mass = sphere.weights * (absv @ weights)
     del absv
     np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
-    for array in (knots, weights, profiles, cdf, mass):
+    shape = (len(sphere), len(knots))
+    profiles, cdf = np.broadcast_to(profiles, shape), np.broadcast_to(cdf, shape)
+    for array in (knots, weights, mass):
         array.flags.writeable = False
     return PeanoTables(d=f.d, k=k, sphere=sphere, knots=knots,
                        weights=weights, profiles=profiles, cdf=cdf, mass=mass,

@@ -49,14 +49,21 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # eps = 1/64 row (7.199142442486e-05 to 7.199142442487e-05) when
 # smooth_approximant began to sum each point's row pairwise instead of by
 # a BLAS matrix-vector product; a per-point math.fsum reference reads
-# 7.199142442487224e-05.
+# 7.199142442487224e-05.  "inversion", "peano-d2k2", "schedule" and
+# "variation" moved in the last printed digits (at most 1e-10 relative)
+# when the d = 2 back-projection kernel began to come from an inverse real
+# FFT of the half spectrum: its samples are as close to a math.fsum of the
+# band's cosine and sine terms as those of the complex inverse FFT were
+# (tests/test_fourier_radon.py, test_kernel_samples_against_direct_sum).
+# "variation" also reads a radial target's mass from one row, which equals
+# the per-direction math.fsum reference (the J-row product was 1 ulp off).
 GOLDEN_BODIES = {
     "sampling": "3e108409aab90c759db59aacfea30647f3601bab44f47c96fe42a52bf37ab99f",
-    "schedule": "cb43069d7b3336200f0f6ace8f549c047a37f35316000a922fdb9e825eb4aca9",
-    "peano-d2k2": "fac81bc72b5be89dfb2b6defb3668c1545f818cdd6e7790db07ec11993c849dc",
+    "schedule": "fddf3c34f1d3721bd8c752825c3755b2c26a7e34793a737cbad5923f15ee324f",
+    "peano-d2k2": "56bd255112363803133e9fa05a138891cd253b0b83aa7b9c964c26596848321b",
     "mollify": "325d170b994d8bb7674d967fe294ebaee99f853bb965acc6bc18902f4174c0aa",
-    "inversion": "86ed7527c267bebe83d1ab403f3bac0f172175bf6d8f3a6ee331aeab4e6695dd",
-    "variation": "190f8c6191dab5b139c0acecbf231ec6f345d34b14ee645f636a17aa7d44ad03",
+    "inversion": "11f511267065b56cb3846264c111efaacda1f4b08ce998279591f7363e079933",
+    "variation": "548cc7dc104c17aeb33f993a142dbeb40b5d022db8a8f28cd9a5ce2af2c2efe5",
 }
 
 

@@ -142,6 +142,8 @@ class TestMain:
         "kind = radon-check\nd = 2\ntrials = 3\namplitude = 0\n",
         "kind = inversion-check\nd = 1\namplitude = 0\n",
         "kind = variation-bound\nd = 1\namplitude = 0\n",
+        "kind = peano-reconstruct\nd = 2\nk = 1\nsphere_level = 4\n"
+        "line_n = 512\namplitude = 0\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25, 0.125\n"
         "amplitude = 0\n",
         "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -139,21 +140,64 @@ class TestBackprojectFilter:
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("fraction", [0.3, 1.0])
     def test_kernel_spectrum_band_only(self, d, order, fraction):
-        # the spectrum built on the band |t| <= cutoff alone equals the
-        # one from the multiplier and taper at every quadrature frequency
+        # the half spectrum built on the band 0 <= t <= cutoff alone, by a
+        # real inverse FFT, agrees with the complex inverse FFT of the
+        # multiplier and taper at every quadrature frequency to rounding
         grid = LineGrid(L=4.0, N=256)
-        dt = np.pi / grid.L
-        cutoff = np.ceil(fraction * grid.nyquist / dt) * dt
-        assert cutoff <= grid.nyquist
+        cutoff = _kernel_cutoff(grid, fraction)
         nf = fourier_radon.KERNEL_OVERSAMPLE * grid.N
         t = 2.0 * np.pi * np.fft.fftfreq(nf, d=grid.h)
         spec = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
         lags = np.arange(-(grid.N - 1), grid.N) % nf
         expected = np.fft.rfft((np.fft.ifft(spec).real / grid.h)[lags],
                                fourier_radon._convolution_length(grid.N))
-        assert np.array_equal(
-            fourier_radon._kernel_spectrum(grid.L, grid.N, d, order, cutoff),
-            expected)
+        got = fourier_radon._kernel_spectrum(grid.L, grid.N, d, order, cutoff)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("fraction", [0.3, 1.0])
+    def test_kernel_samples_against_direct_sum(self, order, fraction):
+        # kernel samples at lags m h against the band's cosine / sine sum
+        #   k(m h) = 1/(nf h) sum_{|t_j| <= cutoff} (i t_j)^order M_2(t_j)
+        #            taper(t_j) e^{i t_j m h},   t_j = 2 pi j / (nf h),
+        # summed by math.fsum over j >= 0 (the spectrum is Hermitian)
+        d = 2
+        grid = LineGrid(L=4.0, N=64)
+        N, h = grid.N, grid.h
+        cutoff = _kernel_cutoff(grid, fraction)
+        nf = fourier_radon.KERNEL_OVERSAMPLE * N
+        nfft = fourier_radon._convolution_length(N)
+        samples = np.fft.irfft(
+            fourier_radon._kernel_spectrum(grid.L, N, d, order, cutoff),
+            nfft)[:2 * N - 1]
+        t0 = fourier_radon.TAPER_START * cutoff
+        for m in (0, 1, 5, -3, N - 1, 1 - N):
+            terms = []
+            for j in range(nf // 2 + 1):
+                t = 2.0 * math.pi * j / (nf * h)
+                if t > cutoff:
+                    break
+                taper = 1.0 if t <= t0 else math.cos(
+                    0.5 * math.pi * (t - t0) / (cutoff - t0)) ** 2
+                # Re(i^order e^{i t m h})
+                phase = t * m * h
+                turn = (math.cos(phase), -math.sin(phase), -math.cos(phase),
+                        math.sin(phase))[order % 4]
+                twice = 1 if j in (0, nf // 2) else 2
+                terms.append(twice * t ** (order + d - 1) / (4.0 * math.pi)
+                             * taper * turn)
+            direct = math.fsum(terms) / (nf * h)
+            assert abs(samples[m + N - 1] - direct) \
+                <= 1e-13 * np.max(np.abs(samples))
+
+
+def _kernel_cutoff(grid, fraction):
+    """A cutoff as _effective_cutoff picks them: a multiple of the grid's
+    frequency spacing, at most Nyquist."""
+    dt = np.pi / grid.L
+    cutoff = float(np.ceil(fraction * grid.nyquist / dt) * dt)
+    assert cutoff <= grid.nyquist
+    return cutoff
 
 
 class TestReconstruct:

@@ -1,5 +1,5 @@
-"""Import footprint: ``import ridgelab`` loads numpy only, and a run loads
-nothing that set-up did not.
+"""Import footprint: ``import ridgelab`` loads numpy only (without
+``numpy.ma``), and a run loads nothing that set-up did not.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported scipy and everything a run needs.
@@ -25,7 +25,8 @@ cli._make_target(config)
 before = set(sys.modules)
 with tempfile.TemporaryDirectory() as out:
     cli.run(config, out_dir=out)
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps(sorted(set(sys.modules) - before)
+                 + [m for m in ("numpy.ma",) if m in sys.modules]))
 """
 
 SMALL_RUNS = {
@@ -60,6 +61,13 @@ def test_import_loads_no_scipy():
     assert out == "[]"
 
 
+def test_import_loads_no_masked_arrays():
+    out = _python("-c", "import sys, ridgelab, ridgelab.cli; "
+                        "print('numpy.ma' in sys.modules)")
+    assert out == "False"
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_RUNS))
 def test_run_imports_nothing_after_setup(name):
+    # nor has numpy.ma been loaded by the end of the run
     assert json.loads(_python("-c", RUN_SCRIPT, SMALL_RUNS[name])) == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ridgelab.fourier_radon import (_apply_multiplier_linear,
                                     _effective_cutoff, _spectrum_to_profile,
                                     derivative_blocks, hermite, radon_slice,
                                     radon_transform, reconstruct)
+from ridgelab.network import from_sampling
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.ridge_density import (PolynomialPart, affine_powers,
                                     multi_indices, peano_polynomial,
@@ -308,6 +310,72 @@ class TestRadialRoute:
             tables = peano_tables(f, k, sphere, grid)
             np.testing.assert_array_equal(tables.profiles,
                                           F[k + 1][:, grid.knot_mask()])
+
+    @pytest.mark.parametrize("d,level", [(1, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_tables_hold_one_row(self, d, level, k):
+        f = make_gaussian(GaussianSpec(d=d, width=0.7, amplitude=-1.3))
+        grid = LineGrid(4.0, 256)
+        sphere = sphere_grid(d, level)
+        tables = peano_tables(f, k, sphere, grid)
+        shape = (len(sphere), len(tables.knots))
+        for table in (tables.profiles, tables.cdf):
+            assert table.shape == shape and table.strides[0] == 0
+        # the same Gaussian with every direction's slice read and filtered
+        # on its own, and the tables built one row per direction
+        spectrum = f.radial(np.abs(grid.frequencies))
+        sliced = dataclasses.replace(
+            f, radial=None,
+            fourier=lambda xi: np.broadcast_to(spectrum, np.shape(xi)[:-1]))
+        per_direction = peano_tables(sliced, k, sphere, grid)
+        copied = _tables_row_by_row(f, k, sphere, grid)
+        for name in ("profiles", "cdf"):
+            np.testing.assert_array_equal(getattr(tables, name),
+                                          getattr(per_direction, name))
+            np.testing.assert_array_equal(getattr(tables, name), copied[name])
+        assert tables.poly == per_direction.poly == copied["poly"]
+        # the mass of direction j is w_j int |F^{(k+1)}| over the knots
+        fsum = np.array([wj * math.fsum(tables.weights * np.abs(row))
+                         for wj, row in zip(sphere.weights, tables.profiles)])
+        for mass in (tables.mass, per_direction.mass, copied["mass"]):
+            assert np.all(np.abs(mass - fsum) <= 2 * np.spacing(fsum))
+
+    def test_from_sampling_copies_no_table(self):
+        # J = 512 directions, M = 2049 knots (peano-d2k2's stage 1): drawing
+        # from the one-row CDF allocates far less than one (J, M) array
+        f = make_gaussian(GaussianSpec(d=2))
+        tables = peano_tables(f, 2, sphere_grid(2, 9), LineGrid(4.0, 8192))
+        assert tables.cdf.shape == (512, 2049)
+        tracemalloc.start()
+        try:
+            net = from_sampling(tables, 1000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables.cdf.size * tables.cdf.itemsize
+        assert len(net) == 1000
+
+
+def _tables_row_by_row(f, k, sphere, grid):
+    """profiles, cdf, mass and poly of peano_tables as built with one row
+    per direction, each direction's F copied into its own row."""
+    mask = grid.knot_mask()
+    knots = grid.nodes[mask]
+    weights = peano_tables(f, k, sphere, grid).weights
+    profiles = np.empty((len(sphere), len(knots)))
+    at_minus_one = np.empty((len(sphere), k + 1))
+    for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2)):
+        hi = lo + F.shape[1]
+        profiles[lo:hi] = F[k + 1][:, mask]
+        at_minus_one[lo:hi] = hermite(F[:k + 1], F[1:k + 2], grid, -1.0).T
+    absv = np.abs(profiles)
+    cdf = np.zeros_like(absv)
+    np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
+              out=cdf[:, 1:])
+    mass = sphere.weights * (absv @ weights)
+    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
+    return dict(profiles=profiles, cdf=cdf, mass=mass,
+                poly=peano_polynomial(f.d, k, sphere, at_minus_one))
 
 
 class TestVariationUpperBound:
