@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 
 from ridgelab import (BallSampler, GaussianSpec, LineGrid, ball_points,
-                      gaussian_radon_oracle, make_gaussian, radon_direct,
-                      radon_transform, reconstruct, sphere_grid)
+                      gaussian_radon_oracle, hermite, make_gaussian,
+                      radon_direct, radon_transform, reconstruct, sphere_grid)
 
 warnings.filterwarnings("ignore", message="profile support")
 
@@ -23,8 +23,8 @@ def main():
     omega = np.array([0.6, 0.8])
 
     print("A single Radon profile, three ways (omega = (0.6, 0.8), b = 0.5):")
-    prof = radon_transform(f, omega, grid)
-    spectral = float(prof.interpolator()(0.5))
+    values, slopes = radon_transform(f, omega, grid)
+    spectral = float(hermite(values, slopes, grid, 0.5))
     direct = radon_direct(f, omega, 0.5)
     closed = gaussian_radon_oracle(GaussianSpec(d=2), omega, 0.5)
     print("  spectral    %.12f" % spectral)

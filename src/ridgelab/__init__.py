@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .targets import (GaussianSpec, TargetFunction, combine,
                       gaussian_radon_oracle, make_gaussian, make_cusp_radial)
 from .quadrature import SphereGrid, LineGrid, BallSampler, sphere_grid, sample_directions, ball_points
-from .fourier_radon import RidgeProfile, radon_slice, radon_transform, radon_direct, reconstruct
+from .fourier_radon import hermite, radon_slice, radon_transform, radon_direct, reconstruct
 from .ridge_density import (PeanoTables, PolynomialPart, peano_tables,
                             sobolev_seminorm)
 from .network import (ShallowNetwork, activation, from_quadrature,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .fourier_radon import radon_direct, radon_transform, reconstruct
+from .fourier_radon import hermite, radon_direct, radon_transform, reconstruct
 from .metrics import lp_error, rate_fit
 from .mollify import epsilon_schedule, smooth_approximant
 from .network import from_quadrature, from_sampling
@@ -191,6 +191,9 @@ def _validate(config):
         raise ConfigError("width must be > 0, got %g" % config.width)
     if config.target == "cusp" and not config.gamma > 0:
         raise ConfigError("gamma must be > 0, got %g" % config.gamma)
+    if config.target == "cusp" and config.center is not None:
+        raise ConfigError("the cusp target is centred at the origin and "
+                          "takes no center")
     if config.sphere_level < 1:
         raise ConfigError("sphere_level must be >= 1, got %d"
                           % config.sphere_level)
@@ -221,6 +224,17 @@ def _validate(config):
         if config.schedule == "epsilon" and config.s == 0:
             raise ConfigError("schedule = epsilon mollifies with order s and "
                               "needs s >= 1 (or s unset, for s = 1)")
+        if config.constructor == "quadrature":
+            layouts = {}
+            for n in config.widths:
+                level, grid = _quadrature_layout(n, config.d)
+                layouts.setdefault((level, grid.N), []).append(n)
+            for (level, line_n), shared in layouts.items():
+                if len(shared) > 1:
+                    raise ConfigError(
+                        "widths %s share one quadrature layout (sphere level "
+                        "%d, line_n %d) and would build one network"
+                        % (", ".join(map(str, shared)), level, line_n))
     if config.kind == "mollify-sweep":
         if len(set(config.epsilons)) < 3:
             raise ConfigError("mollify-sweep fits a rate and needs at least 3 "
@@ -263,10 +277,10 @@ def _run_radon_check(config, f):
     rows = []
     worst = 0.0
     for i, (omega, b) in enumerate(zip(dirs, offsets)):
-        profile = radon_transform(f, omega, grid)
-        spectral = profile.interpolator()(b)
+        values, slopes = radon_transform(f, omega, grid)
+        spectral = hermite(values, slopes, grid, b)
         direct = radon_direct(f, omega, b)
-        scale = np.max(np.abs(profile.values))
+        scale = np.max(np.abs(values))
         rel = abs(spectral - direct) / scale
         worst = max(worst, rel)
         rows.append((i, float(b), float(rel)))

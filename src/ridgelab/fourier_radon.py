@@ -18,16 +18,13 @@ dimension M_1 = 1/2 and the back-projected profile is f(omega*u)/2.
 """
 
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 # numpy loads np.fft on first use; loading it with the library keeps that
 # cost out of the first run that filters a profile
 import numpy.fft  # noqa: F401
 from numpy.polynomial.legendre import leggauss
-
-from .quadrature import LineGrid
 
 # Fraction of Nyquist above which the spectral taper rolls off.
 TAPER_START = 0.8
@@ -43,25 +40,6 @@ BLOCK_POINTS = 2 ** 20
 # Frequency samples per grid node in _kernel_spectrum's quadrature of the
 # spatial kernel: the period it sums over is this many grid widths.
 KERNEL_OVERSAMPLE = 16
-
-
-@dataclass(frozen=True)
-class RidgeProfile:
-    """Samples of a Radon profile R f(omega, .) and of its derivative
-    (slopes) on the grid nodes."""
-
-    omega: np.ndarray
-    grid: LineGrid
-    values: np.ndarray
-    slopes: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != self.grid.N or len(self.slopes) != self.grid.N:
-            raise ValueError("values and slopes lengths must equal grid count")
-
-    def interpolator(self):
-        """u -> R f(omega, u), the hermite read of the samples and slopes."""
-        return partial(hermite, self.values, self.slopes, self.grid)
 
 
 def hermite(F, dF, grid, u):
@@ -111,33 +89,10 @@ def taper(grid):
     return taper_window(grid.frequencies, grid.nyquist)
 
 
-def _next_fast_len(n):
-    """Smallest 2^a 3^b 5^c >= n: the lengths pocketfft's real transforms
-    factor fastest, as scipy.fft.next_fast_len(n, real=True) picks them."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest 2^a p35 >= n
-            candidate = p35 << ((n - 1) // p35).bit_length()
-            if candidate < best:
-                best = candidate
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _convolution_length(N):
-    """FFT length of the full linear convolution of an N-sample row with
-    the (2N-1)-sample kernel (the length scipy's fftconvolve picks)."""
-    return _next_fast_len(3 * N - 2)
-
-
 @lru_cache(maxsize=64)
 def _kernel_spectrum(L, N, d, order, cutoff):
-    """Real FFT, zero-padded to _convolution_length, of the band-limited
-    spatial kernel of the multiplier (i t)^order * M_d(t).
+    """Real FFT, zero-padded to 3N, of the band-limited spatial kernel of
+    the multiplier (i t)^order * M_d(t).
 
     The kernel is sampled on lags m*h for m = -(N-1)..(N-1) by a fine
     frequency quadrature of spacing dt / KERNEL_OVERSAMPLE: one inverse
@@ -158,20 +113,20 @@ def _kernel_spectrum(L, N, d, order, cutoff):
     spec = np.zeros(nf // 2 + 1, complex)
     spec[:len(t)] = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
     k_per = np.fft.irfft(spec, nf) / h
-    out = np.fft.rfft(np.concatenate([k_per[1 - N:], k_per[:N]]),
-                      _convolution_length(N))
+    out = np.fft.rfft(np.concatenate([k_per[1 - N:], k_per[:N]]), 3 * N)
     out.setflags(write=False)
     return out
 
 
-def _effective_cutoff(values, grid):
+def _effective_cutoff(spectra, grid):
     """Smallest grid frequency whose taper keeps each row's significant band.
 
-    values has shape (..., N); one cutoff is returned per row.  Frequencies
-    where a row's spectrum is below 1e-13 of its peak carry only rounding
-    noise, so the kernel need not (and should not) pass them.
+    spectra are the rows' FFTs, shape (..., N); one cutoff is returned per
+    row.  Frequencies where a row's spectrum is below 1e-13 of its peak
+    carry only rounding noise, so the kernel need not (and should not) pass
+    them.
     """
-    spec = np.abs(np.fft.fft(values, axis=-1))
+    spec = np.abs(spectra)
     peak = spec.max(axis=-1, keepdims=True)
     band = np.where(spec > 1e-13 * peak, np.abs(grid.frequencies), 0.0).max(axis=-1)
     dt = np.pi / grid.L
@@ -189,18 +144,20 @@ def _apply_multiplier_linear(values, grid, d, orders=(0,)):
     window, so each row is convolved (zero-padded, linearly) with the
     band-limited kernel of its own cutoff.  For odd d the multiplier is a
     plain polynomial in t (no kink), and circular filtering is exact on the
-    grid.  Each row's spectrum is computed once for all orders.
+    grid.  Each row's spectrum is computed once, for its cutoff and for
+    all orders.
     """
     values = np.asarray(values, float)
     N = grid.N
     rows = values.reshape(-1, N)
-    cutoffs = _effective_cutoff(rows, grid)
+    spec = np.fft.fft(rows, axis=-1)
+    cutoffs = _effective_cutoff(spec, grid)
     out = np.empty((len(orders), len(rows), N))
     t = grid.frequencies
-    nfft = _convolution_length(N)
-    if d % 2 == 1:
-        spec = np.fft.fft(rows, axis=-1)
-    else:
+    # the full linear convolution with the (2N - 1)-sample kernel has
+    # 3N - 2 samples; 3N is a fast FFT length on the power-of-two grids
+    nfft = 3 * N
+    if d % 2 == 0:
         spec = np.fft.rfft(rows, nfft, axis=-1)
     for cutoff in sorted(set(cutoffs.tolist())):
         sel = cutoffs == cutoff
@@ -255,15 +212,15 @@ def _check_grid(f, grid):
 
 
 def radon_transform(f, omega, grid):
-    """Samples of R f(omega, b) and of its b-derivative on the grid, via the
-    Fourier slice theorem (the derivative's spectrum is i t times the
-    slice)."""
-    omega = _check_unit(omega)
+    """(values, slopes): samples of R f(omega, b) and of its b-derivative on
+    the grid nodes, via the Fourier slice theorem (the derivative's
+    spectrum is i t times the slice).  hermite(values, slopes, grid, u)
+    reads the row between the nodes."""
     _check_grid(f, grid)
     spectrum = radon_slice(f, omega, grid)
-    vals = _spectrum_to_profile(
+    values, slopes = _spectrum_to_profile(
         np.stack([spectrum, 1j * grid.frequencies * spectrum]), grid).real
-    return RidgeProfile(omega=omega, grid=grid, values=vals[0], slopes=vals[1])
+    return values, slopes
 
 
 def _taper_loss(spectra, grid, d, orders):
@@ -289,18 +246,18 @@ def derivative_blocks(f, omegas, grid, orders):
     Yields (lo, F) with F[i, j] the samples of F^{(orders[i])} along
     omegas[lo + j].  Each block evaluates the Fourier slice once; the Radon
     rows, their cutoffs and their spectra are shared by all orders.  For a
-    radial target (f.radial set) every direction has the same Radon row,
-    so one row f.radial(|t|) is filtered once and each F is a read-only
-    view that broadcasts it to the block's directions.  The multiplier of
+    radial target (f.radial) every direction has the same Radon row, so
+    the one slice along e1 is filtered once and each F is a read-only view
+    that broadcasts it to the block's directions.  The multiplier of
     order m is (i t)^m M_d(t) with the standard high-frequency taper.
     After the last block, warns once when the taper removed a
     non-negligible share of some profile's spectral mass.
     """
     _check_grid(f, grid)
     block = max(1, BLOCK_POINTS // grid.N)
-    if f.radial is not None:
+    if f.radial:
         _check_unit(omegas)
-        spectrum = f.radial(np.abs(grid.frequencies))[None, :]
+        spectrum = radon_slice(f, np.eye(f.d)[:1], grid)
         worst = _taper_loss(spectrum, grid, f.d, orders)
         rows = _spectrum_to_profile(spectrum, grid).real
         F = _apply_multiplier_linear(rows, grid, f.d, orders)

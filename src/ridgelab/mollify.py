@@ -11,7 +11,6 @@ whose error against f is controlled by the s-fold difference of f.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +19,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .quadrature import surface_area
 
-MIN_NODES_PER_AXIS = 8
+# Gauss-Legendre nodes per axis of smooth_approximant's tensor rule on the
+# eps-ball, by dimension (16 beyond d = 3).
+NODES_PER_AXIS = {1: 64, 2: 48, 3: 20}
 
 # Gauss-Legendre nodes on [0, 1] for the bump's normalization Z_d: the
 # integrand is C-infinity, and 256 nodes put Z_1, Z_2 and Z_3 within 3e-16
@@ -114,11 +115,11 @@ def _ball_quadrature(d, eps, nodes_per_axis):
     return pts[keep], wts[keep] * phi[keep]
 
 
-def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
+def smooth_approximant(f, s, eps, x):
     """Evaluate the order-s binomial approximant f_eps at x (point or batch).
 
     Each convolution is computed by tensor Gauss-Legendre quadrature over
-    the eps-ball; nodes_per_axis controls the resolution.  f is called on
+    the eps-ball, NODES_PER_AXIS nodes per axis.  f is called on
     tiles of whole rows, at most TILE_PAIRS (point, node) pairs or else one
     point: a (rows, nodes, d) view, x[p, j] = x_p - t y_j, of one reused
     axis-major buffer.  The view is not C-contiguous, and f must not keep
@@ -130,15 +131,10 @@ def smooth_approximant(f, s, eps, x, nodes_per_axis=None):
     if s < 1:
         raise ValueError("s must be >= 1")
     d = np.shape(x)[-1]
-    if nodes_per_axis is None:
-        nodes_per_axis = {1: 64, 2: 48, 3: 20}.get(d, 16)
-    if nodes_per_axis < MIN_NODES_PER_AXIS:
-        warnings.warn("quadrature resolution per eps-ball is below the floor "
-                      "of %d nodes per axis" % MIN_NODES_PER_AXIS)
     x = np.asarray(x, float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    ynodes, yw = _ball_quadrature(d, eps, nodes_per_axis)
+    ynodes, yw = _ball_quadrature(d, eps, NODES_PER_AXIS.get(d, 16))
     nodes = len(ynodes)
     rows = max(1, TILE_PAIRS // nodes)
     height = min(rows, len(pts))

@@ -158,7 +158,7 @@ def peano_tables(f, k, sphere, grid):
     mask = grid.knot_mask()
     knots = grid.nodes[mask]
     weights = _trapezoid_weights(knots)
-    omegas = sphere.nodes[:1] if f.radial is not None else sphere.nodes
+    omegas = sphere.nodes[:1] if f.radial else sphere.nodes
     profiles = np.empty((len(omegas), len(knots)))
     at_minus_one = np.empty((len(omegas), k + 1))
     for lo, F in derivative_blocks(f, omegas, grid, range(k + 2)):

@@ -26,18 +26,16 @@ class TargetFunction:
     Gaussian targets this is the effective decay radius, not a hard cutoff.
     bandwidth is a frequency beyond which the Fourier data is negligible
     (None when unknown); grid Nyquist checks use it as a heuristic.
-    radial, set for targets radial about the origin, maps radii rho to the
-    (real) Fourier data at |xi| = rho, so that fourier(xi) equals
-    radial(|xi|); None when the target is not radial.
+    radial is True for targets radial about the origin: their Fourier data
+    depends on |xi| alone, so the slice along e1 is every direction's.
     """
 
     d: int
     evaluate: callable
     fourier: callable
     support_radius: float
-    smoothness_class: object  # "analytic" or a finite order gamma
     bandwidth: float = None
-    radial: callable = None
+    radial: bool = False
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -110,9 +108,6 @@ def make_gaussian(spec):
         phase = np.tensordot(xi, c, axes=([-1], [0]))
         return norm * np.exp(-s2 * q2 / 2.0) * np.exp(-1j * phase)
 
-    def radial(rho):
-        return norm * np.exp(-s2 * np.asarray(rho, float) ** 2 / 2.0)
-
     # frequency where the Fourier data drops below TRUNCATION_TOL
     bandwidth = None
     if abs(norm) > TRUNCATION_TOL:
@@ -123,9 +118,8 @@ def make_gaussian(spec):
         evaluate=evaluate,
         fourier=fourier,
         support_radius=spec.decay_radius(),
-        smoothness_class="analytic",
         bandwidth=bandwidth,
-        radial=None if np.any(c) else radial,
+        radial=not np.any(c),
     )
 
 
@@ -191,28 +185,23 @@ def make_cusp_radial(gamma, d):
     def profile(r):
         return max(0.0, 1.0 - r) ** gamma
 
-    def radial(rho):
-        rho = np.asarray(rho, float)
+    def fourier(xi):
+        rho = np.sqrt(np.sum(np.asarray(xi, float) ** 2, axis=-1))
         vals = np.empty(rho.size)
         for i, r in enumerate(rho.ravel()):
             key = round(float(r), 12)
             if key not in cache:
                 cache[key] = _radial_fourier_quad(profile, d, key)
             vals[i] = cache[key]
-        return vals.reshape(rho.shape)[()]
-
-    def fourier(xi):
-        xi = np.asarray(xi, float)
-        return radial(np.sqrt(np.sum(xi ** 2, axis=-1))).astype(complex)
+        return vals.reshape(rho.shape).astype(complex)[()]
 
     return TargetFunction(
         d=d,
         evaluate=evaluate,
         fourier=fourier,
         support_radius=1.0,
-        smoothness_class=float(gamma),
         bandwidth=None,
-        radial=radial,
+        radial=True,
     )
 
 
@@ -221,16 +210,11 @@ def combine(f, g, cf=1.0, cg=1.0):
     radial when both parts are."""
     if f.d != g.d:
         raise ValueError("dimension mismatch")
-    radial = None
-    if f.radial is not None and g.radial is not None:
-        def radial(rho):
-            return cf * f.radial(rho) + cg * g.radial(rho)
     return TargetFunction(
         d=f.d,
         evaluate=lambda x: cf * f.evaluate(x) + cg * g.evaluate(x),
         fourier=lambda xi: cf * f.fourier(xi) + cg * g.fourier(xi),
         support_radius=max(f.support_radius, g.support_radius),
-        smoothness_class=f.smoothness_class,
         bandwidth=max(f.bandwidth or 0.0, g.bandwidth or 0.0) or None,
-        radial=radial,
+        radial=f.radial and g.radial,
     )

@@ -128,9 +128,9 @@ class TestMain:
         "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\np = 1\n",
         "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\neval_count = 0\n",
         "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\nn_seeds = 0\n",
-        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        "kind = rate-sweep\nd = 1\nwidths = 4, 16, 32\n"
         "constructor = quadrature\nschedule = epsilon\ns = -1\n",
-        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        "kind = rate-sweep\nd = 1\nwidths = 4, 16, 32\n"
         "constructor = quadrature\nschedule = epsilon\ns = 0\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 2, 3, 4\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25\np = 1\n",
@@ -146,9 +146,9 @@ class TestMain:
         "line_n = 512\namplitude = 0\n",
         "kind = mollify-sweep\nd = 1\ns = 1\nepsilons = 0.5, 0.25, 0.125\n"
         "amplitude = 0\n",
-        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        "kind = rate-sweep\nd = 1\nwidths = 4, 16, 32\n"
         "constructor = quadrature\namplitude = 0\n",
-        "kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        "kind = rate-sweep\nd = 1\nwidths = 4, 16, 32\n"
         "constructor = quadrature\nschedule = epsilon\namplitude = 0\n",
     ])
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, text):
@@ -156,6 +156,37 @@ class TestMain:
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d,widths,shared", [(2, "1, 2, 3", "1, 2, 3"),
+                                                 (1, "4, 8, 16", "4, 8")])
+    def test_quadrature_widths_sharing_a_layout_exit_2(self, tmp_path, capsys,
+                                                       d, widths, shared):
+        # such widths would build one network and write equal rows
+        path = tmp_path / "shared.cfg"
+        path.write_text("kind = rate-sweep\nd = %d\nwidths = %s\n"
+                        "constructor = quadrature\n" % (d, widths))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: widths %s share one quadrature layout" % shared)
+        assert not (tmp_path / "rate-sweep.csv").exists()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pinned_quadrature_widths_have_distinct_layouts(self, d):
+        parse_config("kind = rate-sweep\nd = %d\nconstructor = quadrature\n"
+                     "widths = 16, 32, 64, 128, 256, 512, 1024\n" % d)
+
+    def test_sampled_widths_may_share_a_layout(self):
+        # each sampled width draws its own network from one table
+        parse_config("kind = rate-sweep\nd = 2\nwidths = 1, 2, 3\n")
+
+    def test_cusp_with_center_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cusp.cfg"
+        path.write_text("kind = inversion-check\nd = 2\ntarget = cusp\n"
+                        "center = 0.3, 0\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: the cusp target is centred at the origin")
+        assert not (tmp_path / "inversion-check.csv").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 4
@@ -167,7 +198,7 @@ class TestMain:
         slow = TargetFunction(
             d=1, evaluate=lambda x: np.exp(-np.abs(x[..., 0])) / 2.0,
             fourier=lambda xi: 1.0 / (1.0 + np.sum(xi ** 2, axis=-1)),
-            support_radius=40.0, smoothness_class=1.0)
+            support_radius=40.0)
         monkeypatch.setattr(cli, "_make_target", lambda config: slow)
         path = tmp_path / "slow.cfg"
         path.write_text("kind = variation-bound\nd = 1\nk = 0\n")
@@ -195,7 +226,7 @@ class TestMain:
         zero = make_gaussian(GaussianSpec(d=1, amplitude=0.0))
         monkeypatch.setattr(cli, "_make_target", lambda config: zero)
         path = tmp_path / "zero.cfg"
-        path.write_text("kind = rate-sweep\nd = 1\nwidths = 4, 8, 16\n"
+        path.write_text("kind = rate-sweep\nd = 1\nwidths = 4, 16, 32\n"
                         "constructor = quadrature\nschedule = %s\n"
                         "eval_count = 64\n" % schedule)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3

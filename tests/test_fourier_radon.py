@@ -52,32 +52,32 @@ class TestRadonTransform:
         spec = GaussianSpec(d=2)
         f = make_gaussian(spec)
         omega = np.array([0.6, 0.8])
-        prof = radon_transform(f, omega, GRID)
+        values, slopes = radon_transform(f, omega, GRID)
         oracle = np.array([gaussian_radon_oracle(spec, omega, b)
-                           for b in prof.grid.nodes])
+                           for b in GRID.nodes])
         # tails near |b| = L carry periodic wrap-around at the 1e-3 level;
         # the interior matches the closed form far more tightly
-        inner = np.abs(prof.grid.nodes) <= 2.0
-        np.testing.assert_allclose(prof.values[inner], oracle[inner],
+        inner = np.abs(GRID.nodes) <= 2.0
+        np.testing.assert_allclose(values[inner], oracle[inner],
                                    rtol=0, atol=1e-7)
-        np.testing.assert_allclose(prof.values, oracle, atol=2e-3)
-        np.testing.assert_allclose(prof.interpolator()(0.0),
+        np.testing.assert_allclose(values, oracle, atol=2e-3)
+        np.testing.assert_allclose(hermite(values, slopes, GRID, 0.0),
                                    np.sqrt(2 * np.pi), rtol=1e-8)
 
     def test_matches_oracle_d3(self):
         spec = GaussianSpec(d=3)
         f = make_gaussian(spec)
         omega = np.array([0.0, 0.0, 1.0])
-        prof = radon_transform(f, omega, GRID)
-        np.testing.assert_allclose(prof.interpolator()(1.0),
+        values, slopes = radon_transform(f, omega, GRID)
+        np.testing.assert_allclose(hermite(values, slopes, GRID, 1.0),
                                    2 * np.pi * np.exp(-0.5), rtol=1e-8)
 
     def test_shifted_peak(self):
         spec = GaussianSpec(d=2, center=np.array([1.0, 0.0]))
         f = make_gaussian(spec)
-        prof = radon_transform(f, np.array([1.0, 0.0]), GRID)
-        peak = prof.grid.nodes[np.argmax(prof.values)]
-        assert abs(peak - 1.0) <= prof.grid.h
+        values, _ = radon_transform(f, np.array([1.0, 0.0]), GRID)
+        peak = GRID.nodes[np.argmax(values)]
+        assert abs(peak - 1.0) <= GRID.h
 
 
 class TestRadonDirect:
@@ -112,11 +112,11 @@ class TestBackprojectFilter:
     def test_d1_multiplier_is_constant(self):
         # d=1 the multiplier is flat, so filtering just halves the profile
         f = make_gaussian(GaussianSpec(d=1))
-        prof = radon_transform(f, np.array([1.0]), GRID)
+        values, _ = radon_transform(f, np.array([1.0]), GRID)
         [(_, F)] = derivative_blocks(f, np.array([[1.0]]), GRID, (0,))
-        inner = np.abs(prof.grid.nodes) <= 2.0
-        np.testing.assert_allclose(F[0, 0][inner],
-                                   prof.values[inner] / 2, atol=1e-9)
+        inner = np.abs(GRID.nodes) <= 2.0
+        np.testing.assert_allclose(F[0, 0][inner], values[inner] / 2,
+                                   atol=1e-9)
 
     def test_zero_profile(self):
         grid = LineGrid(L=2.0, N=128)
@@ -150,7 +150,7 @@ class TestBackprojectFilter:
         spec = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
         lags = np.arange(-(grid.N - 1), grid.N) % nf
         expected = np.fft.rfft((np.fft.ifft(spec).real / grid.h)[lags],
-                               fourier_radon._convolution_length(grid.N))
+                               3 * grid.N)
         got = fourier_radon._kernel_spectrum(grid.L, grid.N, d, order, cutoff)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
@@ -166,10 +166,9 @@ class TestBackprojectFilter:
         N, h = grid.N, grid.h
         cutoff = _kernel_cutoff(grid, fraction)
         nf = fourier_radon.KERNEL_OVERSAMPLE * N
-        nfft = fourier_radon._convolution_length(N)
         samples = np.fft.irfft(
             fourier_radon._kernel_spectrum(grid.L, N, d, order, cutoff),
-            nfft)[:2 * N - 1]
+            3 * N)[:2 * N - 1]
         t0 = fourier_radon.TAPER_START * cutoff
         for m in (0, 1, 5, -3, N - 1, 1 - N):
             terms = []
@@ -240,10 +239,27 @@ class TestReconstruct:
         assert err_f < err_c
 
 
-def test_next_fast_len_matches_scipy():
-    from scipy.fft import next_fast_len
-    for n in range(1, 10 ** 5 + 1):
-        assert fourier_radon._next_fast_len(n) == next_fast_len(n, True), n
+@pytest.mark.parametrize("N", [2, 4, 8, 64, 1024])
+def test_even_d_filter_is_the_linear_convolution(N):
+    # the kernel's spectrum is padded to 3N >= 3N - 2, the length of the
+    # full linear convolution of an N-sample row with the (2N - 1)-sample
+    # kernel, so the FFT product has no wrap-around: it equals the direct
+    # convolution with the kernel samples
+    grid = LineGrid(L=4.0, N=N)
+    row = np.random.default_rng(N).standard_normal(N)
+    cutoff = fourier_radon._effective_cutoff(np.fft.fft(row), grid)
+    for order in (0, 1, 2):
+        kernel = fourier_radon._kernel_spectrum(grid.L, N, 2, order,
+                                                float(cutoff))
+        assert len(kernel) == 3 * N // 2 + 1
+        samples = np.fft.irfft(kernel, 3 * N)
+        # the padding beyond the 2N - 1 lags holds zeros only
+        assert np.max(np.abs(samples[2 * N - 1:])) \
+            <= 1e-14 * np.max(np.abs(samples))
+        direct = np.convolve(row, samples[:2 * N - 1])[N - 1:2 * N - 1]
+        got = fourier_radon._apply_multiplier_linear(row, grid, 2, (order,))[0]
+        np.testing.assert_allclose(got, direct * grid.h, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(direct * grid.h)))
 
 
 class TestReconstructRadial:
@@ -252,11 +268,11 @@ class TestReconstructRadial:
     @pytest.mark.parametrize("d", [2, 3])
     def test_radial_matches_per_direction_route(self, d):
         f = make_gaussian(GaussianSpec(d=d, width=0.6))
-        assert f.radial is not None
+        assert f.radial
         pts = np.random.default_rng(d).uniform(-0.5, 0.5, size=(40, d))
         sphere = sphere_grid(d, 3 if d == 3 else 6)
         radial = reconstruct(f, pts, sphere, GRID)
-        per_direction = reconstruct(dataclasses.replace(f, radial=None), pts,
+        per_direction = reconstruct(dataclasses.replace(f, radial=False), pts,
                                     sphere, GRID)
         np.testing.assert_allclose(radial, per_direction, rtol=1e-12, atol=0)
 
@@ -292,9 +308,9 @@ class TestHermite:
         # h^4 times the row's fourth derivative
         spec = GaussianSpec(d=d, width=0.5)
         omega = np.ones(d) / np.sqrt(d)
-        prof = radon_transform(make_gaussian(spec), omega, GRID)
+        values, slopes = radon_transform(make_gaussian(spec), omega, GRID)
         u = np.random.default_rng(d).uniform(-1.5, 1.5, 500)
         assert not np.isin(u, GRID.nodes).any()
         exact = gaussian_radon_oracle(spec, omega, u)
-        err = np.max(np.abs(prof.interpolator()(u) - exact))
+        err = np.max(np.abs(hermite(values, slopes, GRID, u) - exact))
         assert err <= 1e-10 * np.max(np.abs(exact))

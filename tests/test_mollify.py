@@ -96,8 +96,7 @@ class TestSmoothApproximant:
     def test_constant_is_reproduced(self):
         from ridgelab.targets import TargetFunction
         const = TargetFunction(d=2, evaluate=lambda x: np.ones(np.shape(x)[:-1]),
-                               fourier=None, support_radius=np.inf,
-                               smoothness_class="smooth")
+                               fourier=None, support_radius=np.inf)
         x = np.array([[0.1, 0.2], [0.0, 0.0]])
         for s in (1, 2):
             np.testing.assert_allclose(
@@ -106,8 +105,7 @@ class TestSmoothApproximant:
     def test_linear_is_reproduced_s1(self):
         from ridgelab.targets import TargetFunction
         lin = TargetFunction(d=1, evaluate=lambda x: np.asarray(x)[..., 0],
-                             fourier=None, support_radius=np.inf,
-                             smoothness_class="smooth")
+                             fourier=None, support_radius=np.inf)
         x = np.array([[0.3], [-0.6]])
         np.testing.assert_allclose(smooth_approximant(lin, 1, 0.25, x),
                                    x[:, 0], atol=1e-10)
@@ -131,20 +129,20 @@ class TestEpsilonSchedule:
         assert 0 < epsilon_schedule(1, 1) <= 1.0
 
 
-DEFAULT_NODES = {1: 64, 2: 48, 3: 20}
+def _nodes(d, eps):
+    """The nodes and weights of smooth_approximant's rule on the eps-ball."""
+    return _ball_quadrature(d, eps, mollify.NODES_PER_AXIS[d])
 
 
-def _untiled_approximant(f, s, eps, x, nodes_per_axis=None):
+def _untiled_approximant(f, s, eps, x):
     """smooth_approximant without tiles: one (points, nodes, d) array of
     translates per t, each point's weighted values summed along its row.
     The reference for the tiled loop."""
     d = np.shape(x)[-1]
-    if nodes_per_axis is None:
-        nodes_per_axis = DEFAULT_NODES[d]
     x = np.asarray(x, float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    ynodes, yw = _ball_quadrature(d, eps, nodes_per_axis)
+    ynodes, yw = _nodes(d, eps)
     out = np.zeros(len(pts))
     for t, coef in binomial_weights(s):
         out += coef * np.add.reduce(f(pts[:, None] - t * ynodes) * yw, axis=1)
@@ -173,7 +171,7 @@ class TestTiledApproximant:
     def test_bit_identical(self, d, s, target):
         f = _targets(d)[target]
         # two full tiles and a part one
-        nodes = len(_ball_quadrature(d, 0.5, DEFAULT_NODES[d])[0])
+        nodes = len(_nodes(d, 0.5)[0])
         pts = _points(d, 2 * (TILE_PAIRS // nodes) + 5)
         for eps in (0.5, 0.03125):
             assert np.array_equal(smooth_approximant(f, s, eps, pts),
@@ -197,17 +195,18 @@ class TestTiledApproximant:
     def test_more_nodes_than_tile_pairs(self, monkeypatch):
         # 32 nodes per axis put 7416 in the d = 3 ball, more than a tile
         # holds, so every tile is one point by the whole node set
+        monkeypatch.setitem(mollify.NODES_PER_AXIS, 3, 32)
         monkeypatch.setattr(mollify, "TILE_PAIRS", 4096)
         f = _targets(3)["combine"]
         pts = _points(3, 40)
-        assert np.array_equal(
-            smooth_approximant(f, 2, 0.5, pts, nodes_per_axis=32),
-            _untiled_approximant(f, 2, 0.5, pts, nodes_per_axis=32))
+        assert len(_nodes(3, 0.5)[0]) == 7416
+        assert np.array_equal(smooth_approximant(f, 2, 0.5, pts),
+                              _untiled_approximant(f, 2, 0.5, pts))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_same_values_for_every_tile_size(self, monkeypatch, d):
         f = _targets(d)["combine"]
-        nodes = len(_ball_quadrature(d, 0.25, DEFAULT_NODES[d])[0])
+        nodes = len(_nodes(d, 0.25)[0])
         pts = _points(d, 300)
         values = []
         for pairs in (1, nodes - 1, nodes, 2 ** 12, 2 ** 15, 2 ** 20):
@@ -245,7 +244,7 @@ class TestTiledApproximant:
             return f(x)
 
         count, s = 1000, 2
-        nodes = len(_ball_quadrature(d, 0.25, DEFAULT_NODES[d])[0])
+        nodes = len(_nodes(d, 0.25)[0])
         smooth_approximant(recording, s, 0.25, _points(d, count))
         assert max(pairs) <= TILE_PAIRS
         # every (point, node) pair once per translate
@@ -259,7 +258,7 @@ class TestTiledApproximant:
         # sum |coef w_j f(x_p - t y_j)| of the terms' exactly rounded sum
         f = _targets(d)[target]
         eps = 0.25
-        ynodes, yw = _ball_quadrature(d, eps, DEFAULT_NODES[d])
+        ynodes, yw = _nodes(d, eps)
         pts = _points(d, 5)
         values = smooth_approximant(f, s, eps, pts)
         for x, value in zip(pts, values):
@@ -286,10 +285,10 @@ class TestTranslateLayout:
     tiles stacked are pts[:, None, :] - t * ynodes, each tile whole rows."""
 
     @staticmethod
-    def _check_tiles(d, s, eps, pts, nodes_per_axis=None):
+    def _check_tiles(d, s, eps, pts):
         """Run smooth_approximant with an f that checks each tile against
         its rows of the translates; returns the tile heights."""
-        ynodes = _ball_quadrature(d, eps, nodes_per_axis or DEFAULT_NODES[d])[0]
+        ynodes = _nodes(d, eps)[0]
         at = {"t": 1, "p": 0}
         heights = []
 
@@ -305,14 +304,14 @@ class TestTranslateLayout:
                 at.update(p=0, t=t + 1)
             return np.zeros(x.shape[:2])
 
-        smooth_approximant(recording, s, eps, pts, nodes_per_axis)
+        smooth_approximant(recording, s, eps, pts)
         assert (at["t"], at["p"]) == (s + 1, 0)
         return heights
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_tiles_are_the_translates(self, d):
         # three tiles per translate, the last one part full
-        nodes = len(_ball_quadrature(d, 0.25, DEFAULT_NODES[d])[0])
+        nodes = len(_nodes(d, 0.25)[0])
         rows = TILE_PAIRS // nodes
         pts = _points(d, 2 * rows + 5)
         assert self._check_tiles(d, 2, 0.25, pts) == [rows, rows, 5] * 2
@@ -320,8 +319,9 @@ class TestTranslateLayout:
     def test_one_point_tiles_beyond_tile_pairs(self, monkeypatch):
         # the 7416 nodes of the d = 3 ball at 32 per axis fill more than a
         # tile: a point's row is never split, so each tile is one point
+        monkeypatch.setitem(mollify.NODES_PER_AXIS, 3, 32)
         monkeypatch.setattr(mollify, "TILE_PAIRS", 4096)
-        heights = self._check_tiles(3, 2, 0.5, _points(3, 30), 32)
+        heights = self._check_tiles(3, 2, 0.5, _points(3, 30))
         assert heights == [1] * 60
 
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -101,9 +101,10 @@ class TestDerivativeBlocks:
         batched = np.concatenate(
             [F for _, F in derivative_blocks(f, omegas, grid, orders)], axis=1)
         assert batched.shape == (len(orders), len(omegas), grid.N)
-        rows = np.array([radon_transform(f, w, grid).values for w in omegas])
+        rows = np.array([radon_transform(f, w, grid)[0] for w in omegas])
         if d > 1:
-            assert len(np.unique(_effective_cutoff(rows, grid))) > 1
+            cutoffs = _effective_cutoff(np.fft.fft(rows, axis=-1), grid)
+            assert len(np.unique(cutoffs)) > 1
         for j, row in enumerate(rows):
             single = _apply_multiplier_linear(row, grid, d, orders)
             for i in range(len(orders)):
@@ -147,7 +148,7 @@ def _blocks(f, omegas, grid, orders):
 
 def _per_direction(f):
     """f with the radial route switched off: one Fourier slice per direction."""
-    return dataclasses.replace(f, radial=None)
+    return dataclasses.replace(f, radial=False)
 
 
 def _assert_rows_close(got, expected, rtol):
@@ -220,7 +221,7 @@ class TestRadialRoute:
         if second is not None:
             g = make_gaussian(GaussianSpec(d=d, width=second[0]))
             f = combine(f, g, 1.0, second[1])
-        assert f.radial is not None
+        assert f.radial
         grid = LineGrid(4.0, 512)
         omegas = (np.array([[1.0], [-1.0]]) if d == 1
                   else sample_directions(d, 5, seed=11))
@@ -253,22 +254,44 @@ class TestRadialRoute:
             _assert_rows_close(_blocks(f, omegas, grid, orders),
                                _blocks(direct, omegas, grid, orders), 1e-10)
 
-    def test_one_row_for_all_directions(self):
-        f = make_gaussian(GaussianSpec(d=2))
-        rows = []
-
-        def radial(rho):
-            rows.append(np.shape(rho))
-            return f.radial(rho)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_slice_along_e1(self, d, monkeypatch):
+        # one call of f.fourier per derivative_blocks call, on the N
+        # frequencies along e1, whatever the number of blocks; the rows
+        # equal bit for bit those filtered from the Gaussian's closed-form
+        # radial profile norm exp(-s2 rho^2 / 2) at rho = |t|
+        s2, a = 0.7, -1.3
+        f = make_gaussian(GaussianSpec(d=d, width=s2, amplitude=a))
+        grid = LineGrid(4.0, 256)
+        monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 2 * grid.N)
+        calls = []
 
         def fourier(xi):
-            raise AssertionError("the radial route reads no Fourier slice")
+            calls.append(np.array(xi))
+            return f.fourier(xi)
 
-        counted = dataclasses.replace(f, radial=radial, fourier=fourier)
-        grid = LineGrid(4.0, 64)
-        sphere = sphere_grid(2, 6)
+        counted = dataclasses.replace(f, fourier=fourier)
+        omegas = (np.array([[1.0], [-1.0]]) if d == 1
+                  else sample_directions(d, 7, seed=2))
+        orders = (0, 1, 2)
+        got = _blocks(counted, omegas, grid, orders)
+        [xi] = calls
+        t = grid.frequencies
+        assert xi.shape == (1, grid.N, d)
+        np.testing.assert_array_equal(xi[0, :, 0], t)
+        np.testing.assert_array_equal(xi[0, :, 1:], 0.0)
+        norm = a * (2.0 * np.pi * s2) ** (d / 2.0)
+        spectrum = norm * np.exp(-s2 * np.abs(t) ** 2 / 2.0)
+        rows = _spectrum_to_profile(spectrum[None, :], grid).real
+        F = _apply_multiplier_linear(rows, grid, d, orders)
+        np.testing.assert_array_equal(got, np.broadcast_to(F, got.shape))
+        # the cusp reads its quadrature cache at sqrt(t^2), which is |t|
+        np.testing.assert_array_equal(np.sqrt(t ** 2), np.abs(t))
+        # the Peano tables of every direction come from the same one slice
+        calls.clear()
+        sphere = sphere_grid(d, 1 if d == 1 else 3)
         tables = peano_tables(counted, 1, sphere, grid)
-        assert rows == [(grid.N,)]
+        assert len(calls) == 1 and calls[0].shape == (1, grid.N, d)
         np.testing.assert_array_equal(tables.profiles,
                                       peano_tables(f, 1, sphere, grid).profiles)
 
@@ -303,7 +326,7 @@ class TestRadialRoute:
         k = 1
         for f in (shifted, combine(make_gaussian(GaussianSpec(d=d)), shifted,
                                    1.0, -0.5)):
-            assert f.radial is None
+            assert not f.radial
             spectra = radon_slice(f, sphere.nodes, grid)
             rows = _spectrum_to_profile(spectra, grid).real
             F = _apply_multiplier_linear(rows, grid, d, range(k + 2))
@@ -323,9 +346,9 @@ class TestRadialRoute:
             assert table.shape == shape and table.strides[0] == 0
         # the same Gaussian with every direction's slice read and filtered
         # on its own, and the tables built one row per direction
-        spectrum = f.radial(np.abs(grid.frequencies))
+        spectrum = radon_slice(f, np.eye(d)[0], grid)
         sliced = dataclasses.replace(
-            f, radial=None,
+            f, radial=False,
             fourier=lambda xi: np.broadcast_to(spectrum, np.shape(xi)[:-1]))
         per_direction = peano_tables(sliced, k, sphere, grid)
         copied = _tables_row_by_row(f, k, sphere, grid)
