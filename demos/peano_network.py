@@ -28,7 +28,7 @@ def main():
         net = from_quadrature(peano_tables(f, k, sphere, grid))
         err = np.max(np.abs(net(pts) - f(pts)))
         print("k = %d: %6d neurons, sup error %.2e, ell_1 mass %.4f"
-              % (k, len(net.a), err, net.l1_mass))
+              % (k, len(net), err, net.l1_mass))
 
     tables = peano_tables(f, 1, sphere, grid)
     print("\nvariation upper bound (k = 1): %.6f" % tables.variation)

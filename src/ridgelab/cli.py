@@ -373,7 +373,7 @@ def _run_peano_reconstruct(config, f):
 
     def measure(sphere, grid):
         net = from_quadrature(peano_tables(f, config.k, sphere, grid))
-        return len(net.a), float(np.max(np.abs(net(pts) - target)))
+        return len(net), float(np.max(np.abs(net(pts) - target)))
 
     rows = _refinement_stages(config, measure)
     report = ExperimentReport(config, ("stage", "neurons", "sup_err"), rows,
@@ -426,7 +426,7 @@ def _run_rate_sweep(config, f):
             net = from_quadrature(peano_tables(
                 f, config.k, sphere_grid(config.d, level), qgrid))
             err = float(lp_error(f, net, config.p, sampler))
-            width = len(net.a)
+            width = len(net)
         eps = epsilon_schedule(n, config.d)
         if config.schedule == "epsilon":
             smooth_gap = lp_error(

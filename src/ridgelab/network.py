@@ -8,6 +8,8 @@ PolynomialPart or its exact ridge lift).
 
 import io
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,21 +43,41 @@ def _truncated_power(k, t):
 
 
 class ShallowNetwork:
-    """poly(x) + sum_i a_i sigma_k(omega_i . x - b_i), stored as arrays."""
+    """poly(x) + sum_i a_i sigma_k(omega_i . x - b_i), stored as arrays or
+    as a KnotTable (from_quadrature) whose arrays are built on first
+    access, run i of M neurons from table direction runs[i]."""
 
-    def __init__(self, d, k, a=None, omega=None, b=None, poly=None):
+    def __init__(self, d, k, a=None, omega=None, b=None, poly=None,
+                 table=None, runs=None):
         self.d = int(d)
         self.k = int(k)
+        self.poly, self.table, self._runs = poly, table, runs
+        if table is not None:
+            return
         n = 0 if a is None else len(a)
         self.a = np.zeros(0) if a is None else np.asarray(a, float)
         self.omega = np.zeros((0, d)) if omega is None else np.asarray(omega, float)
         self.b = np.zeros(0) if b is None else np.asarray(b, float)
         if self.omega.shape != (n, self.d) or self.b.shape != (n,):
             raise ValueError("inconsistent neuron arrays")
-        self.poly = poly
+
+    @cached_property
+    def a(self):
+        return self.table.weights[self.table.rows[self._runs]].ravel()
+
+    @cached_property
+    def omega(self):
+        return np.repeat(self.table.directions[self._runs],
+                         self.table.knots.shape[1], axis=0)
+
+    @cached_property
+    def b(self):
+        return self.table.knots[self.table.rows[self._runs]].ravel()
 
     def __len__(self):
-        return len(self.a)
+        if self.table is None:
+            return len(self.a)
+        return self.table.rows.size * self.table.knots.shape[1]
 
     @property
     def l1_mass(self):
@@ -66,9 +88,10 @@ class ShallowNetwork:
         """Network values at one point (d,) or at the rows of x (P, d).
 
         Networks with at least MIN_KNOTS_PER_DIRECTION neurons per distinct
-        direction are evaluated at MIN_GROUPED_POINTS points or more as a
-        (direction x knot) table of degree-k splines in omega.x
-        (_evaluate_grouped); others, and fewer points, neuron by neuron.
+        direction are evaluated as a (direction x knot) table of degree-k
+        splines in omega.x (_evaluate_grouped), others neuron by neuron.  A
+        network's own KnotTable is read at any number of points; a flat
+        network is grouped from MIN_GROUPED_POINTS points on.
         """
         x = np.asarray(x, float)
         single = x.ndim == 1
@@ -76,17 +99,33 @@ class ShallowNetwork:
         out = np.zeros(len(pts))
         if self.poly is not None:
             out += self.poly(pts)
-        if len(self.a) and len(pts) < MIN_GROUPED_POINTS:
-            out += _evaluate_dense(self, pts)
-        elif len(self.a):
+        table = self.table
+        if table is None and len(self.a) and len(pts) >= MIN_GROUPED_POINTS:
             ids, directions = _direction_ids(self.omega)
             if len(self.a) >= MIN_KNOTS_PER_DIRECTION * len(directions):
-                out += _evaluate_grouped(self, pts, ids, directions)
-            else:
-                out += _evaluate_dense(self, pts)
+                table = _knot_table(self, ids, directions)
+        if (len(self) and table is not None
+                and table.knots.shape[1] >= MIN_KNOTS_PER_DIRECTION):
+            out += _evaluate_grouped(self.k, table, pts)
+        elif len(self):
+            out += _evaluate_dense(self, pts)
         return float(out[0]) if single else out
 
     __call__ = evaluate
+
+
+@dataclass(frozen=True)
+class KnotTable:
+    """Neurons as a (direction x knot) table: direction j has the knots
+    knots[rows[j]], sorted, with the outer weights weights[rows[j]];
+    shorter rows end in +inf knots of weight zero.  Directions that share
+    a row share its prefix sums, and knots may be a stride-0 view of one
+    row."""
+
+    directions: np.ndarray  # (J, d), in lexicographic order
+    rows: np.ndarray  # (J,)
+    knots: np.ndarray  # (R, M)
+    weights: np.ndarray  # (R, M)
 
 
 # Neurons per distinct direction from which evaluate groups by direction.
@@ -98,21 +137,25 @@ class ShallowNetwork:
 # have hundreds of knots per direction, sampled ones a few.
 MIN_KNOTS_PER_DIRECTION = 32
 
-# Points from which evaluate may group: the grouped path redoes its O(n)
-# set-up (direction ids, knot table, prefix sums) on every call, the dense
-# one costs O(n) per point.  Dense / grouped ms per call, M sorted knots
-# on each of J directions (as above): J = 512, M = 2049, k = 2 (as
-# peano-d2k2's stage 1) 19 / 40 at 1 point, 58 / 38 at 5, 95 / 38 at 10;
-# J = 256, M = 1025 5.2 / 9.2 at 1, 11 / 9.5 at 5, 17 / 9.6 at 10; J = 64,
-# M = 512, k = 1 0.7 / 0.9 at 5, 1.0 / 0.9 at 10.
+# Points from which evaluate groups a flat network: it redoes its set-up
+# (direction ids, the lexsort into a knot table, prefix sums) on every
+# call, the dense path costs O(n) per point.  Dense / grouped ms per call,
+# M sorted knots on each of J directions (as above): J = 512, M = 2049,
+# k = 2 (peano-d2k2's stage 1) 23 / 142 at 1 point, 94 / 143 at 10, 172 /
+# 138 at 20; J = 256, M = 1025 5.5 / 28 at 1, 17 / 28 at 10, 28 / 29 at
+# 20; J = 64, M = 512, k = 1 0.9 / 3.2 at 5, 2.4 / 3.3 at 20.  A network's
+# own KnotTable, read at any count, pays only the prefix sums: dense /
+# table ms on the stage-1 network 23 / 0.24 at 1 point (radial), 22 / 22
+# (R = J).
 MIN_GROUPED_POINTS = 10
 
 
 def _direction_ids(omega):
     """(ids, directions): the distinct rows of omega in lexicographic order,
     and for each row of omega the index of its distinct row."""
-    # the constructors emit each direction as one run of rows, so only the
-    # first row of each run is sorted
+    # only the first row of each run of equal rows is sorted: a flat
+    # network lists the M neurons of a quadrature direction as one run
+    # (serialize writes them so), a sampled network one neuron a run
     heads = np.flatnonzero(_row_changes(omega))
     rows = omega[heads]
     rank = np.lexsort(rows.T[::-1])
@@ -168,31 +211,31 @@ def _evaluate_dense(net, pts):
     return out
 
 
-def _evaluate_grouped(net, pts, ids, directions):
-    """sum_i a_i sigma_k(omega_i.x - b_i), one direction at a time.
+def _evaluate_grouped(k, table, pts):
+    """sum_i a_i sigma_k(omega_i.x - b_i) over the neurons of a KnotTable,
+    one direction at a time.
 
     Along direction j the neurons are the spline sum_m a_m sigma_k(u - b_m)
-    in u = omega_j.x.  In row j of the (direction x knot) table from
-    _knot_table the knots strictly below u (sigma_k(0) = 0) are a prefix,
-    counted by bisection, and (u - b)^k expands to sum_{i<=k} C(k, i)
-    u^(k-i) S_i with S_i the prefix sum of a_m (-b_m)^i along the row, so
-    rounding stays that of one direction's knots.  The directions are
-    summed in lexicographic order.
+    in u = omega_j.x.  In the direction's row the knots strictly below u
+    (sigma_k(0) = 0) are a prefix, counted by bisection, and (u - b)^k
+    expands to sum_{i<=k} C(k, i) u^(k-i) S_i with S_i the prefix sum of
+    a_m (-b_m)^i along the row, so rounding stays that of one direction's
+    knots.  The directions are summed in lexicographic order.
     """
-    k, J = net.k, len(directions)
-    rows, knots, power = _knot_table(net, ids, J)
-    M = knots.shape[1]
+    directions, rows, knots = table.directions, table.rows, table.knots
+    R, M = knots.shape
     # prefix[i, r, m]: the sum of a b^i over the first m knots of row r (the
     # sign of (-b)^i goes into the coefficient, exactly); past a row's last
     # neuron 0 * inf padding makes NaN, which no finite u reads
-    prefix = np.zeros((k + 1, J, M + 1))
+    prefix = np.zeros((k + 1, R, M + 1))
+    power = table.weights
     with np.errstate(invalid="ignore"):
         for i in range(k + 1):
             np.cumsum(power, axis=1, out=prefix[i, :, 1:])
             if i < k:
                 power = power * knots
     out = np.empty(len(pts))
-    block = max(1, 2 ** 18 // J)
+    block = max(1, 2 ** 18 // len(directions))
     for lo in range(0, len(pts), block):
         u = pts[lo:lo + block] @ directions.T
         at = _searchsorted_rows(knots, rows, u, "left") + rows * (M + 1)
@@ -204,22 +247,10 @@ def _evaluate_grouped(net, pts, ids, directions):
     return out
 
 
-def _knot_table(net, ids, J):
-    """(rows, knots, a): the neurons as (J, M) tables of knots, sorted
-    along each row, and weights, one direction to a row (direction j in row
-    rows[j]); shorter rows end in +inf knots of weight zero.  Networks made
-    of one sorted run of M knots per direction, as from_quadrature writes
-    them, are reshaped without a copy; others are put in lexicographic
-    direction order by one stable sort by (direction, knot).
-    """
-    n = len(net.a)
-    M = n // J
-    if M * J == n:
-        knots = net.b.reshape(J, M)
-        heads = ids[::M]
-        if ((ids.reshape(J, M) == heads[:, None]).all()
-                and (knots[:, 1:] >= knots[:, :-1]).all()):
-            return np.argsort(heads), knots, net.a.reshape(J, M)
+def _knot_table(net, ids, directions):
+    """The KnotTable of a flat network, one row per direction: one stable
+    sort of the neurons by (direction, knot)."""
+    J = len(directions)
     order = np.lexsort((net.b, ids))
     sizes = np.bincount(ids, minlength=J)
     # a boolean mask fills in row-major order, as the sorted neurons come
@@ -228,22 +259,31 @@ def _knot_table(net, ids, J):
     knots[filled] = net.b[order]
     a = np.zeros(filled.shape)
     a[filled] = net.a[order]
-    return np.arange(J), knots, a
+    return KnotTable(directions, np.arange(J), knots, a)
 
 
 def from_quadrature(tables):
     """Discretize the Peano integral into one neuron per (direction, knot).
 
     The neuron weight is w_j * tw_m * F_{omega_j}^{(k+1)}(b_m) / k! with
-    trapezoid weights tw_m on the knots b_m (see PeanoTables).  The
-    polynomial part is attached exactly.
+    trapezoid weights tw_m on the knots b_m (see PeanoTables).  The network
+    keeps them as its KnotTable: one weight row per direction, or for
+    radial tables (profiles of row stride 0) one per distinct sphere
+    weight, on the one knot row.  Its flat arrays list the directions in
+    sphere order.  The polynomial part is attached exactly.
     """
-    sphere, knots, k = tables.sphere, tables.knots, tables.k
-    a = (sphere.weights[:, None] * tables.weights * tables.profiles
-         / math.factorial(k))
-    return ShallowNetwork(d=tables.d, k=k, a=a.ravel(),
-                          omega=np.repeat(sphere.nodes, len(knots), axis=0),
-                          b=np.tile(knots, len(sphere)), poly=tables.poly)
+    sphere, k, profiles = tables.sphere, tables.k, tables.profiles
+    if profiles.strides[0] == 0:
+        w, rows = np.unique(sphere.weights, return_inverse=True)
+        profiles = profiles[:len(w)]
+    else:
+        w, rows = sphere.weights, np.arange(len(sphere))
+    weights = w[:, None] * tables.weights * profiles / math.factorial(k)
+    rank = np.lexsort(sphere.nodes.T[::-1])
+    table = KnotTable(sphere.nodes[rank], rows[rank],
+                      np.broadcast_to(tables.knots, weights.shape), weights)
+    return ShallowNetwork(d=tables.d, k=k, poly=tables.poly, table=table,
+                          runs=np.argsort(rank))
 
 
 def from_sampling(tables, n, seed):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,22 +153,13 @@ class TestGroupedEvaluation:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_shuffled_neurons(self, grouped_only, k):
-        # the shuffled network is sorted into the same table as the one
-        # from_quadrature's sorted runs are reshaped into, so the values
-        # are the same bit for bit
+        # the flat network and its shuffle are sorted into the same table,
+        # so the values are the same bit for bit
         net = _neurons_only(from_quadrature(self._tables(2, k)))
         shuffled = _neurons_only(
             net, np.random.default_rng(3).permutation(len(net)))
         pts = self._points(2)
         np.testing.assert_array_equal(shuffled(pts), net(pts))
-
-    def test_sorted_runs_are_reshaped_in_place(self):
-        net = from_quadrature(self._tables(2, 1))
-        ids, directions = network._direction_ids(net.omega)
-        rows, knots, a = network._knot_table(net, ids, len(directions))
-        assert np.shares_memory(knots, net.b) and np.shares_memory(a, net.a)
-        np.testing.assert_array_equal(directions[np.argsort(rows)],
-                                      net.omega[::knots.shape[1]])
 
     @staticmethod
     def _table_layout(layout, k):
@@ -225,7 +217,7 @@ class TestGroupedEvaluation:
                                       net(pts))
 
     def test_polynomial_lift_stays_dense(self, monkeypatch):
-        def refuse(net, pts, ids, directions):
+        def refuse(k, table, pts):
             raise AssertionError("grouped path taken")
         monkeypatch.setattr(network, "_evaluate_grouped", refuse)
         p = PolynomialPart(d=2, coefficients={(0, 0): 0.5, (1, 1): -2.0,
@@ -235,8 +227,8 @@ class TestGroupedEvaluation:
                                    rtol=0, atol=1e-10)
 
     def test_few_points_stay_dense(self, monkeypatch):
-        # the grouped set-up costs more than a few points save
-        def refuse(net, pts, ids, directions):
+        # a flat network's grouped set-up costs more than a few points save
+        def refuse(k, table, pts):
             raise AssertionError("grouped path taken")
         net = _neurons_only(from_quadrature(self._tables(2, 1)))
         pts = self._points(2)[:MIN_GROUPED_POINTS]
@@ -255,11 +247,108 @@ class TestGroupedEvaluation:
     def test_agrees_with_dense_path(self):
         net = from_quadrature(self._tables(3, 2))
         pts = self._points(3)
-        ids, directions = network._direction_ids(net.omega)
         np.testing.assert_allclose(
-            network._evaluate_grouped(net, pts, ids, directions),
+            network._evaluate_grouped(net.k, net.table, pts),
             network._evaluate_dense(net, pts), rtol=0,
             atol=1e-14 * (1.0 + net.l1_mass))
+
+
+class TestKnotTableNetworks:
+    """from_quadrature keeps its (direction x knot) table: one weight row
+    per distinct sphere weight for a radial target, one per direction
+    otherwise; evaluate reads it at any number of points and builds no
+    flat array."""
+
+    SPHERES = TestGroupedEvaluation.SPHERES
+    _points = TestGroupedEvaluation._points
+
+    def _tables(self, d, k, centred):
+        center = np.zeros(d) if centred else np.full(d, 0.1)
+        f = make_gaussian(GaussianSpec(d=d, center=center, width=0.6))
+        return peano_tables(f, k, self.SPHERES[d], LineGrid(4.0, 256))
+
+    @staticmethod
+    def _flat(tables):
+        """The network as flat arrays: directions in sphere order, each
+        with its knots ascending."""
+        J, M = len(tables.sphere), len(tables.knots)
+        a = (tables.sphere.weights[:, None] * tables.weights
+             * tables.profiles / math.factorial(tables.k))
+        return ShallowNetwork(d=tables.d, k=tables.k, a=a.ravel(),
+                              omega=np.repeat(tables.sphere.nodes, M, axis=0),
+                              b=np.tile(tables.knots, J), poly=tables.poly)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("centred", [True, False])
+    def test_table_against_flat_and_fsum(self, grouped_only, d, k, centred):
+        tables = self._tables(d, k, centred)
+        net = from_quadrature(tables)
+        J, M = len(tables.sphere), len(tables.knots)
+        # the symmetric Gauss-Legendre weights of the d = 3 grid (level 2)
+        # are equal bit for bit: 2 distinct sphere weights
+        R = {1: 1, 2: 1, 3: 2}[d] if centred else J
+        assert net.table.weights.shape == net.table.knots.shape == (R, M)
+        assert len(net) == J * M
+        pts = self._points(d)
+        values = net(pts)
+        assert not {"a", "omega", "b"} & set(vars(net))
+        flat = _neurons_only(net)
+        np.testing.assert_array_equal(values, flat(pts) + tables.poly(pts))
+        np.testing.assert_allclose(
+            values, _fsum_values(flat, pts) + tables.poly(pts), rtol=0,
+            atol=1e-14 * (1.0 + flat.l1_mass))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("centred", [True, False])
+    def test_flat_arrays_as_built_flat(self, d, centred):
+        tables = self._tables(d, 1, centred)
+        net, flat = from_quadrature(tables), self._flat(tables)
+        assert serialize(net) == serialize(flat)
+        for name in ("a", "omega", "b"):
+            np.testing.assert_array_equal(getattr(net, name),
+                                          getattr(flat, name))
+
+    @pytest.mark.parametrize("centred", [True, False])
+    def test_few_points_read_the_table(self, grouped_only, centred):
+        tables = self._tables(2, 2, centred)
+        net, flat = from_quadrature(tables), self._flat(tables)
+        pts = self._points(2)[:MIN_GROUPED_POINTS]
+        expected = _fsum_values(flat, pts) + tables.poly(pts)
+        tol = 1e-14 * (1.0 + flat.l1_mass)
+        assert abs(net(pts[0]) - expected[0]) <= tol
+        for count in range(1, MIN_GROUPED_POINTS):
+            np.testing.assert_allclose(net(pts[:count]), expected[:count],
+                                       rtol=0, atol=tol)
+
+    def test_few_knots_stay_dense(self, monkeypatch):
+        def refuse(k, table, pts):
+            raise AssertionError("grouped path taken")
+        monkeypatch.setattr(network, "_evaluate_grouped", refuse)
+        f = make_gaussian(GaussianSpec(d=2))
+        tables = peano_tables(f, 1, self.SPHERES[2], LineGrid(4.0, 64))
+        assert len(tables.knots) < MIN_KNOTS_PER_DIRECTION
+        net = from_quadrature(tables)
+        pts = self._points(2)
+        np.testing.assert_array_equal(
+            net(pts), self._flat(tables)(pts))
+
+    def test_radial_network_memory(self):
+        # peano-d2k2's stage-1 shape: building the network and evaluating
+        # it at 200 points allocates less than one (J, M) float64 array
+        f = make_gaussian(GaussianSpec(d=2))
+        tables = peano_tables(f, 2, sphere_grid(2, 9), LineGrid(4.0, 8192))
+        pts = ball_points(BallSampler(d=2, mode="pseudo-random", count=200,
+                                      seed=3))
+        J, M = len(tables.sphere), len(tables.knots)
+        assert (J, M) == (512, 2049)
+        tracemalloc.start()
+        try:
+            from_quadrature(tables)(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < J * M * 8
 
 
 def _random_layer(d, points, neurons, seed):
