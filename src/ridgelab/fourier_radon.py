@@ -2,7 +2,7 @@
 
 derivative_blocks is the one spectral core: it filters a block of Radon
 rows by the multipliers (i t)^m M_d(t) for any orders m, and both
-reconstruct (m = 0, 1) and the Peano tables of ridge_density (m <= k + 1)
+reconstruct (m = 0, 1) and the Peano tables of ridge_density (m <= k + 2)
 read it.  hermite is the one read of a profile between grid nodes: the
 cubic through the samples of F^(m) with the samples of F^(m+1) as slopes.
 
@@ -36,10 +36,6 @@ SPECTRAL_MASS_TOL = 1e-8
 # Frequency points per block of directions in derivative_blocks; bounds the
 # (directions x frequencies) working arrays.
 BLOCK_POINTS = 2 ** 20
-
-# Frequency samples per grid node in _kernel_spectrum's quadrature of the
-# spatial kernel: the period it sums over is this many grid widths.
-KERNEL_OVERSAMPLE = 16
 
 
 def hermite(F, dF, grid, u):
@@ -90,45 +86,117 @@ def taper(grid):
 
 
 @lru_cache(maxsize=64)
-def _kernel_spectrum(L, N, d, order, cutoff):
-    """Real FFT, zero-padded to 3N, of the band-limited spatial kernel of
-    the multiplier (i t)^order * M_d(t).
+def _kernel_spectra(L, N, d, cutoff, top):
+    """Real FFTs, zero-padded to 3N, of the band-limited spatial kernels of
+    the multipliers (i t)^m M_d(t), m = 0..top, tapered to zero at
+    ``cutoff``: row m of a read-only (top + 1, 3N/2 + 1) array.
 
-    The kernel is sampled on lags m*h for m = -(N-1)..(N-1) by a fine
-    frequency quadrature of spacing dt / KERNEL_OVERSAMPLE: one inverse
-    real FFT of the Hermitian spectrum's half t >= 0.  Its period 32L is
-    not long enough for the order-0 kernel's 1/u^2 tails, whose copies add
-    about 1/(32L)^2 (ROADMAP item 1).  The spectrum is tapered to zero at
-    ``cutoff``; keeping the cutoff near the input's own spectral content
-    avoids amplifying rounding noise by the t^order growth.  Cached per
-    grid geometry and cutoff.
+    Kernel m is sampled in closed form on the lags u = l h, |l| < N
+    (Ramachandran & Lakshminarayanan, PNAS 1971; Natterer, The Mathematics
+    of Computerized Tomography, ch. V):
+
+        k_m(u) = c^(n+1) Re[i^m J_n(u c)] / (2 pi)^d,   n = m + d - 1,
+
+    with c the cutoff and J_n(lam) = int_0^1 s^n w(s) e^{i lam s} ds, w the
+    taper in s = t / c: 1 on [0, tau], tau = TAPER_START, then
+    1/2 + cos(B (s - tau)) / 2 with B = pi / (1 - tau).  k_m(-u) is
+    (-1)^m k_m(u).  The cosine splits J_n into four integrals
+    int_a^b s^n e^{i alpha s} ds, all read off e^{i lam tau} and e^{i lam}:
+    alpha = lam on [0, tau] and on [tau, 1] (weights 1 and 1/2), and
+    alpha = lam +- B on [tau, 1] (weights e^{-+i B tau} / 4).  Each has the
+    primitive P_n = (s^n e^{i alpha s} - n P_{n-1}) / (i alpha), so one pass
+    over n gives every order; where |alpha| < 2 that recurrence loses
+    digits and the Taylor series of e^{i alpha s} (28 terms) takes over.
+    These are the continuous kernel's samples: a quadrature of the
+    spectrum on a finite period would add the periodic images of the
+    order-0 kernel's -1/(2 pi u)^2 tail.  Keeping the cutoff near the
+    input's own band keeps the t^m growth from amplifying rounding noise.
+    Cached per grid geometry, cutoff and highest order.
     """
     h = 2.0 * L / N
-    nf = KERNEL_OVERSAMPLE * N
-    # the taper is zero above the cutoff, so the multiplier is evaluated on
-    # the band t_j = 2 pi j / (nf h) <= cutoff only
-    top = min(nf // 2, int(cutoff * nf * h / (2.0 * np.pi)) + 1)
-    t = 2.0 * np.pi * (np.arange(top + 1) * (1.0 / (nf * h)))
-    t = t[t <= cutoff]
-    spec = np.zeros(nf // 2 + 1, complex)
-    spec[:len(t)] = (1j * t) ** order * multiplier(d, t) * taper_window(t, cutoff)
-    k_per = np.fft.irfft(spec, nf) / h
-    out = np.fft.rfft(np.concatenate([k_per[1 - N:], k_per[:N]]), 3 * N)
+    tau = TAPER_START
+    B = np.pi / (1.0 - tau)
+    top_n = top + d - 1
+    shift = np.array([0.0, 0.0, B, -B])[:, None]
+    weight = np.array([1.0, 0.5, 0.25 * np.exp(-1j * B * tau),
+                       0.25 * np.exp(1j * B * tau)])
+    lo = np.array([0.0, tau, tau, tau])[:, None]
+    hi = np.array([tau, 1.0, 1.0, 1.0])[:, None]
+    # e^{i alpha s} at the interval ends is e^{i lam s} times these
+    at_tau, at_one = np.exp(1j * tau * shift), np.exp(1j * shift)
+    # moments[r, j, n] = i^j times the integral over interval r of
+    # s^(n+j) ds: the Taylor series' terms over alpha^j / j!
+    power = np.arange(28)[:, None] + np.arange(1, top_n + 2)
+    moments = (np.array([1.0, 1j, -1.0, -1j])[np.arange(28) % 4, None]
+               * (hi[:, :, None] ** power - lo[:, :, None] ** power) / power)
+    samples = np.empty((top + 1, 2 * N - 1))
+    # blocks of 2048 lags: a warm build of 5 orders at N = 16384 took 11-12
+    # ms with them, 15 ms with full-length (4, N) temporaries and 13-19 ms
+    # with blocks of 1024 or 4096 (best of 7, one BLAS thread, 2-core Xeon)
+    for start in range(0, N, 2048):
+        lam = np.arange(start, min(start + 2048, N)) * (h * cutoff)
+        e_tau = np.exp(1j * tau * lam)
+        alpha = lam + shift
+        at_lo = at_tau * e_tau
+        at_lo[0] = 1.0
+        at_hi = at_one * np.exp(1j * lam)
+        at_hi[0] = e_tau
+        series = np.abs(alpha) < 2.0
+        rows, cols = np.nonzero(series)
+        terms = np.ones((len(rows), 28))
+        terms[:, 1:] = alpha[series][:, None] / np.arange(1, 28)
+        np.cumprod(terms, axis=1, out=terms)
+        near = np.empty((len(rows), top_n + 1), complex)
+        for r in range(4):
+            # einsum sums each entry over j alone, so that an order's bits
+            # do not depend on how many orders the build holds (a BLAS
+            # product blocks by the matrix shape)
+            near[rows == r] = (
+                np.einsum("sj,jn->sn", terms[rows == r], moments[r].real)
+                + 1j * np.einsum("sj,jn->sn", terms[rows == r],
+                                 moments[r].imag))
+        inverse = -1j / np.where(series, 1.0, alpha)
+        D = np.zeros(alpha.shape, complex)
+        end = np.empty_like(D)
+        for n in range(top_n + 1):
+            D *= -n
+            D += np.multiply(at_hi, hi ** n, out=end)
+            D -= np.multiply(at_lo, lo ** n, out=end)
+            D *= inverse
+            D[rows, cols] = near[:, n]
+            m = n - d + 1
+            if m >= 0:
+                # Re[i^m J_n] = Re[sum_r (i^m weight_r) D_r]
+                turned = weight * 1j ** m
+                samples[m, N - 1 + start:N - 1 + start + len(lam)] = (
+                    (turned.real @ D.real - turned.imag @ D.imag)
+                    * (cutoff ** (n + 1) / (2.0 * np.pi) ** d))
+    samples[1::2, N - 1] = 0.0
+    samples[:, :N - 1] = samples[:, :N - 1:-1]
+    samples[1::2, :N - 1] *= -1.0
+    out = np.fft.rfft(samples, 3 * N, axis=-1)
     out.setflags(write=False)
     return out
+
+
+def _kernel_spectrum(L, N, d, order, cutoff):
+    """The kernel spectrum of one order: row ``order`` of _kernel_spectra."""
+    return _kernel_spectra(L, N, d, cutoff, order)[order]
 
 
 def _effective_cutoff(spectra, grid):
     """Smallest grid frequency whose taper keeps each row's significant band.
 
-    spectra are the rows' FFTs, shape (..., N); one cutoff is returned per
+    spectra are the rows' DFT bins from bin 0 on, shape (..., n): all N of
+    them, or for real rows the first N/2 + 1; one cutoff is returned per
     row.  Frequencies where a row's spectrum is below 1e-13 of its peak
     carry only rounding noise, so the kernel need not (and should not) pass
     them.
     """
     spec = np.abs(spectra)
     peak = spec.max(axis=-1, keepdims=True)
-    band = np.where(spec > 1e-13 * peak, np.abs(grid.frequencies), 0.0).max(axis=-1)
+    t = np.abs(grid.frequencies[:spec.shape[-1]])
+    band = np.where(spec > 1e-13 * peak, t, 0.0).max(axis=-1)
     dt = np.pi / grid.L
     cutoff = np.ceil(band / (TAPER_START * dt)) * dt
     cutoff = np.minimum(grid.nyquist, np.maximum(cutoff, 8.0 * dt))
@@ -144,32 +212,36 @@ def _apply_multiplier_linear(values, grid, d, orders=(0,)):
     window, so each row is convolved (zero-padded, linearly) with the
     band-limited kernel of its own cutoff.  For odd d the multiplier is a
     plain polynomial in t (no kink), and circular filtering is exact on the
-    grid.  Each row's spectrum is computed once, for its cutoff and for
-    all orders.
+    grid.  Each row is transformed once, for its cutoff and for all
+    orders, and the kernels of all orders come from one build per cutoff.
     """
     values = np.asarray(values, float)
     N = grid.N
     rows = values.reshape(-1, N)
-    spec = np.fft.fft(rows, axis=-1)
-    cutoffs = _effective_cutoff(spec, grid)
     out = np.empty((len(orders), len(rows), N))
     t = grid.frequencies
-    # the full linear convolution with the (2N - 1)-sample kernel has
-    # 3N - 2 samples; 3N is a fast FFT length on the power-of-two grids
-    nfft = 3 * N
     if d % 2 == 0:
+        # the full linear convolution with the (2N - 1)-sample kernel has
+        # 3N - 2 samples; 3N is a fast FFT length on the power-of-two grids.
+        # Bin 3q of the padded transform is bin q of the row's N-point DFT
+        nfft = 3 * N
         spec = np.fft.rfft(rows, nfft, axis=-1)
+        cutoffs = _effective_cutoff(spec[:, ::3], grid)
+    else:
+        spec = np.fft.fft(rows, axis=-1)
+        cutoffs = _effective_cutoff(spec, grid)
     for cutoff in sorted(set(cutoffs.tolist())):
         sel = cutoffs == cutoff
         part = spec[sel]
+        if d % 2 == 0:
+            kernels = _kernel_spectra(grid.L, N, d, cutoff, max(orders))
         for i, m in enumerate(orders):
             if d % 2 == 1:
                 filt = (part * (1j * t) ** m * multiplier(d, t)
                         * taper_window(t, cutoff))
                 out[i, sel] = np.fft.ifft(filt, axis=-1).real
             else:
-                kernel = _kernel_spectrum(grid.L, N, d, m, cutoff)
-                conv = np.fft.irfft(part * kernel, nfft, axis=-1)
+                conv = np.fft.irfft(part * kernels[m], nfft, axis=-1)
                 out[i, sel] = conv[:, N - 1:2 * N - 1] * grid.h
     return out.reshape((len(orders),) + values.shape)
 

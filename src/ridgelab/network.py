@@ -270,7 +270,8 @@ def from_quadrature(tables):
     keeps them as its KnotTable: one weight row per direction, or for
     radial tables (profiles of row stride 0) one per distinct sphere
     weight, on the one knot row.  Its flat arrays list the directions in
-    sphere order.  The polynomial part is attached exactly.
+    sphere order.  The polynomial part is attached exactly, with the
+    trapezoid rule's end term at b = -1 (tables.end_term) added to it.
     """
     sphere, k, profiles = tables.sphere, tables.k, tables.profiles
     if profiles.strides[0] == 0:
@@ -282,8 +283,8 @@ def from_quadrature(tables):
     rank = np.lexsort(sphere.nodes.T[::-1])
     table = KnotTable(sphere.nodes[rank], rows[rank],
                       np.broadcast_to(tables.knots, weights.shape), weights)
-    return ShallowNetwork(d=tables.d, k=k, poly=tables.poly, table=table,
-                          runs=np.argsort(rank))
+    return ShallowNetwork(d=tables.d, k=k, poly=tables.poly + tables.end_term,
+                          table=table, runs=np.argsort(rank))
 
 
 def from_sampling(tables, n, seed):

@@ -87,6 +87,12 @@ class PolynomialPart:
             out += term
         return float(out[0]) if single else out
 
+    def __add__(self, other):
+        coefficients = dict(self.coefficients)
+        for alpha, c in other.coefficients.items():
+            coefficients[alpha] = coefficients.get(alpha, 0.0) + c
+        return PolynomialPart(d=self.d, coefficients=coefficients)
+
 
 def _trapezoid_weights(b):
     """Composite trapezoid weights on a sorted node vector."""
@@ -105,7 +111,9 @@ def peano_polynomial(d, k, sphere, at_minus_one):
         p(x) = sum_j w_j sum_{m=0}^{k} F_{omega_j}^{(m)}(-1)/m! (omega_j.x + 1)^m,
 
     expanded into monomial coefficients, one matrix product per m; row j
-    of at_minus_one (or its one row) holds F_{omega_j}^{(m)}(-1), m <= k.
+    of at_minus_one (or its one row) holds F_{omega_j}^{(m)}(-1), m <= k,
+    or any other coefficients of (omega_j.x + 1)^m / m! (peano_tables
+    passes the end term's).
     """
     basis = multi_indices(d, k)
     coeffs = sum(affine_powers(sphere.nodes, 1.0, m, basis)
@@ -127,9 +135,11 @@ class PeanoTables:
     knots, the piecewise-linear CDF whose inverse from_sampling draws knots
     from (all zeros for a direction without mass).  mass[j] is
     w_j sum_m weights_m |profiles[j, m]|, and variation = sum_j mass[j] / k!
-    is the variation-norm upper bound of the integral term.  Both network
-    constructors read it; the arrays are read-only so that one table can
-    feed any number of networks.
+    is the variation-norm upper bound of the integral term.  end_term is
+    the Euler-Maclaurin end term that the trapezoid rule over the knots
+    misses at b = -1 (from_quadrature adds it to poly).  Both network
+    constructors read the tables; the arrays are read-only so that one
+    table can feed any number of networks.
     """
 
     d: int
@@ -142,16 +152,29 @@ class PeanoTables:
     mass: np.ndarray  # (J,)
     variation: float
     poly: PolynomialPart
+    end_term: PolynomialPart
 
 
 def peano_tables(f, k, sphere, grid):
     """Tabulate F^{(k+1)} on the knots for every direction of the sphere
-    grid, its mass and variation bound, and the polynomial part from
-    F^{(m)}(-1), m <= k, in one pass of derivative_blocks; warns as it does.
-    F^{(m)}(-1) is the hermite read with F^{(m+1)} as slopes, which is the
-    sample itself where -1 is a node (every L = 4 grid with N >= 8).  A
-    radial target has the same F in every direction, so its tables are
-    built from one row and profiles and cdf broadcast that row (stride 0).
+    grid, its mass and variation bound, the polynomial part from
+    F^{(m)}(-1), m <= k, and the end term from F^{(k+1)}(-1) and
+    F^{(k+2)}(-1), in one pass of derivative_blocks; warns as it does.
+    F^{(m)}(-1), m <= k + 1, is the hermite read with F^{(m+1)} as slopes,
+    and F^{(k+2)}(-1) the linear read of its row: both are the sample
+    itself where -1 is a node (every L = 4 grid with N >= 8), and the
+    linear read's O(h^2) elsewhere is O(h^4) in the end term.  A radial
+    target has the same F in every direction, so its tables are built from
+    one row and profiles and cdf broadcast that row (stride 0).
+
+    The end term: with g(b) = F^{(k+1)}(b) (u - b)_+^k / k! and u = omega.x,
+    the trapezoid rule over the knots (spacing h) misses (h^2/12) g'(-1)
+    of the integral over [-1, 1] (g'(1) = 0 for |u| < 1), that is
+
+        (h^2/12) sum_j w_j [F^{(k+2)}(-1) (u + 1)^k / k!
+                            - F^{(k+1)}(-1) (u + 1)^(k-1) / (k-1)!],
+
+    the second term for k >= 1 only.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -160,11 +183,17 @@ def peano_tables(f, k, sphere, grid):
     weights = _trapezoid_weights(knots)
     omegas = sphere.nodes[:1] if f.radial else sphere.nodes
     profiles = np.empty((len(omegas), len(knots)))
-    at_minus_one = np.empty((len(omegas), k + 1))
-    for lo, F in derivative_blocks(f, omegas, grid, range(k + 2)):
+    at_minus_one = np.empty((len(omegas), k + 3))
+    # -1 lies at t of the way from node i to node i + 1
+    i = int((grid.L - 1.0) / grid.h)
+    t = (grid.L - 1.0) / grid.h - i
+    for lo, F in derivative_blocks(f, omegas, grid, range(k + 3)):
         hi = lo + F.shape[1]
         profiles[lo:hi] = F[k + 1][:, mask]
-        at_minus_one[lo:hi] = hermite(F[:k + 1], F[1:k + 2], grid, -1.0).T
+        at_minus_one[lo:hi, :k + 2] = hermite(F[:k + 2], F[1:k + 3], grid,
+                                              -1.0).T
+        at_minus_one[lo:hi, k + 2] = ((1.0 - t) * F[k + 2][:, i]
+                                      + t * F[k + 2][:, i + 1])
     absv = np.abs(profiles)
     cdf = np.zeros_like(absv)
     np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
@@ -176,10 +205,18 @@ def peano_tables(f, k, sphere, grid):
     profiles, cdf = np.broadcast_to(profiles, shape), np.broadcast_to(cdf, shape)
     for array in (knots, weights, mass):
         array.flags.writeable = False
+    # the end term in peano_polynomial's form: coefficients of
+    # (omega.x + 1)^m / m! at m = k and k - 1
+    end = np.zeros((len(omegas), k + 1))
+    end[:, k] = grid.h ** 2 / 12.0 * at_minus_one[:, k + 2]
+    if k >= 1:
+        end[:, k - 1] = -grid.h ** 2 / 12.0 * at_minus_one[:, k + 1]
     return PeanoTables(d=f.d, k=k, sphere=sphere, knots=knots,
                        weights=weights, profiles=profiles, cdf=cdf, mass=mass,
                        variation=float(mass.sum() / math.factorial(k)),
-                       poly=peano_polynomial(f.d, k, sphere, at_minus_one))
+                       poly=peano_polynomial(f.d, k, sphere,
+                                             at_minus_one[:, :k + 1]),
+                       end_term=peano_polynomial(f.d, k, sphere, end))
 
 
 # sobolev_seminorm's quadratures: the level of the sphere grid, the

@@ -22,9 +22,9 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 
 # sha256 of the seed-42 CSV bodies (every line but "# wallclock", each
 # ending in a newline).  A refactor that changes a report fails here and
-# must say why in CHANGES.md.  "sampling" is the value bench/baseline.json
-# records; "schedule" and "peano-d2k2" differ from it in the last printed
-# digit of a few rows, since direction-grouped evaluation sums the
+# must say why in CHANGES.md.  "schedule" and "peano-d2k2" once differed
+# from bench/baseline.json in the last printed digit of a few rows, since
+# direction-grouped evaluation sums the
 # quadrature networks in another order (as close to a math.fsum reference
 # as the neuron-by-neuron sum; see tests/test_network.py).  "mollify" (the
 # d = 2, s = 2 sweep) covers the t = 2 translates of smooth_approximant,
@@ -54,16 +54,31 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # when the d = 2 back-projection kernel began to come from an inverse real
 # FFT of the half spectrum: its samples are as close to a math.fsum of the
 # band's cosine and sine terms as those of the complex inverse FFT were
-# (tests/test_fourier_radon.py, test_kernel_samples_against_direct_sum).
+# (a test since replaced by test_kernel_against_quad, below).
 # "variation" also reads a radial target's mass from one row, which equals
 # the per-direction math.fsum reference (the J-row product was 1 ulp off).
+# "inversion", "peano-d2k2", "schedule", "variation" and "sampling" moved
+# by design when the d = 2 kernels became the continuous kernel's
+# closed-form samples (tests/test_fourier_radon.py,
+# test_kernel_against_quad), without the periodic images of the order-0
+# tail, and quadrature networks gained the trapezoid rule's end term at
+# b = -1.  Against the closed-form Gaussian: "inversion" reads
+# max_rel_err 1.485e-5 at stage 0 and 1.8e-13 at stage 1 (2.095e-4 and
+# 5.02e-5 before); "peano-d2k2" sup_err 1.143e-5 and 2.8e-12 (2.095e-4 and
+# 5.02e-5); "schedule" falls at every width, from 0.318, 0.121, ... 2.42e-4
+# to 0.297, 0.0287, ... 2.00e-4 (geometric mean 0.01357 to 0.00638,
+# slope -1.633 to -1.696); "sampling" moves in the 4th digit of its
+# Monte-Carlo errors (geometric mean 0.10790 to 0.10785); "variation"
+# reads order k + 1 only and moves in the 8th digit (ratio 0.66446763 to
+# 0.66446761).  "mollify" and every d = 1 and d = 3 filter (circular) do
+# not move.
 GOLDEN_BODIES = {
-    "sampling": "3e108409aab90c759db59aacfea30647f3601bab44f47c96fe42a52bf37ab99f",
-    "schedule": "fddf3c34f1d3721bd8c752825c3755b2c26a7e34793a737cbad5923f15ee324f",
-    "peano-d2k2": "56bd255112363803133e9fa05a138891cd253b0b83aa7b9c964c26596848321b",
+    "sampling": "43ef9172095040604f1d88a27612718dd01570c30c3620a28b9583eb204057a7",
+    "schedule": "3102f38c7b03be48249591f55bba521c438046ee33d6025f45a394b969b3dfcc",
+    "peano-d2k2": "0899c52934b74fe82f3808290dc69f8723b62571de68f4e2644bed485df860ee",
     "mollify": "325d170b994d8bb7674d967fe294ebaee99f853bb965acc6bc18902f4174c0aa",
-    "inversion": "11f511267065b56cb3846264c111efaacda1f4b08ce998279591f7363e079933",
-    "variation": "548cc7dc104c17aeb33f993a142dbeb40b5d022db8a8f28cd9a5ce2af2c2efe5",
+    "inversion": "2377f4b4ccd4f1a7d9cca832e99af916f01e4c5217e253d52cb5522994b927d0",
+    "variation": "ffaccb07f274238783770604f73f941c8721cc06b56cc792eecd19340eb048e1",
 }
 
 

@@ -276,7 +276,8 @@ class TestKnotTableNetworks:
              * tables.profiles / math.factorial(tables.k))
         return ShallowNetwork(d=tables.d, k=tables.k, a=a.ravel(),
                               omega=np.repeat(tables.sphere.nodes, M, axis=0),
-                              b=np.tile(tables.knots, J), poly=tables.poly)
+                              b=np.tile(tables.knots, J),
+                              poly=tables.poly + tables.end_term)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -294,9 +295,9 @@ class TestKnotTableNetworks:
         values = net(pts)
         assert not {"a", "omega", "b"} & set(vars(net))
         flat = _neurons_only(net)
-        np.testing.assert_array_equal(values, flat(pts) + tables.poly(pts))
+        np.testing.assert_array_equal(values, flat(pts) + net.poly(pts))
         np.testing.assert_allclose(
-            values, _fsum_values(flat, pts) + tables.poly(pts), rtol=0,
+            values, _fsum_values(flat, pts) + net.poly(pts), rtol=0,
             atol=1e-14 * (1.0 + flat.l1_mass))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -314,7 +315,7 @@ class TestKnotTableNetworks:
         tables = self._tables(2, 2, centred)
         net, flat = from_quadrature(tables), self._flat(tables)
         pts = self._points(2)[:MIN_GROUPED_POINTS]
-        expected = _fsum_values(flat, pts) + tables.poly(pts)
+        expected = _fsum_values(flat, pts) + net.poly(pts)
         tol = 1e-14 * (1.0 + flat.l1_mass)
         assert abs(net(pts[0]) - expected[0]) <= tol
         for count in range(1, MIN_GROUPED_POINTS):
@@ -440,6 +441,21 @@ class TestFromQuadrature:
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:])) / 2
         assert all(s >= 2.0 - 0.2 for s in slopes)
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_end_term_removes_mean_error(self, n):
+        # the knot rule alone misses (h^2/12) g'(-1): on the rate sweep's
+        # layouts its networks' error had a positive mean growing as h^2
+        # (3.9e-3 at n = 256, h = 1/8, and 2.5e-4 at n = 1024, h = 1/32)
+        from ridgelab.cli import _quadrature_layout
+        level, grid = _quadrature_layout(n, 2)
+        f = make_gaussian(GaussianSpec(d=2))
+        tables = peano_tables(f, 1, sphere_grid(2, level), grid)
+        pts = ball_points(BallSampler(d=2, mode="lattice", count=4096,
+                                      seed=3))
+        err = from_quadrature(tables)(pts) - f(pts)
+        without = err - tables.end_term(pts)
+        assert abs(np.mean(err)) <= 0.1 * abs(np.mean(without))
+
 
 def _offset_tables(k):
     # two off-centre Gaussians: densities of both signs, unequal directions
@@ -467,7 +483,7 @@ class TestConstructorsAgainstLoops:
         np.testing.assert_array_equal(net.a, np.concatenate(a))
         np.testing.assert_array_equal(net.omega, np.vstack(w))
         np.testing.assert_array_equal(net.b, np.concatenate(b))
-        assert net.poly is tables.poly
+        assert net.poly == tables.poly + tables.end_term
 
     @staticmethod
     def _sampling_loop(tables, n, js, us):
