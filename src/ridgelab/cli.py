@@ -202,6 +202,17 @@ def _validate(config):
                           % config.line_n)
     if not config.line_l >= 1.0:
         raise ConfigError("line_l must be >= 1, got %g" % config.line_l)
+    if config.kind in ("peano-reconstruct", "variation-bound") or (
+            config.kind == "rate-sweep" and config.constructor == "sampling"):
+        grid = LineGrid(L=config.line_l, N=config.line_n)
+        for name, g in (("", grid), ("refined ", grid.refine())):
+            if not _ends_are_nodes(g):
+                raise ConfigError(
+                    "line_l = %g puts no node of the %sline grid (L = %g, "
+                    "N = %d) at -1 and 1, so the knots would miss the ends "
+                    "of [-1, 1]; take line_l with (line_l - 1) * line_n / "
+                    "(2 * line_l) a whole number >= 1, such as 2, 4 or 8"
+                    % (config.line_l, name, g.L, g.N))
     for key in ("trials", "points", "eval_count", "n_seeds"):
         if getattr(config, key) < 1:
             raise ConfigError("%s must be >= 1, got %d"
@@ -251,6 +262,15 @@ def _validate(config):
     if config.kind == "radon-check" and config.d == 1:
         raise ConfigError("radon-check needs d >= 2 (the d = 1 transform is "
                           "a point evaluation)")
+
+
+def _ends_are_nodes(grid):
+    """True when -1 and 1 are nodes of the line grid: m = (L - 1) / h,
+    with h = 2L / N, is a whole number >= 1 (nodes m and N - m).  With
+    L = num / den exactly, m = (num - den) N / (2 num)."""
+    num, den = float(grid.L).as_integer_ratio()
+    steps, rest = divmod((num - den) * grid.N, 2 * num)
+    return rest == 0 and steps >= 1
 
 
 def _make_target(config):

@@ -8,6 +8,12 @@ phi(x/eps).  The order-s approximant is the binomial combination
     f_eps(x) = sum_{t=1}^{s} C(s,t) (-1)^{t-1} int phi_eps(y) f(x - t y) dy,
 
 whose error against f is controlled by the s-fold difference of f.
+
+smooth_approximant integrates over the eps-ball by a tensor Gauss-Legendre
+rule.  Targets with factors (Gaussians and combines of Gaussians, see
+TargetFunction) are summed axis by axis from their per-axis factors;
+every other target, such as the cusp, and any plain callable f is called
+on tiles of translates, one value per ball node.
 """
 
 import math
@@ -28,14 +34,18 @@ NODES_PER_AXIS = {1: 64, 2: 48, 3: 20}
 # (relative) of a 40-digit quadrature.
 BUMP_NORM_NODES = 256
 
-# (point, node) pairs per call of f in smooth_approximant (a tile is at
-# least one point by the whole node set).  Measured as the time of the
+# (point, node) pairs per call of f in smooth_approximant's tile loop (a
+# tile is at least one point by the whole node set), and entries per
+# factor or partial sum in its separable sum.  Measured as the time of the
 # seven calls of the epsilon schedule at 4096 points (d = 2, Gaussian
 # target, 1200 nodes per translate; best of 3, one BLAS thread, 2-core Xeon
-# with 2 MiB L2 per core, numpy 2.4; ranges over 3 interleaved sessions):
-# 2^12 pairs 0.33-0.47 s, 2^13 0.27-0.36 s, 2^14 0.22-0.30 s, 2^15
-# 0.25-0.31 s, 2^16 0.30-0.37 s, 2^17 0.35-0.43 s.  2^14 led two sessions
-# and tied 2^13 in the third.
+# with 2 MiB L2 per core, numpy 2.4; ranges over 3 interleaved sessions),
+# through the tile loop: 2^12 pairs 0.33-0.47 s, 2^13 0.27-0.36 s, 2^14
+# 0.22-0.30 s, 2^15 0.25-0.31 s, 2^16 0.30-0.37 s, 2^17 0.35-0.43 s.  2^14
+# led two sessions and tied 2^13 in the third.  Through the separable sum
+# (best and worst of 3): 0.07-0.09 s at 2^10, 0.06-0.08 s from 2^11 to
+# 2^16, 0.09-0.11 s at 2^17 and 2^18; at d = 3 (512 points, s = 2, eps =
+# 0.5, 0.25, 0.125) 23-37 ms up to 2^12 and 15-25 ms from 2^13 to 2^18.
 # Smaller tiles pay more calls, larger ones leave the cache.
 TILE_PAIRS = 2 ** 14
 
@@ -98,9 +108,11 @@ def finite_difference(f, y, s, x):
     return out
 
 
-def _ball_quadrature(d, eps, nodes_per_axis):
-    """Tensor Gauss-Legendre nodes/weights on [-eps, eps]^d weighted by
-    phi_eps (zero weight outside the eps-ball)."""
+@lru_cache(maxsize=16)
+def _ball_table(d, eps, nodes_per_axis):
+    """(u, table): the Gauss-Legendre nodes u on [-eps, eps] and the
+    (nodes_per_axis,) * d tensor of weights w_a w_b ... phi_eps(u_a, u_b,
+    ...), zero outside the eps-ball.  Shared by every call: read-only."""
     u, w = leggauss(nodes_per_axis)
     u = u * eps
     w = w * eps
@@ -110,21 +122,29 @@ def _ball_quadrature(d, eps, nodes_per_axis):
     for axis in range(d):
         wts *= np.tile(np.repeat(w, nodes_per_axis ** (d - 1 - axis)),
                        nodes_per_axis ** axis)
-    phi = mollifier_value(MollifierSpec(d=d, eps=eps), pts)
-    keep = phi > 0.0
-    return pts[keep], wts[keep] * phi[keep]
+    table = wts * mollifier_value(MollifierSpec(d=d, eps=eps), pts)
+    table = table.reshape((nodes_per_axis,) * d)
+    u.flags.writeable = table.flags.writeable = False
+    return u, table
+
+
+def _ball_quadrature(d, eps, nodes_per_axis):
+    """The nonzero entries of _ball_table in C order: nodes (m, d) and
+    weights (m,)."""
+    u, table = _ball_table(d, eps, nodes_per_axis)
+    keep = np.nonzero(table)
+    return np.column_stack([u[i] for i in keep]), table[keep]
 
 
 def smooth_approximant(f, s, eps, x):
     """Evaluate the order-s binomial approximant f_eps at x (point or batch).
 
     Each convolution is computed by tensor Gauss-Legendre quadrature over
-    the eps-ball, NODES_PER_AXIS nodes per axis.  f is called on
-    tiles of whole rows, at most TILE_PAIRS (point, node) pairs or else one
-    point: a (rows, nodes, d) view, x[p, j] = x_p - t y_j, of one reused
-    axis-major buffer.  The view is not C-contiguous, and f must not keep
-    it.  Each tile's values are weighted and summed row by row at once, so
-    a point's value does not depend on the tile size.
+    the eps-ball, NODES_PER_AXIS nodes per axis.  A target with factors
+    (a Gaussian, or a combine of Gaussians) is summed axis by axis from
+    its per-axis factors (_separable_sum); any other target or plain
+    callable f is called on tiles of translates (_tiled_sum).  A point's
+    value does not depend on the tile size (TILE_PAIRS).
     """
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
@@ -134,7 +154,28 @@ def smooth_approximant(f, s, eps, x):
     x = np.asarray(x, float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    ynodes, yw = _ball_quadrature(d, eps, NODES_PER_AXIS.get(d, 16))
+    n = NODES_PER_AXIS.get(d, 16)
+    factors = getattr(f, "factors", None)
+    if factors is None:
+        out = _tiled_sum(f, s, pts, *_ball_quadrature(d, eps, n))
+    elif f.d != d:
+        raise ValueError("points must have %d coordinates, got shape %s"
+                         % (f.d, x.shape))
+    else:
+        out = _separable_sum(factors, s, pts, *_ball_table(d, eps, n))
+    return float(out[0]) if single else out
+
+
+def _tiled_sum(f, s, pts, ynodes, yw):
+    """sum_t coef_t sum_j yw_j f(x_p - t y_j) for every row x_p of pts.
+
+    f is called on tiles of whole rows, at most TILE_PAIRS (point, node)
+    pairs or else one point: a (rows, nodes, d) view, x[p, j] = x_p - t
+    y_j, of one reused axis-major buffer.  The view is not C-contiguous,
+    and f must not keep it.  Each tile's values are weighted and summed
+    row by row at once.
+    """
+    d = pts.shape[1]
     nodes = len(ynodes)
     rows = max(1, TILE_PAIRS // nodes)
     height = min(rows, len(pts))
@@ -160,7 +201,58 @@ def smooth_approximant(f, s, eps, x):
                              out=weighted[:len(tile)])
             np.add.reduce(fw, axis=1, out=acc[p:p + rows])
         out += coef * acc
-    return float(out[0]) if single else out
+    return out
+
+
+def _separable_sum(factors, s, pts, u, table):
+    """The sum of _tiled_sum for f = sum of c prod_i g(z)[i] (factors).
+
+    Over the tensor rule the sum factorizes.  For each term the table is
+    contracted against the per-axis factors g(x_p,i - t u_a), one axis at
+    a time from the last: d n exponentials per point and translate instead
+    of one call of f per ball node.  Axes d-1..1 are contracted by numpy
+    einsum loops (no BLAS); axis 0 by a product with the factor scaled by
+    c and numpy's pairwise sum along each row, which keeps a value within
+    a few ulp of the exact sum.  Each point's row is summed alone, into
+    C-ordered buffers, so the values depend on neither the tile height nor
+    the BLAS thread count.  Tiles hold whole points, at most TILE_PAIRS
+    entries per axis factor and per partial sum, or else one point.
+    """
+    d, n = table.ndim, len(u)
+    rows = max(1, TILE_PAIRS // n ** max(1, d - 1))
+    height = min(rows, len(pts))
+    axes = "abcdefghijklmno"[:d]
+    # steps[i - 1] contracts axis i of the partial sum over axes i..d-1
+    # into partial[i - 1]; the table itself has no point axis
+    steps = ["p%s,p%s->p%s" % (axes[:i + 1], axes[i], axes[:i])
+             for i in range(1, d)]
+    steps[-1:] = [step[1:] for step in steps[-1:]]
+    partial = [np.empty((height,) + (n,) * i) for i in range(1, d)]
+    shifted = np.empty((d, height, n))
+    last = np.empty((height, n))
+    out = np.zeros(len(pts))
+    acc = np.empty(len(pts))
+    for t, coef in binomial_weights(s):
+        for p in range(0, len(pts), rows):
+            tile = pts[p:p + rows]
+            m = len(tile)
+            z = shifted[:, :m]
+            # the translates x_p - (t y_j) of _tiled_sum, axis by axis
+            np.subtract(tile.T[:, :, None], t * u, out=z)
+            sums = acc[p:p + m]
+            sums[:] = 0.0
+            for c, g in factors:
+                fz = g(z)
+                v = table
+                for i in range(d - 1, 0, -1):
+                    v = np.einsum(steps[i - 1], v, fz[i],
+                                  out=partial[i - 1][:m])
+                # the coefficient scales the factor, not the sum
+                w = np.multiply(fz[0], c, out=last[:m])
+                w *= v
+                sums += np.add.reduce(w, axis=1)
+        out += coef * acc
+    return out
 
 
 def epsilon_schedule(n, d):

@@ -91,7 +91,8 @@ class ShallowNetwork:
         direction are evaluated as a (direction x knot) table of degree-k
         splines in omega.x (_evaluate_grouped), others neuron by neuron.  A
         network's own KnotTable is read at any number of points; a flat
-        network is grouped from MIN_GROUPED_POINTS points on.
+        network is grouped from MIN_GROUPED_POINTS points on, and keeps
+        the table it builds for its later calls (_flat_table).
         """
         x = np.asarray(x, float)
         single = x.ndim == 1
@@ -101,9 +102,7 @@ class ShallowNetwork:
             out += self.poly(pts)
         table = self.table
         if table is None and len(self.a) and len(pts) >= MIN_GROUPED_POINTS:
-            ids, directions = _direction_ids(self.omega)
-            if len(self.a) >= MIN_KNOTS_PER_DIRECTION * len(directions):
-                table = _knot_table(self, ids, directions)
+            table = self._flat_table
         if (len(self) and table is not None
                 and table.knots.shape[1] >= MIN_KNOTS_PER_DIRECTION):
             out += _evaluate_grouped(self.k, table, pts)
@@ -112,6 +111,16 @@ class ShallowNetwork:
         return float(out[0]) if single else out
 
     __call__ = evaluate
+
+    @cached_property
+    def _flat_table(self):
+        """The KnotTable of a flat network with at least
+        MIN_KNOTS_PER_DIRECTION neurons per distinct direction, else
+        None; its arrays must not change once it is built."""
+        ids, directions = _direction_ids(self.omega)
+        if len(self.a) >= MIN_KNOTS_PER_DIRECTION * len(directions):
+            return _knot_table(self, ids, directions)
+        return None
 
 
 @dataclass(frozen=True)
@@ -137,16 +146,17 @@ class KnotTable:
 # have hundreds of knots per direction, sampled ones a few.
 MIN_KNOTS_PER_DIRECTION = 32
 
-# Points from which evaluate groups a flat network: it redoes its set-up
-# (direction ids, the lexsort into a knot table, prefix sums) on every
-# call, the dense path costs O(n) per point.  Dense / grouped ms per call,
-# M sorted knots on each of J directions (as above): J = 512, M = 2049,
-# k = 2 (peano-d2k2's stage 1) 23 / 142 at 1 point, 94 / 143 at 10, 172 /
-# 138 at 20; J = 256, M = 1025 5.5 / 28 at 1, 17 / 28 at 10, 28 / 29 at
-# 20; J = 64, M = 512, k = 1 0.9 / 3.2 at 5, 2.4 / 3.3 at 20.  A network's
-# own KnotTable, read at any count, pays only the prefix sums: dense /
-# table ms on the stage-1 network 23 / 0.24 at 1 point (radial), 22 / 22
-# (R = J).
+# Points from which evaluate groups a flat network: its first grouped
+# call builds the set-up (direction ids, the lexsort into a knot table)
+# and every call pays the prefix sums, the dense path costs O(n) per
+# point.  Dense / first grouped ms per call, M sorted knots on each of J
+# directions (as above): J = 512, M = 2049, k = 2 (peano-d2k2's stage 1)
+# 23 / 142 at 1 point, 94 / 143 at 10, 172 / 138 at 20; J = 256, M = 1025
+# 5.5 / 28 at 1, 17 / 28 at 10, 28 / 29 at 20; J = 64, M = 512, k = 1
+# 0.9 / 3.2 at 5, 2.4 / 3.3 at 20.  Later calls read the kept table: 26-30
+# ms at 10-50 points on the stage-1 network.  A network's own KnotTable,
+# read at any count, pays only the prefix sums: dense / table ms on the
+# stage-1 network 23 / 0.24 at 1 point (radial), 22 / 22 (R = J).
 MIN_GROUPED_POINTS = 10
 
 

@@ -28,6 +28,15 @@ class TargetFunction:
     (None when unknown); grid Nyquist checks use it as a heuristic.
     radial is True for targets radial about the origin: their Fourier data
     depends on |xi| alone, so the slice along e1 is every direction's.
+
+    factors is None or a sum of separable terms, a tuple of (c, g) with
+
+        f(x) = sum over terms of c * prod_i g(z)[i],  z[i] = x[..., i],
+
+    where g takes axis-major points z of shape (d, ...) and returns the d
+    per-axis factors in an array of the same shape.  The terms describe
+    the same function as evaluate (up to rounding); smooth_approximant
+    reads them instead of calling evaluate when they are given.
     """
 
     d: int
@@ -36,6 +45,7 @@ class TargetFunction:
     support_radius: float
     bandwidth: float = None
     radial: bool = False
+    factors: tuple = None
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -100,6 +110,14 @@ def make_gaussian(spec):
         r2 *= a
         return r2[()]
 
+    def factor(z):
+        # exp(-(z[i] - c_i)^2 / (2 s2)) along each axis i: their product
+        # times a is evaluate's value to within a few ulp
+        q = np.subtract(z, c.reshape((d,) + (1,) * (np.ndim(z) - 1)))
+        np.multiply(q, q, out=q)
+        np.divide(q, -2.0 * s2, out=q)
+        return np.exp(q, out=q)
+
     norm = a * (2.0 * np.pi * s2) ** (d / 2.0)
 
     def fourier(xi):
@@ -120,6 +138,7 @@ def make_gaussian(spec):
         support_radius=spec.decay_radius(),
         bandwidth=bandwidth,
         radial=not np.any(c),
+        factors=((a, factor),),
     )
 
 
@@ -207,9 +226,14 @@ def make_cusp_radial(gamma, d):
 
 def combine(f, g, cf=1.0, cg=1.0):
     """Linear combination cf*f + cg*g of two targets on the same R^d;
-    radial when both parts are."""
+    radial when both parts are, separable (the terms of both) when both
+    parts are."""
     if f.d != g.d:
         raise ValueError("dimension mismatch")
+    factors = None
+    if f.factors is not None and g.factors is not None:
+        factors = (tuple((cf * c, h) for c, h in f.factors)
+                   + tuple((cg * c, h) for c, h in g.factors))
     return TargetFunction(
         d=f.d,
         evaluate=lambda x: cf * f.evaluate(x) + cg * g.evaluate(x),
@@ -217,4 +241,5 @@ def combine(f, g, cf=1.0, cg=1.0):
         support_radius=max(f.support_radius, g.support_radius),
         bandwidth=max(f.bandwidth or 0.0, g.bandwidth or 0.0) or None,
         radial=f.radial and g.radial,
+        factors=factors,
     )

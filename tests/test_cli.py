@@ -157,6 +157,55 @@ class TestMain:
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    # the kinds whose knots are the line grid's nodes in [-1, 1]
+    KNOT_KINDS = {
+        "peano-reconstruct": "kind = peano-reconstruct\nd = 1\nk = 1\n"
+                             "sphere_level = 1\nline_n = 512\npoints = 20\n",
+        "variation-bound": "kind = variation-bound\nd = 1\nk = 1\n"
+                           "sphere_level = 1\nline_n = 512\n",
+        "rate-sweep": "kind = rate-sweep\nd = 1\nk = 1\nsphere_level = 1\n"
+                      "line_n = 512\nwidths = 4, 8, 16\neval_count = 64\n",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KNOT_KINDS))
+    @pytest.mark.parametrize("line_l", [3, 5])
+    def test_knots_missing_the_ends_exit_2(self, tmp_path, capsys, kind,
+                                           line_l):
+        # -1 is no node of LineGrid(3 or 5, 512): the knots would start
+        # above -1 and the quadrature network would carry an O(h) bias
+        path = tmp_path / "ends.cfg"
+        path.write_text(self.KNOT_KINDS[kind] + "line_l = %d\n" % line_l)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: line_l = %d puts no node of the line grid" % line_l)
+
+    @pytest.mark.parametrize("kind", sorted(KNOT_KINDS))
+    @pytest.mark.parametrize("line_l", [4, 8])
+    def test_knots_at_the_ends_run(self, tmp_path, kind, line_l):
+        path = tmp_path / "ends.cfg"
+        path.write_text(self.KNOT_KINDS[kind] + "line_l = %d\n" % line_l)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+
+    def test_refined_grid_is_checked(self, monkeypatch):
+        # no grid with -1 as a node refines into one without, so this
+        # takes a refine() that keeps the half-width
+        from ridgelab.quadrature import LineGrid
+        monkeypatch.setattr(LineGrid, "refine",
+                            lambda grid: LineGrid(L=3.0, N=4 * grid.N))
+        with pytest.raises(ConfigError, match="line_l = 4 puts no node of "
+                           "the refined line grid \\(L = 3, N = 2048\\)"):
+            parse_config(self.KNOT_KINDS["peano-reconstruct"] + "line_l = 4\n")
+
+    @pytest.mark.parametrize("text", [
+        "kind = inversion-check\nd = 1\nline_l = 3\n",
+        "kind = radon-check\nd = 2\nline_l = 5\n",
+        "kind = rate-sweep\nd = 1\nwidths = 4, 16, 32\n"
+        "constructor = quadrature\nline_l = 3\n",
+    ])
+    def test_other_kinds_take_any_line_l(self, text):
+        # these kinds read no knots, or (quadrature) lay out their own grid
+        parse_config(text)
+
     @pytest.mark.parametrize("d,widths,shared", [(2, "1, 2, 3", "1, 2, 3"),
                                                  (1, "4, 8, 16", "4, 8")])
     def test_quadrature_widths_sharing_a_layout_exit_2(self, tmp_path, capsys,

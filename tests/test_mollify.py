@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -162,14 +163,34 @@ def _points(d, count):
                                                          (count, d))
 
 
+def _fsum_terms(f, s, eps, x):
+    """The terms coef * w_j * f(x - t y_j) of x's value, f by evaluate."""
+    ynodes, yw = _nodes(len(x), eps)
+    return [coef * w * v for t, coef in binomial_weights(s)
+            for w, v in zip(yw, f.evaluate(x - t * ynodes))]
+
+
+def _assert_near_fsum(f, s, eps, pts, values):
+    # an independent oracle: each point's value is within 4 ulp of
+    # sum |coef w_j f(x_p - t y_j)| of the terms' exactly rounded sum
+    for x, value in zip(pts, values):
+        terms = _fsum_terms(f, s, eps, x)
+        size = math.fsum(abs(term) for term in terms)
+        assert abs(value - math.fsum(terms)) <= 4 * np.spacing(size)
+
+
 class TestTiledApproximant:
-    """The tiled loop gives the untiled loop's values bit for bit."""
+    """The tiled loop gives the untiled loop's values bit for bit.
+
+    A target's evaluate, a plain callable, takes the tile loop; a target
+    with factors would take the separable sum (TestSeparableApproximant).
+    """
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("target", ["gaussian", "cusp", "combine"])
     def test_bit_identical(self, d, s, target):
-        f = _targets(d)[target]
+        f = _targets(d)[target].evaluate
         # two full tiles and a part one
         nodes = len(_nodes(d, 0.5)[0])
         pts = _points(d, 2 * (TILE_PAIRS // nodes) + 5)
@@ -179,7 +200,7 @@ class TestTiledApproximant:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_single_point(self, d):
-        f = _targets(d)["gaussian"]
+        f = _targets(d)["gaussian"].evaluate
         x = _points(d, 1)[0]
         for s in (1, 2, 3):
             value = smooth_approximant(f, s, 0.25, x)
@@ -187,7 +208,7 @@ class TestTiledApproximant:
             assert value == _untiled_approximant(f, s, 0.25, x)
 
     def test_many_points(self):
-        f = _targets(2)["gaussian"]
+        f = _targets(2)["gaussian"].evaluate
         pts = _points(2, 1000)
         assert np.array_equal(smooth_approximant(f, 2, 0.125, pts),
                               _untiled_approximant(f, 2, 0.125, pts))
@@ -197,7 +218,7 @@ class TestTiledApproximant:
         # holds, so every tile is one point by the whole node set
         monkeypatch.setitem(mollify.NODES_PER_AXIS, 3, 32)
         monkeypatch.setattr(mollify, "TILE_PAIRS", 4096)
-        f = _targets(3)["combine"]
+        f = _targets(3)["combine"].evaluate
         pts = _points(3, 40)
         assert len(_nodes(3, 0.5)[0]) == 7416
         assert np.array_equal(smooth_approximant(f, 2, 0.5, pts),
@@ -205,7 +226,7 @@ class TestTiledApproximant:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_same_values_for_every_tile_size(self, monkeypatch, d):
-        f = _targets(d)["combine"]
+        f = _targets(d)["combine"].evaluate
         nodes = len(_nodes(d, 0.25)[0])
         pts = _points(d, 300)
         values = []
@@ -215,22 +236,28 @@ class TestTiledApproximant:
         for other in values[1:]:
             assert np.array_equal(other, values[0])
 
-    def test_working_memory_is_a_few_tiles(self):
-        # 4096 points by the 1200 nodes of the d = 2 ball: a (points x
-        # nodes) array of values would take 39 MB
-        f = _targets(2)["gaussian"]
+    @staticmethod
+    def _peak_bytes(f):
         pts = _points(2, 4096)
         smooth_approximant(f, 1, 0.25, pts[:8])
         tracemalloc.start()
         try:
             smooth_approximant(f, 1, 0.25, pts)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+
+    def test_working_memory_is_a_few_tiles(self):
+        # 4096 points by the 1200 nodes of the d = 2 ball: a (points x
+        # nodes) array of values would take 39 MB, and a (points x 48 x
+        # 48) array of the separable sum's products 75 MB
+        assert self._peak_bytes(_targets(2)["gaussian"]) < 4 * 2 ** 20
+
+    def test_tile_loop_working_memory_is_a_few_tiles(self):
+        assert self._peak_bytes(_targets(2)["gaussian"].evaluate) < 4 * 2 ** 20
 
     def test_no_points(self):
-        f = _targets(2)["gaussian"]
+        f = _targets(2)["cusp"]
         assert smooth_approximant(f, 1, 0.5, np.empty((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -254,30 +281,120 @@ class TestTiledApproximant:
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("target", ["gaussian", "cusp", "combine"])
     def test_against_fsum(self, d, s, target):
-        # an independent oracle: each point's value is within 4 ulp of
-        # sum |coef w_j f(x_p - t y_j)| of the terms' exactly rounded sum
         f = _targets(d)[target]
-        eps = 0.25
-        ynodes, yw = _nodes(d, eps)
         pts = _points(d, 5)
-        values = smooth_approximant(f, s, eps, pts)
-        for x, value in zip(pts, values):
-            terms = [coef * w * v for t, coef in binomial_weights(s)
-                     for w, v in zip(yw, f(x - t * ynodes))]
-            size = math.fsum(abs(term) for term in terms)
-            assert abs(value - math.fsum(terms)) <= 4 * np.spacing(size)
+        _assert_near_fsum(f, s, 0.25, pts,
+                          smooth_approximant(f.evaluate, s, 0.25, pts))
 
     def test_rejects_points_of_another_dimension(self):
-        # a d = 2 target is not mollified over the ball of R^3
-        f = _targets(2)["gaussian"]
-        with pytest.raises(ValueError, match="points must have 2 coordinates"):
-            smooth_approximant(f, 1, 0.5, _points(3, 4))
+        # a d = 2 target is not mollified over the ball of R^3, by either
+        # path: the separable sum checks f.d, evaluate the points
+        gauss = _targets(2)["gaussian"]
+        for f in (gauss, gauss.evaluate):
+            with pytest.raises(ValueError,
+                               match="points must have 2 coordinates"):
+                smooth_approximant(f, 1, 0.5, _points(3, 4))
 
     def test_rejects_order_below_one(self):
         f = _targets(2)["gaussian"]
         for s in (0, -1):
             with pytest.raises(ValueError, match="s must be >= 1"):
                 smooth_approximant(f, s, 0.5, _points(2, 3))
+
+
+def _gaussians(d):
+    """Three Gaussians: off-centre, narrow and centred, wide and negative."""
+    return [make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.1),
+                                       width=0.3, amplitude=1.7)),
+            make_gaussian(GaussianSpec(d=d, width=0.05)),
+            make_gaussian(GaussianSpec(d=d, center=np.linspace(-0.3, 0.2, d),
+                                       width=1.0, amplitude=-0.8))]
+
+
+def _no_evaluate(f):
+    """f whose evaluate fails: only its factors can be read."""
+    def evaluate(x):
+        raise AssertionError("evaluate called")
+    return dataclasses.replace(f, evaluate=evaluate)
+
+
+class TestSeparableApproximant:
+    """Targets with factors are summed from their per-axis factors."""
+
+    @pytest.mark.parametrize("target", ["gaussian", "combine"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_evaluate_is_not_called(self, d, target):
+        f = _targets(d)[target]
+        pts = _points(d, 7)
+        assert np.array_equal(
+            smooth_approximant(_no_evaluate(f), 2, 0.25, pts),
+            smooth_approximant(f, 2, 0.25, pts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_against_fsum(self, d, s):
+        pts = _points(d, 5)
+        for f in _gaussians(d):
+            for eps in (0.5, 0.25, 0.0625):
+                _assert_near_fsum(f, s, eps, pts,
+                                  smooth_approximant(f, s, eps, pts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_combine_against_fsum(self, d, s):
+        f = _targets(d)["combine"]
+        assert len(f.factors) == 2
+        pts = _points(d, 5)
+        _assert_near_fsum(f, s, 0.25, pts, smooth_approximant(f, s, 0.25, pts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_agrees_with_the_tile_loop(self, d):
+        # the same Gaussian by both paths, within the oracle's bound
+        pts = _points(d, 5)
+        for f in _gaussians(d):
+            for s in (1, 2):
+                separable = smooth_approximant(f, s, 0.25, pts)
+                tiled = smooth_approximant(f.evaluate, s, 0.25, pts)
+                for x, a, b in zip(pts, separable, tiled):
+                    size = math.fsum(abs(term) for term
+                                     in _fsum_terms(f, s, 0.25, x))
+                    assert abs(a - b) <= 4 * np.spacing(size)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_same_values_for_every_tile_size(self, monkeypatch, d):
+        f = _targets(d)["combine"]
+        n = mollify.NODES_PER_AXIS[d]
+        pts = _points(d, 300)
+        values = []
+        # one point per tile, tiles of a few points, and one tile
+        for pairs in (1, n - 1, n, n * n - 1, n * n, 2 ** 12, 2 ** 15,
+                      2 ** 22):
+            monkeypatch.setattr(mollify, "TILE_PAIRS", pairs)
+            values.append(smooth_approximant(f, 2, 0.25, pts))
+        for other in values[1:]:
+            assert np.array_equal(other, values[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_single_point(self, d):
+        f = _targets(d)["combine"]
+        pts = _points(d, 4)
+        batch = smooth_approximant(f, 2, 0.25, pts)
+        for x, expect in zip(pts, batch):
+            value = smooth_approximant(f, 2, 0.25, x)
+            assert isinstance(value, float)
+            assert value == expect
+
+    def test_no_points(self):
+        f = _targets(2)["gaussian"]
+        assert smooth_approximant(f, 1, 0.5, np.empty((0, 2))).shape == (0,)
+
+    def test_cusp_parts_take_the_tile_loop(self):
+        # a combine with a part that has no factors has none either
+        f = combine(_targets(2)["gaussian"], _targets(2)["cusp"])
+        assert f.factors is None
+        pts = _points(2, 30)
+        assert np.array_equal(smooth_approximant(f, 2, 0.25, pts),
+                              smooth_approximant(f.evaluate, 2, 0.25, pts))
 
 
 class TestTranslateLayout:
@@ -326,7 +443,7 @@ class TestTranslateLayout:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_contiguous_copy_gives_the_same_values(self, d):
-        f = _targets(d)["gaussian"]
+        f = _targets(d)["gaussian"].evaluate
         pts = _points(d, 600)
         for s in (1, 2):
             assert np.array_equal(

@@ -216,6 +216,27 @@ class TestGroupedEvaluation:
         np.testing.assert_array_equal(deserialize(serialize(net))(pts),
                                       net(pts))
 
+    def test_flat_network_keeps_its_table(self, grouped_only, monkeypatch):
+        # a deserialized quadrature network is flat: its first grouped call
+        # sorts the neurons into a knot table, and later calls read it
+        saved = serialize(from_quadrature(self._tables(2, 1)))
+        net = deserialize(saved)
+        builds = []
+        build = network._knot_table
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(network, "_knot_table", counting)
+        pts = self._points(2)
+        first = net(pts)
+        table = net._flat_table
+        np.testing.assert_array_equal(net(pts), first)
+        assert len(builds) == 1 and net._flat_table is table
+        np.testing.assert_array_equal(deserialize(saved)(pts), first)
+        assert len(builds) == 2
+
     def test_polynomial_lift_stays_dense(self, monkeypatch):
         def refuse(k, table, pts):
             raise AssertionError("grouped path taken")

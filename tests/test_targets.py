@@ -141,6 +141,44 @@ class TestCombine:
                                    2 * f.fourier(xi) - g.fourier(xi))
 
 
+def _from_factors(f, x):
+    """sum of c * prod_i g(z)[i] over f's factors, z the axis-major x."""
+    z = np.moveaxis(np.asarray(x, float), -1, 0)
+    return sum(c * np.prod(g(z), axis=0) for c, g in f.factors)
+
+
+class TestFactors:
+    """factors describe the same function as evaluate."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_is_one_term(self, d):
+        f = make_gaussian(GaussianSpec(d=d, center=np.linspace(-0.2, 0.3, d),
+                                       width=0.37, amplitude=-1.3))
+        assert len(f.factors) == 1 and f.factors[0][0] == -1.3
+        x = np.random.default_rng(d).uniform(-1.0, 1.0, (3, 50, d))
+        np.testing.assert_allclose(_from_factors(f, x), f(x), rtol=1e-14,
+                                   atol=0)
+
+    def test_combine_concatenates_the_terms(self):
+        f = make_gaussian(GaussianSpec(d=2, amplitude=0.5))
+        g = make_gaussian(GaussianSpec(d=2, center=np.array([0.2, 0.1]),
+                                       width=0.5))
+        h = combine(f, g, 2.0, -3.0)
+        assert [c for c, _ in h.factors] == [1.0, -3.0]
+        assert [fn for _, fn in h.factors] == [f.factors[0][1],
+                                             g.factors[0][1]]
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 2))
+        np.testing.assert_allclose(_from_factors(h, x), h(x), rtol=1e-14,
+                                   atol=1e-15)
+
+    def test_cusp_has_none(self):
+        cusp = make_cusp_radial(2.5, 2)
+        assert cusp.factors is None
+        gauss = make_gaussian(GaussianSpec(d=2))
+        assert combine(gauss, cusp).factors is None
+        assert combine(cusp, gauss).factors is None
+
+
 class TestRadialProfile:
     """radial is set only for targets radial about the origin, whose
     Fourier data at xi is the slice along e1 at |xi|."""
