@@ -204,15 +204,14 @@ def _validate(config):
         raise ConfigError("line_l must be >= 1, got %g" % config.line_l)
     if config.kind in ("peano-reconstruct", "variation-bound") or (
             config.kind == "rate-sweep" and config.constructor == "sampling"):
-        grid = LineGrid(L=config.line_l, N=config.line_n)
-        for name, g in (("", grid), ("refined ", grid.refine())):
-            if not _ends_are_nodes(g):
-                raise ConfigError(
-                    "line_l = %g puts no node of the %sline grid (L = %g, "
-                    "N = %d) at -1 and 1, so the knots would miss the ends "
-                    "of [-1, 1]; take line_l with (line_l - 1) * line_n / "
-                    "(2 * line_l) a whole number >= 1, such as 2, 4 or 8"
-                    % (config.line_l, name, g.L, g.N))
+        # refine() maps (L, N) to (2L, 4N), which keeps -1 and 1 as nodes
+        if not _ends_are_nodes(LineGrid(L=config.line_l, N=config.line_n)):
+            raise ConfigError(
+                "line_l = %g puts no node of the line grid (L = %g, N = %d) "
+                "at -1 and 1, so the knots would miss the ends of [-1, 1]; "
+                "take line_l with (line_l - 1) * line_n / (2 * line_l) a "
+                "whole number >= 1, such as 2, 4 or 8"
+                % (config.line_l, config.line_l, config.line_n))
     for key in ("trials", "points", "eval_count", "n_seeds"):
         if getattr(config, key) < 1:
             raise ConfigError("%s must be >= 1, got %d"

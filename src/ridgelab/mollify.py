@@ -108,11 +108,10 @@ def finite_difference(f, y, s, x):
     return out
 
 
-@lru_cache(maxsize=16)
 def _ball_table(d, eps, nodes_per_axis):
     """(u, table): the Gauss-Legendre nodes u on [-eps, eps] and the
     (nodes_per_axis,) * d tensor of weights w_a w_b ... phi_eps(u_a, u_b,
-    ...), zero outside the eps-ball.  Shared by every call: read-only."""
+    ...), zero outside the eps-ball."""
     u, w = leggauss(nodes_per_axis)
     u = u * eps
     w = w * eps
@@ -123,9 +122,7 @@ def _ball_table(d, eps, nodes_per_axis):
         wts *= np.tile(np.repeat(w, nodes_per_axis ** (d - 1 - axis)),
                        nodes_per_axis ** axis)
     table = wts * mollifier_value(MollifierSpec(d=d, eps=eps), pts)
-    table = table.reshape((nodes_per_axis,) * d)
-    u.flags.writeable = table.flags.writeable = False
-    return u, table
+    return u, table.reshape((nodes_per_axis,) * d)
 
 
 def _ball_quadrature(d, eps, nodes_per_axis):

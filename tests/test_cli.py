@@ -186,16 +186,6 @@ class TestMain:
         path.write_text(self.KNOT_KINDS[kind] + "line_l = %d\n" % line_l)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
 
-    def test_refined_grid_is_checked(self, monkeypatch):
-        # no grid with -1 as a node refines into one without, so this
-        # takes a refine() that keeps the half-width
-        from ridgelab.quadrature import LineGrid
-        monkeypatch.setattr(LineGrid, "refine",
-                            lambda grid: LineGrid(L=3.0, N=4 * grid.N))
-        with pytest.raises(ConfigError, match="line_l = 4 puts no node of "
-                           "the refined line grid \\(L = 3, N = 2048\\)"):
-            parse_config(self.KNOT_KINDS["peano-reconstruct"] + "line_l = 4\n")
-
     @pytest.mark.parametrize("text", [
         "kind = inversion-check\nd = 1\nline_l = 3\n",
         "kind = radon-check\nd = 2\nline_l = 5\n",
