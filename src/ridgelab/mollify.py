@@ -10,10 +10,13 @@ phi(x/eps).  The order-s approximant is the binomial combination
 whose error against f is controlled by the s-fold difference of f.
 
 smooth_approximant integrates over the eps-ball by a tensor Gauss-Legendre
-rule.  Targets with factors (Gaussians and combines of Gaussians, see
-TargetFunction) are summed axis by axis from their per-axis factors;
-every other target, such as the cusp, and any plain callable f is called
-on tiles of translates, one value per ball node.
+rule, its weight table built on each call from a rule built once per node
+count.  Targets with factors (Gaussians and combines of Gaussians, see
+TargetFunction) are summed axis by axis from their per-axis factors,
+reading only the leading half of the mirror-symmetric table and, in it,
+only the blocks that hold nonzero weights; every other target, such as
+the cusp, and any plain callable f is called on tiles of translates, one
+value per ball node.
 """
 
 import math
@@ -42,12 +45,23 @@ BUMP_NORM_NODES = 256
 # with 2 MiB L2 per core, numpy 2.4; ranges over 3 interleaved sessions),
 # through the tile loop: 2^12 pairs 0.33-0.47 s, 2^13 0.27-0.36 s, 2^14
 # 0.22-0.30 s, 2^15 0.25-0.31 s, 2^16 0.30-0.37 s, 2^17 0.35-0.43 s.  2^14
-# led two sessions and tied 2^13 in the third.  Through the separable sum
-# (best and worst of 3): 0.07-0.09 s at 2^10, 0.06-0.08 s from 2^11 to
-# 2^16, 0.09-0.11 s at 2^17 and 2^18; at d = 3 (512 points, s = 2, eps =
-# 0.5, 0.25, 0.125) 23-37 ms up to 2^12 and 15-25 ms from 2^13 to 2^18.
-# Smaller tiles pay more calls, larger ones leave the cache.
+# led two sessions and tied 2^13 in the third.  Through the banded
+# separable sum (best of 3; ranges over 3 sessions): 0.09-0.13 s at 2^10,
+# 0.05-0.07 s at 2^12, 0.04-0.06 s at 2^13 and 2^14, 0.04-0.07 s at 2^15,
+# 0.06-0.09 s at 2^17 and 2^18; at d = 3 (512 points, s = 2, eps = 0.5,
+# 0.25, 0.125) 21-33 ms at 2^12, 10-22 ms at 2^14 and 2^15 and 9-17 ms
+# from 2^16 to 2^18.  Smaller tiles pay more calls, larger ones leave the
+# cache.
 TILE_PAIRS = 2 ** 14
+
+# Rows of the ball table per einsum call of the separable sum, and the
+# multiple of entries to which each call's column band is rounded.  numpy's
+# einsum sums a pair of contiguous rows into one accumulator of two-double
+# vectors (its 128-bit baseline build), four vectors per step: a band that
+# starts and ends on a multiple of 8 entries keeps every entry in the lane
+# and the step it had in the whole row, and every step it drops adds only
+# zero products, so the values keep their bits.
+BAND = 8
 
 
 @dataclass(frozen=True)
@@ -70,11 +84,22 @@ def _bump_raw(r2):
     return out
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(n):
+    """numpy's n-node Gauss-Legendre rule on [-1, 1] as read-only (nodes,
+    weights), built once per n.  numpy symmetrizes both, so u[n - 1 - i]
+    == -u[i] and w[n - 1 - i] == w[i] exactly."""
+    u, w = leggauss(n)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
 @lru_cache(maxsize=None)
 def _bump_norm(d):
     """Z_d so that the unit-scale bump integrates to one: the area of
     S^{d-1} times the integral of r^{d-1} exp(-1/(1-r^2)) over [0, 1]."""
-    u, w = leggauss(BUMP_NORM_NODES)
+    u, w = _gauss_legendre(BUMP_NORM_NODES)
     r = 0.5 * (u + 1.0)
     return surface_area(d) * math.fsum(
         0.5 * w * r ** (d - 1) * np.exp(-1.0 / (1.0 - r * r)))
@@ -111,8 +136,9 @@ def finite_difference(f, y, s, x):
 def _ball_table(d, eps, nodes_per_axis):
     """(u, table): the Gauss-Legendre nodes u on [-eps, eps] and the
     (nodes_per_axis,) * d tensor of weights w_a w_b ... phi_eps(u_a, u_b,
-    ...), zero outside the eps-ball."""
-    u, w = leggauss(nodes_per_axis)
+    ...), zero outside the eps-ball.  phi is radial and the rule symmetric,
+    so the table is mirror-symmetric along every axis, bit for bit."""
+    u, w = _gauss_legendre(nodes_per_axis)
     u = u * eps
     w = w * eps
     grids = np.meshgrid(*([u] * d), indexing="ij")
@@ -133,6 +159,28 @@ def _ball_quadrature(d, eps, nodes_per_axis):
     return np.column_stack([u[i] for i in keep]), table[keep]
 
 
+def _bands(table):
+    """The blocks of the table that _separable_sum reads: (r0, r1, lo, hi)
+    for each group of BAND rows r0 <= a < r1 of the leading half,
+    a < ceil(n / 2), such that every nonzero entry of table[r0:r1] has its
+    other indices in [lo, hi).  lo and hi are multiples of BAND, or hi is
+    n; a group with no nonzero entry (or a table with one axis) has
+    lo = hi = 0.  Read from the built table: phi can underflow to zero
+    inside the ball's rim."""
+    n = len(table)
+    half = (n + 1) // 2
+    bands = []
+    for r0 in range(0, half, BAND):
+        r1 = min(r0 + BAND, half)
+        cols = np.array(np.nonzero(table[r0:r1])[1:])
+        lo = hi = 0
+        if cols.size:
+            lo = BAND * (int(cols.min()) // BAND)
+            hi = min(n, BAND * math.ceil((cols.max() + 1) / BAND))
+        bands.append((r0, r1, lo, hi))
+    return bands
+
+
 def smooth_approximant(f, s, eps, x):
     """Evaluate the order-s binomial approximant f_eps at x (point or batch).
 
@@ -147,8 +195,11 @@ def smooth_approximant(f, s, eps, x):
         raise ValueError("eps must lie in (0, 1]")
     if s < 1:
         raise ValueError("s must be >= 1")
-    d = np.shape(x)[-1]
     x = np.asarray(x, float)
+    if x.ndim not in (1, 2) or x.shape[-1] < 1:
+        raise ValueError("x must have shape (d,) or (P, d) with d >= 1, "
+                         "got shape %s" % (x.shape,))
+    d = x.shape[-1]
     single = x.ndim == 1
     pts = x[None, :] if single else x
     n = NODES_PER_AXIS.get(d, 16)
@@ -210,12 +261,21 @@ def _separable_sum(factors, s, pts, u, table):
     of one call of f per ball node.  Axes d-1..1 are contracted by numpy
     einsum loops (no BLAS); axis 0 by a product with the factor scaled by
     c and numpy's pairwise sum along each row, which keeps a value within
-    a few ulp of the exact sum.  Each point's row is summed alone, into
-    C-ordered buffers, so the values depend on neither the tile height nor
-    the BLAS thread count.  Tiles hold whole points, at most TILE_PAIRS
-    entries per axis factor and per partial sum, or else one point.
+    a few ulp of the exact sum.
+
+    The table is mirror-symmetric along every axis, so the partial sum over
+    axes 1..d-1 is mirror-symmetric along axis 0: only its leading
+    ceil(n/2) rows are contracted, and the last product reads them twice.
+    Those rows are contracted BAND at a time over their band of nonzero
+    entries (_bands), which drops only whole zero steps of einsum's sum, so
+    every value has the bits of the contraction of the whole table.  Each
+    point's row is summed alone, into C-ordered buffers, so the values
+    depend on neither the tile height nor the BLAS thread count.  Tiles
+    hold whole points, at most TILE_PAIRS entries per axis factor and per
+    whole partial sum, or else one point.
     """
     d, n = table.ndim, len(u)
+    half = (n + 1) // 2
     rows = max(1, TILE_PAIRS // n ** max(1, d - 1))
     height = min(rows, len(pts))
     axes = "abcdefghijklmno"[:d]
@@ -224,7 +284,8 @@ def _separable_sum(factors, s, pts, u, table):
     steps = ["p%s,p%s->p%s" % (axes[:i + 1], axes[i], axes[:i])
              for i in range(1, d)]
     steps[-1:] = [step[1:] for step in steps[-1:]]
-    partial = [np.empty((height,) + (n,) * i) for i in range(1, d)]
+    partial = [np.empty((height, half) + (n,) * (i - 1)) for i in range(1, d)]
+    bands = _bands(table)
     shifted = np.empty((d, height, n))
     last = np.empty((height, n))
     out = np.zeros(len(pts))
@@ -240,13 +301,18 @@ def _separable_sum(factors, s, pts, u, table):
             sums[:] = 0.0
             for c, g in factors:
                 fz = g(z)
-                v = table
-                for i in range(d - 1, 0, -1):
-                    v = np.einsum(steps[i - 1], v, fz[i],
-                                  out=partial[i - 1][:m])
+                for r0, r1, lo, hi in bands:
+                    block = (slice(r0, r1),) + (slice(lo, hi),) * (d - 1)
+                    v = table[block]
+                    for i in range(d - 1, 0, -1):
+                        v = np.einsum(steps[i - 1], v, fz[i][:, lo:hi],
+                                      out=partial[i - 1][(slice(m),)
+                                                         + block[:i]])
+                v = partial[0][:m] if partial else table[:half]
                 # the coefficient scales the factor, not the sum
                 w = np.multiply(fz[0], c, out=last[:m])
-                w *= v
+                w[:, :half] *= v
+                w[:, half:] *= v[..., :n - half][..., ::-1]
                 sums += np.add.reduce(w, axis=1)
         out += coef * acc
     return out

@@ -301,6 +301,17 @@ class TestTiledApproximant:
             with pytest.raises(ValueError, match="s must be >= 1"):
                 smooth_approximant(f, s, 0.5, _points(2, 3))
 
+    @pytest.mark.parametrize("path", ["separable", "tiled"])
+    def test_rejects_points_of_other_shapes(self, path):
+        # a 0-d point and stacks of point sets name the accepted shapes,
+        # by either path, instead of failing inside numpy
+        f = _targets(2)["gaussian"]
+        f = f if path == "separable" else f.evaluate
+        for x in (np.float64(0.3), np.zeros((2, 3, 2)), np.zeros((1, 4, 3, 2)),
+                  np.zeros((5, 0))):
+            with pytest.raises(ValueError, match=r"shape \(d,\) or \(P, d\)"):
+                smooth_approximant(f, 1, 0.5, x)
+
 
 def _gaussians(d):
     """Three Gaussians: off-centre, narrow and centred, wide and negative."""
@@ -316,6 +327,115 @@ def _no_evaluate(f):
     def evaluate(x):
         raise AssertionError("evaluate called")
     return dataclasses.replace(f, evaluate=evaluate)
+
+
+def _table(d, eps):
+    """smooth_approximant's (u, table) for d and eps, at the node count it
+    reads from NODES_PER_AXIS."""
+    return mollify._ball_table(d, eps, mollify.NODES_PER_AXIS.get(d, 16))
+
+
+def _full_table_sum(factors, s, pts, u, table):
+    """The separable sum over the whole table, all points in one tile: the
+    einsum chain that reads every row and column.  The reference for the
+    bits of _separable_sum, which reads half the rows and their bands."""
+    d, n = table.ndim, len(u)
+    axes = "abcdefghijklmno"[:d]
+    steps = ["p%s,p%s->p%s" % (axes[:i + 1], axes[i], axes[:i])
+             for i in range(1, d)]
+    steps[-1:] = [step[1:] for step in steps[-1:]]
+    out = np.zeros(len(pts))
+    for t, coef in binomial_weights(s):
+        z = pts.T[:, :, None] - t * u
+        sums = np.zeros(len(pts))
+        for c, g in factors:
+            fz = g(z)
+            v = table
+            for i in range(d - 1, 0, -1):
+                v = np.einsum(steps[i - 1], v, fz[i],
+                              out=np.empty((len(pts),) + (n,) * i))
+            sums += np.add.reduce(fz[0] * c * v, axis=1)
+        out += coef * sums
+    return out
+
+
+class TestBallTable:
+    """The separable sum reads the leading half of the weight table, in
+    bands; what it leaves out must be the mirror image or exact zeros."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [1.0, 0.5, 0.0625, 1e-3])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_mirror_symmetric_and_zero_outside_the_bands(self, monkeypatch,
+                                                         d, eps, odd):
+        if odd:
+            # the middle row of an odd count is its own mirror
+            n = mollify.NODES_PER_AXIS.get(d, 16)
+            monkeypatch.setitem(mollify.NODES_PER_AXIS, d, n - 1)
+        u, table = _table(d, eps)
+        n = len(u)
+        assert n % 2 == odd
+        for axis in range(d):
+            assert np.array_equal(table, np.flip(table, axis))
+        half = (n + 1) // 2
+        read = np.zeros(table.shape, bool)
+        bands = mollify._bands(table)
+        assert [r0 for r0, _, _, _ in bands] == list(range(0, half,
+                                                           mollify.BAND))
+        for r0, r1, lo, hi in bands:
+            assert r1 == min(r0 + mollify.BAND, half)
+            assert lo % mollify.BAND == 0
+            assert hi % mollify.BAND == 0 or hi == n
+            read[(slice(r0, r1),) + (slice(lo, hi),) * (d - 1)] = True
+        assert np.all(table[:half][~read[:half]] == 0.0)
+        # the bands drop zeros at d = 2: 768 of the half's 1,152 entries
+        if d == 2 and not odd:
+            assert read[:half].sum() == 768
+
+    def test_gauss_legendre_rule_is_built_once(self):
+        u, w = mollify._gauss_legendre(48)
+        assert mollify._gauss_legendre(48)[0] is u
+        assert not u.flags.writeable and not w.flags.writeable
+        assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
+
+
+class TestSeparableBits:
+    """_separable_sum gives the bits of the contraction of the whole table,
+    for every tile size and under any BLAS thread count."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_equals_the_full_table_contraction(self, monkeypatch, d, s, odd):
+        n = mollify.NODES_PER_AXIS[d]
+        if odd:
+            monkeypatch.setitem(mollify.NODES_PER_AXIS, d, n - 1)
+        pts = _points(d, 40)
+        for eps in (0.25, 1e-3):
+            u, table = _table(d, eps)
+            for f in _gaussians(d) + [_targets(d)["combine"]]:
+                expect = _full_table_sum(f.factors, s, pts, u, table)
+                for pairs in (1, n - 1, n, n * n - 1, n * n, 2 ** 12, 2 ** 15,
+                              2 ** 22):
+                    monkeypatch.setattr(mollify, "TILE_PAIRS", pairs)
+                    assert np.array_equal(
+                        mollify._separable_sum(f.factors, s, pts, u, table),
+                        expect)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_groups_of_zero_rows_are_read_as_zeros(self, d):
+        # phi underflows in whole groups of rows only for far more nodes
+        # than NODES_PER_AXIS gives; zeroing the first and last BAND rows
+        # keeps the table symmetric and leaves one group with no band
+        u, table = _table(d, 0.5)
+        table = table.copy()
+        table[:mollify.BAND] = table[-mollify.BAND:] = 0.0
+        assert mollify._bands(table)[0][2:] == (0, 0)
+        f = _targets(d)["combine"]
+        pts = _points(d, 30)
+        assert np.array_equal(mollify._separable_sum(f.factors, 2, pts, u,
+                                                     table),
+                              _full_table_sum(f.factors, 2, pts, u, table))
 
 
 class TestSeparableApproximant:
