@@ -15,8 +15,7 @@ from .fourier_radon import hermite, radon_slice, radon_transform, radon_direct, 
 from .ridge_density import (PeanoTables, PolynomialPart, peano_tables,
                             sobolev_seminorm)
 from .network import (ShallowNetwork, activation, from_quadrature,
-                      from_sampling, poly_to_ridge, serialize, deserialize,
-                      save, load)
+                      from_sampling, poly_to_ridge)
 from .mollify import MollifierSpec, mollifier_value, finite_difference, smooth_approximant, epsilon_schedule
 from .metrics import lp_error, rate_fit
 from .quadrature import component_seed

@@ -558,26 +558,6 @@ def _cmd_run(args):
     return 0
 
 
-def _cmd_eval(args):
-    from .network import load
-    try:
-        net = load(args.network)
-        pts = np.loadtxt(args.points, delimiter=",", ndmin=2)
-    except OSError as exc:
-        print("I/O error: %s" % exc, file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if pts.shape[1] != net.d:
-        print("error: points have %d columns but the network has d = %d"
-              % (pts.shape[1], net.d), file=sys.stderr)
-        return 2
-    for v in net(pts):
-        print(_fmt(float(v)))
-    return 0
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="ridgelab",
@@ -591,19 +571,12 @@ def main(argv=None):
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
 
-    p_eval = sub.add_parser("eval", help="evaluate a saved network at points")
-    p_eval.add_argument("network")
-    p_eval.add_argument("--points", required=True,
-                        help="CSV of evaluation points, one per row")
-
     sub.add_parser("version", help="print the tool version")
 
     args = parser.parse_args(argv)
     if args.command == "version":
         print("ridgelab %s" % __version__)
         return 0
-    if args.command == "eval":
-        return _cmd_eval(args)
     return _cmd_run(args)
 
 

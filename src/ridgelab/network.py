@@ -6,7 +6,6 @@ built from the Peano density carry the polynomial part exactly (either as a
 PolynomialPart or its exact ridge lift).
 """
 
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,9 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .quadrature import sample_directions
-from .ridge_density import PolynomialPart, affine_powers, multi_indices
-
-FORMAT_MAGIC = "RIDGENET v1"
+from .ridge_density import affine_powers, multi_indices
 
 
 def activation(k, t):
@@ -45,7 +42,11 @@ def _truncated_power(k, t):
 class ShallowNetwork:
     """poly(x) + sum_i a_i sigma_k(omega_i . x - b_i), stored as arrays or
     as a KnotTable (from_quadrature) whose arrays are built on first
-    access, run i of M neurons from table direction runs[i]."""
+    access, run i of M neurons from table direction runs[i].
+
+    evaluate reads the network's own KnotTable one direction at a time
+    (_evaluate_grouped) when its rows hold at least MIN_KNOTS_PER_DIRECTION
+    knots; every other network is summed neuron by neuron (_evaluate_dense)."""
 
     def __init__(self, d, k, a=None, omega=None, b=None, poly=None,
                  table=None, runs=None):
@@ -87,12 +88,10 @@ class ShallowNetwork:
     def evaluate(self, x):
         """Network values at one point (d,) or at the rows of x (P, d).
 
-        Networks with at least MIN_KNOTS_PER_DIRECTION neurons per distinct
-        direction are evaluated as a (direction x knot) table of degree-k
-        splines in omega.x (_evaluate_grouped), others neuron by neuron.  A
-        network's own KnotTable is read at any number of points; a flat
-        network is grouped from MIN_GROUPED_POINTS points on, and keeps
-        the table it builds for its later calls (_flat_table).
+        A network's own KnotTable with at least MIN_KNOTS_PER_DIRECTION
+        knots per row is read as one degree-k spline in omega.x per
+        direction (_evaluate_grouped), at any number of points; any other
+        network is summed neuron by neuron (_evaluate_dense).
         """
         x = np.asarray(x, float)
         single = x.ndim == 1
@@ -101,9 +100,7 @@ class ShallowNetwork:
         if self.poly is not None:
             out += self.poly(pts)
         table = self.table
-        if table is None and len(self.a) and len(pts) >= MIN_GROUPED_POINTS:
-            table = self._flat_table
-        if (len(self) and table is not None
+        if (table is not None
                 and table.knots.shape[1] >= MIN_KNOTS_PER_DIRECTION):
             out += _evaluate_grouped(self.k, table, pts)
         elif len(self):
@@ -112,24 +109,13 @@ class ShallowNetwork:
 
     __call__ = evaluate
 
-    @cached_property
-    def _flat_table(self):
-        """The KnotTable of a flat network with at least
-        MIN_KNOTS_PER_DIRECTION neurons per distinct direction, else
-        None; its arrays must not change once it is built."""
-        ids, directions = _direction_ids(self.omega)
-        if len(self.a) >= MIN_KNOTS_PER_DIRECTION * len(directions):
-            return _knot_table(self, ids, directions)
-        return None
-
 
 @dataclass(frozen=True)
 class KnotTable:
     """Neurons as a (direction x knot) table: direction j has the knots
-    knots[rows[j]], sorted, with the outer weights weights[rows[j]];
-    shorter rows end in +inf knots of weight zero.  Directions that share
-    a row share its prefix sums, and knots may be a stride-0 view of one
-    row."""
+    knots[rows[j]], sorted, with the outer weights weights[rows[j]].
+    Directions that share a row share its prefix sums, and knots may be a
+    stride-0 view of one row."""
 
     directions: np.ndarray  # (J, d), in lexicographic order
     rows: np.ndarray  # (J,)
@@ -137,53 +123,14 @@ class KnotTable:
     weights: np.ndarray  # (R, M)
 
 
-# Neurons per distinct direction from which evaluate groups by direction.
+# Knots per row from which evaluate reads a KnotTable by direction.
 # Dense over grouped time per call on random d = 2 networks with M knots
 # on each of n/M directions (k = 1 and 2, n = 1024 and 16384, knots sorted
 # or not, best of 5, one BLAS thread, 2-core Xeon, numpy 2.4): at 4096 and
 # 16384 points 0.65-1.08 at M = 32, 0.88-1.76 at M = 48 and 1.06-2.14 at
-# M = 64, so the break-even lies between 32 and 48.  Quadrature networks
-# have hundreds of knots per direction, sampled ones a few.
+# M = 64, so the break-even lies between 32 and 48.  Quadrature tables
+# have hundreds of knots per row, except at a rate sweep's smallest widths.
 MIN_KNOTS_PER_DIRECTION = 32
-
-# Points from which evaluate groups a flat network: its first grouped
-# call builds the set-up (direction ids, the lexsort into a knot table)
-# and every call pays the prefix sums, the dense path costs O(n) per
-# point.  Dense / first grouped ms per call, M sorted knots on each of J
-# directions (as above): J = 512, M = 2049, k = 2 (peano-d2k2's stage 1)
-# 23 / 142 at 1 point, 94 / 143 at 10, 172 / 138 at 20; J = 256, M = 1025
-# 5.5 / 28 at 1, 17 / 28 at 10, 28 / 29 at 20; J = 64, M = 512, k = 1
-# 0.9 / 3.2 at 5, 2.4 / 3.3 at 20.  Later calls read the kept table: 26-30
-# ms at 10-50 points on the stage-1 network.  A network's own KnotTable,
-# read at any count, pays only the prefix sums: dense / table ms on the
-# stage-1 network 23 / 0.24 at 1 point (radial), 22 / 22 (R = J).
-MIN_GROUPED_POINTS = 10
-
-
-def _direction_ids(omega):
-    """(ids, directions): the distinct rows of omega in lexicographic order,
-    and for each row of omega the index of its distinct row."""
-    # only the first row of each run of equal rows is sorted: a flat
-    # network lists the M neurons of a quadrature direction as one run
-    # (serialize writes them so), a sampled network one neuron a run
-    heads = np.flatnonzero(_row_changes(omega))
-    rows = omega[heads]
-    rank = np.lexsort(rows.T[::-1])
-    rows = rows[rank]
-    new = _row_changes(rows)
-    run_ids = np.empty(len(heads), np.intp)
-    run_ids[rank] = np.cumsum(new) - 1
-    return np.repeat(run_ids, np.diff(np.append(heads, len(omega)))), rows[new]
-
-
-def _row_changes(rows):
-    """True for the first row and for every row that differs from the one
-    before it."""
-    changed = np.zeros(len(rows), bool)
-    changed[0] = True
-    for column in rows.T:
-        changed[1:] |= column[1:] != column[:-1]
-    return changed
 
 
 def _evaluate_dense(net, pts):
@@ -235,15 +182,13 @@ def _evaluate_grouped(k, table, pts):
     directions, rows, knots = table.directions, table.rows, table.knots
     R, M = knots.shape
     # prefix[i, r, m]: the sum of a b^i over the first m knots of row r (the
-    # sign of (-b)^i goes into the coefficient, exactly); past a row's last
-    # neuron 0 * inf padding makes NaN, which no finite u reads
+    # sign of (-b)^i goes into the coefficient, exactly)
     prefix = np.zeros((k + 1, R, M + 1))
     power = table.weights
-    with np.errstate(invalid="ignore"):
-        for i in range(k + 1):
-            np.cumsum(power, axis=1, out=prefix[i, :, 1:])
-            if i < k:
-                power = power * knots
+    for i in range(k + 1):
+        np.cumsum(power, axis=1, out=prefix[i, :, 1:])
+        if i < k:
+            power = power * knots
     out = np.empty(len(pts))
     block = max(1, 2 ** 18 // len(directions))
     for lo in range(0, len(pts), block):
@@ -257,21 +202,6 @@ def _evaluate_grouped(k, table, pts):
     return out
 
 
-def _knot_table(net, ids, directions):
-    """The KnotTable of a flat network, one row per direction: one stable
-    sort of the neurons by (direction, knot)."""
-    J = len(directions)
-    order = np.lexsort((net.b, ids))
-    sizes = np.bincount(ids, minlength=J)
-    # a boolean mask fills in row-major order, as the sorted neurons come
-    filled = np.arange(sizes.max()) < sizes[:, None]
-    knots = np.full(filled.shape, np.inf)
-    knots[filled] = net.b[order]
-    a = np.zeros(filled.shape)
-    a[filled] = net.a[order]
-    return KnotTable(directions, np.arange(J), knots, a)
-
-
 def from_quadrature(tables):
     """Discretize the Peano integral into one neuron per (direction, knot).
 
@@ -279,9 +209,10 @@ def from_quadrature(tables):
     trapezoid weights tw_m on the knots b_m (see PeanoTables).  The network
     keeps them as its KnotTable: one weight row per direction, or for
     radial tables (profiles of row stride 0) one per distinct sphere
-    weight, on the one knot row.  Its flat arrays list the directions in
-    sphere order.  The polynomial part is attached exactly, with the
-    trapezoid rule's end term at b = -1 (tables.end_term) added to it.
+    weight, on the one knot row.  Its arrays a, omega and b list the
+    directions in sphere order.  The polynomial part is attached exactly,
+    with the trapezoid rule's end term at b = -1 (tables.end_term) added to
+    it.
     """
     sphere, k, profiles = tables.sphere, tables.k, tables.profiles
     if profiles.strides[0] == 0:
@@ -403,71 +334,3 @@ def poly_to_ridge(p, k, d=None):
     b = np.concatenate([-biases, biases])
     keep = a != 0.0
     return ShallowNetwork(d=d, k=k, a=a[keep], omega=omega[keep], b=b[keep])
-
-
-def serialize(net):
-    """Line-oriented text form (full-precision decimals, round-trip exact)."""
-    buf = io.StringIO()
-    buf.write("%s d=%d k=%d n=%d\n" % (FORMAT_MAGIC, net.d, net.k, len(net)))
-    for a, w, b in zip(net.a, net.omega, net.b):
-        buf.write(" ".join([repr(float(a))]
-                           + [repr(float(x)) for x in w]
-                           + [repr(float(b))]) + "\n")
-    if net.poly is not None:
-        buf.write("POLY\n")
-        for alpha, c in sorted(net.poly.coefficients.items()):
-            buf.write(" ".join(str(e) for e in alpha) + " " + repr(float(c)) + "\n")
-    return buf.getvalue()
-
-
-def deserialize(text):
-    """Inverse of serialize; raises ValueError on malformed input."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(FORMAT_MAGIC):
-        raise ValueError("not a %s file" % FORMAT_MAGIC)
-    header = lines[0][len(FORMAT_MAGIC):].split()
-    fields = dict(kv.partition("=")[::2] for kv in header)
-    try:
-        d, k, n = (int(fields[key]) for key in "dkn")
-    except (KeyError, ValueError):
-        raise ValueError("header needs integer fields d=, k= and n=: %r"
-                         % lines[0]) from None
-    if d < 1 or k < 0 or n < 0:
-        raise ValueError("header needs d >= 1, k >= 0 and n >= 0: %r"
-                         % lines[0])
-    if len(lines) <= n:
-        raise ValueError("header declares %d neurons but %d lines follow it"
-                         % (n, len(lines) - 1))
-    a = np.empty(n)
-    omega = np.empty((n, d))
-    b = np.empty(n)
-    for row in range(n):
-        parts = lines[row + 1].split()
-        if len(parts) != d + 2:
-            raise ValueError("malformed neuron record on line %d" % (row + 2))
-        a[row] = float(parts[0])
-        omega[row] = [float(x) for x in parts[1:1 + d]]
-        b[row] = float(parts[-1])
-    rest = [line.split() for line in lines[n + 1:] if line.strip()]
-    poly = None
-    if rest:
-        if rest[0] != ["POLY"]:
-            raise ValueError("line after the %d declared neurons is not a "
-                             "POLY section: %r" % (n, " ".join(rest[0])))
-        coeffs = {}
-        for parts in rest[1:]:
-            if len(parts) != d + 1:
-                raise ValueError("malformed POLY record")
-            coeffs[tuple(int(e) for e in parts[:d])] = float(parts[-1])
-        poly = PolynomialPart(d=d, coefficients=coeffs)
-    return ShallowNetwork(d=d, k=k, a=a, omega=omega, b=b, poly=poly)
-
-
-def save(net, path):
-    with open(path, "w") as fh:
-        fh.write(serialize(net))
-
-
-def load(path):
-    with open(path) as fh:
-        return deserialize(fh.read())

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -7,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridgelab import network
-from ridgelab.network import (MIN_GROUPED_POINTS, MIN_KNOTS_PER_DIRECTION,
-                              ShallowNetwork, activation, deserialize,
-                              from_quadrature, from_sampling, load,
-                              poly_to_ridge, save, serialize)
+from ridgelab.network import (MIN_KNOTS_PER_DIRECTION, KnotTable,
+                              ShallowNetwork, activation, from_quadrature,
+                              from_sampling, poly_to_ridge)
 from ridgelab.quadrature import BallSampler, LineGrid, ball_points, sphere_grid
 from ridgelab.ridge_density import PolynomialPart, peano_tables
 from ridgelab.targets import GaussianSpec, make_gaussian
@@ -86,9 +86,22 @@ def _fsum_values(net, pts):
     return np.array(out)
 
 
-def _neurons_only(net, order=slice(None)):
-    return ShallowNetwork(d=net.d, k=net.k, a=net.a[order],
-                          omega=net.omega[order], b=net.b[order])
+def _neurons_only(net):
+    """net without its polynomial part; a KnotTable is kept."""
+    neurons = copy.copy(net)
+    neurons.poly = None
+    return neurons
+
+
+def _table_network(directions, knots, weights, k):
+    """The neurons weights[j, m] sigma_k(directions[j].x - knots[j, m]) as
+    a network with its own KnotTable, one row per direction (each row of
+    knots sorted)."""
+    rank = np.lexsort(directions.T[::-1])
+    table = KnotTable(directions[rank], np.arange(len(rank)), knots[rank],
+                      weights[rank])
+    return ShallowNetwork(d=directions.shape[1], k=k, table=table,
+                          runs=np.argsort(rank))
 
 
 @pytest.fixture
@@ -99,9 +112,18 @@ def grouped_only(monkeypatch):
     monkeypatch.setattr(network, "_evaluate_dense", refuse)
 
 
+@pytest.fixture
+def dense_only(monkeypatch):
+    """Make the grouped path raise, so evaluate must take the dense one."""
+    def refuse(k, table, pts):
+        raise AssertionError("grouped path taken")
+    monkeypatch.setattr(network, "_evaluate_grouped", refuse)
+
+
 class TestGroupedEvaluation:
-    """evaluate on networks with many knots per direction: one degree-k
-    spline per direction, from per-direction prefix sums."""
+    """evaluate on networks with many knots per direction: a KnotTable is
+    read as one degree-k spline per direction, from per-direction prefix
+    sums; a network built from arrays is summed neuron by neuron."""
 
     SPHERES = {1: sphere_grid(1, 1), 2: sphere_grid(2, 3), 3: sphere_grid(3, 2)}
 
@@ -124,8 +146,9 @@ class TestGroupedEvaluation:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_sampling_against_fsum(self, grouped_only, d, k):
-        # about 2048 / J draws per direction, in unequal numbers
+    def test_sampling_against_fsum(self, dense_only, d, k):
+        # about 2048 / J draws per direction, in unequal numbers, and no
+        # KnotTable
         net = _neurons_only(from_sampling(self._tables(d, k), 2048, 17))
         pts = self._points(d)
         tol = 1e-14 * (1.0 + net.l1_mass)
@@ -138,10 +161,8 @@ class TestGroupedEvaluation:
         # a knot, so omega.x equals a knot exactly and sigma_k(0) = 0
         # decides the value (for k = 0 it must not count that knot)
         knots = np.linspace(-1.0, 1.0, 2 * MIN_KNOTS_PER_DIRECTION + 1)
-        eye = np.eye(2)
-        net = ShallowNetwork(d=2, k=k, a=np.ones(2 * len(knots)),
-                             omega=np.repeat(eye, len(knots), axis=0),
-                             b=np.tile(knots, 2))
+        net = _table_network(np.eye(2), np.tile(knots, (2, 1)),
+                             np.ones((2, len(knots))), k)
         grid = knots[::5]
         pts = np.array([(x, y) for x in grid for y in grid])
         values = net(pts)
@@ -151,53 +172,20 @@ class TestGroupedEvaluation:
         np.testing.assert_allclose(values, _fsum_values(net, pts),
                                    rtol=0, atol=1e-14 * (1.0 + net.l1_mass))
 
-    @pytest.mark.parametrize("k", [0, 2])
-    def test_shuffled_neurons(self, grouped_only, k):
-        # the flat network and its shuffle are sorted into the same table,
-        # so the values are the same bit for bit
-        net = _neurons_only(from_quadrature(self._tables(2, k)))
-        shuffled = _neurons_only(
-            net, np.random.default_rng(3).permutation(len(net)))
-        pts = self._points(2)
-        np.testing.assert_array_equal(shuffled(pts), net(pts))
-
-    @staticmethod
-    def _table_layout(layout, k):
-        """Neurons on 5 directions with knots in [-0.5, 0.5], so the unit
-        ball has points beyond each direction's first and last knot."""
+    @pytest.mark.parametrize("layout", ["duplicate_knots"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_table_layouts_against_fsum(self, grouped_only, layout, k):
+        # 5 directions with 2M + 3 knots each from 9 values in [-0.5, 0.5],
+        # so every row repeats most of them and the unit ball has points
+        # beyond each direction's first and last knot
         rng = np.random.default_rng(29)
         angles = np.array([0.3, 1.9, 2.5, 4.0, 5.6])
         directions = np.column_stack([np.cos(angles), np.sin(angles)])
-        M = MIN_KNOTS_PER_DIRECTION
-        counts = {"unequal_counts": [M, 3 * M, M + 5, 2 * M + 1, M],
-                  "duplicate_knots": [2 * M, M, 2 * M + 3, M + 1, M]}
-        counts = counts.get(layout, [2 * M] * 5)
-        if layout == "duplicate_knots":
-            # 9 knot values, so every direction repeats most of them
-            knots = [np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), c))
-                     for c in counts]
-        else:
-            knots = [np.sort(rng.uniform(-0.5, 0.5, c)) for c in counts]
-        j = np.repeat(np.arange(5), counts)
-        b = np.concatenate(knots)
-        order = np.arange(len(b))
-        if layout == "split_runs":
-            # the first halves of all directions, then the second halves
-            order = np.lexsort((j, np.arange(len(b)) % (2 * M) >= M))
-        elif layout == "unsorted_runs":
-            # one run per direction, its knots in random order
-            order = np.lexsort((rng.permutation(len(b)), j))
-        elif layout != "sorted_runs":
-            order = rng.permutation(len(b))
-        return ShallowNetwork(d=2, k=k, a=rng.normal(size=len(b))[order],
-                              omega=directions[j[order]], b=b[order])
-
-    @pytest.mark.parametrize("layout", ["sorted_runs", "unsorted_runs",
-                                        "split_runs", "unequal_counts",
-                                        "duplicate_knots"])
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_table_layouts_against_fsum(self, grouped_only, layout, k):
-        net = self._table_layout(layout, k)
+        count = 2 * MIN_KNOTS_PER_DIRECTION + 3
+        knots = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), (5, count)),
+                        axis=1)
+        net = _table_network(directions, knots,
+                             rng.normal(size=knots.shape), k)
         pts = self._points(2)
         u = pts @ net.omega.T
         assert (u > net.b.max()).any() and (u < net.b.min()).any()
@@ -210,60 +198,12 @@ class TestGroupedEvaluation:
         np.testing.assert_array_equal(net(self._points(2)), 1.5)
         assert net(np.array([0.2, 0.1])) == 1.5
 
-    def test_deserialized_network(self, grouped_only):
-        net = from_quadrature(self._tables(2, 1))
-        pts = self._points(2)
-        np.testing.assert_array_equal(deserialize(serialize(net))(pts),
-                                      net(pts))
-
-    def test_flat_network_keeps_its_table(self, grouped_only, monkeypatch):
-        # a deserialized quadrature network is flat: its first grouped call
-        # sorts the neurons into a knot table, and later calls read it
-        saved = serialize(from_quadrature(self._tables(2, 1)))
-        net = deserialize(saved)
-        builds = []
-        build = network._knot_table
-
-        def counting(*args):
-            builds.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(network, "_knot_table", counting)
-        pts = self._points(2)
-        first = net(pts)
-        table = net._flat_table
-        np.testing.assert_array_equal(net(pts), first)
-        assert len(builds) == 1 and net._flat_table is table
-        np.testing.assert_array_equal(deserialize(saved)(pts), first)
-        assert len(builds) == 2
-
-    def test_polynomial_lift_stays_dense(self, monkeypatch):
-        def refuse(k, table, pts):
-            raise AssertionError("grouped path taken")
-        monkeypatch.setattr(network, "_evaluate_grouped", refuse)
+    def test_polynomial_lift_stays_dense(self, dense_only):
         p = PolynomialPart(d=2, coefficients={(0, 0): 0.5, (1, 1): -2.0,
                                               (2, 0): 1.0})
         pts = self._points(2)
         np.testing.assert_allclose(poly_to_ridge(p, 2)(pts), p(pts),
                                    rtol=0, atol=1e-10)
-
-    def test_few_points_stay_dense(self, monkeypatch):
-        # a flat network's grouped set-up costs more than a few points save
-        def refuse(k, table, pts):
-            raise AssertionError("grouped path taken")
-        net = _neurons_only(from_quadrature(self._tables(2, 1)))
-        pts = self._points(2)[:MIN_GROUPED_POINTS]
-        grouped = net(pts)
-        monkeypatch.setattr(network, "_evaluate_grouped", refuse)
-        tol = 1e-14 * (1.0 + net.l1_mass)
-        assert abs(net(pts[0]) - _fsum_values(net, pts[:1])[0]) <= tol
-        np.testing.assert_allclose(net(pts[:-1]),
-                                   _fsum_values(net, pts[:-1]),
-                                   rtol=0, atol=tol)
-        np.testing.assert_allclose(grouped, _fsum_values(net, pts),
-                                   rtol=0, atol=tol)
-        with pytest.raises(AssertionError, match="grouped path taken"):
-            net(pts)
 
     def test_agrees_with_dense_path(self):
         net = from_quadrature(self._tables(3, 2))
@@ -315,18 +255,20 @@ class TestKnotTableNetworks:
         pts = self._points(d)
         values = net(pts)
         assert not {"a", "omega", "b"} & set(vars(net))
-        flat = _neurons_only(net)
-        np.testing.assert_array_equal(values, flat(pts) + net.poly(pts))
+        # the same neurons with one table row per direction
+        flat = self._flat(tables)
+        rows = _table_network(tables.sphere.nodes, flat.b.reshape(J, M),
+                              flat.a.reshape(J, M), k)
+        np.testing.assert_array_equal(values, rows(pts) + net.poly(pts))
         np.testing.assert_allclose(
-            values, _fsum_values(flat, pts) + net.poly(pts), rtol=0,
-            atol=1e-14 * (1.0 + flat.l1_mass))
+            values, _fsum_values(rows, pts) + net.poly(pts), rtol=0,
+            atol=1e-14 * (1.0 + rows.l1_mass))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("centred", [True, False])
     def test_flat_arrays_as_built_flat(self, d, centred):
         tables = self._tables(d, 1, centred)
         net, flat = from_quadrature(tables), self._flat(tables)
-        assert serialize(net) == serialize(flat)
         for name in ("a", "omega", "b"):
             np.testing.assert_array_equal(getattr(net, name),
                                           getattr(flat, name))
@@ -335,18 +277,15 @@ class TestKnotTableNetworks:
     def test_few_points_read_the_table(self, grouped_only, centred):
         tables = self._tables(2, 2, centred)
         net, flat = from_quadrature(tables), self._flat(tables)
-        pts = self._points(2)[:MIN_GROUPED_POINTS]
+        pts = self._points(2)[:10]
         expected = _fsum_values(flat, pts) + net.poly(pts)
         tol = 1e-14 * (1.0 + flat.l1_mass)
         assert abs(net(pts[0]) - expected[0]) <= tol
-        for count in range(1, MIN_GROUPED_POINTS):
+        for count in range(1, 10):
             np.testing.assert_allclose(net(pts[:count]), expected[:count],
                                        rtol=0, atol=tol)
 
-    def test_few_knots_stay_dense(self, monkeypatch):
-        def refuse(k, table, pts):
-            raise AssertionError("grouped path taken")
-        monkeypatch.setattr(network, "_evaluate_grouped", refuse)
+    def test_few_knots_stay_dense(self, dense_only):
         f = make_gaussian(GaussianSpec(d=2))
         tables = peano_tables(f, 1, self.SPHERES[2], LineGrid(4.0, 64))
         assert len(tables.knots) < MIN_KNOTS_PER_DIRECTION
@@ -680,54 +619,3 @@ class TestPolyToRidge:
 def _indices(d, max_degree):
     from ridgelab.ridge_density import multi_indices
     return multi_indices(d, max_degree)
-
-
-class TestSerialization:
-    def _example(self):
-        f = make_gaussian(GaussianSpec(d=2))
-        return from_quadrature(peano_tables(f, 1, sphere_grid(2, 3),
-                                            LineGrid(4.0, 64)))
-
-    def test_round_trip_bitwise(self):
-        net = self._example()
-        other = deserialize(serialize(net))
-        np.testing.assert_array_equal(net.a, other.a)
-        np.testing.assert_array_equal(net.omega, other.omega)
-        np.testing.assert_array_equal(net.b, other.b)
-        x = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
-        np.testing.assert_array_equal(net(x), other(x))
-
-    def test_empty_network_round_trips(self):
-        net = ShallowNetwork(d=3, k=2, a=np.zeros(0),
-                             omega=np.zeros((0, 3)), b=np.zeros(0),
-                             poly=PolynomialPart(d=3, coefficients={}))
-        other = deserialize(serialize(net))
-        assert other.d == 3 and other.k == 2 and len(other.a) == 0
-
-    def test_wrong_magic_rejected(self):
-        with pytest.raises(ValueError):
-            deserialize("NOTANET v9 d=2 k=1 n=0\n")
-
-    @pytest.mark.parametrize("text", [
-        "RIDGENET v1 d=2 k=-1 n=1\n0.5 1.0 0.0 0.1\n",
-        "RIDGENET v1 d=2 k=1 n=-1\n",
-        "RIDGENET v1 d=0 k=1 n=0\n",
-        # a neuron line beyond the declared count, before and without POLY
-        "RIDGENET v1 d=2 k=1 n=1\n0.5 1.0 0.0 0.1\n0.5 0.0 1.0 0.1\n",
-        "RIDGENET v1 d=2 k=1 n=1\n0.5 1.0 0.0 0.1\n0.5 0.0 1.0 0.1\nPOLY\n",
-    ])
-    def test_malformed_header_or_trailer_rejected(self, text):
-        with pytest.raises(ValueError):
-            deserialize(text)
-
-    def test_blank_lines_around_poly_accepted(self):
-        net = deserialize("RIDGENET v1 d=2 k=1 n=1\n0.5 1.0 0.0 0.1\n\n"
-                          "POLY\n0 0 1.5\n\n")
-        assert len(net) == 1 and net.poly.coefficients == {(0, 0): 1.5}
-
-    def test_save_load(self, tmp_path):
-        net = self._example()
-        path = tmp_path / "net.rn"
-        save(net, path)
-        other = load(path)
-        np.testing.assert_array_equal(net.a, other.a)

@@ -528,23 +528,6 @@ class TestPolynomialPart:
         assert p(np.ones((4, 3))).tolist() == [0.0] * 4
 
 
-def _looped_polynomial(d, k, sphere, at_minus_one):
-    """peano_polynomial as it was before affine_powers: (omega_j.x + 1)^m
-    expanded term by term, direction by direction, in Python floats.  The
-    reference for the matrix-product sum."""
-    coeffs = {a: 0.0 for a in multi_indices(d, k)}
-    for wj, omega, values in zip(sphere.weights, sphere.nodes, at_minus_one):
-        for m in range(k + 1):
-            fm = float(values[m]) / math.factorial(m)
-            for alpha in multi_indices(d, m):
-                j = m - sum(alpha)
-                mult = math.factorial(m) / (
-                    math.prod(math.factorial(e) for e in alpha) * math.factorial(j))
-                w_pow = math.prod(omega[i] ** e for i, e in enumerate(alpha))
-                coeffs[alpha] += wj * fm * mult * w_pow
-    return coeffs
-
-
 def _exact_polynomial(d, k, sphere, at_minus_one):
     """The coefficients of peano_polynomial in exact rational arithmetic
     on the same float inputs."""
@@ -588,9 +571,10 @@ class TestPolynomialExpansion:
         (None, LineGrid(8.0, 16384)), ((0.3, 0.0), LineGrid(4.0, 1024))])
     def test_peano_polynomial_against_exact_rationals(self, center, grid):
         # d = 2, k = 2 on the level-9 sphere; the centred case is stage 1 of
-        # the peano-d2k2 acceptance run.  Errors over the coefficient
-        # scale, loop / matrix products, measured: 8.0e-15 / 1.2e-15
-        # centred, 3.8e-16 / 9.8e-17 off-centre
+        # the peano-d2k2 acceptance run.  Errors over the coefficient scale
+        # against fixed bounds in ulps of that scale (2^-52): 4e-15, 18 ulps,
+        # centred (measured 1.2e-15); 2^-51, 2 ulps, off-centre (measured
+        # 9.8e-17, and 2.25e-16 under a variant of the closed-form kernel)
         d, k = 2, 2
         f = make_gaussian(GaussianSpec(
             d=d, center=None if center is None else np.array(center)))
@@ -606,9 +590,9 @@ class TestPolynomialExpansion:
             return max(abs(Fraction(c) - exact[a])
                        for a, c in coeffs.items()) / scale
 
-        new = error(peano_polynomial(d, k, sphere, at_minus_one).coefficients)
-        assert new <= 4e-15
-        assert new <= error(_looped_polynomial(d, k, sphere, at_minus_one))
+        bound = 4e-15 if center is None else 2.0 ** -51
+        assert error(peano_polynomial(d, k, sphere, at_minus_one)
+                     .coefficients) <= bound
 
 
 class TestSobolevSeminorm:
