@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .quadrature import sample_directions
-from .ridge_density import affine_powers, multi_indices
+from .ridge_density import affine_powers, monomials, multi_indices
 
 
 def activation(k, t):
@@ -69,16 +69,16 @@ class ShallowNetwork:
     @cached_property
     def omega(self):
         return np.repeat(self.table.directions[self._runs],
-                         self.table.knots.shape[1], axis=0)
+                         len(self.table.knots), axis=0)
 
     @cached_property
     def b(self):
-        return self.table.knots[self.table.rows[self._runs]].ravel()
+        return np.tile(self.table.knots, len(self._runs))
 
     def __len__(self):
         if self.table is None:
             return len(self.a)
-        return self.table.rows.size * self.table.knots.shape[1]
+        return self.table.rows.size * len(self.table.knots)
 
     @property
     def l1_mass(self):
@@ -94,6 +94,9 @@ class ShallowNetwork:
         network is summed neuron by neuron (_evaluate_dense).
         """
         x = np.asarray(x, float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
+            raise ValueError("points must have shape (d,) or (P, d) with "
+                             "d = %d, got shape %s" % (self.d, x.shape))
         single = x.ndim == 1
         pts = x[None, :] if single else x
         out = np.zeros(len(pts))
@@ -101,7 +104,7 @@ class ShallowNetwork:
             out += self.poly(pts)
         table = self.table
         if (table is not None
-                and table.knots.shape[1] >= MIN_KNOTS_PER_DIRECTION):
+                and len(table.knots) >= MIN_KNOTS_PER_DIRECTION):
             out += _evaluate_grouped(self.k, table, pts)
         elif len(self):
             out += _evaluate_dense(self, pts)
@@ -112,24 +115,30 @@ class ShallowNetwork:
 
 @dataclass(frozen=True)
 class KnotTable:
-    """Neurons as a (direction x knot) table: direction j has the knots
-    knots[rows[j]], sorted, with the outer weights weights[rows[j]].
-    Directions that share a row share its prefix sums, and knots may be a
-    stride-0 view of one row."""
+    """Neurons as a (direction x knot) table: every direction has the one
+    sorted knot row knots, direction j with the outer weights
+    weights[rows[j]].  Directions that share a weight row share its prefix
+    sums."""
 
     directions: np.ndarray  # (J, d), in lexicographic order
     rows: np.ndarray  # (J,)
-    knots: np.ndarray  # (R, M)
+    knots: np.ndarray  # (M,)
     weights: np.ndarray  # (R, M)
 
 
 # Knots per row from which evaluate reads a KnotTable by direction.
-# Dense over grouped time per call on random d = 2 networks with M knots
-# on each of n/M directions (k = 1 and 2, n = 1024 and 16384, knots sorted
-# or not, best of 5, one BLAS thread, 2-core Xeon, numpy 2.4): at 4096 and
-# 16384 points 0.65-1.08 at M = 32, 0.88-1.76 at M = 48 and 1.06-2.14 at
-# M = 64, so the break-even lies between 32 and 48.  Quadrature tables
-# have hundreds of knots per row, except at a rate sweep's smallest widths.
+# Dense over grouped time per call on random d = 2 networks with n/M
+# directions on one evenly spaced row of M knots (k = 1 and 2, n = 1024
+# and 16384, best of 5, one BLAS thread, 2-core Xeon, numpy 2.4): at 4096
+# and 16384 points 0.50-1.13 at M = 16, and at 200 to 16384 points
+# 0.92-1.74 at M = 24 and 1.10-2.17 at M = 32, so the break-even lies
+# between 16 and 24 knots.  On rows of random knots, which no constructor
+# builds, the count falls back to a bisection and the grouped path is
+# still the slower one at some sizes up to M = 64 (0.45-1.99 at M = 32,
+# 0.73-1.48 at M = 64).  A line grid at L = 4 puts N/4 + 1 knots in
+# [-1, 1] (9, 17, 33, ...), so on those grids any value from 18 to 33
+# sends every quadrature table down the same path; 32 keeps each pinned
+# report on the path whose last bits it records.
 MIN_KNOTS_PER_DIRECTION = 32
 
 
@@ -173,14 +182,15 @@ def _evaluate_grouped(k, table, pts):
     one direction at a time.
 
     Along direction j the neurons are the spline sum_m a_m sigma_k(u - b_m)
-    in u = omega_j.x.  In the direction's row the knots strictly below u
-    (sigma_k(0) = 0) are a prefix, counted by bisection, and (u - b)^k
+    in u = omega_j.x.  The knots strictly below u (sigma_k(0) = 0) are a
+    prefix of the sorted row, counted by _count_below, and (u - b)^k
     expands to sum_{i<=k} C(k, i) u^(k-i) S_i with S_i the prefix sum of
-    a_m (-b_m)^i along the row, so rounding stays that of one direction's
-    knots.  The directions are summed in lexicographic order.
+    a_m (-b_m)^i along the direction's weight row, so rounding stays that
+    of one direction's knots.  The directions are summed in lexicographic
+    order.
     """
     directions, rows, knots = table.directions, table.rows, table.knots
-    R, M = knots.shape
+    R, M = table.weights.shape
     # prefix[i, r, m]: the sum of a b^i over the first m knots of row r (the
     # sign of (-b)^i goes into the coefficient, exactly)
     prefix = np.zeros((k + 1, R, M + 1))
@@ -193,13 +203,52 @@ def _evaluate_grouped(k, table, pts):
     block = max(1, 2 ** 18 // len(directions))
     for lo in range(0, len(pts), block):
         u = pts[lo:lo + block] @ directions.T
-        at = _searchsorted_rows(knots, rows, u, "left") + rows * (M + 1)
+        at = _count_below(knots, u) + rows * (M + 1)
         acc = prefix[0].take(at)
         for i in range(1, k + 1):
             acc *= u
             acc += (-1) ** i * math.comb(k, i) * prefix[i].take(at)
         out[lo:lo + block] = acc.sum(axis=1)
     return out
+
+
+def _count_below(row, u):
+    """np.searchsorted(row, u, "left") for a sorted row: the number of
+    knots strictly below each entry of u.
+
+    The count is first read off the row's end points as if its knots were
+    equally spaced, floor((u - row[0]) / h) + 1 clipped to [0, M], then
+    stepped by one knot, down where row[count - 1] >= u and up where
+    row[count] < u.  On a line grid's knots the first read is at most one
+    knot off, so one step ends it.  A row further from evenly spaced, or
+    of one distinct knot, is bisected by np.searchsorted after two passes.
+    NaN entries count 0, as in a bisection.
+    """
+    M = len(row)
+    span = row[-1] - row[0]
+    if span > 0:
+        t = u - row[0]
+        t *= (M - 1) / span
+        np.floor(t, out=t)
+        t += 1.0
+        # fmax and fmin take 0 for NaN, where a clip would keep it
+        np.fmin(np.fmax(t, 0.0, out=t), M, out=t)
+        count = t.astype(np.intp)
+        # before[c] is the knot before count c, after[c] the knot at it,
+        # and NaN, for which no comparison holds, past either end
+        before = np.concatenate(([np.nan], row, [np.nan]))
+        after = before[1:]
+        for _ in range(2):
+            up = np.less(after.take(count), u)
+            down = np.greater_equal(before.take(count), u)
+            step = up.view(np.int8) - down.view(np.int8)
+            if not step.any():
+                return count
+            count += step
+    count = np.searchsorted(row, u, "left")
+    # NaN sorts past every knot
+    count[np.isnan(u)] = 0
+    return count
 
 
 def from_quadrature(tables):
@@ -222,8 +271,7 @@ def from_quadrature(tables):
         w, rows = sphere.weights, np.arange(len(sphere))
     weights = w[:, None] * tables.weights * profiles / math.factorial(k)
     rank = np.lexsort(sphere.nodes.T[::-1])
-    table = KnotTable(sphere.nodes[rank], rows[rank],
-                      np.broadcast_to(tables.knots, weights.shape), weights)
+    table = KnotTable(sphere.nodes[rank], rows[rank], tables.knots, weights)
     return ShallowNetwork(d=tables.d, k=k, poly=tables.poly + tables.end_term,
                           table=table, runs=np.argsort(rank))
 
@@ -257,8 +305,8 @@ def from_sampling(tables, n, seed):
                           omega=sphere.nodes[js], b=b, poly=tables.poly)
 
 
-def _searchsorted_rows(table, rows, x, side="right"):
-    """np.searchsorted(table[rows[i]], x[i], side) for every i, by one
+def _searchsorted_rows(table, rows, x):
+    """np.searchsorted(table[rows[i]], x[i], "right") for every i, by one
     bisection over all i: log2(M) reads of x.size entries, where gathering
     the rows table[rows] would read x.size * M.  rows broadcasts against
     x.  Rows of stride 0 (radial Peano tables) read the one stored row."""
@@ -266,18 +314,16 @@ def _searchsorted_rows(table, rows, x, side="right"):
     if table.strides[0] == 0:
         table, rows = table[:1], 0
     flat = table.ravel()
-    below = np.less if side == "left" else np.less_equal
     start = rows * M
     # at: the flat index of entry count of the row, with the answer in
     # [count, count + size]; the rows being sorted, it is past the first
-    # half when that half's last entry is <= x (< x for side "left").  A
-    # product moves at: a masked add would branch on a random mask, 8x
-    # slower.
+    # half when that half's last entry is <= x.  A product moves at: a
+    # masked add would branch on a random mask, 8x slower.
     at = np.broadcast_to(start, x.shape) + 0
     size = M
     while size:
         half = (size + 1) // 2
-        at += half * below(flat.take(at + (half - 1)), x)
+        at += half * np.less_equal(flat.take(at + (half - 1)), x)
         size -= half
     return at - start
 
@@ -323,7 +369,7 @@ def poly_to_ridge(p, k, d=None):
     dirs = sample_directions(d, n_aff, seed=12345)
     biases = np.linspace(-0.9, 0.9, n_aff)
     # A[alpha, i] = coefficient of x^alpha in (omega_i . x + b_i)^k
-    A = affine_powers(dirs, biases, k, basis)
+    A = affine_powers(monomials(dirs, basis), biases, k, basis)
     target = np.array([p.coefficients.get(alpha, 0.0) for alpha in basis])
     c, residual, _, _ = np.linalg.lstsq(A, target, rcond=None)
     if not np.allclose(A @ c, target, atol=1e-11):

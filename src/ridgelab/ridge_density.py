@@ -39,24 +39,31 @@ def multi_indices(d, max_degree):
     return out
 
 
-def affine_powers(omegas, offsets, m, basis):
+def monomials(omegas, basis):
+    """omega_i^alpha for the rows omega_i of the (n, d) array omegas and
+    the exponent tuples alpha of basis, as a (len(basis), n) matrix."""
+    alpha = np.array(basis, dtype=int)
+    return np.prod(np.asarray(omegas, float) ** alpha[:, None, :], axis=2)
+
+
+def affine_powers(powers, offsets, m, basis):
     """Monomial coefficients of (omega_i.x + c_i)^m, i < n, as the
     (len(basis), n) matrix
 
         m! / (alpha! (m - |alpha|)!) c_i^(m - |alpha|) omega_i^alpha,
 
-    with 0 where |alpha| > m.  omegas is (n, d); offsets is a scalar or
-    (n,); basis is a list of exponent tuples (as from multi_indices).
+    with 0 where |alpha| > m.  powers is monomials(omegas, basis), which
+    serves every m; offsets is a scalar or (n,); basis is a list of
+    exponent tuples (as from multi_indices).
     """
-    alpha = np.array(basis, dtype=int)
-    rest = m - alpha.sum(axis=1)
+    rest = m - np.array(basis, dtype=int).sum(axis=1)
     multinomial = np.array([
         math.factorial(m) // (math.prod(map(math.factorial, a))
                               * math.factorial(j)) if j >= 0 else 0
         for a, j in zip(basis, rest)], float)
     return (multinomial[:, None]
             * np.asarray(offsets, float) ** np.maximum(rest, 0)[:, None]
-            * np.prod(np.asarray(omegas, float) ** alpha[:, None, :], axis=2))
+            * powers)
 
 
 @dataclass(frozen=True)
@@ -105,21 +112,25 @@ def _trapezoid_weights(b):
     return w
 
 
-def peano_polynomial(d, k, sphere, at_minus_one):
+def peano_polynomial(d, k, sphere, *tables):
     """The polynomial part from tabulated F_{omega_j}^{(m)}(-1):
 
         p(x) = sum_j w_j sum_{m=0}^{k} F_{omega_j}^{(m)}(-1)/m! (omega_j.x + 1)^m,
 
-    expanded into monomial coefficients, one matrix product per m; row j
-    of at_minus_one (or its one row) holds F_{omega_j}^{(m)}(-1), m <= k,
-    or any other coefficients of (omega_j.x + 1)^m / m! (peano_tables
-    passes the end term's).
+    expanded into monomial coefficients, one matrix product per m, as one
+    PolynomialPart per table; row j of a table (or its one row) holds
+    F_{omega_j}^{(m)}(-1), m <= k, or any other coefficients of
+    (omega_j.x + 1)^m / m! (peano_tables passes the end term's too).  The
+    monomials omega_j^alpha are built once for all tables.
     """
     basis = multi_indices(d, k)
-    coeffs = sum(affine_powers(sphere.nodes, 1.0, m, basis)
-                 @ (sphere.weights * at_minus_one[:, m] / math.factorial(m))
-                 for m in range(k + 1))
-    return PolynomialPart(d=d, coefficients=dict(zip(basis, coeffs.tolist())))
+    powers = monomials(sphere.nodes, basis)
+    expand = [affine_powers(powers, 1.0, m, basis) for m in range(k + 1)]
+    return tuple(
+        PolynomialPart(d=d, coefficients=dict(zip(basis, sum(
+            A @ (sphere.weights * table[:, m] / math.factorial(m))
+            for m, A in enumerate(expand)).tolist())))
+        for table in tables)
 
 
 @dataclass(frozen=True)
@@ -211,12 +222,12 @@ def peano_tables(f, k, sphere, grid):
     end[:, k] = grid.h ** 2 / 12.0 * at_minus_one[:, k + 2]
     if k >= 1:
         end[:, k - 1] = -grid.h ** 2 / 12.0 * at_minus_one[:, k + 1]
+    poly, end_term = peano_polynomial(f.d, k, sphere,
+                                      at_minus_one[:, :k + 1], end)
     return PeanoTables(d=f.d, k=k, sphere=sphere, knots=knots,
                        weights=weights, profiles=profiles, cdf=cdf, mass=mass,
                        variation=float(mass.sum() / math.factorial(k)),
-                       poly=peano_polynomial(f.d, k, sphere,
-                                             at_minus_one[:, :k + 1]),
-                       end_term=peano_polynomial(f.d, k, sphere, end))
+                       poly=poly, end_term=end_term)
 
 
 # sobolev_seminorm's quadratures: the level of the sphere grid, the

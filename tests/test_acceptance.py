@@ -71,7 +71,10 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # Monte-Carlo errors (geometric mean 0.10790 to 0.10785); "variation"
 # reads order k + 1 only and moves in the 8th digit (ratio 0.66446763 to
 # 0.66446761).  "mollify" and every d = 1 and d = 3 filter (circular) do
-# not move.
+# not move.  "peano-offcentre-d2" and "peano-offcentre-d3" (k = 1,
+# line_n = 1024, centres (0.3, 0) at level 6 and (0.2, 0, 0.1) at level 4)
+# are the only pinned bodies of a non-radial target: their quadrature
+# networks keep one weight row per direction on the grouped path.
 GOLDEN_BODIES = {
     "sampling": "43ef9172095040604f1d88a27612718dd01570c30c3620a28b9583eb204057a7",
     "schedule": "3102f38c7b03be48249591f55bba521c438046ee33d6025f45a394b969b3dfcc",
@@ -79,6 +82,8 @@ GOLDEN_BODIES = {
     "mollify": "325d170b994d8bb7674d967fe294ebaee99f853bb965acc6bc18902f4174c0aa",
     "inversion": "2377f4b4ccd4f1a7d9cca832e99af916f01e4c5217e253d52cb5522994b927d0",
     "variation": "ffaccb07f274238783770604f73f941c8721cc06b56cc792eecd19340eb048e1",
+    "peano-offcentre-d2": "5b04c32f720a96a75e38588e1ba059541d84295456e3c0355beb3f31dd14e7e3",
+    "peano-offcentre-d3": "c9f866390190ac3a30e567fed59bf054a7ae61201f82e5ba7248c1b4572bda1c",
 }
 
 
@@ -236,3 +241,15 @@ def test_criterion_11_golden_bodies(sweep_reports):
         (_, body), _ = sweep_reports[name]
         assert _body_sha256(body) == GOLDEN_BODIES[name], \
             "%s report body changed" % name
+
+
+@pytest.mark.parametrize("name,center,level", [
+    ("peano-offcentre-d2", (0.3, 0.0), 6),
+    ("peano-offcentre-d3", (0.2, 0.0, 0.1), 4)])
+def test_golden_off_centre_peano_bodies(tmp_path, name, center, level):
+    config = ExperimentConfig(kind="peano-reconstruct", d=len(center), k=1,
+                              center=center, sphere_level=level, line_n=1024,
+                              seed=42)
+    run(config, out_dir=str(tmp_path))
+    body = _csv_body(tmp_path / "peano-reconstruct.csv")
+    assert _body_sha256(body) == GOLDEN_BODIES[name]

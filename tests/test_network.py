@@ -75,6 +75,25 @@ class TestShallowNetwork:
                              poly=PolynomialPart(d=1, coefficients={}))
         np.testing.assert_allclose(net.l1_mass, 3.5)
 
+    @pytest.mark.parametrize("path", ["dense", "grouped"])
+    def test_rejects_points_of_other_shapes(self, path):
+        # a 0-d point, points of another dimension and stacks of point
+        # sets name the accepted shapes on both evaluate paths
+        if path == "dense":
+            net = ShallowNetwork(d=2, k=1, a=np.ones(3),
+                                 omega=np.tile([1.0, 0.0], (3, 1)),
+                                 b=np.zeros(3))
+        else:
+            f = make_gaussian(GaussianSpec(d=2))
+            net = from_quadrature(peano_tables(f, 1, sphere_grid(2, 3),
+                                               LineGrid(4.0, 256)))
+            assert len(net.table.knots) >= MIN_KNOTS_PER_DIRECTION
+        for x in (np.float64(0.5), 0.5, np.zeros(3), np.zeros(1),
+                  np.zeros((5, 3)), np.zeros((5, 1)), np.zeros((2, 4, 2))):
+            with pytest.raises(ValueError, match=r"shape \(d,\) or \(P, d\)"):
+                net(x)
+        assert net(np.zeros((0, 2))).shape == (0,)
+
 
 def _fsum_values(net, pts):
     """sum_i a_i sigma_k(omega_i.x - b_i) per point, summed with math.fsum."""
@@ -94,11 +113,11 @@ def _neurons_only(net):
 
 
 def _table_network(directions, knots, weights, k):
-    """The neurons weights[j, m] sigma_k(directions[j].x - knots[j, m]) as
-    a network with its own KnotTable, one row per direction (each row of
-    knots sorted)."""
+    """The neurons weights[j, m] sigma_k(directions[j].x - knots[m]) as a
+    network with its own KnotTable, one weight row per direction on the
+    one sorted knot row."""
     rank = np.lexsort(directions.T[::-1])
-    table = KnotTable(directions[rank], np.arange(len(rank)), knots[rank],
+    table = KnotTable(directions[rank], np.arange(len(rank)), knots,
                       weights[rank])
     return ShallowNetwork(d=directions.shape[1], k=k, table=table,
                           runs=np.argsort(rank))
@@ -161,8 +180,7 @@ class TestGroupedEvaluation:
         # a knot, so omega.x equals a knot exactly and sigma_k(0) = 0
         # decides the value (for k = 0 it must not count that knot)
         knots = np.linspace(-1.0, 1.0, 2 * MIN_KNOTS_PER_DIRECTION + 1)
-        net = _table_network(np.eye(2), np.tile(knots, (2, 1)),
-                             np.ones((2, len(knots))), k)
+        net = _table_network(np.eye(2), knots, np.ones((2, len(knots))), k)
         grid = knots[::5]
         pts = np.array([(x, y) for x in grid for y in grid])
         values = net(pts)
@@ -175,21 +193,49 @@ class TestGroupedEvaluation:
     @pytest.mark.parametrize("layout", ["duplicate_knots"])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_table_layouts_against_fsum(self, grouped_only, layout, k):
-        # 5 directions with 2M + 3 knots each from 9 values in [-0.5, 0.5],
-        # so every row repeats most of them and the unit ball has points
-        # beyond each direction's first and last knot
+        # 5 directions on one row of 2M + 3 knots from 9 values in
+        # [-0.5, 0.5], so the row repeats most of them, is far from evenly
+        # spaced, and the unit ball has points beyond its first and last
+        # knot
         rng = np.random.default_rng(29)
         angles = np.array([0.3, 1.9, 2.5, 4.0, 5.6])
         directions = np.column_stack([np.cos(angles), np.sin(angles)])
         count = 2 * MIN_KNOTS_PER_DIRECTION + 3
-        knots = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), (5, count)),
-                        axis=1)
+        knots = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), count))
         net = _table_network(directions, knots,
-                             rng.normal(size=knots.shape), k)
+                             rng.normal(size=(5, count)), k)
         pts = self._points(2)
         u = pts @ net.omega.T
         assert (u > net.b.max()).any() and (u < net.b.min()).any()
         np.testing.assert_allclose(net(pts), _fsum_values(net, pts), rtol=0,
+                                   atol=1e-14 * (1.0 + net.l1_mass))
+
+    NON_FINITE = np.array([[np.nan, 0.1], [np.inf, 0.0], [-np.inf, 0.2],
+                           [0.1, np.inf], [np.nan, np.nan], [np.inf, -np.inf]])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_finite_points_give_nan(self, grouped_only, k):
+        # omega.x is NaN or +-inf along every direction; the count of
+        # knots below it stays in range, and the value is NaN (inf * 0 and
+        # inf - inf on the way)
+        net = _neurons_only(from_quadrature(self._tables(2, k)))
+        pts = np.vstack([self.NON_FINITE, self._points(2)[:3]])
+        with np.errstate(invalid="ignore"):
+            values = net(pts)
+        assert np.isnan(values[:len(self.NON_FINITE)]).all()
+        np.testing.assert_array_equal(values[len(self.NON_FINITE):],
+                                      net(self._points(2)[:3]))
+
+    def test_non_finite_points_at_k0(self):
+        # sigma_0 is 1 at +inf and 0 at -inf and NaN: the grouped path
+        # counts every knot below +inf and none below -inf or NaN, as the
+        # dense path's step does
+        net = from_quadrature(self._tables(2, 0))
+        with np.errstate(invalid="ignore"):
+            grouped = network._evaluate_grouped(0, net.table, self.NON_FINITE)
+            dense = network._evaluate_dense(net, self.NON_FINITE)
+        assert np.isfinite(grouped).all()
+        np.testing.assert_allclose(grouped, dense, rtol=0,
                                    atol=1e-14 * (1.0 + net.l1_mass))
 
     def test_empty_network(self):
@@ -212,6 +258,60 @@ class TestGroupedEvaluation:
             network._evaluate_grouped(net.k, net.table, pts),
             network._evaluate_dense(net, pts), rtol=0,
             atol=1e-14 * (1.0 + net.l1_mass))
+
+
+class TestCountBelow:
+    """_count_below reads each count off the knot row's end points and
+    spacing and steps it to np.searchsorted(row, u, "left"), or bisects a
+    row far from evenly spaced."""
+
+    @staticmethod
+    def _probes(row, seed):
+        # every knot, one ulp either side, +-1, beyond both ends and
+        # random values, as a (P, J) block like evaluate's
+        rng = np.random.default_rng(seed)
+        u = np.concatenate([row, np.nextafter(row, -np.inf),
+                            np.nextafter(row, np.inf),
+                            [-1.0, 1.0, -1.5, 1.5, -np.inf, np.inf,
+                             row[0] - 1e3, row[-1] + 1e3],
+                            rng.uniform(-1.2, 1.2, 200)])
+        return np.resize(rng.permutation(u), (-(-len(u) // 4), 4))
+
+    @pytest.mark.parametrize("L", [2.0, 3.0, 4.0, 5.0, 8.0])
+    @pytest.mark.parametrize("N", [8, 64, 1024, 8192])
+    def test_line_grid_rows(self, L, N):
+        grid = LineGrid(L, N)
+        row = grid.nodes[grid.knot_mask()]
+        u = self._probes(row, N)
+        np.testing.assert_array_equal(network._count_below(row, u),
+                                      np.searchsorted(row, u, "left"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uneven_row_with_repeated_knots(self, seed):
+        # the duplicate_knots layout's row: 67 knots from 9 values, so the
+        # first read is far off and the count falls back to a bisection
+        rng = np.random.default_rng(seed)
+        row = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9),
+                                 2 * MIN_KNOTS_PER_DIRECTION + 3))
+        u = self._probes(row, seed)
+        np.testing.assert_array_equal(network._count_below(row, u),
+                                      np.searchsorted(row, u, "left"))
+
+    @pytest.mark.parametrize("row", [[0.3], [0.2, 0.2, 0.2], [-1.0, 1.0]])
+    def test_short_and_flat_rows(self, row):
+        row = np.array(row)
+        u = self._probes(row, 5)
+        np.testing.assert_array_equal(network._count_below(row, u),
+                                      np.searchsorted(row, u, "left"))
+
+    @pytest.mark.parametrize("power,half", [(1, 48), (3, 58)])
+    def test_nan_counts_zero(self, power, half):
+        # on an evenly spaced row, and on a cubed one that the count
+        # bisects
+        row = np.linspace(-1.0, 1.0, 65) ** power
+        u = np.array([[np.nan, 0.5, np.nan], [-np.nan, np.inf, -np.inf]])
+        np.testing.assert_array_equal(network._count_below(row, u),
+                                      [[0, half, 0], [0, 65, 0]])
 
 
 class TestKnotTableNetworks:
@@ -250,14 +350,15 @@ class TestKnotTableNetworks:
         # the symmetric Gauss-Legendre weights of the d = 3 grid (level 2)
         # are equal bit for bit: 2 distinct sphere weights
         R = {1: 1, 2: 1, 3: 2}[d] if centred else J
-        assert net.table.weights.shape == net.table.knots.shape == (R, M)
+        assert net.table.weights.shape == (R, M)
+        assert net.table.knots is tables.knots
         assert len(net) == J * M
         pts = self._points(d)
         values = net(pts)
         assert not {"a", "omega", "b"} & set(vars(net))
         # the same neurons with one table row per direction
         flat = self._flat(tables)
-        rows = _table_network(tables.sphere.nodes, flat.b.reshape(J, M),
+        rows = _table_network(tables.sphere.nodes, tables.knots,
                               flat.a.reshape(J, M), k)
         np.testing.assert_array_equal(values, rows(pts) + net.poly(pts))
         np.testing.assert_allclose(
@@ -489,10 +590,9 @@ class TestConstructorsAgainstLoops:
         t = np.concatenate([knots, [-1.5, -0.7, 0.1, 0.95, 1.5]])
         for row in range(len(table)):
             rows = np.full(len(x), row)
-            for side in ("left", "right"):
-                count = network._searchsorted_rows(table, rows, x, side)
-                np.testing.assert_array_equal(
-                    count, np.searchsorted(table[row], x, side=side))
+            count = network._searchsorted_rows(table, rows, x)
+            np.testing.assert_array_equal(
+                count, np.searchsorted(table[row], x, side="right"))
             np.testing.assert_array_equal(
                 network._interp(x, count, table, rows, knots[None], 0),
                 np.interp(x, table[row], knots))

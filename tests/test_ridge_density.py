@@ -18,9 +18,9 @@ from ridgelab.fourier_radon import (_apply_multiplier_linear,
 from ridgelab.network import from_sampling
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.ridge_density import (PolynomialPart, affine_powers,
-                                    multi_indices, peano_polynomial,
-                                    peano_tables, sobolev_seminorm,
-                                    theorem_order)
+                                    monomials, multi_indices,
+                                    peano_polynomial, peano_tables,
+                                    sobolev_seminorm, theorem_order)
 from ridgelab.targets import (GaussianSpec, combine, gaussian_radon_oracle,
                               make_cusp_radial, make_gaussian)
 
@@ -398,7 +398,7 @@ def _tables_row_by_row(f, k, sphere, grid):
     mass = sphere.weights * (absv @ weights)
     np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
     return dict(profiles=profiles, cdf=cdf, mass=mass,
-                poly=peano_polynomial(f.d, k, sphere, at_minus_one))
+                poly=peano_polynomial(f.d, k, sphere, at_minus_one)[0])
 
 
 class TestVariationUpperBound:
@@ -500,7 +500,8 @@ class TestPolynomialPart:
         at_minus_one = np.array([
             [hermite(*_profile(f, w, grid, (m, m + 1)), grid, -1.0)
              for m in range(k + 1)] for w in sphere.nodes])
-        expected = peano_polynomial(2, k, sphere, at_minus_one).coefficients
+        expected = peano_polynomial(2, k, sphere,
+                                    at_minus_one)[0].coefficients
         got = peano_tables(f, k, sphere, grid).poly.coefficients
         assert got.keys() == expected.keys()
         scale = max(abs(c) for c in expected.values())
@@ -554,17 +555,17 @@ class TestPolynomialExpansion:
         omegas = rng.uniform(-1.0, 1.0, (n, d))
         offsets = rng.uniform(-1.0, 1.0, n)
         basis = multi_indices(d, 3)
-        A = affine_powers(omegas, offsets, m, basis)
+        powers = monomials(omegas, basis)
+        A = affine_powers(powers, offsets, m, basis)
         assert A.shape == (len(basis), n)
         assert not A[[sum(alpha) > m for alpha in basis]].any()
         x = rng.uniform(-1.0, 1.0, (50, d))
-        monomials = np.array([np.prod(x ** np.array(alpha), axis=1)
-                              for alpha in basis])
+        at_x = np.array([np.prod(x ** np.array(alpha), axis=1)
+                         for alpha in basis])
         direct = (x @ omegas.T + offsets) ** m
-        np.testing.assert_allclose(monomials.T @ A, direct, rtol=0,
-                                   atol=1e-13)
-        np.testing.assert_array_equal(affine_powers(omegas, 1.0, m, basis),
-                                      affine_powers(omegas, np.ones(n), m,
+        np.testing.assert_allclose(at_x.T @ A, direct, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(affine_powers(powers, 1.0, m, basis),
+                                      affine_powers(powers, np.ones(n), m,
                                                     basis))
 
     @pytest.mark.parametrize("center,grid", [
@@ -591,8 +592,21 @@ class TestPolynomialExpansion:
                        for a, c in coeffs.items()) / scale
 
         bound = 4e-15 if center is None else 2.0 ** -51
-        assert error(peano_polynomial(d, k, sphere, at_minus_one)
+        assert error(peano_polynomial(d, k, sphere, at_minus_one)[0]
                      .coefficients) <= bound
+
+    def test_peano_polynomial_of_several_tables(self):
+        # one call with several tables gives, bit for bit, the part of a
+        # call with each table alone
+        rng = np.random.default_rng(11)
+        sphere = sphere_grid(3, 2)
+        tables = [rng.normal(size=(len(sphere), 3)) for _ in range(3)]
+        parts = peano_polynomial(3, 2, sphere, *tables)
+        assert len(parts) == len(tables)
+        for table, part in zip(tables, parts):
+            (alone,) = peano_polynomial(3, 2, sphere, table)
+            assert part.coefficients == alone.coefficients
+        assert peano_polynomial(3, 2, sphere) == ()
 
 
 class TestSobolevSeminorm:
