@@ -6,11 +6,7 @@ targets (the Gaussian saturates at eps^2 for s = 2 only through its own
 scale).  Prints the fitted slope of ||f - f_eps||_{L_2} against eps.
 """
 
-import warnings
-
 from ridgelab.cli import ExperimentConfig, run
-
-warnings.filterwarnings("ignore")
 
 
 def main():

@@ -9,7 +9,9 @@ import warnings
 
 from ridgelab.cli import ExperimentConfig, run
 
-warnings.filterwarnings("ignore")
+for message in ("grid Nyquist frequency", "spectral taper removed",
+                "profile support"):
+    warnings.filterwarnings("ignore", message=message)
 
 
 def main():

@@ -5,8 +5,10 @@ kind writes a CSV report whose body (everything except the trailing
 wall-clock line) is byte-identical across runs with the same config and
 seed.  See the README for the per-kind report schema.
 
-Exit codes: 0 success, 2 config error, 3 numerical-tolerance failure in a
-check experiment, 4 I/O error.
+Exit codes: 0 success; 2 config error, a non-finite center, width,
+amplitude, gamma, line_l or tolerance and a seed outside [0, 2^64) among
+them; 3 a failed numerical check, where a NaN figure fails every check and
+a sampled rate-sweep fails on a non-finite variation bound; 4 I/O error.
 """
 
 import argparse
@@ -177,6 +179,13 @@ def _validate(config):
     if config.kind not in KINDS:
         raise ConfigError("unknown experiment kind %r (expected one of %s)"
                           % (config.kind, ", ".join(KINDS)))
+    for key in ("center", "width", "amplitude", "gamma", "line_l",
+                "tolerance"):
+        value = getattr(config, key)
+        if value is not None and not np.isfinite(value).all():
+            raise ConfigError("%s must be finite, got %s" % (key, value))
+    if not 0 <= config.seed < 2 ** 64:
+        raise ConfigError("seed must lie in [0, 2^64), got %d" % config.seed)
     if config.d < 1:
         raise ConfigError("d must be a positive integer, got %d" % config.d)
     if config.d > 3:
@@ -294,19 +303,19 @@ def _run_radon_check(config, f):
     offsets = rng.uniform(-1.0, 1.0, size=config.trials)
     grid = LineGrid(L=config.line_l, N=config.line_n)
     rows = []
-    worst = 0.0
     for i, (omega, b) in enumerate(zip(dirs, offsets)):
         values, slopes = radon_transform(f, omega, grid)
         spectral = hermite(values, slopes, grid, b)
         direct = radon_direct(f, omega, b)
         scale = np.max(np.abs(values))
         rel = abs(spectral - direct) / scale
-        worst = max(worst, rel)
         rows.append((i, float(b), float(rel)))
+    # np.max, unlike max, keeps a NaN
+    worst = float(np.max([row[-1] for row in rows]))
     tol = 1e-6 if config.tolerance is None else config.tolerance
     report = ExperimentReport(config, ("trial", "b", "rel_err"), rows,
                               slopes={"max_rel_err": worst})
-    if worst > tol:
+    if not worst <= tol:
         raise _fail(report, "radon-check: max relative error %.3e exceeds "
                     "%.1e" % (worst, tol))
     return report
@@ -323,15 +332,16 @@ def _refinement_stages(config, measure):
 
 
 def _check_refinement(report, what):
-    """Fail when the stage-0 error (the rows' last column) exceeds the
-    tolerance, 1e-3 by default, or when refining did not lower it."""
+    """Fail when the stage-0 error (the rows' last column) is not within
+    the tolerance, 1e-3 by default, or when refining did not lower it; a
+    NaN error fails both."""
     config = report.config
     tol = 1e-3 if config.tolerance is None else config.tolerance
     base, refined = (row[-1] for row in report.rows)
-    if base > tol:
+    if not base <= tol:
         raise _fail(report, "%s: %s %.3e exceeds %.1e"
                     % (config.kind, what, base, tol))
-    if refined >= base:
+    if not refined < base:
         raise _fail(report, "%s: refinement did not reduce the error "
                     "(%.3e -> %.3e)" % (config.kind, base, refined))
 
@@ -378,7 +388,7 @@ def _run_variation_bound(config, f):
                               rows, slopes={"ratio": ratios[0],
                                             "ratio_drift": drift})
     tol = 0.05 if config.tolerance is None else config.tolerance
-    if not math.isfinite(ratios[0]) or drift > tol:
+    if not math.isfinite(ratios[0]) or not drift <= tol:
         raise _fail(report, "variation-bound: ratio drift %.3f exceeds %.2f"
                     % (drift, tol))
     return report
@@ -430,6 +440,10 @@ def _run_rate_sweep(config, f):
         tables = peano_tables(f, config.k,
                               sphere_grid(config.d, config.sphere_level),
                               LineGrid(L=config.line_l, N=config.line_n))
+        if not math.isfinite(tables.variation):
+            raise NumericalCheckError(
+                "rate-sweep: the variation bound is %s, so no width can be "
+                "sampled" % tables.variation)
     for n in config.widths:
         if config.constructor == "sampling":
             errs = []
@@ -474,13 +488,14 @@ def _run_mollify_sweep(config, f):
 
 def _fit_slope(report):
     """Set the report's slope: the log-log rate of its error column (the
-    last) against its first.  An error of 0 has no logarithm, so it fails
-    the run, with the report written."""
+    last) against its first.  An error of 0 has no logarithm, nor has one
+    that is not finite, so either fails the run, with the report written."""
     for row in report.rows:
-        if row[-1] == 0.0:
-            raise _fail(report, "%s: the error at %s = %s is 0, so no rate "
+        if row[-1] == 0.0 or not math.isfinite(row[-1]):
+            raise _fail(report, "%s: the error at %s = %s is %g, so no rate "
                         "can be fitted" % (report.config.kind,
-                                           report.columns[0], _fmt(row[0])))
+                                           report.columns[0], _fmt(row[0]),
+                                           row[-1]))
     report.slopes["slope"] = rate_fit((row[0], row[-1])
                                       for row in report.rows)[0]
     return report

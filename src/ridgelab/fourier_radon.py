@@ -3,7 +3,8 @@
 derivative_blocks is the one spectral core: it filters a block of Radon
 rows by the multipliers (i t)^m M_d(t) for any orders m, and both
 reconstruct (m = 0, 1) and the Peano tables of ridge_density (m <= k + 2)
-read it.  hermite is the one read of a profile between grid nodes: the
+read it, for the directions that shared_rows picks (one for a radial
+target).  hermite is the one read of a profile between grid nodes: the
 cubic through the samples of F^(m) with the samples of F^(m+1) as slopes.
 
 The filtered back-projection operator acts on a profile g by the Fourier
@@ -311,38 +312,37 @@ def _taper_loss(spectra, grid, d, orders):
     return worst
 
 
+def shared_rows(f, omegas):
+    """(directions to filter, rows): direction j of omegas has the Radon
+    row of filtered direction rows[j].  A target radial about the origin
+    (f.radial) has one Radon row, filtered along e1 (rows all 0); any other
+    target filters every direction (rows = arange(J)).  rows is
+    non-decreasing."""
+    omegas = _check_unit(omegas)
+    if f.radial:
+        return np.eye(f.d)[:1], np.zeros(len(omegas), np.intp)
+    return omegas, np.arange(len(omegas))
+
+
 def derivative_blocks(f, omegas, grid, orders):
     """Samples of F_omega^{(m)} for every m in orders, a block of directions
     at a time.
 
     Yields (lo, F) with F[i, j] the samples of F^{(orders[i])} along
     omegas[lo + j].  Each block evaluates the Fourier slice once; the Radon
-    rows, their cutoffs and their spectra are shared by all orders.  For a
-    radial target (f.radial) every direction has the same Radon row, so
-    the one slice along e1 is filtered once and each F is a read-only view
-    that broadcasts it to the block's directions.  The multiplier of
-    order m is (i t)^m M_d(t) with the standard high-frequency taper.
-    After the last block, warns once when the taper removed a
-    non-negligible share of some profile's spectral mass.
+    rows, their cutoffs and their spectra are shared by all orders.  The
+    multiplier of order m is (i t)^m M_d(t) with the standard
+    high-frequency taper.  After the last block, warns once when the taper
+    removed a non-negligible share of some profile's spectral mass.
     """
     _check_grid(f, grid)
     block = max(1, BLOCK_POINTS // grid.N)
-    if f.radial:
-        _check_unit(omegas)
-        spectrum = radon_slice(f, np.eye(f.d)[:1], grid)
-        worst = _taper_loss(spectrum, grid, f.d, orders)
-        rows = _spectrum_to_profile(spectrum, grid).real
-        F = _apply_multiplier_linear(rows, grid, f.d, orders)
-        for lo in range(0, len(omegas), block):
-            count = min(block, len(omegas) - lo)
-            yield lo, np.broadcast_to(F, (len(orders), count, grid.N))
-    else:
-        worst = 0.0
-        for lo in range(0, len(omegas), block):
-            spectra = radon_slice(f, omegas[lo:lo + block], grid)
-            worst = max(worst, _taper_loss(spectra, grid, f.d, orders))
-            rows = _spectrum_to_profile(spectra, grid).real
-            yield lo, _apply_multiplier_linear(rows, grid, f.d, orders)
+    worst = 0.0
+    for lo in range(0, len(omegas), block):
+        spectra = radon_slice(f, omegas[lo:lo + block], grid)
+        worst = max(worst, _taper_loss(spectra, grid, f.d, orders))
+        rows = _spectrum_to_profile(spectra, grid).real
+        yield lo, _apply_multiplier_linear(rows, grid, f.d, orders)
     if worst > SPECTRAL_MASS_TOL:
         warnings.warn(
             "spectral taper removed %.3g of the derivative profile mass; "
@@ -389,15 +389,19 @@ def reconstruct(f, x, sphere, grid):
 
     Returns sum_j w_j F_{omega_j}(omega_j . x), each back-projected profile
     F = F^{(0)} read by hermite from the orders (0, 1) of
-    derivative_blocks; directions are reduced in fixed order.  Warns as
-    derivative_blocks does.
+    derivative_blocks, direction j from row rows[j] of shared_rows;
+    directions are reduced in sphere order.  Warns as derivative_blocks
+    does.
     """
     x = np.asarray(x, float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
     out = np.zeros(len(pts))
-    for lo, F in derivative_blocks(f, sphere.nodes, grid, (0, 1)):
-        for wj, omega, row, slope in zip(sphere.weights[lo:], sphere.nodes[lo:],
-                                         F[0], F[1]):
-            out += wj * hermite(row, slope, grid, pts @ omega)
+    omegas, rows = shared_rows(f, sphere.nodes)
+    for lo, F in derivative_blocks(f, omegas, grid, (0, 1)):
+        # rows is non-decreasing, so block by block j runs in sphere order
+        for j in np.flatnonzero((rows >= lo) & (rows < lo + F.shape[1])):
+            row = rows[j] - lo
+            out += sphere.weights[j] * hermite(F[0, row], F[1, row], grid,
+                                               pts @ sphere.nodes[j])
     return float(out[0]) if single else out

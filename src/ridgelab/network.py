@@ -42,17 +42,17 @@ def _truncated_power(k, t):
 class ShallowNetwork:
     """poly(x) + sum_i a_i sigma_k(omega_i . x - b_i), stored as arrays or
     as a KnotTable (from_quadrature) whose arrays are built on first
-    access, run i of M neurons from table direction runs[i].
+    access, M neurons per table direction in table order.
 
-    evaluate reads the network's own KnotTable one direction at a time
-    (_evaluate_grouped) when its rows hold at least MIN_KNOTS_PER_DIRECTION
-    knots; every other network is summed neuron by neuron (_evaluate_dense)."""
+    evaluate reads a network's KnotTable one direction at a time
+    (_evaluate_grouped) and sums a network of arrays neuron by neuron
+    (_evaluate_dense)."""
 
     def __init__(self, d, k, a=None, omega=None, b=None, poly=None,
-                 table=None, runs=None):
+                 table=None):
         self.d = int(d)
         self.k = int(k)
-        self.poly, self.table, self._runs = poly, table, runs
+        self.poly, self.table = poly, table
         if table is not None:
             return
         n = 0 if a is None else len(a)
@@ -64,16 +64,15 @@ class ShallowNetwork:
 
     @cached_property
     def a(self):
-        return self.table.weights[self.table.rows[self._runs]].ravel()
+        return self.table.weights[self.table.rows].ravel()
 
     @cached_property
     def omega(self):
-        return np.repeat(self.table.directions[self._runs],
-                         len(self.table.knots), axis=0)
+        return np.repeat(self.table.directions, len(self.table.knots), axis=0)
 
     @cached_property
     def b(self):
-        return np.tile(self.table.knots, len(self._runs))
+        return np.tile(self.table.knots, len(self.table.rows))
 
     def __len__(self):
         if self.table is None:
@@ -88,10 +87,9 @@ class ShallowNetwork:
     def evaluate(self, x):
         """Network values at one point (d,) or at the rows of x (P, d).
 
-        A network's own KnotTable with at least MIN_KNOTS_PER_DIRECTION
-        knots per row is read as one degree-k spline in omega.x per
-        direction (_evaluate_grouped), at any number of points; any other
-        network is summed neuron by neuron (_evaluate_dense).
+        A network's KnotTable is read as one degree-k spline in omega.x
+        per direction (_evaluate_grouped); a network of arrays is summed
+        neuron by neuron (_evaluate_dense).
         """
         x = np.asarray(x, float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.d:
@@ -102,10 +100,8 @@ class ShallowNetwork:
         out = np.zeros(len(pts))
         if self.poly is not None:
             out += self.poly(pts)
-        table = self.table
-        if (table is not None
-                and len(table.knots) >= MIN_KNOTS_PER_DIRECTION):
-            out += _evaluate_grouped(self.k, table, pts)
+        if self.table is not None:
+            out += _evaluate_grouped(self.k, self.table, pts)
         elif len(self):
             out += _evaluate_dense(self, pts)
         return float(out[0]) if single else out
@@ -120,26 +116,10 @@ class KnotTable:
     weights[rows[j]].  Directions that share a weight row share its prefix
     sums."""
 
-    directions: np.ndarray  # (J, d), in lexicographic order
+    directions: np.ndarray  # (J, d), lexicographic in from_quadrature
     rows: np.ndarray  # (J,)
     knots: np.ndarray  # (M,)
     weights: np.ndarray  # (R, M)
-
-
-# Knots per row from which evaluate reads a KnotTable by direction.
-# Dense over grouped time per call on random d = 2 networks with n/M
-# directions on one evenly spaced row of M knots (k = 1 and 2, n = 1024
-# and 16384, best of 5, one BLAS thread, 2-core Xeon, numpy 2.4): at 4096
-# and 16384 points 0.50-1.13 at M = 16, and at 200 to 16384 points
-# 0.92-1.74 at M = 24 and 1.10-2.17 at M = 32, so the break-even lies
-# between 16 and 24 knots.  On rows of random knots, which no constructor
-# builds, the count falls back to a bisection and the grouped path is
-# still the slower one at some sizes up to M = 64 (0.45-1.99 at M = 32,
-# 0.73-1.48 at M = 64).  A line grid at L = 4 puts N/4 + 1 knots in
-# [-1, 1] (9, 17, 33, ...), so on those grids any value from 18 to 33
-# sends every quadrature table down the same path; 32 keeps each pinned
-# report on the path whose last bits it records.
-MIN_KNOTS_PER_DIRECTION = 32
 
 
 def _evaluate_dense(net, pts):
@@ -186,8 +166,7 @@ def _evaluate_grouped(k, table, pts):
     prefix of the sorted row, counted by _count_below, and (u - b)^k
     expands to sum_{i<=k} C(k, i) u^(k-i) S_i with S_i the prefix sum of
     a_m (-b_m)^i along the direction's weight row, so rounding stays that
-    of one direction's knots.  The directions are summed in lexicographic
-    order.
+    of one direction's knots.  The directions are summed in table order.
     """
     directions, rows, knots = table.directions, table.rows, table.knots
     R, M = table.weights.shape
@@ -256,24 +235,24 @@ def from_quadrature(tables):
 
     The neuron weight is w_j * tw_m * F_{omega_j}^{(k+1)}(b_m) / k! with
     trapezoid weights tw_m on the knots b_m (see PeanoTables).  The network
-    keeps them as its KnotTable: one weight row per direction, or for
-    radial tables (profiles of row stride 0) one per distinct sphere
-    weight, on the one knot row.  Its arrays a, omega and b list the
-    directions in sphere order.  The polynomial part is attached exactly,
-    with the trapezoid rule's end term at b = -1 (tables.end_term) added to
-    it.
+    keeps them as its KnotTable, the directions in lexicographic order on
+    the one knot row, with one weight row per distinct pair of profile row
+    (tables.rows) and sphere weight: one per direction, or for a radial
+    target one per distinct sphere weight.  The polynomial part is
+    attached exactly, with the trapezoid rule's end term at b = -1
+    (tables.end_term) added to it.
     """
-    sphere, k, profiles = tables.sphere, tables.k, tables.profiles
-    if profiles.strides[0] == 0:
-        w, rows = np.unique(sphere.weights, return_inverse=True)
-        profiles = profiles[:len(w)]
-    else:
-        w, rows = sphere.weights, np.arange(len(sphere))
-    weights = w[:, None] * tables.weights * profiles / math.factorial(k)
+    sphere, k = tables.sphere, tables.k
+    # numpy sorts complex numbers by real, then imaginary part
+    pairs, rows = np.unique(tables.rows + 1j * sphere.weights,
+                            return_inverse=True)
+    profiles = tables.profiles[pairs.real.astype(np.intp)]
+    weights = (pairs.imag[:, None] * tables.weights * profiles
+               / math.factorial(k))
     rank = np.lexsort(sphere.nodes.T[::-1])
     table = KnotTable(sphere.nodes[rank], rows[rank], tables.knots, weights)
     return ShallowNetwork(d=tables.d, k=k, poly=tables.poly + tables.end_term,
-                          table=table, runs=np.argsort(rank))
+                          table=table)
 
 
 def from_sampling(tables, n, seed):
@@ -287,19 +266,20 @@ def from_sampling(tables, n, seed):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    sphere, knots, profiles = tables.sphere, tables.knots, tables.profiles
+    sphere, knots, cdf = tables.sphere, tables.knots, tables.cdf
     V = tables.variation
     if V <= 0:
         raise ValueError("variation upper bound is zero; nothing to sample")
     rng = np.random.default_rng(seed)
     js = rng.choice(len(sphere), size=n, p=tables.mass / tables.mass.sum())
     us = rng.uniform(size=n)
-    # b = np.interp(u, cdf[j], knots), then the sign of
-    # np.interp(b, knots, profiles[j]), for all draws at once
-    b = _interp(us, _searchsorted_rows(tables.cdf, js, us),
-                tables.cdf, js, knots[None], 0)
+    # b = np.interp(u, cdf[r], knots), then the sign of
+    # np.interp(b, knots, profiles[r]), r = rows[j], for all draws at once
+    rows = tables.rows[js]
+    b = _interp(us, _searchsorted_rows(cdf, rows, us), cdf, rows,
+                knots[None], 0)
     positive = _interp(b, np.searchsorted(knots, b, side="right"),
-                       knots[None], 0, profiles, js) >= 0
+                       knots[None], 0, tables.profiles, rows) >= 0
     return ShallowNetwork(d=tables.d, k=tables.k,
                           a=np.where(positive, V, -V) / n,
                           omega=sphere.nodes[js], b=b, poly=tables.poly)
@@ -308,18 +288,15 @@ def from_sampling(tables, n, seed):
 def _searchsorted_rows(table, rows, x):
     """np.searchsorted(table[rows[i]], x[i], "right") for every i, by one
     bisection over all i: log2(M) reads of x.size entries, where gathering
-    the rows table[rows] would read x.size * M.  rows broadcasts against
-    x.  Rows of stride 0 (radial Peano tables) read the one stored row."""
+    the rows table[rows] would read x.size * M."""
     M = table.shape[1]
-    if table.strides[0] == 0:
-        table, rows = table[:1], 0
     flat = table.ravel()
     start = rows * M
     # at: the flat index of entry count of the row, with the answer in
     # [count, count + size]; the rows being sorted, it is past the first
     # half when that half's last entry is <= x.  A product moves at: a
     # masked add would branch on a random mask, 8x slower.
-    at = np.broadcast_to(start, x.shape) + 0
+    at = start.copy()
     size = M
     while size:
         half = (size + 1) // 2

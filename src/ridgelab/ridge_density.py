@@ -20,7 +20,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .fourier_radon import derivative_blocks, hermite
+from .fourier_radon import derivative_blocks, hermite, shared_rows
 from .quadrature import SphereGrid, sphere_grid
 
 
@@ -118,7 +118,7 @@ def peano_polynomial(d, k, sphere, *tables):
         p(x) = sum_j w_j sum_{m=0}^{k} F_{omega_j}^{(m)}(-1)/m! (omega_j.x + 1)^m,
 
     expanded into monomial coefficients, one matrix product per m, as one
-    PolynomialPart per table; row j of a table (or its one row) holds
+    PolynomialPart per table; row j of a table holds
     F_{omega_j}^{(m)}(-1), m <= k, or any other coefficients of
     (omega_j.x + 1)^m / m! (peano_tables passes the end term's too).  The
     monomials omega_j^alpha are built once for all tables.
@@ -137,20 +137,22 @@ def peano_polynomial(d, k, sphere, *tables):
 class PeanoTables:
     """The discretized Peano decomposition of a target on a sphere grid:
 
-        f ~ poly + (1/k!) sum_j w_j sum_m weights_m profiles[j, m]
+        f ~ poly + (1/k!) sum_j w_j sum_m weights_m profiles[rows[j], m]
                    sigma_k(omega_j.x - knots_m),
 
-    with profiles[j, m] = F_{omega_j}^{(k+1)}(knots_m), the knots the line
-    grid's nodes in [-1, 1] and weights their trapezoid weights.  cdf[j] is
-    the normalised cumulative trapezoid integral of |profiles[j]| over the
-    knots, the piecewise-linear CDF whose inverse from_sampling draws knots
-    from (all zeros for a direction without mass).  mass[j] is
-    w_j sum_m weights_m |profiles[j, m]|, and variation = sum_j mass[j] / k!
-    is the variation-norm upper bound of the integral term.  end_term is
-    the Euler-Maclaurin end term that the trapezoid rule over the knots
-    misses at b = -1 (from_quadrature adds it to poly).  Both network
-    constructors read the tables; the arrays are read-only so that one
-    table can feed any number of networks.
+    with profiles[rows[j], m] = F_{omega_j}^{(k+1)}(knots_m), the knots the
+    line grid's nodes in [-1, 1] and weights their trapezoid weights.  The
+    R distinct profile rows are those of shared_rows: one for a radial
+    target (rows all 0), one per direction otherwise (rows = arange(J)).
+    cdf[r] is the normalised cumulative trapezoid integral of |profiles[r]|
+    over the knots, the piecewise-linear CDF whose inverse from_sampling
+    draws knots from (all zeros for a row without mass).  mass[j] is
+    w_j sum_m weights_m |profiles[rows[j], m]|, and variation =
+    sum_j mass[j] / k! is the variation-norm upper bound of the integral
+    term.  end_term is the Euler-Maclaurin end term that the trapezoid
+    rule over the knots misses at b = -1 (from_quadrature adds it to
+    poly).  Both network constructors read the tables; the arrays are
+    read-only so that one table can feed any number of networks.
     """
 
     d: int
@@ -158,8 +160,9 @@ class PeanoTables:
     sphere: SphereGrid
     knots: np.ndarray  # (M,)
     weights: np.ndarray  # (M,)
-    profiles: np.ndarray  # (J, M)
-    cdf: np.ndarray  # (J, M)
+    rows: np.ndarray  # (J,)
+    profiles: np.ndarray  # (R, M)
+    cdf: np.ndarray  # (R, M)
     mass: np.ndarray  # (J,)
     variation: float
     poly: PolynomialPart
@@ -174,9 +177,8 @@ def peano_tables(f, k, sphere, grid):
     F^{(m)}(-1), m <= k + 1, is the hermite read with F^{(m+1)} as slopes,
     and F^{(k+2)}(-1) the linear read of its row: both are the sample
     itself where -1 is a node (every L = 4 grid with N >= 8), and the
-    linear read's O(h^2) elsewhere is O(h^4) in the end term.  A radial
-    target has the same F in every direction, so its tables are built from
-    one row and profiles and cdf broadcast that row (stride 0).
+    linear read's O(h^2) elsewhere is O(h^4) in the end term.  The tables
+    keep one profile row per direction that shared_rows filters.
 
     The end term: with g(b) = F^{(k+1)}(b) (u - b)_+^k / k! and u = omega.x,
     the trapezoid rule over the knots (spacing h) misses (h^2/12) g'(-1)
@@ -192,7 +194,7 @@ def peano_tables(f, k, sphere, grid):
     mask = grid.knot_mask()
     knots = grid.nodes[mask]
     weights = _trapezoid_weights(knots)
-    omegas = sphere.nodes[:1] if f.radial else sphere.nodes
+    omegas, rows = shared_rows(f, sphere.nodes)
     profiles = np.empty((len(omegas), len(knots)))
     at_minus_one = np.empty((len(omegas), k + 3))
     # -1 lies at t of the way from node i to node i + 1
@@ -209,12 +211,10 @@ def peano_tables(f, k, sphere, grid):
     cdf = np.zeros_like(absv)
     np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
               out=cdf[:, 1:])
-    mass = sphere.weights * (absv @ weights)
+    mass = sphere.weights * (absv @ weights)[rows]
     del absv
     np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
-    shape = (len(sphere), len(knots))
-    profiles, cdf = np.broadcast_to(profiles, shape), np.broadcast_to(cdf, shape)
-    for array in (knots, weights, mass):
+    for array in (knots, weights, rows, profiles, cdf, mass):
         array.flags.writeable = False
     # the end term in peano_polynomial's form: coefficients of
     # (omega.x + 1)^m / m! at m = k and k - 1
@@ -223,9 +223,10 @@ def peano_tables(f, k, sphere, grid):
     if k >= 1:
         end[:, k - 1] = -grid.h ** 2 / 12.0 * at_minus_one[:, k + 1]
     poly, end_term = peano_polynomial(f.d, k, sphere,
-                                      at_minus_one[:, :k + 1], end)
+                                      at_minus_one[rows, :k + 1], end[rows])
     return PeanoTables(d=f.d, k=k, sphere=sphere, knots=knots,
-                       weights=weights, profiles=profiles, cdf=cdf, mass=mass,
+                       weights=weights, rows=rows, profiles=profiles,
+                       cdf=cdf, mass=mass,
                        variation=float(mass.sum() / math.factorial(k)),
                        poly=poly, end_term=end_term)
 

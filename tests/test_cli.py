@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,100 @@ class TestMain:
         path.write_text(text)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,args,message", [
+        ("kind = peano-reconstruct\nd = 2\ncenter = nan, 0\n", [],
+         "center must be finite, got (nan, 0.0)"),
+        ("kind = inversion-check\nd = 1\nwidth = inf\n", [],
+         "width must be finite, got inf"),
+        ("kind = inversion-check\nd = 1\namplitude = nan\n", [],
+         "amplitude must be finite, got nan"),
+        ("kind = radon-check\nd = 2\namplitude = inf\n", [],
+         "amplitude must be finite, got inf"),
+        ("kind = inversion-check\nd = 1\ntarget = cusp\ngamma = inf\n", [],
+         "gamma must be finite, got inf"),
+        ("kind = inversion-check\nd = 1\ntolerance = nan\n", [],
+         "tolerance must be finite, got nan"),
+        ("kind = inversion-check\nd = 1\nline_l = inf\n", [],
+         "line_l must be finite, got inf"),
+        ("kind = peano-reconstruct\nd = 1\nline_l = inf\n", [],
+         "line_l must be finite, got inf"),
+        ("kind = inversion-check\nd = 1\nseed = -1\n", [],
+         "seed must lie in [0, 2^64), got -1"),
+        ("kind = inversion-check\nd = 1\n", ["--seed", str(2 ** 64)],
+         "seed must lie in [0, 2^64), got %d" % 2 ** 64),
+    ])
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, text, args,
+                                      message):
+        # each of these ran to exit 0 with NaN figures, passed every check
+        # (tolerance = nan), or ended in a raw IndexError or OverflowError
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]
+                        + args) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % message
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_largest_seed_runs(self):
+        config = parse_config("kind = inversion-check\nd = 1\nseed = %d\n"
+                              % (2 ** 64 - 1))
+        assert config.seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("text,message", [
+        ("kind = inversion-check\nd = 1\nsphere_level = 1\nline_n = 512\n"
+         "points = 20\n", "inversion-check: error nan exceeds 1.0e-03"),
+        ("kind = peano-reconstruct\nd = 2\nsphere_level = 4\nline_n = 512\n"
+         "points = 20\n", "peano-reconstruct: sup error nan exceeds 1.0e-03"),
+        ("kind = rate-sweep\nd = 2\nwidths = 16, 64, 256\n"
+         "constructor = quadrature\neval_count = 64\n",
+         "rate-sweep: the error at n = 16 is nan, so no rate can be fitted"),
+    ])
+    def test_nan_figures_exit_3_with_report(self, tmp_path, capsys, text,
+                                            message):
+        # amplitude = 1e308 is finite, but the profiles overflow: the
+        # figures are NaN, and a NaN figure fails its check
+        path = tmp_path / "huge.cfg"
+        path.write_text(text + "amplitude = 1e308\n")
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert "check failed: %s" % message in capsys.readouterr().err
+        [report] = tmp_path.glob("*.csv")
+        assert "nan" in report.read_text()
+
+    def test_sampled_rate_sweep_without_finite_variation_exit_3(
+            self, tmp_path, capsys):
+        # the sampled sweep draws from the tables' mass, which is NaN here
+        path = tmp_path / "huge.cfg"
+        path.write_text("kind = rate-sweep\nd = 2\nwidths = 4, 8, 16\n"
+                        "sphere_level = 4\nline_n = 512\neval_count = 64\n"
+                        "amplitude = 1e308\n")
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert ("check failed: rate-sweep: the variation bound is nan, so no "
+                "width can be sampled") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["radon-check", "variation-bound"])
+    def test_nan_check_figure_exit_3(self, tmp_path, capsys, monkeypatch,
+                                     kind):
+        # a NaN relative error (radon-check) or ratio drift
+        # (variation-bound) is not within any tolerance
+        monkeypatch.setattr(cli, "radon_direct",
+                            lambda f, omega, b: float("nan"))
+        monkeypatch.setattr(cli, "sobolev_seminorm", lambda f, s: 1.0)
+        variation = iter([1.0, float("nan")])
+        monkeypatch.setattr(
+            cli, "peano_tables",
+            lambda *args: SimpleNamespace(variation=next(variation)))
+        path = tmp_path / "nan.cfg"
+        path.write_text("kind = %s\nd = 2\ntrials = 3\nsphere_level = 2\n"
+                        "line_n = 64\ntolerance = 10\n" % kind)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: %s: " % kind)
+        assert "nan" in err
+        assert "nan" in (tmp_path / ("%s.csv" % kind)).read_text()
 
     # the kinds whose knots are the line grid's nodes in [-1, 1]
     KNOT_KINDS = {

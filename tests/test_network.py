@@ -2,15 +2,15 @@ import copy
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ridgelab import network
-from ridgelab.network import (MIN_KNOTS_PER_DIRECTION, KnotTable,
-                              ShallowNetwork, activation, from_quadrature,
-                              from_sampling, poly_to_ridge)
+from ridgelab.network import (KnotTable, ShallowNetwork, activation,
+                              from_quadrature, from_sampling, poly_to_ridge)
 from ridgelab.quadrature import BallSampler, LineGrid, ball_points, sphere_grid
 from ridgelab.ridge_density import PolynomialPart, peano_tables
 from ridgelab.targets import GaussianSpec, make_gaussian
@@ -87,7 +87,7 @@ class TestShallowNetwork:
             f = make_gaussian(GaussianSpec(d=2))
             net = from_quadrature(peano_tables(f, 1, sphere_grid(2, 3),
                                                LineGrid(4.0, 256)))
-            assert len(net.table.knots) >= MIN_KNOTS_PER_DIRECTION
+            assert net.table is not None
         for x in (np.float64(0.5), 0.5, np.zeros(3), np.zeros(1),
                   np.zeros((5, 3)), np.zeros((5, 1)), np.zeros((2, 4, 2))):
             with pytest.raises(ValueError, match=r"shape \(d,\) or \(P, d\)"):
@@ -115,12 +115,12 @@ def _neurons_only(net):
 def _table_network(directions, knots, weights, k):
     """The neurons weights[j, m] sigma_k(directions[j].x - knots[m]) as a
     network with its own KnotTable, one weight row per direction on the
-    one sorted knot row."""
+    one sorted knot row, the directions in lexicographic order (as
+    from_quadrature orders them)."""
     rank = np.lexsort(directions.T[::-1])
     table = KnotTable(directions[rank], np.arange(len(rank)), knots,
                       weights[rank])
-    return ShallowNetwork(d=directions.shape[1], k=k, table=table,
-                          runs=np.argsort(rank))
+    return ShallowNetwork(d=directions.shape[1], k=k, table=table)
 
 
 @pytest.fixture
@@ -140,9 +140,10 @@ def dense_only(monkeypatch):
 
 
 class TestGroupedEvaluation:
-    """evaluate on networks with many knots per direction: a KnotTable is
-    read as one degree-k spline per direction, from per-direction prefix
-    sums; a network built from arrays is summed neuron by neuron."""
+    """evaluate on networks with a KnotTable, of any number of knots per
+    direction, reads it as one degree-k spline per direction, from
+    per-direction prefix sums; a network built from arrays is summed
+    neuron by neuron."""
 
     SPHERES = {1: sphere_grid(1, 1), 2: sphere_grid(2, 3), 3: sphere_grid(3, 2)}
 
@@ -179,7 +180,7 @@ class TestGroupedEvaluation:
         # unit weights on knots along e1 and e2; every point coordinate is
         # a knot, so omega.x equals a knot exactly and sigma_k(0) = 0
         # decides the value (for k = 0 it must not count that knot)
-        knots = np.linspace(-1.0, 1.0, 2 * MIN_KNOTS_PER_DIRECTION + 1)
+        knots = np.linspace(-1.0, 1.0, 65)
         net = _table_network(np.eye(2), knots, np.ones((2, len(knots))), k)
         grid = knots[::5]
         pts = np.array([(x, y) for x in grid for y in grid])
@@ -193,14 +194,14 @@ class TestGroupedEvaluation:
     @pytest.mark.parametrize("layout", ["duplicate_knots"])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_table_layouts_against_fsum(self, grouped_only, layout, k):
-        # 5 directions on one row of 2M + 3 knots from 9 values in
+        # 5 directions on one row of 67 knots from 9 values in
         # [-0.5, 0.5], so the row repeats most of them, is far from evenly
         # spaced, and the unit ball has points beyond its first and last
         # knot
         rng = np.random.default_rng(29)
         angles = np.array([0.3, 1.9, 2.5, 4.0, 5.6])
         directions = np.column_stack([np.cos(angles), np.sin(angles)])
-        count = 2 * MIN_KNOTS_PER_DIRECTION + 3
+        count = 67
         knots = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), count))
         net = _table_network(directions, knots,
                              rng.normal(size=(5, count)), k)
@@ -291,8 +292,7 @@ class TestCountBelow:
         # the duplicate_knots layout's row: 67 knots from 9 values, so the
         # first read is far off and the count falls back to a bisection
         rng = np.random.default_rng(seed)
-        row = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9),
-                                 2 * MIN_KNOTS_PER_DIRECTION + 3))
+        row = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), 67))
         u = self._probes(row, seed)
         np.testing.assert_array_equal(network._count_below(row, u),
                                       np.searchsorted(row, u, "left"))
@@ -334,7 +334,7 @@ class TestKnotTableNetworks:
         with its knots ascending."""
         J, M = len(tables.sphere), len(tables.knots)
         a = (tables.sphere.weights[:, None] * tables.weights
-             * tables.profiles / math.factorial(tables.k))
+             * tables.profiles[tables.rows] / math.factorial(tables.k))
         return ShallowNetwork(d=tables.d, k=tables.k, a=a.ravel(),
                               omega=np.repeat(tables.sphere.nodes, M, axis=0),
                               b=np.tile(tables.knots, J),
@@ -368,11 +368,19 @@ class TestKnotTableNetworks:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("centred", [True, False])
     def test_flat_arrays_as_built_flat(self, d, centred):
+        # a, omega and b list the table's directions, in lexicographic
+        # order, each with its knots ascending
         tables = self._tables(d, 1, centred)
         net, flat = from_quadrature(tables), self._flat(tables)
+        J, M = len(tables.sphere), len(tables.knots)
+        rank = np.lexsort(tables.sphere.nodes.T[::-1])
+        np.testing.assert_array_equal(net.table.directions,
+                                      tables.sphere.nodes[rank])
         for name in ("a", "omega", "b"):
-            np.testing.assert_array_equal(getattr(net, name),
-                                          getattr(flat, name))
+            by_direction = getattr(flat, name).reshape(J, M, -1)
+            np.testing.assert_array_equal(
+                getattr(net, name),
+                by_direction[rank].reshape(getattr(flat, name).shape))
 
     @pytest.mark.parametrize("centred", [True, False])
     def test_few_points_read_the_table(self, grouped_only, centred):
@@ -386,14 +394,25 @@ class TestKnotTableNetworks:
             np.testing.assert_allclose(net(pts[:count]), expected[:count],
                                        rtol=0, atol=tol)
 
-    def test_few_knots_stay_dense(self, dense_only):
-        f = make_gaussian(GaussianSpec(d=2))
-        tables = peano_tables(f, 1, self.SPHERES[2], LineGrid(4.0, 64))
-        assert len(tables.knots) < MIN_KNOTS_PER_DIRECTION
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("knots", [5, 9, 17])
+    def test_few_knots_read_the_table(self, grouped_only, d, k, knots):
+        # the schedule sweep's small layouts: L = 4 grids of N = 16, 32 and
+        # 64 points put 5, 9 and 17 knots in [-1, 1]
+        f = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.1),
+                                       width=0.6))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="grid Nyquist")
+            warnings.filterwarnings("ignore", message="spectral taper")
+            tables = peano_tables(f, k, self.SPHERES[d],
+                                  LineGrid(4.0, 4 * (knots - 1)))
+        assert len(tables.knots) == knots
         net = from_quadrature(tables)
-        pts = self._points(2)
-        np.testing.assert_array_equal(
-            net(pts), self._flat(tables)(pts))
+        pts = self._points(d)
+        np.testing.assert_allclose(
+            net(pts), _fsum_values(net, pts) + net.poly(pts), rtol=0,
+            atol=1e-14 * (1.0 + net.l1_mass))
 
     def test_radial_network_memory(self):
         # peano-d2k2's stage-1 shape: building the network and evaluating
@@ -533,10 +552,13 @@ class TestConstructorsAgainstLoops:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_quadrature(self, k):
+        # the directions in the table's lexicographic order
         tables = _offset_tables(k)
+        sphere = tables.sphere
+        rank = np.lexsort(sphere.nodes.T[::-1])
         a, w, b = [], [], []
-        for wj, omega, row in zip(tables.sphere.weights, tables.sphere.nodes,
-                                  tables.profiles):
+        for wj, omega, row in zip(sphere.weights[rank], sphere.nodes[rank],
+                                  tables.profiles[tables.rows[rank]]):
             a.append(wj * tables.weights * row / math.factorial(k))
             w.append(np.tile(omega, (len(tables.knots), 1)))
             b.append(tables.knots)
@@ -553,11 +575,12 @@ class TestConstructorsAgainstLoops:
         V = weighted.sum() / math.factorial(tables.k)
         a, w, b = np.empty(n), np.empty((n, tables.d)), np.empty(n)
         for i, (j, u) in enumerate(zip(js, us)):
-            absv = np.abs(profiles[j])
+            absv = np.abs(profiles[tables.rows[j]])
             cell = 0.5 * (absv[1:] + absv[:-1]) * np.diff(knots)
             cdf = np.concatenate([[0.0], np.cumsum(cell)])
             b[i] = float(np.interp(u, cdf / cdf[-1], knots))
-            sign = 1.0 if np.interp(b[i], knots, profiles[j]) >= 0 else -1.0
+            sign = (1.0 if np.interp(b[i], knots, profiles[tables.rows[j]])
+                    >= 0 else -1.0)
             a[i] = sign * V / n
             w[i] = sphere.nodes[j]
         return a, w, b

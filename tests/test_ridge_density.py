@@ -14,7 +14,8 @@ from ridgelab import fourier_radon
 from ridgelab.fourier_radon import (_apply_multiplier_linear,
                                     _effective_cutoff, _spectrum_to_profile,
                                     derivative_blocks, hermite, radon_slice,
-                                    radon_transform, reconstruct)
+                                    radon_transform, reconstruct,
+                                    shared_rows)
 from ridgelab.network import from_sampling
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.ridge_density import (PolynomialPart, affine_powers,
@@ -142,8 +143,13 @@ class TestDerivativeBlocks:
 
 
 def _blocks(f, omegas, grid, orders):
+    """F^{(m)} along every direction of omegas, shape (len(orders), J, N):
+    the rows that derivative_blocks filters for shared_rows' directions,
+    read through its rows (each direction's row a copy)."""
+    filtered, rows = shared_rows(f, omegas)
     return np.concatenate(
-        [F for _, F in derivative_blocks(f, omegas, grid, orders)], axis=1)
+        [F for _, F in derivative_blocks(f, filtered, grid, orders)],
+        axis=1)[:, rows]
 
 
 def _per_direction(f):
@@ -174,7 +180,8 @@ def _dawson_profile(b, s2, a):
 
 class TestRadialRoute:
     """A target radial about the origin has one Radon row for every
-    direction; derivative_blocks filters it once and broadcasts it."""
+    direction: shared_rows has derivative_blocks filter it once, along e1,
+    and every direction reads row 0."""
 
     @pytest.mark.parametrize("s2,a", [(1.0, 1.0), (0.5, 2.0)])
     def test_d2_dawson_oracle(self, s2, a):
@@ -292,19 +299,42 @@ class TestRadialRoute:
         sphere = sphere_grid(d, 1 if d == 1 else 3)
         tables = peano_tables(counted, 1, sphere, grid)
         assert len(calls) == 1 and calls[0].shape == (1, grid.N, d)
+        np.testing.assert_array_equal(tables.rows, np.zeros(len(sphere)))
+        assert tables.profiles.shape == (1, len(tables.knots))
         np.testing.assert_array_equal(tables.profiles,
                                       peano_tables(f, 1, sphere, grid).profiles)
 
-    def test_views_are_read_only(self, monkeypatch):
+    def test_rows_index_the_filtered_directions(self, monkeypatch):
+        # a radial target filters e1 alone, in one block, and every
+        # direction reads row 0; the same target with the radial route off
+        # filters every direction, in blocks of 3, and reads its own row.
+        # The Peano tables hold the R filtered rows, and every array of
+        # them is read-only
         grid = LineGrid(4.0, 64)
         monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 3 * grid.N)
         f = make_gaussian(GaussianSpec(d=2))
-        blocks = list(derivative_blocks(f, sphere_grid(2, 3).nodes, grid, (0, 2)))
-        assert [F.shape for _, F in blocks] == [(2, 3, 64)] * 2 + [(2, 2, 64)]
-        for _, F in blocks:
-            assert not F.flags.writeable
-            with pytest.raises(ValueError):
-                F[0, 0, 0] = 1.0
+        sphere = sphere_grid(2, 3)
+        J = len(sphere)
+        for g, R, expected in ((f, 1, np.zeros(J)),
+                               (_per_direction(f), J, np.arange(J))):
+            filtered, rows = shared_rows(g, sphere.nodes)
+            assert filtered.shape == (R, 2)
+            np.testing.assert_array_equal(rows, expected)
+            assert rows.dtype == np.intp
+            blocks = list(derivative_blocks(g, filtered, grid, (0, 2)))
+            assert [F.shape for _, F in blocks] == (
+                [(2, 1, 64)] if R == 1 else [(2, 3, 64)] * 2 + [(2, 2, 64)])
+            tables = peano_tables(g, 1, sphere, grid)
+            np.testing.assert_array_equal(tables.rows, expected)
+            M = len(tables.knots)
+            assert tables.profiles.shape == tables.cdf.shape == (R, M)
+            assert tables.mass.shape == (J,)
+            for array in (tables.knots, tables.weights, tables.rows,
+                          tables.profiles, tables.cdf, tables.mass):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+        np.testing.assert_array_equal(filtered, sphere.nodes)
 
     @pytest.mark.parametrize("radial", [True, False])
     def test_non_unit_direction_raises(self, radial):
@@ -341,9 +371,10 @@ class TestRadialRoute:
         grid = LineGrid(4.0, 256)
         sphere = sphere_grid(d, level)
         tables = peano_tables(f, k, sphere, grid)
-        shape = (len(sphere), len(tables.knots))
+        J, M = len(sphere), len(tables.knots)
+        np.testing.assert_array_equal(tables.rows, np.zeros(J))
         for table in (tables.profiles, tables.cdf):
-            assert table.shape == shape and table.strides[0] == 0
+            assert table.shape == (1, M)
         # the same Gaussian with every direction's slice read and filtered
         # on its own, and the tables built one row per direction
         spectrum = radon_slice(f, np.eye(d)[0], grid)
@@ -351,31 +382,38 @@ class TestRadialRoute:
             f, radial=False,
             fourier=lambda xi: np.broadcast_to(spectrum, np.shape(xi)[:-1]))
         per_direction = peano_tables(sliced, k, sphere, grid)
+        np.testing.assert_array_equal(per_direction.rows, np.arange(J))
         copied = _tables_row_by_row(f, k, sphere, grid)
         for name in ("profiles", "cdf"):
-            np.testing.assert_array_equal(getattr(tables, name),
+            assert getattr(per_direction, name).shape == (J, M)
+            np.testing.assert_array_equal(getattr(tables, name)[tables.rows],
                                           getattr(per_direction, name))
-            np.testing.assert_array_equal(getattr(tables, name), copied[name])
+            np.testing.assert_array_equal(getattr(tables, name)[tables.rows],
+                                          copied[name])
         assert tables.poly == per_direction.poly == copied["poly"]
         # the mass of direction j is w_j int |F^{(k+1)}| over the knots
         fsum = np.array([wj * math.fsum(tables.weights * np.abs(row))
-                         for wj, row in zip(sphere.weights, tables.profiles)])
+                         for wj, row in zip(sphere.weights,
+                                            tables.profiles[tables.rows])])
         for mass in (tables.mass, per_direction.mass, copied["mass"]):
             assert np.all(np.abs(mass - fsum) <= 2 * np.spacing(fsum))
 
     def test_from_sampling_copies_no_table(self):
         # J = 512 directions, M = 2049 knots (peano-d2k2's stage 1): drawing
-        # from the one-row CDF allocates far less than one (J, M) array
+        # from the one-row CDF through rows allocates far less than one
+        # (J, M) array
         f = make_gaussian(GaussianSpec(d=2))
         tables = peano_tables(f, 2, sphere_grid(2, 9), LineGrid(4.0, 8192))
-        assert tables.cdf.shape == (512, 2049)
+        J, M = 512, 2049
+        np.testing.assert_array_equal(tables.rows, np.zeros(J))
+        assert tables.profiles.shape == tables.cdf.shape == (1, M)
         tracemalloc.start()
         try:
             net = from_sampling(tables, 1000, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < tables.cdf.size * tables.cdf.itemsize
+        assert peak < J * M * tables.cdf.itemsize
         assert len(net) == 1000
 
 
@@ -385,12 +423,9 @@ def _tables_row_by_row(f, k, sphere, grid):
     mask = grid.knot_mask()
     knots = grid.nodes[mask]
     weights = peano_tables(f, k, sphere, grid).weights
-    profiles = np.empty((len(sphere), len(knots)))
-    at_minus_one = np.empty((len(sphere), k + 1))
-    for lo, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2)):
-        hi = lo + F.shape[1]
-        profiles[lo:hi] = F[k + 1][:, mask]
-        at_minus_one[lo:hi] = hermite(F[:k + 1], F[1:k + 2], grid, -1.0).T
+    F = _blocks(f, sphere.nodes, grid, range(k + 2))
+    profiles = F[k + 1][:, mask]
+    at_minus_one = hermite(F[:k + 1], F[1:k + 2], grid, -1.0).T
     absv = np.abs(profiles)
     cdf = np.zeros_like(absv)
     np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
@@ -460,8 +495,8 @@ class TestPeanoTables:
     def test_arrays_are_read_only(self):
         f = make_gaussian(GaussianSpec(d=1))
         tables = peano_tables(f, 0, sphere_grid(1, 1), LineGrid(4.0, 64))
-        for array in (tables.knots, tables.weights, tables.profiles,
-                      tables.cdf, tables.mass):
+        for array in (tables.knots, tables.weights, tables.rows,
+                      tables.profiles, tables.cdf, tables.mass):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -580,9 +615,11 @@ class TestPolynomialExpansion:
         f = make_gaussian(GaussianSpec(
             d=d, center=None if center is None else np.array(center)))
         sphere = sphere_grid(d, 9)
+        filtered, rows = shared_rows(f, sphere.nodes)
         at_minus_one = np.concatenate([
             hermite(F[:k + 1], F[1:], grid, -1.0).T
-            for _, F in derivative_blocks(f, sphere.nodes, grid, range(k + 2))])
+            for _, F in derivative_blocks(f, filtered, grid, range(k + 2))
+        ])[rows]
         exact = _exact_polynomial(d, k, sphere, at_minus_one)
         scale = max(abs(c) for c in exact.values())
 
