@@ -7,8 +7,10 @@ seed.  See the README for the per-kind report schema.
 
 Exit codes: 0 success; 2 config error, a non-finite center, width,
 amplitude, gamma, line_l or tolerance and a seed outside [0, 2^64) among
-them; 3 a failed numerical check, where a NaN figure fails every check and
-a sampled rate-sweep fails on a non-finite variation bound; 4 I/O error.
+them; 3 a failed numerical check, where a NaN figure fails every check, a
+sampled rate-sweep fails on a non-finite variation bound and
+variation-bound on a seminorm or stage-0 ratio that is 0 or not finite; 4
+I/O error.
 """
 
 import argparse
@@ -214,13 +216,14 @@ def _validate(config):
     if config.kind in ("peano-reconstruct", "variation-bound") or (
             config.kind == "rate-sweep" and config.constructor == "sampling"):
         # refine() maps (L, N) to (2L, 4N), which keeps -1 and 1 as nodes
-        if not _ends_are_nodes(LineGrid(L=config.line_l, N=config.line_n)):
+        try:
+            LineGrid(L=config.line_l, N=config.line_n).knot_window
+        except ValueError:
             raise ConfigError(
                 "line_l = %g puts no node of the line grid (L = %g, N = %d) "
                 "at -1 and 1, so the knots would miss the ends of [-1, 1]; "
-                "take line_l with (line_l - 1) * line_n / (2 * line_l) a "
-                "whole number >= 1, such as 2, 4 or 8"
-                % (config.line_l, config.line_l, config.line_n))
+                "take line_l a power of two >= 2 with line_n >= 2 * line_l"
+                % (config.line_l, config.line_l, config.line_n)) from None
     for key in ("trials", "points", "eval_count", "n_seeds"):
         if getattr(config, key) < 1:
             raise ConfigError("%s must be >= 1, got %d"
@@ -270,15 +273,6 @@ def _validate(config):
     if config.kind == "radon-check" and config.d == 1:
         raise ConfigError("radon-check needs d >= 2 (the d = 1 transform is "
                           "a point evaluation)")
-
-
-def _ends_are_nodes(grid):
-    """True when -1 and 1 are nodes of the line grid: m = (L - 1) / h,
-    with h = 2L / N, is a whole number >= 1 (nodes m and N - m).  With
-    L = num / den exactly, m = (num - den) N / (2 num)."""
-    num, den = float(grid.L).as_integer_ratio()
-    steps, rest = divmod((num - den) * grid.N, 2 * num)
-    return rest == 0 and steps >= 1
 
 
 def _make_target(config):
@@ -375,6 +369,11 @@ def _run_variation_bound(config, f):
         # s >= 0 here, so this is the integrand failing to decay before
         # the largest radial cutoff (the seminorm may be infinite)
         raise NumericalCheckError("variation-bound: %s" % exc) from exc
+    # a seminorm of 0 (|f_hat|^2 underflows for a tiny amplitude) or inf
+    # leaves no ratio to divide by
+    if not 0.0 < semi < math.inf:
+        raise NumericalCheckError("variation-bound: the order-%g seminorm "
+                                  "is %g, so there is no ratio" % (s, semi))
 
     def measure(sphere, grid):
         v = peano_tables(f, config.k, sphere, grid).variation
@@ -382,13 +381,16 @@ def _run_variation_bound(config, f):
 
     rows = _refinement_stages(config, measure)
     ratios = [row[-1] for row in rows]
-    drift = abs(ratios[1] - ratios[0]) / ratios[0]
     report = ExperimentReport(config,
                               ("stage", "variation", "seminorm", "ratio"),
-                              rows, slopes={"ratio": ratios[0],
-                                            "ratio_drift": drift})
+                              rows, slopes={"ratio": ratios[0]})
+    if not 0.0 < ratios[0] < math.inf:
+        raise _fail(report, "variation-bound: the stage-0 ratio is %g, so "
+                    "its drift is undefined" % ratios[0])
+    drift = abs(ratios[1] - ratios[0]) / ratios[0]
+    report.slopes["ratio_drift"] = drift
     tol = 0.05 if config.tolerance is None else config.tolerance
-    if not math.isfinite(ratios[0]) or not drift <= tol:
+    if not drift <= tol:
         raise _fail(report, "variation-bound: ratio drift %.3f exceeds %.2f"
                     % (drift, tol))
     return report

@@ -180,11 +180,6 @@ def _kernel_spectra(L, N, d, cutoff, top):
     return out
 
 
-def _kernel_spectrum(L, N, d, order, cutoff):
-    """The kernel spectrum of one order: row ``order`` of _kernel_spectra."""
-    return _kernel_spectra(L, N, d, cutoff, order)[order]
-
-
 def _effective_cutoff(spectra, grid):
     """Smallest grid frequency whose taper keeps each row's significant band.
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import sample_directions
+from .quadrature import LineGrid, sample_directions
 from .ridge_density import affine_powers, monomials, multi_indices
 
 
@@ -68,7 +68,8 @@ class ShallowNetwork:
 
     @cached_property
     def omega(self):
-        return np.repeat(self.table.directions, len(self.table.knots), axis=0)
+        return np.repeat(self.table.directions, self.table.weights.shape[1],
+                         axis=0)
 
     @cached_property
     def b(self):
@@ -77,7 +78,7 @@ class ShallowNetwork:
     def __len__(self):
         if self.table is None:
             return len(self.a)
-        return self.table.rows.size * len(self.table.knots)
+        return self.table.rows.size * self.table.weights.shape[1]
 
     @property
     def l1_mass(self):
@@ -111,15 +112,23 @@ class ShallowNetwork:
 
 @dataclass(frozen=True)
 class KnotTable:
-    """Neurons as a (direction x knot) table: every direction has the one
-    sorted knot row knots, direction j with the outer weights
-    weights[rows[j]].  Directions that share a weight row share its prefix
-    sums."""
+    """Neurons as a (direction x knot) table: every direction has the
+    knots of the line grid's knot_window, -1 to 1 in steps of grid.h,
+    direction j with the outer weights weights[rows[j]].  Directions that
+    share a weight row share its prefix sums."""
 
     directions: np.ndarray  # (J, d), lexicographic in from_quadrature
     rows: np.ndarray  # (J,)
-    knots: np.ndarray  # (M,)
+    grid: LineGrid
     weights: np.ndarray  # (R, M)
+
+    def __post_init__(self):
+        if self.weights.shape[1] != len(self.knots):
+            raise ValueError("a weight row must have one entry per knot")
+
+    @property
+    def knots(self):
+        return self.grid.nodes[self.grid.knot_window]
 
 
 def _evaluate_dense(net, pts):
@@ -163,7 +172,7 @@ def _evaluate_grouped(k, table, pts):
 
     Along direction j the neurons are the spline sum_m a_m sigma_k(u - b_m)
     in u = omega_j.x.  The knots strictly below u (sigma_k(0) = 0) are a
-    prefix of the sorted row, counted by _count_below, and (u - b)^k
+    prefix of the knots, counted by _count_below, and (u - b)^k
     expands to sum_{i<=k} C(k, i) u^(k-i) S_i with S_i the prefix sum of
     a_m (-b_m)^i along the direction's weight row, so rounding stays that
     of one direction's knots.  The directions are summed in table order.
@@ -182,7 +191,7 @@ def _evaluate_grouped(k, table, pts):
     block = max(1, 2 ** 18 // len(directions))
     for lo in range(0, len(pts), block):
         u = pts[lo:lo + block] @ directions.T
-        at = _count_below(knots, u) + rows * (M + 1)
+        at = _count_below(table.grid, u) + rows * (M + 1)
         acc = prefix[0].take(at)
         for i in range(1, k + 1):
             acc *= u
@@ -191,42 +200,31 @@ def _evaluate_grouped(k, table, pts):
     return out
 
 
-def _count_below(row, u):
-    """np.searchsorted(row, u, "left") for a sorted row: the number of
-    knots strictly below each entry of u.
+def _count_below(grid, u):
+    """np.searchsorted(knots, u, "left") for the grid's knots, -1 to 1 in
+    steps of h: the number of knots strictly below each entry of u.
 
-    The count is first read off the row's end points as if its knots were
-    equally spaced, floor((u - row[0]) / h) + 1 clipped to [0, M], then
-    stepped by one knot, down where row[count - 1] >= u and up where
-    row[count] < u.  On a line grid's knots the first read is at most one
-    knot off, so one step ends it.  A row further from evenly spaced, or
-    of one distinct knot, is bisected by np.searchsorted after two passes.
+    The count is read as floor((u + 1) / h) + 1, clipped to [0, M], then
+    stepped by one knot, down where knots[count - 1] >= u and up where
+    knots[count] < u.  The knots and 1 / h are exact, so only the rounding
+    of u + 1 and a u on a knot put the read off, by one knot at most.
     NaN entries count 0, as in a bisection.
     """
-    M = len(row)
-    span = row[-1] - row[0]
-    if span > 0:
-        t = u - row[0]
-        t *= (M - 1) / span
-        np.floor(t, out=t)
-        t += 1.0
-        # fmax and fmin take 0 for NaN, where a clip would keep it
-        np.fmin(np.fmax(t, 0.0, out=t), M, out=t)
-        count = t.astype(np.intp)
-        # before[c] is the knot before count c, after[c] the knot at it,
-        # and NaN, for which no comparison holds, past either end
-        before = np.concatenate(([np.nan], row, [np.nan]))
-        after = before[1:]
-        for _ in range(2):
-            up = np.less(after.take(count), u)
-            down = np.greater_equal(before.take(count), u)
-            step = up.view(np.int8) - down.view(np.int8)
-            if not step.any():
-                return count
-            count += step
-    count = np.searchsorted(row, u, "left")
-    # NaN sorts past every knot
-    count[np.isnan(u)] = 0
+    knots = grid.nodes[grid.knot_window]
+    t = u + 1.0
+    t *= 1.0 / grid.h
+    np.floor(t, out=t)
+    t += 1.0
+    # fmax and fmin take 0 for NaN, where a clip would keep it
+    np.fmin(np.fmax(t, 0.0, out=t), len(knots), out=t)
+    count = t.astype(np.intp)
+    # before[c] is the knot before count c, after[c] the knot at it,
+    # and NaN, for which no comparison holds, past either end
+    before = np.concatenate(([np.nan], knots, [np.nan]))
+    after = before[1:]
+    up = np.less(after.take(count), u)
+    down = np.greater_equal(before.take(count), u)
+    count += up.view(np.int8) - down.view(np.int8)
     return count
 
 
@@ -250,7 +248,7 @@ def from_quadrature(tables):
     weights = (pairs.imag[:, None] * tables.weights * profiles
                / math.factorial(k))
     rank = np.lexsort(sphere.nodes.T[::-1])
-    table = KnotTable(sphere.nodes[rank], rows[rank], tables.knots, weights)
+    table = KnotTable(sphere.nodes[rank], rows[rank], tables.grid, weights)
     return ShallowNetwork(d=tables.d, k=k, poly=tables.poly + tables.end_term,
                           table=table)
 

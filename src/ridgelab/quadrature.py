@@ -131,7 +131,8 @@ class LineGrid:
     """Symmetric uniform grid b_m = -L + m*h, m = 0..N-1, with h = 2L/N.
 
     N must be a power of two (spectral operations), and L >= 1 so the knot
-    interval [-1, 1] is interior.  The default L=4 pads well beyond the knot
+    interval [-1, 1] is interior; the knots, the nodes of knot_window, also
+    need -1 and 1 to be nodes.  The default L=4 pads well beyond the knot
     interval: back-projected profiles have slowly decaying Hilbert tails and
     the padding controls spectral wrap-around.
     """
@@ -166,9 +167,22 @@ class LineGrid:
         """One refinement step: halve the spacing and double the padding."""
         return LineGrid(L=2.0 * self.L, N=4 * self.N)
 
-    def knot_mask(self):
-        """Boolean mask of nodes inside [-1, 1]."""
-        return np.abs(self.nodes) <= 1.0 + 1e-12
+    @property
+    def knot_window(self):
+        """The nodes on [-1, 1] as slice(m, N - m + 1): node m is -1 and
+        node N - m is 1, with m = (L - 1) / h = (L - 1) N / (2L).
+
+        Raises ValueError unless m is a whole number >= 1, which holds
+        exactly when L is a power of two >= 2 and N >= 2L; refine() keeps
+        it.  With L = num / den exactly, m = (num - den) N / (2 num).
+        """
+        num, den = float(self.L).as_integer_ratio()
+        m, rest = divmod((num - den) * self.N, 2 * num)
+        if rest or m < 1:
+            raise ValueError(
+                "-1 and 1 are not nodes of LineGrid(L=%g, N=%d): L must be "
+                "a power of two >= 2 and N >= 2L" % (self.L, self.N))
+        return slice(m, self.N - m + 1)
 
 
 @dataclass(frozen=True)

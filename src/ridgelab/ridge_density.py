@@ -20,8 +20,8 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .fourier_radon import derivative_blocks, hermite, shared_rows
-from .quadrature import SphereGrid, sphere_grid
+from .fourier_radon import derivative_blocks, shared_rows
+from .quadrature import LineGrid, SphereGrid, sphere_grid
 
 
 def theorem_order(d, k):
@@ -101,17 +101,6 @@ class PolynomialPart:
         return PolynomialPart(d=self.d, coefficients=coefficients)
 
 
-def _trapezoid_weights(b):
-    """Composite trapezoid weights on a sorted node vector."""
-    w = np.zeros(len(b))
-    if len(b) < 2:
-        return w
-    gaps = np.diff(b)
-    w[:-1] += 0.5 * gaps
-    w[1:] += 0.5 * gaps
-    return w
-
-
 def peano_polynomial(d, k, sphere, *tables):
     """The polynomial part from tabulated F_{omega_j}^{(m)}(-1):
 
@@ -141,9 +130,10 @@ class PeanoTables:
                    sigma_k(omega_j.x - knots_m),
 
     with profiles[rows[j], m] = F_{omega_j}^{(k+1)}(knots_m), the knots the
-    line grid's nodes in [-1, 1] and weights their trapezoid weights.  The
-    R distinct profile rows are those of shared_rows: one for a radial
-    target (rows all 0), one per direction otherwise (rows = arange(J)).
+    nodes of grid.knot_window (-1 to 1) and weights their trapezoid
+    weights.  The R distinct profile rows are those of shared_rows: one for
+    a radial target (rows all 0), one per direction otherwise
+    (rows = arange(J)).
     cdf[r] is the normalised cumulative trapezoid integral of |profiles[r]|
     over the knots, the piecewise-linear CDF whose inverse from_sampling
     draws knots from (all zeros for a row without mass).  mass[j] is
@@ -158,6 +148,7 @@ class PeanoTables:
     d: int
     k: int
     sphere: SphereGrid
+    grid: LineGrid
     knots: np.ndarray  # (M,)
     weights: np.ndarray  # (M,)
     rows: np.ndarray  # (J,)
@@ -174,11 +165,11 @@ def peano_tables(f, k, sphere, grid):
     grid, its mass and variation bound, the polynomial part from
     F^{(m)}(-1), m <= k, and the end term from F^{(k+1)}(-1) and
     F^{(k+2)}(-1), in one pass of derivative_blocks; warns as it does.
-    F^{(m)}(-1), m <= k + 1, is the hermite read with F^{(m+1)} as slopes,
-    and F^{(k+2)}(-1) the linear read of its row: both are the sample
-    itself where -1 is a node (every L = 4 grid with N >= 8), and the
-    linear read's O(h^2) elsewhere is O(h^4) in the end term.  The tables
-    keep one profile row per direction that shared_rows filters.
+    The knots are the grid's nodes on [-1, 1], grid.knot_window, which
+    raises ValueError where -1 and 1 are not nodes; so F^{(m)}(-1) is
+    the first knot's sample, and the trapezoid weights are h, with h/2 at
+    both ends.  The tables keep one profile row per direction that
+    shared_rows filters.
 
     The end term: with g(b) = F^{(k+1)}(b) (u - b)_+^k / k! and u = omega.x,
     the trapezoid rule over the knots (spacing h) misses (h^2/12) g'(-1)
@@ -191,25 +182,20 @@ def peano_tables(f, k, sphere, grid):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    mask = grid.knot_mask()
-    knots = grid.nodes[mask]
-    weights = _trapezoid_weights(knots)
+    window = grid.knot_window
+    knots = grid.nodes[window]
+    weights = np.full(len(knots), grid.h)
+    weights[[0, -1]] = grid.h / 2.0
     omegas, rows = shared_rows(f, sphere.nodes)
     profiles = np.empty((len(omegas), len(knots)))
     at_minus_one = np.empty((len(omegas), k + 3))
-    # -1 lies at t of the way from node i to node i + 1
-    i = int((grid.L - 1.0) / grid.h)
-    t = (grid.L - 1.0) / grid.h - i
     for lo, F in derivative_blocks(f, omegas, grid, range(k + 3)):
         hi = lo + F.shape[1]
-        profiles[lo:hi] = F[k + 1][:, mask]
-        at_minus_one[lo:hi, :k + 2] = hermite(F[:k + 2], F[1:k + 3], grid,
-                                              -1.0).T
-        at_minus_one[lo:hi, k + 2] = ((1.0 - t) * F[k + 2][:, i]
-                                      + t * F[k + 2][:, i + 1])
+        profiles[lo:hi] = F[k + 1][:, window]
+        at_minus_one[lo:hi] = F[:, :, window.start].T
     absv = np.abs(profiles)
     cdf = np.zeros_like(absv)
-    np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
+    np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * grid.h, axis=1,
               out=cdf[:, 1:])
     mass = sphere.weights * (absv @ weights)[rows]
     del absv
@@ -224,7 +210,7 @@ def peano_tables(f, k, sphere, grid):
         end[:, k - 1] = -grid.h ** 2 / 12.0 * at_minus_one[:, k + 1]
     poly, end_term = peano_polynomial(f.d, k, sphere,
                                       at_minus_one[rows, :k + 1], end[rows])
-    return PeanoTables(d=f.d, k=k, sphere=sphere, knots=knots,
+    return PeanoTables(d=f.d, k=k, sphere=sphere, grid=grid, knots=knots,
                        weights=weights, rows=rows, profiles=profiles,
                        cdf=cdf, mass=mass,
                        variation=float(mass.sum() / math.factorial(k)),

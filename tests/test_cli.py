@@ -273,8 +273,11 @@ class TestMain:
         path = tmp_path / "ends.cfg"
         path.write_text(self.KNOT_KINDS[kind] + "line_l = %d\n" % line_l)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(
+        err = capsys.readouterr().err
+        assert err.startswith(
             "config error: line_l = %d puts no node of the line grid" % line_l)
+        assert err.endswith("take line_l a power of two >= 2 with line_n >= "
+                            "2 * line_l\n")
 
     @pytest.mark.parametrize("kind", sorted(KNOT_KINDS))
     @pytest.mark.parametrize("line_l", [4, 8])
@@ -341,6 +344,36 @@ class TestMain:
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
         assert "check failed: variation-bound: seminorm integrand has not " \
             "decayed" in capsys.readouterr().err
+
+    def test_seminorm_underflow_exit_3(self, tmp_path, capsys):
+        # |f_hat|^2 underflows at amplitude 1e-170, so the seminorm is 0
+        # and there is no ratio; the check comes before any table is built
+        path = tmp_path / "tiny.cfg"
+        path.write_text("kind = variation-bound\nd = 2\nk = 1\n"
+                        "sphere_level = 4\nline_n = 1024\n"
+                        "amplitude = 1e-170\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "check failed: variation-bound: the order-2.5 seminorm is 0, "
+            "so there is no ratio\n")
+        assert not (tmp_path / "variation-bound.csv").exists()
+
+    @pytest.mark.parametrize("variation", [0.0, float("inf"), float("nan")])
+    def test_stage_0_ratio_without_drift_exit_3(self, tmp_path, capsys,
+                                                monkeypatch, variation):
+        # a stage-0 ratio of 0, inf or NaN has no relative drift
+        monkeypatch.setattr(
+            cli, "peano_tables",
+            lambda *args: SimpleNamespace(variation=variation))
+        path = tmp_path / "ratio.cfg"
+        path.write_text("kind = variation-bound\nd = 1\nk = 1\n"
+                        "sphere_level = 1\nline_n = 512\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "check failed: variation-bound: the stage-0 ratio is %g"
+            % variation)
+        body = (tmp_path / "variation-bound.csv").read_text()
+        assert "# ratio = " in body and "ratio_drift" not in body
 
     def test_zero_errors_exit_3_with_report(self, tmp_path, capsys):
         # exp(-|x - c|^2 / 2) underflows to 0 on the unit ball, so f and

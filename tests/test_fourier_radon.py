@@ -175,8 +175,8 @@ class TestBackprojectFilter:
                 fourier_radon._kernel_spectra(grid.L, N, 2, grid.nyquist,
                                               top), full[:top + 1])
             np.testing.assert_array_equal(
-                fourier_radon._kernel_spectrum(grid.L, N, 2, top,
-                                               grid.nyquist), full[top])
+                fourier_radon._kernel_spectra(grid.L, N, 2, grid.nyquist,
+                                              top)[top], full[top])
 
 
 def _kernel_by_quad(m, u, cutoff):
@@ -267,8 +267,8 @@ def test_even_d_filter_is_the_linear_convolution(N):
     row = np.random.default_rng(N).standard_normal(N)
     cutoff = fourier_radon._effective_cutoff(np.fft.fft(row), grid)
     for order in (0, 1, 2):
-        kernel = fourier_radon._kernel_spectrum(grid.L, N, 2, order,
-                                                float(cutoff))
+        kernel = fourier_radon._kernel_spectra(grid.L, N, 2, float(cutoff),
+                                               order)[order]
         assert len(kernel) == 3 * N // 2 + 1
         samples = np.fft.irfft(kernel, 3 * N)
         # the padding beyond the 2N - 1 lags holds zeros only

@@ -112,13 +112,13 @@ def _neurons_only(net):
     return neurons
 
 
-def _table_network(directions, knots, weights, k):
-    """The neurons weights[j, m] sigma_k(directions[j].x - knots[m]) as a
-    network with its own KnotTable, one weight row per direction on the
-    one sorted knot row, the directions in lexicographic order (as
-    from_quadrature orders them)."""
+def _table_network(directions, grid, weights, k):
+    """The neurons weights[j, m] sigma_k(directions[j].x - knots[m]) on the
+    knots of the line grid's knot window as a network with its own
+    KnotTable, one weight row per direction, the directions in
+    lexicographic order (as from_quadrature orders them)."""
     rank = np.lexsort(directions.T[::-1])
-    table = KnotTable(directions[rank], np.arange(len(rank)), knots,
+    table = KnotTable(directions[rank], np.arange(len(rank)), grid,
                       weights[rank])
     return ShallowNetwork(d=directions.shape[1], k=k, table=table)
 
@@ -180,36 +180,18 @@ class TestGroupedEvaluation:
         # unit weights on knots along e1 and e2; every point coordinate is
         # a knot, so omega.x equals a knot exactly and sigma_k(0) = 0
         # decides the value (for k = 0 it must not count that knot)
-        knots = np.linspace(-1.0, 1.0, 65)
-        net = _table_network(np.eye(2), knots, np.ones((2, len(knots))), k)
-        grid = knots[::5]
-        pts = np.array([(x, y) for x in grid for y in grid])
+        net = _table_network(np.eye(2), LineGrid(2.0, 128), np.ones((2, 65)),
+                             k)
+        knots = net.table.knots
+        np.testing.assert_array_equal(knots, np.linspace(-1.0, 1.0, 65))
+        coordinates = knots[::5]
+        pts = np.array([(x, y) for x in coordinates for y in coordinates])
         values = net(pts)
         if k == 0:
             below = [np.sum(knots < x) + np.sum(knots < y) for x, y in pts]
             np.testing.assert_array_equal(values, below)
         np.testing.assert_allclose(values, _fsum_values(net, pts),
                                    rtol=0, atol=1e-14 * (1.0 + net.l1_mass))
-
-    @pytest.mark.parametrize("layout", ["duplicate_knots"])
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_table_layouts_against_fsum(self, grouped_only, layout, k):
-        # 5 directions on one row of 67 knots from 9 values in
-        # [-0.5, 0.5], so the row repeats most of them, is far from evenly
-        # spaced, and the unit ball has points beyond its first and last
-        # knot
-        rng = np.random.default_rng(29)
-        angles = np.array([0.3, 1.9, 2.5, 4.0, 5.6])
-        directions = np.column_stack([np.cos(angles), np.sin(angles)])
-        count = 67
-        knots = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), count))
-        net = _table_network(directions, knots,
-                             rng.normal(size=(5, count)), k)
-        pts = self._points(2)
-        u = pts @ net.omega.T
-        assert (u > net.b.max()).any() and (u < net.b.min()).any()
-        np.testing.assert_allclose(net(pts), _fsum_values(net, pts), rtol=0,
-                                   atol=1e-14 * (1.0 + net.l1_mass))
 
     NON_FINITE = np.array([[np.nan, 0.1], [np.inf, 0.0], [-np.inf, 0.2],
                            [0.1, np.inf], [np.nan, np.nan], [np.inf, -np.inf]])
@@ -262,9 +244,8 @@ class TestGroupedEvaluation:
 
 
 class TestCountBelow:
-    """_count_below reads each count off the knot row's end points and
-    spacing and steps it to np.searchsorted(row, u, "left"), or bisects a
-    row far from evenly spaced."""
+    """_count_below reads each count off the knot window's spacing and
+    steps it by one knot to np.searchsorted(knots, u, "left")."""
 
     @staticmethod
     def _probes(row, seed):
@@ -278,40 +259,21 @@ class TestCountBelow:
                             rng.uniform(-1.2, 1.2, 200)])
         return np.resize(rng.permutation(u), (-(-len(u) // 4), 4))
 
-    @pytest.mark.parametrize("L", [2.0, 3.0, 4.0, 5.0, 8.0])
-    @pytest.mark.parametrize("N", [8, 64, 1024, 8192])
+    # every grid whose knot window exists, up to L = 16 and N = 2^15
+    @pytest.mark.parametrize("N,L", [(2 ** e, L) for L in (2.0, 4.0, 8.0, 16.0)
+                                     for e in range(2, 16) if 2 ** e >= 2 * L])
     def test_line_grid_rows(self, L, N):
         grid = LineGrid(L, N)
-        row = grid.nodes[grid.knot_mask()]
+        row = grid.nodes[grid.knot_window]
         u = self._probes(row, N)
-        np.testing.assert_array_equal(network._count_below(row, u),
+        np.testing.assert_array_equal(network._count_below(grid, u),
                                       np.searchsorted(row, u, "left"))
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_uneven_row_with_repeated_knots(self, seed):
-        # the duplicate_knots layout's row: 67 knots from 9 values, so the
-        # first read is far off and the count falls back to a bisection
-        rng = np.random.default_rng(seed)
-        row = np.sort(rng.choice(np.linspace(-0.5, 0.5, 9), 67))
-        u = self._probes(row, seed)
-        np.testing.assert_array_equal(network._count_below(row, u),
-                                      np.searchsorted(row, u, "left"))
-
-    @pytest.mark.parametrize("row", [[0.3], [0.2, 0.2, 0.2], [-1.0, 1.0]])
-    def test_short_and_flat_rows(self, row):
-        row = np.array(row)
-        u = self._probes(row, 5)
-        np.testing.assert_array_equal(network._count_below(row, u),
-                                      np.searchsorted(row, u, "left"))
-
-    @pytest.mark.parametrize("power,half", [(1, 48), (3, 58)])
-    def test_nan_counts_zero(self, power, half):
-        # on an evenly spaced row, and on a cubed one that the count
-        # bisects
-        row = np.linspace(-1.0, 1.0, 65) ** power
+    def test_nan_counts_zero(self):
         u = np.array([[np.nan, 0.5, np.nan], [-np.nan, np.inf, -np.inf]])
-        np.testing.assert_array_equal(network._count_below(row, u),
-                                      [[0, half, 0], [0, 65, 0]])
+        np.testing.assert_array_equal(
+            network._count_below(LineGrid(2.0, 128), u),
+            [[0, 48, 0], [0, 65, 0]])
 
 
 class TestKnotTableNetworks:
@@ -351,14 +313,15 @@ class TestKnotTableNetworks:
         # are equal bit for bit: 2 distinct sphere weights
         R = {1: 1, 2: 1, 3: 2}[d] if centred else J
         assert net.table.weights.shape == (R, M)
-        assert net.table.knots is tables.knots
+        assert net.table.grid is tables.grid
+        np.testing.assert_array_equal(net.table.knots, tables.knots)
         assert len(net) == J * M
         pts = self._points(d)
         values = net(pts)
         assert not {"a", "omega", "b"} & set(vars(net))
         # the same neurons with one table row per direction
         flat = self._flat(tables)
-        rows = _table_network(tables.sphere.nodes, tables.knots,
+        rows = _table_network(tables.sphere.nodes, tables.grid,
                               flat.a.reshape(J, M), k)
         np.testing.assert_array_equal(values, rows(pts) + net.poly(pts))
         np.testing.assert_allclose(
@@ -413,6 +376,17 @@ class TestKnotTableNetworks:
         np.testing.assert_allclose(
             net(pts), _fsum_values(net, pts) + net.poly(pts), rtol=0,
             atol=1e-14 * (1.0 + net.l1_mass))
+
+    def test_table_takes_only_knot_windows(self):
+        # the knots are a line grid's nodes from -1 to 1, one weight per
+        # knot in every row
+        directions, rows = np.eye(2), np.arange(2)
+        with pytest.raises(ValueError, match="not nodes"):
+            KnotTable(directions, rows, LineGrid(3.0, 64), np.ones((2, 21)))
+        with pytest.raises(ValueError, match="one entry per knot"):
+            KnotTable(directions, rows, LineGrid(4.0, 64), np.ones((2, 16)))
+        table = KnotTable(directions, rows, LineGrid(4.0, 64), np.ones((2, 17)))
+        assert table.knots[0] == -1.0 and table.knots[-1] == 1.0
 
     def test_radial_network_memory(self):
         # peano-d2k2's stage-1 shape: building the network and evaluating
@@ -543,7 +517,7 @@ def _offset_tables(k):
     f = combine(make_gaussian(GaussianSpec(d=2, center=np.array([0.3, -0.2]),
                                            width=0.5)),
                 make_gaussian(GaussianSpec(d=2)), 1.0, -0.7)
-    return peano_tables(f, k, sphere_grid(2, 4), LineGrid(3.0, 256))
+    return peano_tables(f, k, sphere_grid(2, 4), LineGrid(4.0, 256))
 
 
 class TestConstructorsAgainstLoops:
@@ -631,7 +605,7 @@ class TestConstructorsAgainstLoops:
         # a value; the draws hit u = 0, CDF nodes (flat ones included, so
         # b lands on a knot and on a zero of the profile) and the last node
         f = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.2), width=0.5))
-        tables = peano_tables(f, k, sphere_grid(d, level), LineGrid(3.0, 256))
+        tables = peano_tables(f, k, sphere_grid(d, level), LineGrid(2.0, 256))
         profiles = np.array(tables.profiles)
         profiles[:, 60:90] = 0.0
         profiles[::2, :20] = 0.0

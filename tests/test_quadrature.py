@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -77,11 +78,34 @@ class TestLineGrid:
         assert fine.L == 2 * grid.L
         assert fine.h == grid.h / 2
 
-    def test_knot_mask(self):
+    def test_knot_window(self):
         grid = LineGrid(L=4.0, N=64)
-        knots = grid.nodes[grid.knot_mask()]
-        assert knots.min() >= -1.0 and knots.max() <= 1.0
+        assert grid.knot_window == slice(24, 41)
+        knots = grid.nodes[grid.knot_window]
         assert knots[0] == -1.0 and knots[-1] == 1.0
+        np.testing.assert_array_equal(np.diff(knots), grid.h)
+
+    @pytest.mark.parametrize("L", [1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 4.0 / 3,
+                                   5.0, 6.0, 8.0, 12.0, 16.0, 64.0])
+    def test_knot_window_needs_power_of_two_half_width(self, L):
+        # -1 and 1 are nodes exactly when L is a power of two >= 2 and
+        # N >= 2L; the window is then every node in [-1, 1], and refine()
+        # keeps it
+        for N in 2 ** np.arange(1, 15):
+            grid = LineGrid(L, int(N))
+            power_of_two = L >= 2.0 and math.frexp(L)[0] == 0.5
+            if not (power_of_two and N >= 2 * L):
+                with pytest.raises(ValueError, match="not nodes"):
+                    grid.knot_window
+                continue
+            inside = np.flatnonzero(np.abs(grid.nodes) <= 1.0)
+            window = grid.knot_window
+            assert (window.start, window.stop) == (inside[0], inside[-1] + 1)
+            assert grid.nodes[window][0] == -1.0
+            assert grid.nodes[window][-1] == 1.0
+            fine = grid.refine()
+            np.testing.assert_array_equal(fine.nodes[fine.knot_window][::2],
+                                          grid.nodes[window])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -362,7 +362,7 @@ class TestRadialRoute:
             F = _apply_multiplier_linear(rows, grid, d, range(k + 2))
             tables = peano_tables(f, k, sphere, grid)
             np.testing.assert_array_equal(tables.profiles,
-                                          F[k + 1][:, grid.knot_mask()])
+                                          F[k + 1][:, grid.knot_window])
 
     @pytest.mark.parametrize("d,level", [(1, 1), (2, 3), (3, 2)])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -420,11 +420,11 @@ class TestRadialRoute:
 def _tables_row_by_row(f, k, sphere, grid):
     """profiles, cdf, mass and poly of peano_tables as built with one row
     per direction, each direction's F copied into its own row."""
-    mask = grid.knot_mask()
-    knots = grid.nodes[mask]
+    window = grid.knot_window
+    knots = grid.nodes[window]
     weights = peano_tables(f, k, sphere, grid).weights
     F = _blocks(f, sphere.nodes, grid, range(k + 2))
-    profiles = F[k + 1][:, mask]
+    profiles = F[k + 1][:, window]
     at_minus_one = hermite(F[:k + 1], F[1:k + 2], grid, -1.0).T
     absv = np.abs(profiles)
     cdf = np.zeros_like(absv)
@@ -464,7 +464,7 @@ class TestVariationUpperBound:
         # one direction at a time, with math.fsum: the mass of direction j
         # is w_j int |F^{(k+1)}| over the knots, and V their sum over k!
         tables = peano_tables(_two_gaussians(2), k, sphere_grid(2, 3),
-                              LineGrid(L=3.0, N=128))
+                              LineGrid(L=4.0, N=128))
         mass = [wj * math.fsum(tables.weights * np.abs(row))
                 for wj, row in zip(tables.sphere.weights, tables.profiles)]
         np.testing.assert_allclose(tables.mass, mass, rtol=1e-14, atol=0)
@@ -475,22 +475,54 @@ class TestVariationUpperBound:
 
 class TestPeanoTables:
     def test_profiles_are_knot_windows_of_the_derivative(self):
-        grid = LineGrid(L=3.0, N=128)
+        grid = LineGrid(L=4.0, N=128)
         f = _two_gaussians(2)
         sphere = sphere_grid(2, 3)
         k = 1
         tables = peano_tables(f, k, sphere, grid)
-        mask = grid.knot_mask()
-        np.testing.assert_array_equal(tables.knots, grid.nodes[mask])
-        assert tables.profiles.shape == (len(sphere), mask.sum())
+        window = grid.knot_window
+        np.testing.assert_array_equal(tables.knots, grid.nodes[window])
+        assert tables.profiles.shape == (len(sphere), 33)
         for row, w in zip(tables.profiles, sphere.nodes):
             np.testing.assert_array_equal(
-                row, _profile(f, w, grid, (k + 1,))[0][mask])
-        # -1 and 1 are not nodes of this grid: the rule spans the knots
-        np.testing.assert_allclose(tables.weights.sum(),
-                                   tables.knots[-1] - tables.knots[0],
-                                   rtol=1e-14)
-        assert (tables.d, tables.k, tables.sphere) == (2, k, sphere)
+                row, _profile(f, w, grid, (k + 1,))[0][window])
+        # the trapezoid rule on the knots -1 to 1: h inside, h/2 at the
+        # ends, summing to 2 exactly
+        np.testing.assert_array_equal(tables.weights[1:-1], grid.h)
+        assert tables.weights[0] == tables.weights[-1] == grid.h / 2
+        assert tables.weights.sum() == 2.0
+        assert (tables.d, tables.k, tables.sphere, tables.grid) == (
+            2, k, sphere, grid)
+
+    @pytest.mark.parametrize("grid", [LineGrid(3.0, 1024), LineGrid(5.0, 256),
+                                      LineGrid(8.0, 8)])
+    def test_grid_without_nodes_at_the_ends_raises(self, grid):
+        # the knots must start at -1 and end at 1: a knot rule between
+        # nodes would carry an O(h) bias
+        f = make_gaussian(GaussianSpec(d=2))
+        with pytest.raises(ValueError, match="not nodes"):
+            peano_tables(f, 1, sphere_grid(2, 3), grid)
+
+    @pytest.mark.parametrize("grid", [LineGrid(2.0, 64), LineGrid(4.0, 256),
+                                      LineGrid(16.0, 1024)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_values_at_minus_one_are_the_first_knot_samples(self, grid, k):
+        # -1 is a node, where the Hermite read returns each sample bit for
+        # bit; the polynomial part and the end term are those of these
+        # samples
+        f = _two_gaussians(2)
+        sphere = sphere_grid(2, 3)
+        F = _blocks(f, sphere.nodes, grid, range(k + 3))
+        first = F[:, :, grid.knot_window.start]
+        np.testing.assert_array_equal(
+            hermite(F[:k + 2], F[1:k + 3], grid, -1.0), first[:k + 2])
+        end = np.zeros((len(sphere), k + 1))
+        end[:, k] = grid.h ** 2 / 12.0 * first[k + 2]
+        if k >= 1:
+            end[:, k - 1] = -grid.h ** 2 / 12.0 * first[k + 1]
+        tables = peano_tables(f, k, sphere, grid)
+        assert (tables.poly, tables.end_term) == peano_polynomial(
+            2, k, sphere, first[:k + 1].T, end)
 
     def test_arrays_are_read_only(self):
         f = make_gaussian(GaussianSpec(d=1))
@@ -517,37 +549,6 @@ class TestPolynomialPart:
         # p(x) = sum_{w=+-1} f(-w)/2 + (w/2) f'(-w) (w x + 1)
         f = make_gaussian(GaussianSpec(d=1))
         p = peano_tables(f, 1, sphere_grid(1, 1), GRID).poly
-        x = np.linspace(-1, 1, 21)
-        fp = lambda t: -t * np.exp(-t * t / 2)
-        oracle = sum(np.exp(-0.5) / 2 + (w / 2) * fp(-w) * (w * x + 1)
-                     for w in (-1.0, 1.0))
-        np.testing.assert_allclose(p(x[:, None]), oracle, atol=1e-6)
-
-    def test_minus_one_off_grid(self):
-        # on L = 3, N = 64 the knot -1 falls between nodes, so the values at
-        # -1 are hermite reads along the block's last axis; here one
-        # direction and one order at a time
-        grid = LineGrid(L=3.0, N=64)
-        assert not np.any(grid.nodes == -1.0)
-        f = _two_gaussians(2)
-        sphere = sphere_grid(2, 3)
-        k = 2
-        at_minus_one = np.array([
-            [hermite(*_profile(f, w, grid, (m, m + 1)), grid, -1.0)
-             for m in range(k + 1)] for w in sphere.nodes])
-        expected = peano_polynomial(2, k, sphere,
-                                    at_minus_one)[0].coefficients
-        got = peano_tables(f, k, sphere, grid).poly.coefficients
-        assert got.keys() == expected.keys()
-        scale = max(abs(c) for c in expected.values())
-        for alpha, c in expected.items():
-            assert abs(got[alpha] - c) <= 1e-13 * scale
-
-    def test_d1_k1_taylor_oracle_off_grid(self):
-        grid = LineGrid(L=5.0, N=256)
-        assert not np.any(grid.nodes == -1.0)
-        f = make_gaussian(GaussianSpec(d=1))
-        p = peano_tables(f, 1, sphere_grid(1, 1), grid).poly
         x = np.linspace(-1, 1, 21)
         fp = lambda t: -t * np.exp(-t * t / 2)
         oracle = sum(np.exp(-0.5) / 2 + (w / 2) * fp(-w) * (w * x + 1)
