@@ -1,11 +1,11 @@
 """Radon slices, Radon transforms, filtered back-projection, reconstruction.
 
 derivative_blocks is the one spectral core: it filters a block of Radon
-rows by the multipliers (i t)^m M_d(t) for any orders m, and both
-reconstruct (m = 0, 1) and the Peano tables of ridge_density (m <= k + 2)
-read it, for the directions that shared_rows picks (one for a radial
-target).  hermite is the one read of a profile between grid nodes: the
-cubic through the samples of F^(m) with the samples of F^(m+1) as slopes.
+rows by the multipliers (i t)^m M_d(t) for any orders m on the nodes that
+cover [-1, 1], and reconstruct (m = 0, 1) and the Peano tables of
+ridge_density (m <= k + 2) read it, for the directions that shared_rows
+picks (one for a radial target).  hermite is the one read of a profile
+between nodes: the cubic through F^(m) with F^(m+1) as slopes.
 
 The filtered back-projection operator acts on a profile g by the Fourier
 multiplier
@@ -39,18 +39,18 @@ SPECTRAL_MASS_TOL = 1e-8
 BLOCK_POINTS = 2 ** 20
 
 
-def hermite(F, dF, grid, u):
+def hermite(F, dF, grid, u, start=0):
     """Cubic Hermite interpolant of samples F with slopes dF (both on the
-    grid's nodes, along the last axis), evaluated at u.
+    grid's nodes from node start on, along the last axis), evaluated at u.
 
-    The cell of u is floor((u + L) / h), clipped to [0, N - 2], so there is
-    no search and no linear solve; points beyond the grid read the cubic of
-    the end cell.  The result has shape F.shape[:-1] + np.shape(u).  At a
-    node (t = 0, or t = 1 in the last cell) every basis weight is exactly
-    0 or 1, so the sample itself is returned, bit for bit.
+    The cell of u is floor((u + L) / h) - start, clipped to the samples'
+    cells, so there is no search and no linear solve; points beyond them
+    read the cubic of the end cell.  The result has shape F.shape[:-1] +
+    np.shape(u).  At a node (t = 0, or t = 1 in the last cell) every basis
+    weight is exactly 0 or 1, so the sample itself is returned, bit for bit.
     """
-    s = (np.asarray(u, float) + grid.L) / grid.h
-    i = np.clip(np.floor(s), 0, grid.N - 2).astype(int)
+    s = (np.asarray(u, float) + grid.L) / grid.h - start
+    i = np.clip(np.floor(s), 0, F.shape[-1] - 2).astype(int)
     t = s - i
     t2 = t * t
     t3 = t2 * t
@@ -81,20 +81,23 @@ def taper_window(t, nyquist):
     return w
 
 
-def taper(grid):
-    """Taper window sampled on the grid's dual frequencies."""
-    return taper_window(grid.frequencies, grid.nyquist)
+def _window(grid):
+    """The nodes whose cells (as hermite reads them) meet [-1, 1]:
+    grid.knot_window where -1 and 1 are nodes, else the smallest cover."""
+    first, last = (np.array([-1.0, 1.0]) + grid.L) / grid.h
+    return slice(int(np.floor(first)), min(int(np.ceil(last)) + 1, grid.N))
 
 
 @lru_cache(maxsize=64)
-def _kernel_spectra(L, N, d, cutoff, top):
-    """Real FFTs, zero-padded to 3N, of the band-limited spatial kernels of
-    the multipliers (i t)^m M_d(t), m = 0..top, tapered to zero at
-    ``cutoff``: row m of a read-only (top + 1, 3N/2 + 1) array.
-
-    Kernel m is sampled in closed form on the lags u = l h, |l| < N
-    (Ramachandran & Lakshminarayanan, PNAS 1971; Natterer, The Mathematics
-    of Computerized Tomography, ch. V):
+def _kernel_samples(grid, d, cutoff, top):
+    """Row m of a read-only (top + 1, 2N) array: the band-limited spatial
+    kernel k_m of the multiplier (i t)^m M_d(t), tapered to zero at
+    ``cutoff``, on the lags l from i0 - N + 1 to i1 that the window (nodes
+    i0 to i1) reads, at l mod 2N (zeros elsewhere: a row's 2N-point real
+    FFT times a kernel's is their linear convolution on the window).  k_m
+    is sampled in closed form on u = l h, 0 <= l <= i1 (N/2 + N/(2L) on a
+    knot grid; i1 >= N - 1 - i0; Ramachandran & Lakshminarayanan, PNAS
+    1971; Natterer, The Mathematics of Computerized Tomography, ch. V):
 
         k_m(u) = c^(n+1) Re[i^m J_n(u c)] / (2 pi)^d,   n = m + d - 1,
 
@@ -108,13 +111,13 @@ def _kernel_spectra(L, N, d, cutoff, top):
     primitive P_n = (s^n e^{i alpha s} - n P_{n-1}) / (i alpha), so one pass
     over n gives every order; where |alpha| < 2 that recurrence loses
     digits and the Taylor series of e^{i alpha s} (28 terms) takes over.
-    These are the continuous kernel's samples: a quadrature of the
-    spectrum on a finite period would add the periodic images of the
-    order-0 kernel's -1/(2 pi u)^2 tail.  Keeping the cutoff near the
-    input's own band keeps the t^m growth from amplifying rounding noise.
-    Cached per grid geometry, cutoff and highest order.
+    These are the continuous kernel's samples, without the periodic images
+    of the order-0 kernel's -1/(2 pi u)^2 tail that a quadrature of the
+    spectrum on a finite period adds.  A cutoff near the input's own band
+    keeps the t^m growth from amplifying rounding noise.  Cached.
     """
-    h = 2.0 * L / N
+    h, N, window = grid.h, grid.N, _window(grid)
+    first, last = window.start, window.stop - 1
     tau = TAPER_START
     B = np.pi / (1.0 - tau)
     top_n = top + d - 1
@@ -130,12 +133,11 @@ def _kernel_spectra(L, N, d, cutoff, top):
     power = np.arange(28)[:, None] + np.arange(1, top_n + 2)
     moments = (np.array([1.0, 1j, -1.0, -1j])[np.arange(28) % 4, None]
                * (hi[:, :, None] ** power - lo[:, :, None] ** power) / power)
-    samples = np.empty((top + 1, 2 * N - 1))
-    # blocks of 2048 lags: a warm build of 5 orders at N = 16384 took 11-12
-    # ms with them, 15 ms with full-length (4, N) temporaries and 13-19 ms
-    # with blocks of 1024 or 4096 (best of 7, one BLAS thread, 2-core Xeon)
-    for start in range(0, N, 2048):
-        lam = np.arange(start, min(start + 2048, N)) * (h * cutoff)
+    circle = np.zeros((top + 1, 2 * N))
+    # blocks of 2048 lags were faster than 1024, 4096 or one block at
+    # N = 16384 (5 orders, best of 7, one BLAS thread, 2-core Xeon)
+    for start in range(0, last + 1, 2048):
+        lam = np.arange(start, min(start + 2048, last + 1)) * (h * cutoff)
         e_tau = np.exp(1j * tau * lam)
         alpha = lam + shift
         at_lo = at_tau * e_tau
@@ -167,17 +169,18 @@ def _kernel_spectra(L, N, d, cutoff, top):
             D[rows, cols] = near[:, n]
             m = n - d + 1
             if m >= 0:
-                # Re[i^m J_n] = Re[sum_r (i^m weight_r) D_r]
+                # Re[i^m J_n] = Re[sum_r (i^m weight_r) D_r], by einsum
                 turned = weight * 1j ** m
-                samples[m, N - 1 + start:N - 1 + start + len(lam)] = (
-                    (turned.real @ D.real - turned.imag @ D.imag)
+                circle[m, start:start + len(lam)] = (
+                    (np.einsum("r,rl->l", turned.real, D.real)
+                     - np.einsum("r,rl->l", turned.imag, D.imag))
                     * (cutoff ** (n + 1) / (2.0 * np.pi) ** d))
-    samples[1::2, N - 1] = 0.0
-    samples[:, :N - 1] = samples[:, :N - 1:-1]
-    samples[1::2, :N - 1] *= -1.0
-    out = np.fft.rfft(samples, 3 * N, axis=-1)
-    out.setflags(write=False)
-    return out
+    circle[1::2, 0] = 0.0
+    # lags first - N + 1 to -1 at N + first + 1 to 2N - 1
+    circle[:, N + first + 1:] = circle[:, N - 1 - first:0:-1]
+    circle[1::2, N + first + 1:] *= -1.0
+    circle.setflags(write=False)
+    return circle
 
 
 def _effective_cutoff(spectra, grid):
@@ -199,47 +202,49 @@ def _effective_cutoff(spectra, grid):
     return np.where(peak[..., 0] == 0.0, grid.nyquist, cutoff)
 
 
-def _apply_multiplier_linear(values, grid, d, orders=(0,)):
-    """Apply the multipliers (i t)^m M_d(t), m in orders, row by row.
+def _apply_multiplier_linear(rows, grid, d, orders=(0,), ends=()):
+    """Apply the multipliers (i t)^m M_d(t) to each of the (B, N) rows:
+    (F, E), F[i] of order orders[i] on the W nodes of _window(grid), shape
+    (len(orders), B, W), and E[i] of order ends[i] at the first of them,
+    shape (len(ends), B).
 
-    values has shape (..., N); the result has shape (len(orders), ..., N).
-    For even d the multiplier has a |t| kink at t = 0 whose filtered tails
-    decay slowly; circular (FFT) filtering would fold them back into the
-    window, so each row is convolved (zero-padded, linearly) with the
-    band-limited kernel of its own cutoff.  For odd d the multiplier is a
-    plain polynomial in t (no kink), and circular filtering is exact on the
-    grid.  Each row is transformed once, for its cutoff and for all
-    orders, and the kernels of all orders come from one build per cutoff.
+    For even d the multiplier's |t| kink at t = 0 has slowly decaying
+    filtered tails that circular filtering would fold back into the
+    window, so each row is convolved linearly with the kernel of its
+    cutoff: a 2N-point real FFT on the window, one sum per order at its
+    first node.  For odd d (no kink) circular filtering is exact.  Each
+    row is transformed once; one kernel build per cutoff serves all orders.
     """
-    values = np.asarray(values, float)
-    N = grid.N
-    rows = values.reshape(-1, N)
-    out = np.empty((len(orders), len(rows), N))
-    t = grid.frequencies
-    if d % 2 == 0:
-        # the full linear convolution with the (2N - 1)-sample kernel has
-        # 3N - 2 samples; 3N is a fast FFT length on the power-of-two grids.
-        # Bin 3q of the padded transform is bin q of the row's N-point DFT
-        nfft = 3 * N
-        spec = np.fft.rfft(rows, nfft, axis=-1)
-        cutoffs = _effective_cutoff(spec[:, ::3], grid)
-    else:
-        spec = np.fft.fft(rows, axis=-1)
-        cutoffs = _effective_cutoff(spec, grid)
+    orders, ends = tuple(orders), tuple(ends)
+    N, window, t = grid.N, _window(grid), grid.frequencies
+    i0 = window.start
+    F = np.empty((len(orders), len(rows), window.stop - window.start))
+    E = np.empty((len(ends), len(rows)))
+    even = d % 2 == 0
+    # bin 2q of the 2N-point real FFT is bin q of the row's N-point DFT
+    spec = np.fft.rfft(rows, 2 * N) if even else np.fft.fft(rows)
+    cutoffs = _effective_cutoff(spec[:, ::2] if even else spec, grid)
     for cutoff in sorted(set(cutoffs.tolist())):
         sel = cutoffs == cutoff
-        part = spec[sel]
-        if d % 2 == 0:
-            kernels = _kernel_spectra(grid.L, N, d, cutoff, max(orders))
+        part, block = spec[sel], rows[sel]
+        if even:
+            kernels = _kernel_samples(grid, d, cutoff, max(orders + ends))
+            filtered = lambda m: np.fft.irfft(part * np.fft.rfft(
+                kernels[m]), 2 * N)[:, window] * grid.h
+            # h sum_j k_m((i0 - j) h) row[j], a pairwise sum per row (a
+            # BLAS product would round with the thread split)
+            first = lambda m: np.sum(block * np.concatenate(
+                (kernels[m, i0::-1], kernels[m, :N + i0:-1])), -1) * grid.h
+        else:
+            filtered = lambda m: np.fft.ifft(
+                part * (1j * t) ** m * multiplier(d, t)
+                * taper_window(t, cutoff)).real[:, window]
+            first = lambda m: filtered(m)[:, 0]
         for i, m in enumerate(orders):
-            if d % 2 == 1:
-                filt = (part * (1j * t) ** m * multiplier(d, t)
-                        * taper_window(t, cutoff))
-                out[i, sel] = np.fft.ifft(filt, axis=-1).real
-            else:
-                conv = np.fft.irfft(part * kernels[m], nfft, axis=-1)
-                out[i, sel] = conv[:, N - 1:2 * N - 1] * grid.h
-    return out.reshape((len(orders),) + values.shape)
+            F[i, sel] = filtered(m)
+        for i, m in enumerate(ends):
+            E[i, sel] = first(m)
+    return F, E
 
 
 def _check_unit(omega):
@@ -295,13 +300,13 @@ def _taper_loss(spectra, grid, d, orders):
     """Largest share of a row's derivative spectral mass, over the rows of
     spectra (shape (B, N)) and the orders, that the taper removes."""
     t = grid.frequencies
-    removed = 1.0 - taper(grid)
+    removed = 1.0 - taper_window(t, grid.nyquist)
     amplitude = np.abs(spectra)
     worst = 0.0
     for m in orders:
         weight = np.abs(t) ** m * multiplier(d, t)
-        total = amplitude @ weight
-        lost = amplitude @ (weight * removed)
+        total = np.einsum("bn,n->b", amplitude, weight)
+        lost = np.einsum("bn,n->b", amplitude, weight * removed)
         nonzero = total > 0
         worst = max(worst, (lost[nonzero] / total[nonzero]).max(initial=0.0))
     return worst
@@ -319,25 +324,25 @@ def shared_rows(f, omegas):
     return omegas, np.arange(len(omegas))
 
 
-def derivative_blocks(f, omegas, grid, orders):
-    """Samples of F_omega^{(m)} for every m in orders, a block of directions
-    at a time.
-
-    Yields (lo, F) with F[i, j] the samples of F^{(orders[i])} along
-    omegas[lo + j].  Each block evaluates the Fourier slice once; the Radon
-    rows, their cutoffs and their spectra are shared by all orders.  The
-    multiplier of order m is (i t)^m M_d(t) with the standard
-    high-frequency taper.  After the last block, warns once when the taper
-    removed a non-negligible share of some profile's spectral mass.
+def derivative_blocks(f, omegas, grid, orders, ends=()):
+    """Samples of F_omega^{(m)} on the nodes that cover [-1, 1] (_window)
+    for every m in orders, and at the first of them alone for every m in
+    ends, a block of directions at a time: yields (lo, F, E), F[i, j] of
+    order orders[i] and E[i, j] of order ends[i] along omegas[lo + j].
+    Each block evaluates the Fourier slice once; the Radon rows, their
+    cutoffs and their spectra are shared by all orders.  The multiplier of
+    order m is (i t)^m M_d(t) with the standard high-frequency taper.
+    After the last block, warns once when the taper removed a
+    non-negligible share of some profile's spectral mass.
     """
     _check_grid(f, grid)
     block = max(1, BLOCK_POINTS // grid.N)
     worst = 0.0
     for lo in range(0, len(omegas), block):
         spectra = radon_slice(f, omegas[lo:lo + block], grid)
-        worst = max(worst, _taper_loss(spectra, grid, f.d, orders))
+        worst = max(worst, _taper_loss(spectra, grid, f.d, (*orders, *ends)))
         rows = _spectrum_to_profile(spectra, grid).real
-        yield lo, _apply_multiplier_linear(rows, grid, f.d, orders)
+        yield (lo, *_apply_multiplier_linear(rows, grid, f.d, orders, ends))
     if worst > SPECTRAL_MASS_TOL:
         warnings.warn(
             "spectral taper removed %.3g of the derivative profile mass; "
@@ -383,20 +388,20 @@ def reconstruct(f, x, sphere, grid):
     """Filtered back-projection estimate of f at x (single point or batch).
 
     Returns sum_j w_j F_{omega_j}(omega_j . x), each back-projected profile
-    F = F^{(0)} read by hermite from the orders (0, 1) of
-    derivative_blocks, direction j from row rows[j] of shared_rows;
-    directions are reduced in sphere order.  Warns as derivative_blocks
-    does.
+    F = F^{(0)} read by hermite from the window samples of orders (0, 1)
+    of derivative_blocks (so x in the unit ball), direction j from row
+    rows[j] of shared_rows; directions are reduced in sphere order.  Warns
+    as derivative_blocks does.
     """
-    x = np.asarray(x, float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
+    single = np.ndim(x) == 1
+    pts = np.atleast_2d(np.asarray(x, float))
     out = np.zeros(len(pts))
     omegas, rows = shared_rows(f, sphere.nodes)
-    for lo, F in derivative_blocks(f, omegas, grid, (0, 1)):
+    start = _window(grid).start
+    for lo, F, _ in derivative_blocks(f, omegas, grid, (0, 1)):
         # rows is non-decreasing, so block by block j runs in sphere order
         for j in np.flatnonzero((rows >= lo) & (rows < lo + F.shape[1])):
             row = rows[j] - lo
             out += sphere.weights[j] * hermite(F[0, row], F[1, row], grid,
-                                               pts @ sphere.nodes[j])
+                                               pts @ sphere.nodes[j], start)
     return float(out[0]) if single else out

@@ -31,12 +31,8 @@ def theorem_order(d, k):
 
 def multi_indices(d, max_degree):
     """All exponent tuples alpha with |alpha| <= max_degree, in a fixed order."""
-    out = []
-    for alpha in iproduct(range(max_degree + 1), repeat=d):
-        if sum(alpha) <= max_degree:
-            out.append(alpha)
-    out.sort(key=lambda a: (sum(a), a))
-    return out
+    return sorted((a for a in iproduct(range(max_degree + 1), repeat=d)
+                   if sum(a) <= max_degree), key=lambda a: (sum(a), a))
 
 
 def monomials(omegas, basis):
@@ -75,9 +71,7 @@ class PolynomialPart:
 
     @property
     def degree(self):
-        if not self.coefficients:
-            return 0
-        return max(sum(a) for a in self.coefficients)
+        return max((sum(a) for a in self.coefficients), default=0)
 
     def __call__(self, x):
         x = np.asarray(x, float)
@@ -165,11 +159,11 @@ def peano_tables(f, k, sphere, grid):
     grid, its mass and variation bound, the polynomial part from
     F^{(m)}(-1), m <= k, and the end term from F^{(k+1)}(-1) and
     F^{(k+2)}(-1), in one pass of derivative_blocks; warns as it does.
-    The knots are the grid's nodes on [-1, 1], grid.knot_window, which
-    raises ValueError where -1 and 1 are not nodes; so F^{(m)}(-1) is
-    the first knot's sample, and the trapezoid weights are h, with h/2 at
-    both ends.  The tables keep one profile row per direction that
-    shared_rows filters.
+    The knots are the grid's nodes on [-1, 1], grid.knot_window (which
+    raises ValueError where -1 and 1 are not nodes): the window on which
+    derivative_blocks filters F^{(k+1)}, the other orders at -1 alone.  The
+    trapezoid weights are h, with h/2 at both ends.  The tables keep one
+    profile row per direction that shared_rows filters.
 
     The end term: with g(b) = F^{(k+1)}(b) (u - b)_+^k / k! and u = omega.x,
     the trapezoid rule over the knots (spacing h) misses (h^2/12) g'(-1)
@@ -182,17 +176,18 @@ def peano_tables(f, k, sphere, grid):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    window = grid.knot_window
-    knots = grid.nodes[window]
+    knots = grid.nodes[grid.knot_window]
     weights = np.full(len(knots), grid.h)
     weights[[0, -1]] = grid.h / 2.0
     omegas, rows = shared_rows(f, sphere.nodes)
     profiles = np.empty((len(omegas), len(knots)))
-    at_minus_one = np.empty((len(omegas), k + 3))
-    for lo, F in derivative_blocks(f, omegas, grid, range(k + 3)):
-        hi = lo + F.shape[1]
-        profiles[lo:hi] = F[k + 1][:, window]
-        at_minus_one[lo:hi] = F[:, :, window.start].T
+    # at_minus_one[m] holds F^{(m)}(-1), m <= k + 2
+    at_minus_one = np.empty((k + 3, len(omegas)))
+    ends = [*range(k + 1), k + 2]
+    for lo, F, E in derivative_blocks(f, omegas, grid, (k + 1,), ends):
+        profiles[lo:lo + F.shape[1]] = F[0]
+        at_minus_one[ends, lo:lo + F.shape[1]] = E
+    at_minus_one[k + 1] = profiles[:, 0]
     absv = np.abs(profiles)
     cdf = np.zeros_like(absv)
     np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * grid.h, axis=1,
@@ -205,11 +200,11 @@ def peano_tables(f, k, sphere, grid):
     # the end term in peano_polynomial's form: coefficients of
     # (omega.x + 1)^m / m! at m = k and k - 1
     end = np.zeros((len(omegas), k + 1))
-    end[:, k] = grid.h ** 2 / 12.0 * at_minus_one[:, k + 2]
+    end[:, k] = grid.h ** 2 / 12.0 * at_minus_one[k + 2]
     if k >= 1:
-        end[:, k - 1] = -grid.h ** 2 / 12.0 * at_minus_one[:, k + 1]
+        end[:, k - 1] = -grid.h ** 2 / 12.0 * at_minus_one[k + 1]
     poly, end_term = peano_polynomial(f.d, k, sphere,
-                                      at_minus_one[rows, :k + 1], end[rows])
+                                      at_minus_one[:k + 1, rows].T, end[rows])
     return PeanoTables(d=f.d, k=k, sphere=sphere, grid=grid, knots=knots,
                        weights=weights, rows=rows, profiles=profiles,
                        cdf=cdf, mass=mass,

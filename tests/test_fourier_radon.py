@@ -113,16 +113,17 @@ class TestBackprojectFilter:
         # d=1 the multiplier is flat, so filtering just halves the profile
         f = make_gaussian(GaussianSpec(d=1))
         values, _ = radon_transform(f, np.array([1.0]), GRID)
-        [(_, F)] = derivative_blocks(f, np.array([[1.0]]), GRID, (0,))
-        inner = np.abs(GRID.nodes) <= 2.0
-        np.testing.assert_allclose(F[0, 0][inner], values[inner] / 2,
+        [(_, F, _)] = derivative_blocks(f, np.array([[1.0]]), GRID, (0,))
+        np.testing.assert_allclose(F[0, 0], values[GRID.knot_window] / 2,
                                    atol=1e-9)
 
     def test_zero_profile(self):
         grid = LineGrid(L=2.0, N=128)
         f = make_gaussian(GaussianSpec(d=2, amplitude=0.0))
-        [(_, F)] = derivative_blocks(f, np.array([[1.0, 0.0]]), grid, (0,))
+        [(_, F, E)] = derivative_blocks(f, np.array([[1.0, 0.0]]), grid, (0,),
+                                        (1,))
         np.testing.assert_array_equal(F, 0.0)
+        np.testing.assert_array_equal(E, 0.0)
 
     def test_multiplier_values(self):
         np.testing.assert_allclose(multiplier(1, 3.0), 0.5)
@@ -143,40 +144,37 @@ class TestBackprojectFilter:
         # the closed-form samples of order m against QUADPACK's cosine-
         # and sine-weighted rules at the lags where the recurrence starts,
         # inside the series branch, at the crossover, at u = beta (where
-        # the lam - B integral is in the series branch) and at the ends
+        # the lam - B integral is in the series branch) and at the ends of
+        # the lags that the window reads, i0 - N + 1 to i1
         grid = LineGrid(L=4.0, N=N)
+        window = fourier_radon._window(grid)
+        first, last = window.start - N + 1, window.stop - 1
         h = grid.h
         cutoff = grid.nyquist if at_nyquist else min(grid.nyquist,
                                                      8.0 * np.pi / grid.L)
         beta = np.pi / (cutoff - fourier_radon.TAPER_START * cutoff)
         series = int(1.0 / (h * cutoff))
         crossover = int(2.0 / (h * cutoff))
-        lags = {0, 1, 2, N - 1, series, crossover, crossover + 1,
-                int(round(beta / h)), -1, -(N - 1), -int(round(beta / h))}
-        lags = sorted(l for l in lags if abs(l) < N)
-        samples = np.fft.irfft(
-            fourier_radon._kernel_spectra(grid.L, N, 2, cutoff, 4)[m],
-            3 * N)[:2 * N - 1]
+        lags = {0, 1, 2, first, last, series, crossover, crossover + 1,
+                int(round(beta / h)), -1, -int(round(beta / h))}
+        lags = sorted(l for l in lags if first <= l <= last)
+        samples = fourier_radon._kernel_samples(grid, 2, cutoff, 4)[m]
         scale = np.max(np.abs(samples))
         for l in lags:
             exact = _kernel_by_quad(m, l * h, cutoff)
-            assert abs(samples[l + N - 1] - exact) <= 1e-14 * scale
+            assert abs(samples[l % (2 * N)] - exact) <= 1e-14 * scale
 
     @pytest.mark.parametrize("N", [16, 1024, 8192])
     def test_kernel_orders_from_one_build(self, N):
         # one build gives every order up to its top, each the same bits
         # as in a build with a higher top
         grid = LineGrid(L=4.0, N=N)
-        full = fourier_radon._kernel_spectra(grid.L, N, 2, grid.nyquist, 4)
-        assert full.shape == (5, 3 * N // 2 + 1)
+        full = fourier_radon._kernel_samples(grid, 2, grid.nyquist, 4)
+        assert full.shape == (5, 2 * N)
         assert not full.flags.writeable
         for top in range(4):
-            np.testing.assert_array_equal(
-                fourier_radon._kernel_spectra(grid.L, N, 2, grid.nyquist,
-                                              top), full[:top + 1])
-            np.testing.assert_array_equal(
-                fourier_radon._kernel_spectra(grid.L, N, 2, grid.nyquist,
-                                              top)[top], full[top])
+            part = fourier_radon._kernel_samples(grid, 2, grid.nyquist, top)
+            np.testing.assert_array_equal(part, full[:top + 1])
 
 
 def _kernel_by_quad(m, u, cutoff):
@@ -208,9 +206,10 @@ class TestReconstruct:
         f = make_gaussian(GaussianSpec(d=1, center=np.array([0.2])))
         sphere = sphere_grid(1, 1)
         u = np.linspace(-1, 1, 101)
-        [(_, F)] = derivative_blocks(f, sphere.nodes, GRID, (0, 1))
+        [(_, F, _)] = derivative_blocks(f, sphere.nodes, GRID, (0, 1))
+        start = GRID.knot_window.start
         for omega, row, slope in zip(sphere.nodes, F[0], F[1]):
-            np.testing.assert_allclose(hermite(row, slope, GRID, u),
+            np.testing.assert_allclose(hermite(row, slope, GRID, u, start),
                                        f((u * omega[0])[:, None]) / 2,
                                        atol=1e-6)
 
@@ -257,27 +256,34 @@ class TestReconstruct:
         assert np.max(np.abs(err[8.0])) <= 1e-3 * np.max(np.abs(err[4.0]))
 
 
-@pytest.mark.parametrize("N", [2, 4, 8, 64, 1024])
-def test_even_d_filter_is_the_linear_convolution(N):
-    # the kernel's spectrum is padded to 3N >= 3N - 2, the length of the
-    # full linear convolution of an N-sample row with the (2N - 1)-sample
-    # kernel, so the FFT product has no wrap-around: it equals the direct
-    # convolution with the kernel samples
-    grid = LineGrid(L=4.0, N=N)
+@pytest.mark.parametrize("grid", [LineGrid(4.0, 8), LineGrid(4.0, 64),
+                                  LineGrid(4.0, 1024), LineGrid(3.0, 1024)],
+                         ids=["8", "64", "1024", "L3-1024"])
+def test_even_d_filter_is_the_linear_convolution(grid):
+    # the window's nodes i0..i1 read the kernel on the lags i0 - N + 1 to
+    # i1, fewer than 2N, so the 2N-point FFT product has no wrap-around: on
+    # the window it equals the direct convolution with the closed-form
+    # samples, also where -1 and 1 are not nodes (L = 3)
+    N = grid.N
+    window = fourier_radon._window(grid)
+    assert grid.nodes[window.start] <= -1.0 < grid.nodes[window.start + 1]
+    assert grid.nodes[window.stop - 2] < 1.0 <= grid.nodes[window.stop - 1]
+    lags = np.arange(window.start - N + 1, window.stop)
     row = np.random.default_rng(N).standard_normal(N)
     cutoff = fourier_radon._effective_cutoff(np.fft.fft(row), grid)
     for order in (0, 1, 2):
-        kernel = fourier_radon._kernel_spectra(grid.L, N, 2, float(cutoff),
-                                               order)[order]
-        assert len(kernel) == 3 * N // 2 + 1
-        samples = np.fft.irfft(kernel, 3 * N)
-        # the padding beyond the 2N - 1 lags holds zeros only
-        assert np.max(np.abs(samples[2 * N - 1:])) \
-            <= 1e-14 * np.max(np.abs(samples))
-        direct = np.convolve(row, samples[:2 * N - 1])[N - 1:2 * N - 1]
-        got = fourier_radon._apply_multiplier_linear(row, grid, 2, (order,))[0]
-        np.testing.assert_allclose(got, direct * grid.h, rtol=0,
-                                   atol=1e-13 * np.max(np.abs(direct * grid.h)))
+        samples = fourier_radon._kernel_samples(grid, 2, float(cutoff),
+                                                order)[order]
+        # the circle holds zeros off those lags
+        off = np.ones(2 * N, bool)
+        off[lags % (2 * N)] = False
+        np.testing.assert_array_equal(samples[off], 0.0)
+        direct = np.convolve(row, samples[lags % (2 * N)])[N - 1:N - 1 + len(
+            grid.nodes[window])] * grid.h
+        [[got]], _ = fourier_radon._apply_multiplier_linear(row[None], grid,
+                                                           2, (order,))
+        np.testing.assert_allclose(got, direct, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(direct)))
 
 
 class TestReconstructRadial:
@@ -318,6 +324,19 @@ class TestHermite:
         # the last node lies at t = 1 of the last cell
         np.testing.assert_array_equal(hermite(F, dF, grid, grid.nodes), F)
         assert hermite(F, dF, grid, grid.nodes[5]).shape == (3,)
+
+    @pytest.mark.parametrize("grid", [LineGrid(4.0, 64), LineGrid(3.0, 1024)])
+    def test_window_read_from_its_first_node(self, grid):
+        # the window's samples read from its first node give, bit for bit,
+        # the read of the whole row on [-1, 1]
+        window = fourier_radon._window(grid)
+        rng = np.random.default_rng(grid.N)
+        F, dF = rng.standard_normal((2, 3, grid.N))
+        u = np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 200),
+                            grid.nodes[window][1:-1]])
+        np.testing.assert_array_equal(
+            hermite(F[:, window], dF[:, window], grid, u, window.start),
+            hermite(F, dF, grid, u))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_gaussian_radon_row_off_the_nodes(self, d):

@@ -26,6 +26,8 @@ from ridgelab.targets import (GaussianSpec, combine, gaussian_radon_oracle,
                               make_cusp_radial, make_gaussian)
 
 GRID = LineGrid(L=4.0, N=2048)
+# the first node of GRID's window, -1
+START = GRID.knot_window.start
 
 
 @pytest.fixture(autouse=True)
@@ -37,7 +39,8 @@ def _quiet_support_warning():
 
 
 def _profile(f, omega, grid, orders):
-    """F^{(m)} along one direction omega, for every m in orders."""
+    """F^{(m)} along one direction omega on the window, for every m in
+    orders."""
     return _blocks(f, np.asarray(omega, float)[None, :], grid, orders)[:, 0]
 
 
@@ -49,8 +52,8 @@ class TestDerivativeProfile:
             F1, F2 = _profile(f, [w], GRID, (1, 2))
             u = np.linspace(-1, 1, 101)
             exact = w * (-u * w) * np.exp(-(u * w) ** 2 / 2) / 2
-            np.testing.assert_allclose(hermite(F1, F2, GRID, u), exact,
-                                       atol=1e-6)
+            np.testing.assert_allclose(hermite(F1, F2, GRID, u, START),
+                                       exact, atol=1e-6)
 
     def test_zero_target(self):
         f = make_gaussian(GaussianSpec(d=2, amplitude=0.0))
@@ -64,18 +67,20 @@ class TestDerivativeProfile:
         for grid, tol in ((GRID, 1e-3), (GRID.refine(), 1e-5)):
             # parity holds at the level of the profile's discretization error
             F2, F3 = _profile(f, [0.6, 0.8], grid, (2, 3))
-            np.testing.assert_allclose(hermite(F2, F3, grid, u),
-                                       hermite(F2, F3, grid, -u), atol=tol)
+            start = grid.knot_window.start
+            np.testing.assert_allclose(hermite(F2, F3, grid, u, start),
+                                       hermite(F2, F3, grid, -u, start),
+                                       atol=tol)
 
     def test_matches_spline_derivative_of_profile(self):
         # independent oracle: differentiate the filtered profile numerically
         f = make_gaussian(GaussianSpec(d=2, width=0.8))
         omega = [0.8, -0.6]
         F0, F2, F3 = _profile(f, omega, GRID, (0, 2, 3))
-        oracle = CubicSpline(GRID.nodes, F0).derivative(2)
+        oracle = CubicSpline(GRID.nodes[GRID.knot_window], F0).derivative(2)
         u = np.linspace(-0.9, 0.9, 41)
-        np.testing.assert_allclose(hermite(F2, F3, GRID, u), oracle(u),
-                                   atol=1e-5)
+        np.testing.assert_allclose(hermite(F2, F3, GRID, u, START),
+                                   oracle(u), atol=1e-5)
 
 
 def _two_gaussians(d):
@@ -98,27 +103,69 @@ class TestDerivativeBlocks:
                   else sample_directions(d, 8, seed=7))
         # blocks of 3 directions: 8 is not a multiple, so the last is short
         monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 3 * grid.N)
-        orders = (0, 1, 2, 3)
-        batched = np.concatenate(
-            [F for _, F in derivative_blocks(f, omegas, grid, orders)], axis=1)
-        assert batched.shape == (len(orders), len(omegas), grid.N)
+        orders, ends = (0, 1, 2, 3), (0, 2)
+        blocks = list(derivative_blocks(f, omegas, grid, orders, ends))
+        batched = np.concatenate([F for _, F, _ in blocks], axis=1)
+        at_start = np.concatenate([E for _, _, E in blocks], axis=1)
+        assert batched.shape == (len(orders), len(omegas), 129)
+        assert at_start.shape == (len(ends), len(omegas))
         rows = np.array([radon_transform(f, w, grid)[0] for w in omegas])
         if d > 1:
             cutoffs = _effective_cutoff(np.fft.fft(rows, axis=-1), grid)
             assert len(np.unique(cutoffs)) > 1
         for j, row in enumerate(rows):
-            single = _apply_multiplier_linear(row, grid, d, orders)
+            single, first = _apply_multiplier_linear(row[None], grid, d,
+                                                     orders, ends)
             for i in range(len(orders)):
                 scale = np.max(np.abs(single[i]))
-                assert np.max(np.abs(batched[i, j] - single[i])) <= 1e-13 * scale
+                assert np.max(np.abs(batched[i, j] - single[i, 0])) \
+                    <= 1e-13 * scale
+            for i, m in enumerate(ends):
+                scale = np.max(np.abs(single[orders.index(m)]))
+                assert abs(at_start[i, j] - first[i, 0]) <= 1e-13 * scale
 
     def test_block_offsets(self, monkeypatch):
         grid = LineGrid(L=4.0, N=64)
         monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 2 * grid.N)
         f = make_gaussian(GaussianSpec(d=2))
-        blocks = list(derivative_blocks(f, sphere_grid(2, 2).nodes, grid, (1,)))
-        assert [lo for lo, _ in blocks] == [0, 2]
-        assert [F.shape for _, F in blocks] == [(1, 2, 64)] * 2
+        blocks = list(derivative_blocks(f, sphere_grid(2, 2).nodes, grid, (1,),
+                                        (0, 2)))
+        assert [lo for lo, _, _ in blocks] == [0, 2]
+        assert [F.shape for _, F, _ in blocks] == [(1, 2, 17)] * 2
+        assert [E.shape for _, _, E in blocks] == [(2, 2)] * 2
+
+    @pytest.mark.parametrize("grid", [LineGrid(4.0, 64), LineGrid(8.0, 4096),
+                                      LineGrid(3.0, 1024)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_end_values_are_the_kernel_sums(self, grid, d):
+        # F^(m) at the window's first node i0 (-1 on a knot grid), requested
+        # alone, is h sum_j k_m((i0 - j) h) row[j] over the closed-form kernel
+        # samples at even d, and equals the first window sample of the same
+        # order requested on the window (bit for bit at odd d, whose circular
+        # filter is sliced).  Both routes round in proportion to the terms'
+        # magnitude h sum_j |k_m((i0 - j) h) row[j]|, which at order 4 is
+        # about 2000 times the largest sample of F^(4) (LineGrid(4, 64) reads
+        # 1.8e-13 of that sample, 9e-17 of the magnitude)
+        f = _two_gaussians(d)
+        omegas = sample_directions(d, 5, seed=d)
+        orders = range(5)
+        [(_, F, E)] = derivative_blocks(f, omegas, grid, orders, orders)
+        if d % 2:
+            np.testing.assert_array_equal(E, F[:, :, 0])
+            return
+        rows = _spectrum_to_profile(
+            radon_slice(f, omegas, grid), grid).real
+        cutoffs = _effective_cutoff(np.fft.fft(rows), grid)
+        i0 = fourier_radon._window(grid).start
+        for m in orders:
+            for value, first, row, cutoff in zip(E[m], F[m, :, 0], rows,
+                                                 cutoffs):
+                kernel = fourier_radon._kernel_samples(grid, d, cutoff, 4)[m]
+                ends = kernel[(i0 - np.arange(grid.N)) % (2 * grid.N)]
+                magnitude = grid.h * math.fsum(np.abs(ends * row))
+                direct = grid.h * math.fsum(ends * row)
+                assert abs(value - direct) <= 1e-15 * magnitude
+                assert abs(value - first) <= 1e-15 * magnitude
 
     def test_taper_mass_warning_fires_once(self):
         # N = 16 puts Nyquist below the Gaussian's band: every direction's
@@ -142,14 +189,18 @@ class TestDerivativeBlocks:
                        for w in caught) == 1
 
 
-def _blocks(f, omegas, grid, orders):
-    """F^{(m)} along every direction of omegas, shape (len(orders), J, N):
-    the rows that derivative_blocks filters for shared_rows' directions,
-    read through its rows (each direction's row a copy)."""
+def _blocks(f, omegas, grid, orders, ends=()):
+    """F^{(m)} along every direction of omegas on the window, shape
+    (len(orders), J, W): the rows that derivative_blocks filters for
+    shared_rows' directions, read through its rows (each direction's row a
+    copy).  With ends, also their values at the window's first node,
+    shape (len(ends), J)."""
     filtered, rows = shared_rows(f, omegas)
-    return np.concatenate(
-        [F for _, F in derivative_blocks(f, filtered, grid, orders)],
-        axis=1)[:, rows]
+    blocks = list(derivative_blocks(f, filtered, grid, orders, ends))
+    F = np.concatenate([F for _, F, _ in blocks], axis=1)[:, rows]
+    if not ends:
+        return F
+    return F, np.concatenate([E for _, _, E in blocks], axis=1)[:, rows]
 
 
 def _per_direction(f):
@@ -192,9 +243,8 @@ class TestRadialRoute:
             F = _blocks(f, omegas, grid, (0,))[0, 0]
             direct = _blocks(_per_direction(f), omegas, grid, (0,))[0, 0]
             assert np.max(np.abs(F - direct)) <= 1e-12 * np.max(np.abs(direct))
-            mask = np.abs(grid.nodes) <= 1.0
-            exact = _dawson_profile(grid.nodes[mask], s2, a)
-            errors.append(np.max(np.abs(F[mask] - exact)) / np.max(np.abs(exact)))
+            exact = _dawson_profile(grid.nodes[grid.knot_window], s2, a)
+            errors.append(np.max(np.abs(F - exact)) / np.max(np.abs(exact)))
         # grid-limited, not exact: 2.3e-4 -> 5.0e-5 (s2 = a = 1) and
         # 1.0e-4 -> 2.5e-5 (s2 = 0.5, a = 2) measured
         assert errors[0] <= 3e-4
@@ -210,12 +260,10 @@ class TestRadialRoute:
         F = _blocks(f, omegas, grid, (0,))[0]
         _assert_rows_close(F, _blocks(_per_direction(f), omegas, grid, (0,))[0],
                            1e-12)
-        mask = np.abs(grid.nodes) <= 1.0
-        b = grid.nodes[mask]
+        b = grid.nodes[grid.knot_window]
         radon = gaussian_radon_oracle(spec, omegas[0], b)
         exact = -radon * (b ** 2 / s2 ** 2 - 1.0 / s2) / (8.0 * np.pi ** 2)
-        _assert_rows_close(F[:, mask], np.broadcast_to(exact, (3, len(b))),
-                           1e-12)
+        _assert_rows_close(F, np.broadcast_to(exact, (3, len(b))), 1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(1, 3), k=st.integers(0, 2),
@@ -290,7 +338,7 @@ class TestRadialRoute:
         norm = a * (2.0 * np.pi * s2) ** (d / 2.0)
         spectrum = norm * np.exp(-s2 * np.abs(t) ** 2 / 2.0)
         rows = _spectrum_to_profile(spectrum[None, :], grid).real
-        F = _apply_multiplier_linear(rows, grid, d, orders)
+        F, _ = _apply_multiplier_linear(rows, grid, d, orders)
         np.testing.assert_array_equal(got, np.broadcast_to(F, got.shape))
         # the cusp reads its quadrature cache at sqrt(t^2), which is |t|
         np.testing.assert_array_equal(np.sqrt(t ** 2), np.abs(t))
@@ -322,8 +370,8 @@ class TestRadialRoute:
             np.testing.assert_array_equal(rows, expected)
             assert rows.dtype == np.intp
             blocks = list(derivative_blocks(g, filtered, grid, (0, 2)))
-            assert [F.shape for _, F in blocks] == (
-                [(2, 1, 64)] if R == 1 else [(2, 3, 64)] * 2 + [(2, 2, 64)])
+            assert [F.shape for _, F, _ in blocks] == (
+                [(2, 1, 17)] if R == 1 else [(2, 3, 17)] * 2 + [(2, 2, 17)])
             tables = peano_tables(g, 1, sphere, grid)
             np.testing.assert_array_equal(tables.rows, expected)
             M = len(tables.knots)
@@ -359,10 +407,12 @@ class TestRadialRoute:
             assert not f.radial
             spectra = radon_slice(f, sphere.nodes, grid)
             rows = _spectrum_to_profile(spectra, grid).real
-            F = _apply_multiplier_linear(rows, grid, d, range(k + 2))
+            [F], E = _apply_multiplier_linear(rows, grid, d, (k + 1,),
+                                              (*range(k + 1), k + 2))
             tables = peano_tables(f, k, sphere, grid)
-            np.testing.assert_array_equal(tables.profiles,
-                                          F[k + 1][:, grid.knot_window])
+            np.testing.assert_array_equal(tables.profiles, F)
+            assert tables.poly == peano_polynomial(d, k, sphere,
+                                                   E[:k + 1].T)[0]
 
     @pytest.mark.parametrize("d,level", [(1, 1), (2, 3), (3, 2)])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -420,12 +470,11 @@ class TestRadialRoute:
 def _tables_row_by_row(f, k, sphere, grid):
     """profiles, cdf, mass and poly of peano_tables as built with one row
     per direction, each direction's F copied into its own row."""
-    window = grid.knot_window
-    knots = grid.nodes[window]
+    knots = grid.nodes[grid.knot_window]
     weights = peano_tables(f, k, sphere, grid).weights
-    F = _blocks(f, sphere.nodes, grid, range(k + 2))
-    profiles = F[k + 1][:, window]
-    at_minus_one = hermite(F[:k + 1], F[1:k + 2], grid, -1.0).T
+    [profiles], at_minus_one = _blocks(f, sphere.nodes, grid, (k + 1,),
+                                       range(k + 1))
+    at_minus_one = at_minus_one.T
     absv = np.abs(profiles)
     cdf = np.zeros_like(absv)
     np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
@@ -480,12 +529,12 @@ class TestPeanoTables:
         sphere = sphere_grid(2, 3)
         k = 1
         tables = peano_tables(f, k, sphere, grid)
-        window = grid.knot_window
-        np.testing.assert_array_equal(tables.knots, grid.nodes[window])
+        np.testing.assert_array_equal(tables.knots,
+                                      grid.nodes[grid.knot_window])
         assert tables.profiles.shape == (len(sphere), 33)
         for row, w in zip(tables.profiles, sphere.nodes):
-            np.testing.assert_array_equal(
-                row, _profile(f, w, grid, (k + 1,))[0][window])
+            np.testing.assert_array_equal(row,
+                                          _profile(f, w, grid, (k + 1,))[0])
         # the trapezoid rule on the knots -1 to 1: h inside, h/2 at the
         # ends, summing to 2 exactly
         np.testing.assert_array_equal(tables.weights[1:-1], grid.h)
@@ -507,22 +556,24 @@ class TestPeanoTables:
                                       LineGrid(16.0, 1024)])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_values_at_minus_one_are_the_first_knot_samples(self, grid, k):
-        # -1 is a node, where the Hermite read returns each sample bit for
-        # bit; the polynomial part and the end term are those of these
-        # samples
+        # -1 is the window's first node: the values there, requested
+        # alone, are its samples to rounding; the polynomial part and the
+        # end term are those of the values of orders 0..k and k + 2 and of
+        # the first knot's sample of F^(k+1)
         f = _two_gaussians(2)
         sphere = sphere_grid(2, 3)
-        F = _blocks(f, sphere.nodes, grid, range(k + 3))
-        first = F[:, :, grid.knot_window.start]
-        np.testing.assert_array_equal(
-            hermite(F[:k + 2], F[1:k + 3], grid, -1.0), first[:k + 2])
+        F, E = _blocks(f, sphere.nodes, grid, range(k + 3), range(k + 3))
+        first = F[:, :, 0]
+        for m in range(k + 3):
+            assert np.max(np.abs(E[m] - first[m])) \
+                <= 1e-13 * np.max(np.abs(F[m]))
         end = np.zeros((len(sphere), k + 1))
-        end[:, k] = grid.h ** 2 / 12.0 * first[k + 2]
+        end[:, k] = grid.h ** 2 / 12.0 * E[k + 2]
         if k >= 1:
             end[:, k - 1] = -grid.h ** 2 / 12.0 * first[k + 1]
         tables = peano_tables(f, k, sphere, grid)
         assert (tables.poly, tables.end_term) == peano_polynomial(
-            2, k, sphere, first[:k + 1].T, end)
+            2, k, sphere, E[:k + 1].T, end)
 
     def test_arrays_are_read_only(self):
         f = make_gaussian(GaussianSpec(d=1))
@@ -618,9 +669,8 @@ class TestPolynomialExpansion:
         sphere = sphere_grid(d, 9)
         filtered, rows = shared_rows(f, sphere.nodes)
         at_minus_one = np.concatenate([
-            hermite(F[:k + 1], F[1:], grid, -1.0).T
-            for _, F in derivative_blocks(f, filtered, grid, range(k + 2))
-        ])[rows]
+            E.T for _, _, E in derivative_blocks(f, filtered, grid, (),
+                                                 range(k + 1))])[rows]
         exact = _exact_polynomial(d, k, sphere, at_minus_one)
         scale = max(abs(c) for c in exact.values())
 
