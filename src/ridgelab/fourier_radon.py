@@ -25,7 +25,8 @@ import numpy as np
 # numpy loads np.fft on first use; loading it with the library keeps that
 # cost out of the first run that filters a profile
 import numpy.fft  # noqa: F401
-from numpy.polynomial.legendre import leggauss
+
+from .quadrature import gauss_legendre
 
 # Fraction of Nyquist above which the spectral taper rolls off.
 TAPER_START = 0.8
@@ -362,7 +363,7 @@ def radon_direct(f, omega, b, resolution=200):
     if r2 <= 0:
         return 0.0
     r = np.sqrt(r2)
-    u, w = leggauss(resolution)
+    u, w = gauss_legendre(resolution)
     u = u * r
     w = w * r
     if d == 2:

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .quadrature import surface_area
+from .quadrature import gauss_legendre, surface_area
 
 # Gauss-Legendre nodes per axis of smooth_approximant's tensor rule on the
 # eps-ball, by dimension (16 beyond d = 3).
@@ -84,22 +83,11 @@ def _bump_raw(r2):
     return out
 
 
-@lru_cache(maxsize=16)
-def _gauss_legendre(n):
-    """numpy's n-node Gauss-Legendre rule on [-1, 1] as read-only (nodes,
-    weights), built once per n.  numpy symmetrizes both, so u[n - 1 - i]
-    == -u[i] and w[n - 1 - i] == w[i] exactly."""
-    u, w = leggauss(n)
-    u.flags.writeable = False
-    w.flags.writeable = False
-    return u, w
-
-
 @lru_cache(maxsize=None)
 def _bump_norm(d):
     """Z_d so that the unit-scale bump integrates to one: the area of
     S^{d-1} times the integral of r^{d-1} exp(-1/(1-r^2)) over [0, 1]."""
-    u, w = _gauss_legendre(BUMP_NORM_NODES)
+    u, w = gauss_legendre(BUMP_NORM_NODES)
     r = 0.5 * (u + 1.0)
     return surface_area(d) * math.fsum(
         0.5 * w * r ** (d - 1) * np.exp(-1.0 / (1.0 - r * r)))
@@ -138,7 +126,7 @@ def _ball_table(d, eps, nodes_per_axis):
     (nodes_per_axis,) * d tensor of weights w_a w_b ... phi_eps(u_a, u_b,
     ...), zero outside the eps-ball.  phi is radial and the rule symmetric,
     so the table is mirror-symmetric along every axis, bit for bit."""
-    u, w = _gauss_legendre(nodes_per_axis)
+    u, w = gauss_legendre(nodes_per_axis)
     u = u * eps
     w = w * eps
     grids = np.meshgrid(*([u] * d), indexing="ij")

@@ -132,37 +132,36 @@ class KnotTable:
 
 
 def _evaluate_dense(net, pts):
-    """sum_i a_i sigma_k(omega_i.x - b_i) from (points x neurons) blocks.
+    """sum_i a_i sigma_k(omega_i.x - b_i) from (neurons x points) blocks.
 
-    omega.x - b is one product of the lifted points [x, -1] with the rows
-    [omega, b]: the bias is the product's last term, so there is no pass
-    that subtracts it.  OpenBLAS adds that term last at d = 2, so the
+    omega.x - b is one product of the rows [omega, b] with the lifted
+    points [x, -1]^T: the bias is the product's last term, so there is no
+    pass that subtracts it.  OpenBLAS adds that term last at d = 2, so the
     values are those of the product and then the subtraction, bit for bit;
-    at d = 1 and 3 some shapes (one point, one neuron, the edge columns of
-    some d = 3 products) add it elsewhere and can differ in the last bit.
+    at d = 3 some shapes (one point, one neuron, some edge rows) add it
+    elsewhere and can differ in the last bit.  Each block is written into
+    one buffer, and sigma_k acts on it in place.
     """
-    lifted = np.empty((len(pts), net.d + 1))
-    lifted[:, :-1] = pts
-    lifted[:, -1] = -1.0
-    # [omega, b] row by row, transposed: with a C-contiguous (d + 1, n)
-    # array instead, OpenBLAS rounds d = 2 products differently from the
-    # product and then the subtraction
-    weights = np.column_stack([net.omega, net.b]).T
-    out = np.empty(len(pts))
+    n, P = len(net.a), len(pts)
+    lifted = np.empty((net.d + 1, P))
+    lifted[:-1] = pts.T
+    lifted[-1] = -1.0
+    weights = np.column_stack([net.omega, net.b])
+    out = np.empty(P)
     # blocks of about 2^16 entries (512 KiB) stay in the second-level cache
-    # from the product through sigma_k (in place) to the row sums.  At
-    # 16384 points, k = 1, d = 2 (one BLAS thread, 2-core Xeon, numpy 2.4)
-    # a call at 1024 neurons took 74 ms with blocks of 2^20 entries and a
-    # separate bias pass, 38 ms with blocks of 2^16 and 28 ms with these
-    # blocks and the lifted product (24, 8.0 and 6.8 ms at 256 neurons);
-    # blocks of 2^15 entries were as fast, 2^14 and 2^17 slower.  The row
-    # sums are a BLAS gemv, which rounds the rows of its groups of four
-    # one way and the 1-3 rows after a block's last group another, so the
-    # block size is part of the last bits of the values.
-    block = max(1, 2 ** 16 // len(net.a))
-    for lo in range(0, len(pts), block):
-        z = lifted[lo:lo + block] @ weights
-        out[lo:lo + block] = _truncated_power(net.k, z) @ net.a
+    # from the product to the sums.  At 16384 points, k = 1, d = 2 (one BLAS
+    # thread, 2-core Xeon, numpy 2.4) a call at 1024 neurons took 12-15 ms,
+    # 18-21 ms in (points x neurons) blocks and 31 ms in blocks of 2^20
+    # entries (3.4-4.4, 4.9-6.7 and 7.9 ms at 256 neurons); 2^14, 2^15 and
+    # 2^17 entries were slower.  The gemv over the neurons rounds a point by
+    # its block's width, so the block size is part of the values' last bits.
+    block = max(1, 2 ** 16 // n)
+    buffer = np.empty(n * min(block, P))
+    for lo in range(0, P, block):
+        hi = min(lo + block, P)
+        z = np.matmul(weights, lifted[:, lo:hi],
+                      out=buffer[:n * (hi - lo)].reshape(n, hi - lo))
+        out[lo:hi] = net.a @ _truncated_power(net.k, z)
     return out
 
 

@@ -70,6 +70,17 @@ class SphereGrid:
         return float(np.dot(self.weights, values))
 
 
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(n):
+    """numpy's n-node Gauss-Legendre rule on [-1, 1] as read-only (nodes,
+    weights), built once per n.  numpy symmetrizes both, so u[n - 1 - i]
+    == -u[i] and w[n - 1 - i] == w[i] exactly."""
+    u, w = leggauss(n)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u, w
+
+
 def sphere_grid(d, level):
     """Deterministic quadrature grid on S^{d-1} for d in {1, 2, 3}.
 
@@ -90,7 +101,7 @@ def sphere_grid(d, level):
     elif d == 3:
         n_pol = level + 1
         n_az = 2 * (level + 1)
-        u, wu = leggauss(n_pol)  # u = cos(polar angle)
+        u, wu = gauss_legendre(n_pol)  # u = cos(polar angle)
         phi = 2.0 * np.pi * np.arange(n_az) / n_az
         su = np.sqrt(1.0 - u ** 2)
         nodes = np.empty((n_pol * n_az, 3))

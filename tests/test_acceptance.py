@@ -9,7 +9,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from ridgelab import fourier_radon
 from ridgelab.cli import ExperimentConfig, run
 from ridgelab.fourier_radon import derivative_blocks, hermite
 from ridgelab.network import poly_to_ridge
@@ -86,7 +88,8 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # 1.626086406081e-05 -> 1.626086406381e-05 and 3.183000154561e-07 ->
 # 3.183000161222e-07, "inversion" stage 1 1.830126860970e-13 ->
 # 1.829016347098e-13.  "mollify" and "peano-offcentre-d3" (odd d, whose
-# circular filter is only sliced) do not move.
+# circular filter is only sliced) do not move.  "radon-check-d2" is the
+# default seed-42 radon-check at d = 2 (test_golden_radon_check_body).
 GOLDEN_BODIES = {
     "sampling": "bc40c5dbcca6be8c6350ff7b27d972680de87d7899c964ca8b5bd4a2574a3b8e",
     "schedule": "d7f2300f6b484b5e6e62d16950649fae28d392e25216018a07a195aa976ca5bf",
@@ -96,6 +99,7 @@ GOLDEN_BODIES = {
     "variation": "6f12b0f10b2bd3804c8121fd402b37878cb617ba9a9f0d8062b2bae440df70a6",
     "peano-offcentre-d2": "5d3def87e3823f727a9b15f27644391aba13e2352a0a4199787b0ca1546d58a2",
     "peano-offcentre-d3": "c9f866390190ac3a30e567fed59bf054a7ae61201f82e5ba7248c1b4572bda1c",
+    "radon-check-d2": "9de6f63c887db8a1e042e79103b1f2890bb6bb1b3f0989f710310c1d67da323f",
 }
 
 
@@ -155,6 +159,29 @@ def test_criterion_01_fourier_slice_consistency(tmp_path):
                                   tolerance=1e-6, seed=42)
         report = run(config, out_dir=str(tmp_path))
         assert report.slopes["max_rel_err"] <= 1e-6
+
+
+def test_golden_radon_check_body(tmp_path):
+    # the default seed-42 radon-check at d = 2.  d = 3 is not pinned: its
+    # sum is one BLAS dot over 40,000 nodes, which OpenBLAS splits by its
+    # thread count (max_rel_err 2.289002796853e-11 under one thread,
+    # 2.288974525256e-11 under two)
+    run(ExperimentConfig(kind="radon-check", d=2, seed=42),
+        out_dir=str(tmp_path))
+    body = _csv_body(tmp_path / "radon-check.csv")
+    assert _body_sha256(body) == GOLDEN_BODIES["radon-check-d2"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radon_check_body_with_a_rule_per_trial(tmp_path, monkeypatch, d):
+    # radon_direct reads its rule from quadrature.gauss_legendre; a rule
+    # built on every trial gives the same body
+    config = ExperimentConfig(kind="radon-check", d=d, trials=5, seed=42)
+    run(config, out_dir=str(tmp_path / "cached"))
+    monkeypatch.setattr(fourier_radon, "gauss_legendre", leggauss)
+    run(config, out_dir=str(tmp_path / "fresh"))
+    assert (_csv_body(tmp_path / "fresh" / "radon-check.csv")
+            == _csv_body(tmp_path / "cached" / "radon-check.csv"))
 
 
 def test_criterion_02_inversion_round_trip(tmp_path):

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
-from ridgelab import fourier_radon
+from ridgelab import fourier_radon, quadrature
 from ridgelab.fourier_radon import (derivative_blocks, hermite, multiplier,
                                     radon_direct, radon_slice,
                                     radon_transform, reconstruct,
@@ -96,6 +97,27 @@ class TestRadonDirect:
         from ridgelab.targets import make_cusp_radial
         f = make_cusp_radial(2.0, 2)
         assert abs(radon_direct(f, np.array([1.0, 0.0]), 1.5)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rule_built_once_per_resolution(self, monkeypatch, d):
+        # every call after the first reads the cached rule: numpy's
+        # leggauss runs once over eight calls
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        quadrature.gauss_legendre.cache_clear()
+        monkeypatch.setattr(quadrature, "leggauss", counting)
+        f = make_gaussian(GaussianSpec(d=d))
+        omegas = sample_directions(d, 4, 5)
+        first = [radon_direct(f, omega, 0.3, resolution=37)
+                 for omega in omegas]
+        again = [radon_direct(f, omega, 0.3, resolution=37)
+                 for omega in omegas]
+        assert calls == [37]
+        assert first == again
 
     def test_linearity(self):
         f = make_gaussian(GaussianSpec(d=2))

@@ -392,12 +392,6 @@ class TestBallTable:
         if d == 2 and not odd:
             assert read[:half].sum() == 768
 
-    def test_gauss_legendre_rule_is_built_once(self):
-        u, w = mollify._gauss_legendre(48)
-        assert mollify._gauss_legendre(48)[0] is u
-        assert not u.flags.writeable and not w.flags.writeable
-        assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
-
 
 class TestSeparableBits:
     """_separable_sum gives the bits of the contraction of the whole table,

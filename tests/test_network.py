@@ -416,13 +416,14 @@ def _random_layer(d, points, neurons, seed):
 
 
 class TestDenseEvaluation:
-    """The dense path forms omega.x - b as one product of the lifted points
-    [x, -1] with [omega, b], in blocks of about 2^16 entries."""
+    """The dense path forms omega.x - b as one product of the rows
+    [omega, b] with the lifted points [x, -1]^T, in (neurons x points)
+    blocks of about 2^16 entries written into one buffer."""
 
     @staticmethod
     def _lifted(x, omega, b):
-        return (np.hstack([x, -np.ones((len(x), 1))])
-                @ np.hstack([omega, b[:, None]]).T)
+        return (np.hstack([omega, b[:, None]])
+                @ np.vstack([x.T, -np.ones((1, len(x)))]))
 
     @settings(max_examples=60, deadline=None)
     @given(points=st.integers(1, 80), neurons=st.integers(1, 700),
@@ -432,41 +433,57 @@ class TestDenseEvaluation:
         # both exactly acc - b; every pinned report body is d = 2
         x, omega, b, _ = _random_layer(2, points, neurons, seed)
         np.testing.assert_array_equal(self._lifted(x, omega, b),
-                                      x @ omega.T - b)
+                                      omega @ x.T - b[:, None])
 
     @pytest.mark.parametrize("d", [1, 3])
     @settings(max_examples=60, deadline=None)
     @given(points=st.integers(1, 80), neurons=st.integers(1, 700),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_lifted_product_within_rounding(self, d, points, neurons, seed):
-        # OpenBLAS's AVX-512 kernels place the bias elsewhere in the sum for
-        # one point or one neuron (a matrix-vector product) and for the
-        # edge columns of some d = 3 products, so there the two can differ
-        # in the last bit: bound them by two sums of d + 1 terms,
-        # 2 gamma_(d+1) sum |terms|
+        # at d = 3 OpenBLAS places the bias elsewhere in the sum for one
+        # point or one neuron (a matrix-vector product) and for some edge
+        # rows of a product, so there the two can differ in the last bit
+        # (d = 1 has shown no such shape): bound them by two sums of d + 1
+        # terms, 2 gamma_(d+1) sum |terms|
         x, omega, b, _ = _random_layer(d, points, neurons, seed)
         eps = np.finfo(float).eps
         gamma = (d + 1) * eps / (1 - (d + 1) * eps)
-        bound = 2 * gamma * (np.abs(x) @ np.abs(omega).T + np.abs(b))
-        assert np.all(np.abs(self._lifted(x, omega, b) - (x @ omega.T - b))
-                      <= bound)
+        bound = 2 * gamma * (np.abs(omega) @ np.abs(x).T + np.abs(b)[:, None])
+        assert np.all(np.abs(self._lifted(x, omega, b)
+                             - (omega @ x.T - b[:, None])) <= bound)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("points,neurons", [(500, 300), (7, 2 ** 16 + 3)])
     def test_dense_matches_two_step_blocks(self, k, points, neurons):
-        # blocks of 2^16 // n rows: 218, 218 and 64 at n = 300, one row
+        # blocks of 2^16 // n points: 218, 218 and 64 at n = 300, one point
         # each above 2^16 neurons; per block the reference forms the
-        # product, then subtracts the bias
+        # product, then subtracts the bias, then sums over the neurons
         x, omega, b, a = _random_layer(2, points, neurons, k)
         block = max(1, 2 ** 16 // neurons)
         expected = np.empty(points)
         for lo in range(0, points, block):
-            z = x[lo:lo + block] @ omega.T
-            z -= b
-            expected[lo:lo + block] = activation(k, z) @ a
+            z = omega @ x[lo:lo + block].T
+            z -= b[:, None]
+            expected[lo:lo + block] = a @ activation(k, z)
         net = ShallowNetwork(d=2, k=k, a=a, omega=omega, b=b)
         np.testing.assert_array_equal(network._evaluate_dense(net, x),
                                       expected)
+
+    def test_one_block_buffer(self):
+        # a sweep's widest sampled network on its lattice: the lifted
+        # points, the output and one (n x 64) block buffer, and no array
+        # per block (the 256 blocks would hold 512 KiB each)
+        points, neurons = 16384, 1024
+        x, omega, b, a = _random_layer(2, points, neurons, 0)
+        net = ShallowNetwork(d=2, k=1, a=a, omega=omega, b=b)
+        tracemalloc.start()
+        try:
+            network._evaluate_dense(net, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lifted, out, buffer = 3 * points * 8, points * 8, 2 ** 16 * 8
+        assert peak <= lifted + out + buffer + 64 * 1024
 
 
 class TestFromQuadrature:

@@ -7,7 +7,8 @@ from scipy.stats import qmc
 
 from ridgelab.quadrature import (BallSampler, LineGrid, _sobol,
                                  ball_points, ball_volume, component_seed,
-                                 sample_directions, sphere_grid, surface_area)
+                                 gauss_legendre, sample_directions,
+                                 sphere_grid, surface_area)
 
 
 class TestSphereGrid:
@@ -44,6 +45,14 @@ class TestSphereGrid:
         grid = sphere_grid(3, 6)
         val = grid.integrate(grid.nodes[:, 0] * grid.nodes[:, 1])
         np.testing.assert_allclose(val, 0.0, atol=1e-12)
+
+
+class TestGaussLegendre:
+    def test_gauss_legendre_rule_is_built_once(self):
+        u, w = gauss_legendre(48)
+        assert gauss_legendre(48)[0] is u
+        assert not u.flags.writeable and not w.flags.writeable
+        assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
 
 
 class TestSampleDirections:
