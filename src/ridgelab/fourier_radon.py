@@ -353,7 +353,9 @@ def derivative_blocks(f, omegas, grid, orders, ends=()):
 def radon_direct(f, omega, b, resolution=200):
     """Hyperplane quadrature of f over {x : omega.x = b}, d in {2, 3}.
 
-    Independent of the spectral route; serves as its oracle.
+    Independent of the spectral route; serves as its oracle.  The weighted
+    values are added by numpy's pairwise sum, not a BLAS dot product, so
+    the value does not depend on the BLAS thread count.
     """
     omega = _check_unit(omega)
     d = f.d
@@ -369,7 +371,7 @@ def radon_direct(f, omega, b, resolution=200):
     if d == 2:
         perp = np.array([-omega[1], omega[0]])
         pts = b * omega[None, :] + u[:, None] * perp[None, :]
-        return float(np.dot(w, f.evaluate(pts)))
+        return float(np.sum(w * f.evaluate(pts)))
     # d == 3: orthonormal basis of the plane through b*omega
     ref = np.array([1.0, 0.0, 0.0])
     if abs(np.dot(ref, omega)) > 0.9:
@@ -382,7 +384,7 @@ def radon_direct(f, omega, b, resolution=200):
     pts = (b * omega[None, :]
            + uu.ravel()[:, None] * e1[None, :]
            + vv.ravel()[:, None] * e2[None, :])
-    return float(np.dot(ww.ravel(), f.evaluate(pts)))
+    return float(np.sum(ww.ravel() * f.evaluate(pts)))
 
 
 def reconstruct(f, x, sphere, grid):

@@ -11,12 +11,13 @@ whose error against f is controlled by the s-fold difference of f.
 
 smooth_approximant integrates over the eps-ball by a tensor Gauss-Legendre
 rule, its weight table built on each call from a rule built once per node
-count.  Targets with factors (Gaussians and combines of Gaussians, see
-TargetFunction) are summed axis by axis from their per-axis factors,
-reading only the leading half of the mirror-symmetric table and, in it,
-only the blocks that hold nonzero weights; every other target, such as
-the cusp, and any plain callable f is called on tiles of translates, one
-value per ball node.
+count and divided by its own sum, so that the discrete mollifier has mass
+one and reproduces constants; Z_d serves mollifier_value only.  Targets
+with factors (Gaussians and combines of Gaussians, see TargetFunction) are
+summed axis by axis from their per-axis factors, each folded onto the
+mirror-symmetric table's orthant, reading in it only the blocks that hold
+nonzero weights; every other target, such as the cusp, and any plain
+callable f is called on tiles of translates, one value per ball node.
 """
 
 import math
@@ -44,22 +45,18 @@ BUMP_NORM_NODES = 256
 # with 2 MiB L2 per core, numpy 2.4; ranges over 3 interleaved sessions),
 # through the tile loop: 2^12 pairs 0.33-0.47 s, 2^13 0.27-0.36 s, 2^14
 # 0.22-0.30 s, 2^15 0.25-0.31 s, 2^16 0.30-0.37 s, 2^17 0.35-0.43 s.  2^14
-# led two sessions and tied 2^13 in the third.  Through the banded
-# separable sum (best of 3; ranges over 3 sessions): 0.09-0.13 s at 2^10,
-# 0.05-0.07 s at 2^12, 0.04-0.06 s at 2^13 and 2^14, 0.04-0.07 s at 2^15,
-# 0.06-0.09 s at 2^17 and 2^18; at d = 3 (512 points, s = 2, eps = 0.5,
-# 0.25, 0.125) 21-33 ms at 2^12, 10-22 ms at 2^14 and 2^15 and 9-17 ms
-# from 2^16 to 2^18.  Smaller tiles pay more calls, larger ones leave the
-# cache.
+# led two sessions and tied 2^13 in the third.  Through the separable sum
+# over the orthant (best of 5, 3 sessions): 30-45 ms at 2^12, 23-32 ms at
+# 2^13, 21-30 ms at 2^14, 19-27 ms at 2^15, 20-27 ms at 2^16 and 41-56 ms
+# at 2^17; at d = 3 (512 points, s = 2, eps = 0.5, 0.25, 0.125) 8-10 ms at
+# 2^12, 3.3-4.8 ms at 2^14 and 2.2-4.3 ms from 2^15 to 2^17.  Smaller tiles
+# pay more calls, larger ones leave the cache.
 TILE_PAIRS = 2 ** 14
 
-# Rows of the ball table per einsum call of the separable sum, and the
-# multiple of entries to which each call's column band is rounded.  numpy's
-# einsum sums a pair of contiguous rows into one accumulator of two-double
-# vectors (its 128-bit baseline build), four vectors per step: a band that
-# starts and ends on a multiple of 8 entries keeps every entry in the lane
-# and the step it had in the whole row, and every step it drops adds only
-# zero products, so the values keep their bits.
+# Rows of the ball table's orthant per einsum call of the separable sum.
+# The same seven calls took 25-27 ms in groups of 2 rows, 22-29 ms of 4,
+# 20-23 ms of 8, 21-31 ms of 12 and 22-36 ms of 24 (d = 3: 3.3-4.7 ms at
+# 8): fewer rows read fewer zero entries and pay more calls.
 BAND = 8
 
 
@@ -123,20 +120,20 @@ def finite_difference(f, y, s, x):
 
 def _ball_table(d, eps, nodes_per_axis):
     """(u, table): the Gauss-Legendre nodes u on [-eps, eps] and the
-    (nodes_per_axis,) * d tensor of weights w_a w_b ... phi_eps(u_a, u_b,
-    ...), zero outside the eps-ball.  phi is radial and the rule symmetric,
+    (nodes_per_axis,) * d tensor of weights w_a w_b ... phi(u_a, u_b, ...)
+    of the unit-scale rule, zero outside the ball, divided by their own sum.
+
+    The table has mass one by construction, so no run needs the bump's
+    norm Z_d, and it does not depend on eps: the rule scales with the ball,
+    and the division cancels eps^d.  phi is radial and the rule symmetric,
     so the table is mirror-symmetric along every axis, bit for bit."""
     u, w = gauss_legendre(nodes_per_axis)
-    u = u * eps
-    w = w * eps
-    grids = np.meshgrid(*([u] * d), indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    wts = np.ones(len(pts))
-    for axis in range(d):
-        wts *= np.tile(np.repeat(w, nodes_per_axis ** (d - 1 - axis)),
-                       nodes_per_axis ** axis)
-    table = wts * mollifier_value(MollifierSpec(d=d, eps=eps), pts)
-    return u, table.reshape((nodes_per_axis,) * d)
+    grids = np.meshgrid(*([u] * d), indexing="ij", sparse=True)
+    table = _bump_raw(sum(g * g for g in grids))
+    for g in np.meshgrid(*([w] * d), indexing="ij", sparse=True):
+        table *= g
+    table /= table.sum()
+    return u * eps, table
 
 
 def _ball_quadrature(d, eps, nodes_per_axis):
@@ -147,24 +144,18 @@ def _ball_quadrature(d, eps, nodes_per_axis):
     return np.column_stack([u[i] for i in keep]), table[keep]
 
 
-def _bands(table):
-    """The blocks of the table that _separable_sum reads: (r0, r1, lo, hi)
-    for each group of BAND rows r0 <= a < r1 of the leading half,
-    a < ceil(n / 2), such that every nonzero entry of table[r0:r1] has its
-    other indices in [lo, hi).  lo and hi are multiples of BAND, or hi is
-    n; a group with no nonzero entry (or a table with one axis) has
-    lo = hi = 0.  Read from the built table: phi can underflow to zero
-    inside the ball's rim."""
-    n = len(table)
-    half = (n + 1) // 2
+def _bands(orthant):
+    """The blocks of the orthant table[:k, ..., :k], k = ceil(n / 2), that
+    _separable_sum reads: (r0, r1, lo, hi) for each group of BAND rows
+    r0 <= a < r1, with [lo, hi) the least range that holds the other
+    indices of every nonzero entry of orthant[r0:r1].  A group with no
+    nonzero entry (or a table with one axis) has lo = hi = 0.  Read from
+    the built table: phi can underflow to zero inside the ball's rim."""
     bands = []
-    for r0 in range(0, half, BAND):
-        r1 = min(r0 + BAND, half)
-        cols = np.array(np.nonzero(table[r0:r1])[1:])
-        lo = hi = 0
-        if cols.size:
-            lo = BAND * (int(cols.min()) // BAND)
-            hi = min(n, BAND * math.ceil((cols.max() + 1) / BAND))
+    for r0 in range(0, len(orthant), BAND):
+        r1 = min(r0 + BAND, len(orthant))
+        cols = np.array(np.nonzero(orthant[r0:r1])[1:])
+        lo, hi = (int(cols.min()), int(cols.max()) + 1) if cols.size else (0, 0)
         bands.append((r0, r1, lo, hi))
     return bands
 
@@ -243,66 +234,79 @@ def _tiled_sum(f, s, pts, ynodes, yw):
 def _separable_sum(factors, s, pts, u, table):
     """The sum of _tiled_sum for f = sum of c prod_i g(z)[i] (factors).
 
-    Over the tensor rule the sum factorizes.  For each term the table is
-    contracted against the per-axis factors g(x_p,i - t u_a), one axis at
-    a time from the last: d n exponentials per point and translate instead
-    of one call of f per ball node.  Axes d-1..1 are contracted by numpy
-    einsum loops (no BLAS); axis 0 by a product with the factor scaled by
-    c and numpy's pairwise sum along each row, which keeps a value within
-    a few ulp of the exact sum.
+    Over the tensor rule the sum factorizes.  The table is mirror-symmetric
+    along every axis, so each per-axis factor g(x_p,i - t u_a) is folded,
+    h[a] = g[a] + g[n - 1 - a] for a < n // 2 and the middle node alone for
+    odd n, and only the orthant table[:k, ..., :k], k = ceil(n / 2), is
+    contracted against the folded factors, one axis at a time from the
+    last: d n exponentials per point and translate instead of one call of f
+    per ball node, and at most k^d table entries instead of n^d.  The
+    orthant's rows are contracted BAND at a time over their band of
+    nonzero entries (_bands), by numpy einsum loops (no BLAS); the folded
+    factor of axis 0, scaled by c, then weights the partial sums.
 
-    The table is mirror-symmetric along every axis, so the partial sum over
-    axes 1..d-1 is mirror-symmetric along axis 0: only its leading
-    ceil(n/2) rows are contracted, and the last product reads them twice.
-    Those rows are contracted BAND at a time over their band of nonzero
-    entries (_bands), which drops only whole zero steps of einsum's sum, so
-    every value has the bits of the contraction of the whole table.  Each
-    point's row is summed alone, into C-ordered buffers, so the values
-    depend on neither the tile height nor the BLAS thread count.  Tiles
-    hold whole points, at most TILE_PAIRS entries per axis factor and per
-    whole partial sum, or else one point.
+    The point axis is last and contiguous in every buffer, so each sum over
+    a table axis is a sequence of multiply-adds, one per entry in index
+    order, over the tile's points at once: a dropped zero entry would have
+    added zero, and a point's value has the same bits for every tile
+    height and under any BLAS thread count.  numpy would sum along a lone
+    point's row instead, in another order, so a tile of one point is
+    summed as two: the point and a copy of it.  Tiles hold whole points, at
+    most TILE_PAIRS entries per axis factor and per whole partial sum, or
+    else two points.
     """
-    d, n = table.ndim, len(u)
-    half = (n + 1) // 2
-    rows = max(1, TILE_PAIRS // n ** max(1, d - 1))
-    height = min(rows, len(pts))
+    d, n, P = table.ndim, len(u), len(pts)
+    half, pairs = (n + 1) // 2, n // 2
+    orthant = table[(slice(half),) * d]
+    rows = max(2, TILE_PAIRS // max(n, half ** (d - 1)))
+    height = min(rows, max(P, 2))
     axes = "abcdefghijklmno"[:d]
     # steps[i - 1] contracts axis i of the partial sum over axes i..d-1
     # into partial[i - 1]; the table itself has no point axis
-    steps = ["p%s,p%s->p%s" % (axes[:i + 1], axes[i], axes[:i])
+    steps = ["%sp,%sp->%sp" % (axes[:i + 1], axes[i], axes[:i])
              for i in range(1, d)]
-    steps[-1:] = [step[1:] for step in steps[-1:]]
-    partial = [np.empty((height, half) + (n,) * (i - 1)) for i in range(1, d)]
-    bands = _bands(table)
-    shifted = np.empty((d, height, n))
-    last = np.empty((height, n))
-    out = np.zeros(len(pts))
-    acc = np.empty(len(pts))
+    steps[-1:] = [step.replace("p", "", 1) for step in steps[-1:]]
+    partial = [np.empty((half,) * i + (height,)) for i in range(1, d)]
+    bands = _bands(orthant)
+    # the points axis-major, and after them a copy of the last point
+    coords = np.empty((d, P + 1))
+    coords[:, :P] = pts.T
+    coords[:, P] = coords[:, P - 1] if P else 0.0
+    # the translates x_p - t u_a of each node a of the orthant, then those
+    # of its mirror node n - 1 - a: x_p + t u_a
+    shifted = np.empty((d, 2, half, height))
+    folded = np.empty((d, half, height))
+    out = np.zeros(P)
+    acc = np.empty(P + 1)
     for t, coef in binomial_weights(s):
-        for p in range(0, len(pts), rows):
-            tile = pts[p:p + rows]
-            m = len(tile)
-            z = shifted[:, :m]
-            # the translates x_p - (t y_j) of _tiled_sum, axis by axis
-            np.subtract(tile.T[:, :, None], t * u, out=z)
+        tu = (t * u[:half])[:, None]
+        for p in range(0, P, rows):
+            m = max(2, min(rows, P - p))
+            x = coords[:, None, p:p + m]
+            z = shifted[..., :m]
+            np.subtract(x, tu, out=z[:, 0])
+            np.add(x, tu, out=z[:, 1])
+            h = folded[..., :m]
             sums = acc[p:p + m]
             sums[:] = 0.0
             for c, g in factors:
                 fz = g(z)
+                np.add(fz[:, 0, :pairs], fz[:, 1, :pairs], out=h[:, :pairs])
+                h[:, pairs:] = fz[:, 0, pairs:]
                 for r0, r1, lo, hi in bands:
                     block = (slice(r0, r1),) + (slice(lo, hi),) * (d - 1)
-                    v = table[block]
+                    v = orthant[block]
                     for i in range(d - 1, 0, -1):
-                        v = np.einsum(steps[i - 1], v, fz[i][:, lo:hi],
-                                      out=partial[i - 1][(slice(m),)
-                                                         + block[:i]])
-                v = partial[0][:m] if partial else table[:half]
+                        v = np.einsum(steps[i - 1], v, h[i, lo:hi],
+                                      out=partial[i - 1][block[:i]
+                                                         + (slice(m),)])
+                v = partial[0][..., :m] if partial else orthant[:, None]
                 # the coefficient scales the factor, not the sum
-                w = np.multiply(fz[0], c, out=last[:m])
-                w[:, :half] *= v
-                w[:, half:] *= v[..., :n - half][..., ::-1]
-                sums += np.add.reduce(w, axis=1)
-        out += coef * acc
+                w = h[0]
+                w *= c
+                w *= v
+                sums += np.add.reduce(w, axis=0)
+        out += coef * acc[:P]
     return out
 
 

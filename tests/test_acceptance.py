@@ -90,16 +90,32 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # 1.829016347098e-13.  "mollify" and "peano-offcentre-d3" (odd d, whose
 # circular filter is only sliced) do not move.  "radon-check-d2" is the
 # default seed-42 radon-check at d = 2 (test_golden_radon_check_body).
+# "schedule" and "mollify" moved when the mollifier's ball table began to
+# divide by its own sum, so that it has mass one, in place of the bump's
+# norm Z_d (its mass minus one was +3.4e-8 at d = 2), and when the
+# separable sum began to fold each per-axis factor, read the table's
+# orthant only and sum over the table's axes with the point axis last
+# (tests/test_mollify.py, TestSeparableBits): "schedule" errors 2.967920425826e-01 -> 2.967920892681e-01
+# at n = 16 and 1.998853689374e-04 -> 1.999323521411e-04 at n = 1024,
+# "mollify" 7.199142442487e-05 -> 7.194446225985e-05 at eps = 1/64 and
+# 1.779818321192e-02 -> 1.779813559014e-02 at eps = 1/4.
+# "radon-check-d2" moved, and "radon-check-d3" is pinned, since
+# radon_direct adds its weighted values by numpy's pairwise sum, not a
+# BLAS dot: the d = 3 body no longer depends on the BLAS thread count
+# (max_rel_err 2.289002796853e-11 under one thread and
+# 2.288974525256e-11 under two before, 2.288967457357e-11 under both
+# now), and d = 2 reads 2.289241120709e-11 -> 2.289232262411e-11.
 GOLDEN_BODIES = {
     "sampling": "bc40c5dbcca6be8c6350ff7b27d972680de87d7899c964ca8b5bd4a2574a3b8e",
-    "schedule": "d7f2300f6b484b5e6e62d16950649fae28d392e25216018a07a195aa976ca5bf",
+    "schedule": "543f9d3b313f87c23d76019dc0c54aad6958e74fdf0bc344e2b41eb3193daf57",
     "peano-d2k2": "3c4becc1f44cedc8703fd735ba24b1fd3c09e97c7ab7c20b60a3949174bf1870",
-    "mollify": "325d170b994d8bb7674d967fe294ebaee99f853bb965acc6bc18902f4174c0aa",
+    "mollify": "fb39475beb0ba81bad35044820a91931ce54a9f782145e1ef282e927eb69124a",
     "inversion": "567aba4466a9f24d843ed9610b22e5e10b97ca88ca986dd2f5f51e5002f7cd7c",
     "variation": "6f12b0f10b2bd3804c8121fd402b37878cb617ba9a9f0d8062b2bae440df70a6",
     "peano-offcentre-d2": "5d3def87e3823f727a9b15f27644391aba13e2352a0a4199787b0ca1546d58a2",
     "peano-offcentre-d3": "c9f866390190ac3a30e567fed59bf054a7ae61201f82e5ba7248c1b4572bda1c",
-    "radon-check-d2": "9de6f63c887db8a1e042e79103b1f2890bb6bb1b3f0989f710310c1d67da323f",
+    "radon-check-d2": "10b904052e002d615b6288d2b4210743af7300fd1a75a91088b82fc8695da6dc",
+    "radon-check-d3": "74f90dc081d8c28ed12e6d31dc12f0efc9acbdc4da7b0e871110f33b0be380f6",
 }
 
 
@@ -161,15 +177,15 @@ def test_criterion_01_fourier_slice_consistency(tmp_path):
         assert report.slopes["max_rel_err"] <= 1e-6
 
 
-def test_golden_radon_check_body(tmp_path):
-    # the default seed-42 radon-check at d = 2.  d = 3 is not pinned: its
-    # sum is one BLAS dot over 40,000 nodes, which OpenBLAS splits by its
-    # thread count (max_rel_err 2.289002796853e-11 under one thread,
-    # 2.288974525256e-11 under two)
-    run(ExperimentConfig(kind="radon-check", d=2, seed=42),
+@pytest.mark.parametrize("d", [2, 3])
+def test_golden_radon_check_body(tmp_path, d):
+    # the default seed-42 radon-check: hyperplane sums over 200 and 40,000
+    # nodes, added pairwise, so the body is the same under any BLAS
+    # thread count
+    run(ExperimentConfig(kind="radon-check", d=d, seed=42),
         out_dir=str(tmp_path))
     body = _csv_body(tmp_path / "radon-check.csv")
-    assert _body_sha256(body) == GOLDEN_BODIES["radon-check-d2"]
+    assert _body_sha256(body) == GOLDEN_BODIES["radon-check-d%d" % d]
 
 
 @pytest.mark.parametrize("d", [2, 3])

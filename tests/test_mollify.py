@@ -111,6 +111,15 @@ class TestSmoothApproximant:
         np.testing.assert_allclose(smooth_approximant(lin, 1, 0.25, x),
                                    x[:, 0], atol=1e-10)
 
+    def test_tiny_eps_has_no_mass_floor(self, tmp_path):
+        # a table of mass 1 - 5.35e-5 read 8.2355e-05 here at every eps
+        from ridgelab.cli import ExperimentConfig, run
+        config = ExperimentConfig(kind="mollify-sweep", d=3, s=7,
+                                  epsilons=(1e-9, 1e-8, 1e-7), seed=42)
+        errors = [row[-1] for row in run(config, out_dir=str(tmp_path)).rows]
+        assert len(errors) == 3
+        assert max(errors) < 1e-12
+
     def test_converges_as_eps_shrinks(self):
         f = make_gaussian(GaussianSpec(d=1))
         x = np.array([[0.2]])
@@ -335,33 +344,81 @@ def _table(d, eps):
     return mollify._ball_table(d, eps, mollify.NODES_PER_AXIS.get(d, 16))
 
 
+def _orthant(table):
+    """table[:k, ..., :k], k = ceil(n / 2): the part _separable_sum reads."""
+    return table[(slice((len(table) + 1) // 2),) * table.ndim]
+
+
+def _fold(fz):
+    """h[a] = g[a] + g[n - 1 - a] for a < n // 2, and the middle entry
+    alone for odd n, along axis 1 of fz (the node axis)."""
+    n = fz.shape[1]
+    pairs = [fz[:, a] + fz[:, n - 1 - a] for a in range(n // 2)]
+    return np.ascontiguousarray(np.stack(pairs + [fz[:, n // 2]] * (n % 2),
+                                         axis=1))
+
+
 def _full_table_sum(factors, s, pts, u, table):
-    """The separable sum over the whole table, all points in one tile: the
-    einsum chain that reads every row and column.  The reference for the
-    bits of _separable_sum, which reads half the rows and their bands."""
+    """The separable sum over the whole orthant, all points in one tile:
+    each factor folded, then an einsum per table axis that reads every row
+    and column of the orthant, the point axis last and contiguous.  The
+    reference for the bits of _separable_sum, which reads the orthant's
+    rows in bands.  At least two points: numpy sums along a lone point's
+    row in another order."""
+    assert len(pts) >= 2
+    d = table.ndim
+    axes = "abcdefghijklmno"[:d]
+    coords = np.ascontiguousarray(pts.T)
+    out = np.zeros(len(pts))
+    for t, coef in binomial_weights(s):
+        z = coords[:, None, :] - (t * u)[:, None]
+        sums = np.zeros(len(pts))
+        for c, g in factors:
+            h = _fold(g(z))
+            v = np.einsum("%s,%sp->%sp" % (axes, axes[-1], axes[:-1]),
+                          _orthant(table), h[-1]) if d > 1 else None
+            for i in range(d - 2, 0, -1):
+                v = np.einsum("%sp,%sp->%sp" % (axes[:i + 1], axes[i],
+                                                axes[:i]), v, h[i])
+            v = _orthant(table)[:, None] if v is None else v
+            sums += np.add.reduce(h[0] * c * v, axis=0)
+        out += coef * sums
+    return out
+
+
+def _whole_table_sum(factors, s, pts, u, table):
+    """The separable sum over the whole table, unfolded: an einsum per
+    table axis that reads all n^d entries, each point's row summed alone."""
     d, n = table.ndim, len(u)
     axes = "abcdefghijklmno"[:d]
-    steps = ["p%s,p%s->p%s" % (axes[:i + 1], axes[i], axes[:i])
-             for i in range(1, d)]
-    steps[-1:] = [step[1:] for step in steps[-1:]]
     out = np.zeros(len(pts))
     for t, coef in binomial_weights(s):
         z = pts.T[:, :, None] - t * u
         sums = np.zeros(len(pts))
         for c, g in factors:
             fz = g(z)
-            v = table
+            v, spec = table, axes
             for i in range(d - 1, 0, -1):
-                v = np.einsum(steps[i - 1], v, fz[i],
-                              out=np.empty((len(pts),) + (n,) * i))
+                v = np.einsum("%s,p%s->p%s" % (spec, axes[i], axes[:i]), v,
+                              fz[i])
+                spec = "p" + axes[:i]
             sums += np.add.reduce(fz[0] * c * v, axis=1)
         out += coef * sums
     return out
 
 
+def _constant(d, value):
+    """A target that is value everywhere, with one constant factor."""
+    from ridgelab.targets import TargetFunction
+    return TargetFunction(
+        d=d, evaluate=lambda x: np.full(np.shape(x)[:-1], value),
+        fourier=None, support_radius=np.inf,
+        factors=((value, lambda z: np.ones(np.shape(z))),))
+
+
 class TestBallTable:
-    """The separable sum reads the leading half of the weight table, in
-    bands; what it leaves out must be the mirror image or exact zeros."""
+    """The table has mass one; the separable sum reads its orthant, in
+    bands, and what it leaves out must be the mirror image or exact zeros."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("eps", [1.0, 0.5, 0.0625, 1e-3])
@@ -377,30 +434,68 @@ class TestBallTable:
         assert n % 2 == odd
         for axis in range(d):
             assert np.array_equal(table, np.flip(table, axis))
-        half = (n + 1) // 2
-        read = np.zeros(table.shape, bool)
-        bands = mollify._bands(table)
+        orthant = _orthant(table)
+        half = len(orthant)
+        read = np.zeros(orthant.shape, bool)
+        bands = mollify._bands(orthant)
         assert [r0 for r0, _, _, _ in bands] == list(range(0, half,
                                                            mollify.BAND))
         for r0, r1, lo, hi in bands:
             assert r1 == min(r0 + mollify.BAND, half)
-            assert lo % mollify.BAND == 0
-            assert hi % mollify.BAND == 0 or hi == n
+            block = orthant[r0:r1]
+            if d > 1 and np.any(block):
+                # the least range: an entry at lo and one at hi - 1 (the
+                # table is symmetric in its axes, so axis 1 shows both)
+                assert np.any(block[:, lo]) and np.any(block[:, hi - 1])
             read[(slice(r0, r1),) + (slice(lo, hi),) * (d - 1)] = True
-        assert np.all(table[:half][~read[:half]] == 0.0)
-        # the bands drop zeros at d = 2: 768 of the half's 1,152 entries
-        if d == 2 and not odd:
-            assert read[:half].sum() == 768
+        assert np.all(orthant[~read] == 0.0)
+        # entries read per point and translate: 384 of the d = 2 orthant's
+        # 576 (768 of the whole table's 2,304 before the fold), and 712 of
+        # the d = 3 orthant's 1,000 (4,000 before)
+        if d == 2:
+            assert read.sum() == 384
+        if d == 3:
+            assert read.sum() == 712
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eps", [1.0, 0.5, 0.0625, 1e-3])
+    def test_unit_mass(self, d, eps):
+        table = _table(d, eps)[1]
+        assert abs(math.fsum(table.ravel()) - 1.0) <= 1e-15
+        assert np.all(table >= 0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_constant_is_reproduced_by_both_paths(self, d, s):
+        f = _constant(d, 1.0)
+        pts = _points(d, 20)
+        for eps in (1.0, 0.25, 1e-3):
+            separable = smooth_approximant(f, s, eps, pts)
+            tiled = smooth_approximant(f.evaluate, s, eps, pts)
+            np.testing.assert_allclose(separable, 1.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(tiled, 1.0, rtol=0, atol=1e-15)
+
+    def test_no_run_builds_the_norm_rule(self, monkeypatch):
+        # the table's division by its own sum replaces Z_d
+        def refuse(d):
+            raise AssertionError("bump norm read")
+        monkeypatch.setattr(mollify, "_bump_norm", refuse)
+        for d in (1, 2, 3):
+            f = _targets(d)["gaussian"]
+            pts = _points(d, 5)
+            smooth_approximant(f, 2, 0.25, pts)
+            smooth_approximant(f.evaluate, 2, 0.25, pts)
 
 
 class TestSeparableBits:
-    """_separable_sum gives the bits of the contraction of the whole table,
-    for every tile size and under any BLAS thread count."""
+    """_separable_sum gives the bits of the folded contraction of the whole
+    orthant, for every tile size and under any BLAS thread count."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3])
     @pytest.mark.parametrize("odd", [False, True])
-    def test_equals_the_full_table_contraction(self, monkeypatch, d, s, odd):
+    def test_equals_the_whole_orthant_contraction(self, monkeypatch, d, s,
+                                                  odd):
         n = mollify.NODES_PER_AXIS[d]
         if odd:
             monkeypatch.setitem(mollify.NODES_PER_AXIS, d, n - 1)
@@ -424,12 +519,34 @@ class TestSeparableBits:
         u, table = _table(d, 0.5)
         table = table.copy()
         table[:mollify.BAND] = table[-mollify.BAND:] = 0.0
-        assert mollify._bands(table)[0][2:] == (0, 0)
+        assert mollify._bands(_orthant(table))[0][2:] == (0, 0)
         f = _targets(d)["combine"]
         pts = _points(d, 30)
         assert np.array_equal(mollify._separable_sum(f.factors, 2, pts, u,
                                                      table),
                               _full_table_sum(f.factors, 2, pts, u, table))
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_agrees_with_the_unfolded_whole_table(self, monkeypatch, d, s,
+                                                  odd):
+        # the fold reorders the sum only: within 1e-15 of the sum of the
+        # absolute terms of the contraction of all n^d entries
+        n = mollify.NODES_PER_AXIS[d]
+        if odd:
+            monkeypatch.setitem(mollify.NODES_PER_AXIS, d, n - 1)
+        pts = _points(d, 12)
+        for eps in (0.5, 0.0625):
+            u, table = _table(d, eps)
+            for f in _gaussians(d):
+                folded = mollify._separable_sum(f.factors, s, pts, u, table)
+                whole = _whole_table_sum(f.factors, s, pts, u, table)
+                for x, a, b in zip(pts, folded, whole):
+                    size = math.fsum(abs(term) for term
+                                     in _fsum_terms(f, s, eps, x))
+                    assert abs(a - b) <= 1e-15 * size
 
 
 class TestSeparableApproximant:

@@ -234,6 +234,31 @@ class TestGroupedEvaluation:
         np.testing.assert_allclose(poly_to_ridge(p, 2)(pts), p(pts),
                                    rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("d,level", [(1, 1), (2, 8), (3, 6)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_value_does_not_depend_on_the_block(self, d, level, k):
+        # enough directions that the points span several blocks of 2^14
+        # (point, direction) entries.  One call gives the bits of calls on
+        # chunks of 2, 7 and 37 points, none of them a single point: numpy
+        # takes a one-row product omega.x through gemv, which can round
+        # the last bit of u otherwise than gemm, so a single point is only
+        # held to the rounding
+        f = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.1), width=0.6))
+        net = from_quadrature(peano_tables(f, k, sphere_grid(d, level),
+                                           LineGrid(4.0, 256)))
+        table = net.table
+        pts = ball_points(BallSampler(d=d, mode="pseudo-random", count=404,
+                                      seed=5))
+        assert d == 1 or len(pts) > 2 * (2 ** 14 // len(table.directions))
+        whole = network._evaluate_grouped(k, table, pts)
+        for size in (2, 7, 37):
+            parts = [network._evaluate_grouped(k, table, pts[lo:lo + size])
+                     for lo in range(0, len(pts), size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+        single = [network._evaluate_grouped(k, table, x[None]) for x in pts]
+        np.testing.assert_allclose(np.concatenate(single), whole, rtol=0,
+                                   atol=1e-14 * (1.0 + net.l1_mass))
+
     def test_agrees_with_dense_path(self):
         net = from_quadrature(self._tables(3, 2))
         pts = self._points(3)
