@@ -1,9 +1,11 @@
 """Finite shallow ReLU^k networks and their constructions.
 
 Neurons use the knot convention sigma_k(omega.x - b): the stored bias is the
-knot in [-1, 1], a literal transcription of the Peano integral.  Networks
-built from the Peano density carry the polynomial part exactly (either as a
-PolynomialPart or its exact ridge lift).
+knot in [-1, 1], a literal transcription of the Peano integral.
+from_quadrature keeps every (direction, knot) atom of a PeanoTables as a
+neuron; from_sampling draws n atoms i.i.d. by their ell_1 mass (Maurey's
+empirical method), so its mean is from_quadrature's network.  Both attach
+the polynomial part and the end term exactly.
 """
 
 import math
@@ -42,11 +44,7 @@ def _truncated_power(k, t):
 class ShallowNetwork:
     """poly(x) + sum_i a_i sigma_k(omega_i . x - b_i), stored as arrays or
     as a KnotTable (from_quadrature) whose arrays are built on first
-    access, M neurons per table direction in table order.
-
-    evaluate reads a network's KnotTable one direction at a time
-    (_evaluate_grouped) and sums a network of arrays neuron by neuron
-    (_evaluate_dense)."""
+    access, M neurons per table direction in table order."""
 
     def __init__(self, d, k, a=None, omega=None, b=None, poly=None,
                  table=None):
@@ -135,34 +133,34 @@ def _evaluate_dense(net, pts):
     """sum_i a_i sigma_k(omega_i.x - b_i) from (neurons x points) blocks.
 
     omega.x - b is one product of the rows [omega, b] with the lifted
-    points [x, -1]^T: the bias is the product's last term, so there is no
-    pass that subtracts it.  OpenBLAS adds that term last at d = 2, so the
-    values are those of the product and then the subtraction, bit for bit;
-    at d = 3 some shapes (one point, one neuron, some edge rows) add it
-    elsewhere and can differ in the last bit.  Each block is written into
-    one buffer, and sigma_k acts on it in place.
+    points [x, -1]^T, written into one buffer, where sigma_k acts in place.
+    OpenBLAS adds the bias term last at d = 2, so the values are those of
+    the product and then the subtraction, bit for bit; at d = 3 one neuron
+    and some edge rows add it elsewhere.  The products and the sums over
+    the neurons (gemv) round a point by the shape of its block but not by
+    its place in it, so every block is `block` points wide, the last one
+    filled up with copies of the last point: a point's value does not
+    depend on the points evaluated with it.
     """
     n, P = len(net.a), len(pts)
-    lifted = np.empty((net.d + 1, P))
-    lifted[:-1] = pts.T
-    lifted[-1] = -1.0
-    weights = np.column_stack([net.omega, net.b])
-    out = np.empty(P)
     # blocks of about 2^16 entries (512 KiB) stay in the second-level cache
     # from the product to the sums.  At 16384 points, k = 1, d = 2 (one BLAS
     # thread, 2-core Xeon, numpy 2.4) a call at 1024 neurons took 12-15 ms,
     # 18-21 ms in (points x neurons) blocks and 31 ms in blocks of 2^20
     # entries (3.4-4.4, 4.9-6.7 and 7.9 ms at 256 neurons); 2^14, 2^15 and
-    # 2^17 entries were slower.  The gemv over the neurons rounds a point by
-    # its block's width, so the block size is part of the values' last bits.
+    # 2^17 entries were slower.
     block = max(1, 2 ** 16 // n)
-    buffer = np.empty(n * min(block, P))
+    lifted = np.empty((net.d + 1, -(-P // block) * block))
+    lifted[:-1, :P] = pts.T
+    lifted[:-1, P:] = pts[-1:].T
+    lifted[-1] = -1.0
+    weights = np.column_stack([net.omega, net.b])
+    out = np.empty(lifted.shape[1])
+    buffer = np.empty((n, block))
     for lo in range(0, P, block):
-        hi = min(lo + block, P)
-        z = np.matmul(weights, lifted[:, lo:hi],
-                      out=buffer[:n * (hi - lo)].reshape(n, hi - lo))
-        out[lo:hi] = net.a @ _truncated_power(net.k, z)
-    return out
+        z = np.matmul(weights, lifted[:, lo:lo + block], out=buffer)
+        np.matmul(net.a, _truncated_power(net.k, z), out=out[lo:lo + block])
+    return out[:P]
 
 
 def _evaluate_grouped(k, table, pts):
@@ -192,19 +190,19 @@ def _evaluate_grouped(k, table, pts):
     # the sums in cache from the product to the row sums.  On peano-d2k2's
     # networks (200 points, 256 and 512 directions; one BLAS thread, 2-core
     # Xeon, numpy 2.4) its two calls took 1.7-2.1 + 3.3-4.0 ms in blocks of
-    # 2^14 entries against 2.2-2.6 + 4.2-6.4 ms in blocks of 2^18.  A
-    # point's value does not depend on its block, unless the block is that
-    # one point: numpy projects a lone row through gemv, which can round
-    # the last bit of u otherwise.
-    block = max(1, 2 ** 14 // len(directions))
+    # 2^14 entries against 2.2-2.6 + 4.2-6.4 ms in blocks of 2^18.  A lone
+    # point is projected as two, since numpy would take it through gemv,
+    # which rounds u otherwise: no value depends on its block.
+    block = max(2, 2 ** 14 // len(directions))
     for lo in range(0, len(pts), block):
-        u = pts[lo:lo + block] @ directions.T
+        x = pts[lo:lo + block]
+        u = (x if len(x) > 1 else x[[0, 0]]) @ directions.T
         at = _count_below(table.grid, u) + rows * (M + 1)
         acc = prefix[0].take(at)
         for i in range(1, k + 1):
             acc *= u
             acc += prefix[i].take(at)
-        out[lo:lo + block] = acc.sum(axis=1)
+        out[lo:lo + block] = acc.sum(axis=1)[:len(x)]
     return out
 
 
@@ -262,71 +260,32 @@ def from_quadrature(tables):
 
 
 def from_sampling(tables, n, seed):
-    """Width-n importance-sampled network from the Peano density.
+    """Width-n network of n i.i.d. atoms of from_quadrature(tables).
 
-    (omega_i, b_i) are drawn from |F_omega^{(k+1)}(b)| / (k! V) with V the
-    variation upper bound tables.variation (directions by tables.mass, then
-    the per-direction inverse CDF over the tabulated profiles); outer
-    weights are sign(F^{(k+1)}(b_i)) * V / n, so the ell_1 mass equals V
-    exactly.  The polynomial part is attached exactly.
+    Atom (j, m), the neuron sigma_k(omega_j.x - knots_m), is drawn with
+    probability w_j weights_m |profiles[rows[j], m]| / (k! V), V =
+    tables.variation: j by tables.mass, then m by a uniform u read in
+    tables.cumulative.  Its outer weight is sign(profiles[rows[j], m]) V / n,
+    so the ell_1 mass is V, and with the polynomial part and the end term
+    attached the mean of the networks is from_quadrature(tables).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    sphere, knots, cdf = tables.sphere, tables.knots, tables.cdf
     V = tables.variation
     if V <= 0:
         raise ValueError("variation upper bound is zero; nothing to sample")
     rng = np.random.default_rng(seed)
-    js = rng.choice(len(sphere), size=n, p=tables.mass / tables.mass.sum())
+    js = rng.choice(len(tables.sphere), size=n,
+                    p=tables.mass / tables.mass.sum())
     us = rng.uniform(size=n)
-    # b = np.interp(u, cdf[r], knots), then the sign of
-    # np.interp(b, knots, profiles[r]), r = rows[j], for all draws at once
-    rows = tables.rows[js]
-    b = _interp(us, _searchsorted_rows(cdf, rows, us), cdf, rows,
-                knots[None], 0)
-    positive = _interp(b, np.searchsorted(knots, b, side="right"),
-                       knots[None], 0, tables.profiles, rows) >= 0
+    # the flat index of each draw's atom in the (R, M) tables
+    at = np.searchsorted(tables.cumulative.ravel(), tables.rows[js] + 1j * us,
+                         side="right")
     return ShallowNetwork(d=tables.d, k=tables.k,
-                          a=np.where(positive, V, -V) / n,
-                          omega=sphere.nodes[js], b=b, poly=tables.poly)
-
-
-def _searchsorted_rows(table, rows, x):
-    """np.searchsorted(table[rows[i]], x[i], "right") for every i, by one
-    bisection over all i: log2(M) reads of x.size entries, where gathering
-    the rows table[rows] would read x.size * M."""
-    M = table.shape[1]
-    flat = table.ravel()
-    start = rows * M
-    # at: the flat index of entry count of the row, with the answer in
-    # [count, count + size]; the rows being sorted, it is past the first
-    # half when that half's last entry is <= x.  A product moves at: a
-    # masked add would branch on a random mask, 8x slower.
-    at = start.copy()
-    size = M
-    while size:
-        half = (size + 1) // 2
-        at += half * np.less_equal(flat.take(at + (half - 1)), x)
-        size -= half
-    return at - start
-
-
-def _interp(x, count, xp, xp_rows, fp, fp_rows):
-    """np.interp(x[i], xp[xp_rows[i]], fp[fp_rows[i]]) for every i, bit for
-    bit, given count[i] = np.searchsorted(xp[xp_rows[i]], x[i], "right")."""
-    last = xp.shape[1] - 1
-    at = np.clip(count - 1, 0, last)
-    after = np.minimum(at + 1, last)
-    x0, y0 = xp[xp_rows, at], fp[fp_rows, at]
-    # np.interp's slope formula, in the cell xp[at] <= x < xp[at + 1]; its
-    # divisor is positive there, so on finite tables np.interp's retry on
-    # a NaN never runs
-    with np.errstate(all="ignore"):
-        y = ((fp[fp_rows, after] - y0) / (xp[xp_rows, after] - x0) * (x - x0)
-             + y0)
-    # np.interp's node value at a node, fp[0] below xp[0] and fp[-1] from
-    # xp[-1] on (these cells have no slope)
-    return np.where((count == 0) | (count > last) | (x == x0), y0, y)
+                          a=np.where(tables.profiles.take(at) >= 0, V, -V) / n,
+                          omega=tables.sphere.nodes[js],
+                          b=tables.knots.take(at % len(tables.knots)),
+                          poly=tables.poly + tables.end_term)
 
 
 def poly_to_ridge(p, k, d=None):

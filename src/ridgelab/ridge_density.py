@@ -16,6 +16,7 @@ from one pass of derivative_blocks.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
@@ -128,15 +129,13 @@ class PeanoTables:
     weights.  The R distinct profile rows are those of shared_rows: one for
     a radial target (rows all 0), one per direction otherwise
     (rows = arange(J)).
-    cdf[r] is the normalised cumulative trapezoid integral of |profiles[r]|
-    over the knots, the piecewise-linear CDF whose inverse from_sampling
-    draws knots from (all zeros for a row without mass).  mass[j] is
-    w_j sum_m weights_m |profiles[rows[j], m]|, and variation =
+    mass[j] is w_j sum_m weights_m |profiles[rows[j], m]|, and variation =
     sum_j mass[j] / k! is the variation-norm upper bound of the integral
-    term.  end_term is the Euler-Maclaurin end term that the trapezoid
-    rule over the knots misses at b = -1 (from_quadrature adds it to
-    poly).  Both network constructors read the tables; the arrays are
-    read-only so that one table can feed any number of networks.
+    term, the ell_1 mass of its atoms (j, m), from_quadrature's neurons.
+    end_term is the Euler-Maclaurin end term that the trapezoid rule over
+    the knots misses at b = -1 (both constructors add it to poly).  Both
+    network constructors read the tables; the arrays are read-only so that
+    one table can feed any number of networks.
     """
 
     d: int
@@ -147,11 +146,24 @@ class PeanoTables:
     weights: np.ndarray  # (M,)
     rows: np.ndarray  # (J,)
     profiles: np.ndarray  # (R, M)
-    cdf: np.ndarray  # (R, M)
     mass: np.ndarray  # (J,)
     variation: float
     poly: PolynomialPart
     end_term: PolynomialPart
+
+    @cached_property
+    def cumulative(self):
+        """(R, M) complex r + 1j c[r, m], c[r] the cumulative atom mass
+        weights * |profiles[r]| over its total (0 in a row without mass),
+        built once.  numpy orders complex numbers by real, then imaginary
+        part, so np.searchsorted(cumulative.ravel(), r + 1j u, "right"),
+        0 <= u < 1, finds the atom m of row r whose interval
+        [c[r, m - 1], c[r, m]) holds u; an atom without mass has none."""
+        c = np.cumsum(self.weights * np.abs(self.profiles), axis=1)
+        np.divide(c, c[:, -1:], out=c, where=c[:, -1:] > 0)
+        keys = np.arange(len(c))[:, None] + 1j * c
+        keys.flags.writeable = False
+        return keys
 
 
 def peano_tables(f, k, sphere, grid):
@@ -188,14 +200,8 @@ def peano_tables(f, k, sphere, grid):
         profiles[lo:lo + F.shape[1]] = F[0]
         at_minus_one[ends, lo:lo + F.shape[1]] = E
     at_minus_one[k + 1] = profiles[:, 0]
-    absv = np.abs(profiles)
-    cdf = np.zeros_like(absv)
-    np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * grid.h, axis=1,
-              out=cdf[:, 1:])
-    mass = sphere.weights * (absv @ weights)[rows]
-    del absv
-    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
-    for array in (knots, weights, rows, profiles, cdf, mass):
+    mass = sphere.weights * (np.abs(profiles) @ weights)[rows]
+    for array in (knots, weights, rows, profiles, mass):
         array.flags.writeable = False
     # the end term in peano_polynomial's form: coefficients of
     # (omega.x + 1)^m / m! at m = k and k - 1
@@ -207,7 +213,7 @@ def peano_tables(f, k, sphere, grid):
                                       at_minus_one[:k + 1, rows].T, end[rows])
     return PeanoTables(d=f.d, k=k, sphere=sphere, grid=grid, knots=knots,
                        weights=weights, rows=rows, profiles=profiles,
-                       cdf=cdf, mass=mass,
+                       mass=mass,
                        variation=float(mass.sum() / math.factorial(k)),
                        poly=poly, end_term=end_term)
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from ridgelab import network
 from ridgelab.network import (KnotTable, ShallowNetwork, activation,
@@ -239,10 +240,9 @@ class TestGroupedEvaluation:
     def test_value_does_not_depend_on_the_block(self, d, level, k):
         # enough directions that the points span several blocks of 2^14
         # (point, direction) entries.  One call gives the bits of calls on
-        # chunks of 2, 7 and 37 points, none of them a single point: numpy
-        # takes a one-row product omega.x through gemv, which can round
-        # the last bit of u otherwise than gemm, so a single point is only
-        # held to the rounding
+        # chunks of 2, 7 and 37 points and on single points: a lone point
+        # is projected as two, since numpy would take its product omega.x
+        # through gemv, which can round the last bit of u otherwise
         f = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.1), width=0.6))
         net = from_quadrature(peano_tables(f, k, sphere_grid(d, level),
                                            LineGrid(4.0, 256)))
@@ -255,9 +255,8 @@ class TestGroupedEvaluation:
             parts = [network._evaluate_grouped(k, table, pts[lo:lo + size])
                      for lo in range(0, len(pts), size)]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
-        single = [network._evaluate_grouped(k, table, x[None]) for x in pts]
-        np.testing.assert_allclose(np.concatenate(single), whole, rtol=0,
-                                   atol=1e-14 * (1.0 + net.l1_mass))
+        neurons = _neurons_only(net)
+        np.testing.assert_array_equal([neurons(x) for x in pts], whole)
 
     def test_agrees_with_dense_path(self):
         net = from_quadrature(self._tables(3, 2))
@@ -480,19 +479,41 @@ class TestDenseEvaluation:
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("points,neurons", [(500, 300), (7, 2 ** 16 + 3)])
     def test_dense_matches_two_step_blocks(self, k, points, neurons):
-        # blocks of 2^16 // n points: 218, 218 and 64 at n = 300, one point
-        # each above 2^16 neurons; per block the reference forms the
-        # product, then subtracts the bias, then sums over the neurons
+        # blocks of 2^16 // n points: 218, 218 and 218 at n = 300 (the last
+        # filled up with copies of the last point), one point each above
+        # 2^16 neurons; per block the reference forms the product, then
+        # subtracts the bias, then sums over the neurons
         x, omega, b, a = _random_layer(2, points, neurons, k)
         block = max(1, 2 ** 16 // neurons)
-        expected = np.empty(points)
-        for lo in range(0, points, block):
-            z = omega @ x[lo:lo + block].T
+        padded = np.vstack([x, np.repeat(x[-1:], -points % block, axis=0)])
+        expected = np.empty(len(padded))
+        for lo in range(0, len(padded), block):
+            z = omega @ padded[lo:lo + block].T
             z -= b[:, None]
             expected[lo:lo + block] = a @ activation(k, z)
+        expected = expected[:points]
         net = ShallowNetwork(d=2, k=k, a=a, omega=omega, b=b)
         np.testing.assert_array_equal(network._evaluate_dense(net, x),
                                       expected)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 7, 2048])
+    def test_value_does_not_depend_on_the_block(self, d, k, n):
+        # sampled networks; at 2048 neurons the points span blocks of 32.
+        # One call gives the bits of calls on chunks of 2, 7 and 37 points
+        # and on single points: every block has the same width
+        f = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.1), width=0.6))
+        tables = peano_tables(f, k, sphere_grid(d, 3), LineGrid(4.0, 256))
+        net = _neurons_only(from_sampling(tables, n, 17))
+        pts = ball_points(BallSampler(d=d, mode="pseudo-random", count=404,
+                                      seed=5))
+        whole = network._evaluate_dense(net, pts)
+        for size in (2, 7, 37):
+            parts = [network._evaluate_dense(net, pts[lo:lo + size])
+                     for lo in range(0, len(pts), size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+        np.testing.assert_array_equal([net(x) for x in pts], whole)
 
     def test_one_block_buffer(self):
         # a sweep's widest sampled network on its lattice: the lifted
@@ -586,18 +607,19 @@ class TestConstructorsAgainstLoops:
 
     @staticmethod
     def _sampling_loop(tables, n, js, us):
+        # draw i takes the first knot m of direction js[i] whose cumulative
+        # atom mass, over the row's total, exceeds us[i]
         sphere, knots, profiles = tables.sphere, tables.knots, tables.profiles
         weighted = sphere.weights * (np.abs(profiles) @ tables.weights)
         V = weighted.sum() / math.factorial(tables.k)
         a, w, b = np.empty(n), np.empty((n, tables.d)), np.empty(n)
         for i, (j, u) in enumerate(zip(js, us)):
-            absv = np.abs(profiles[tables.rows[j]])
-            cell = 0.5 * (absv[1:] + absv[:-1]) * np.diff(knots)
-            cdf = np.concatenate([[0.0], np.cumsum(cell)])
-            b[i] = float(np.interp(u, cdf / cdf[-1], knots))
-            sign = (1.0 if np.interp(b[i], knots, profiles[tables.rows[j]])
-                    >= 0 else -1.0)
-            a[i] = sign * V / n
+            row = profiles[tables.rows[j]]
+            cumulative = np.cumsum(tables.weights * np.abs(row))
+            cumulative /= cumulative[-1]
+            m = np.searchsorted(cumulative, u, side="right")
+            b[i] = knots[m]
+            a[i] = (V if row[m] >= 0 else -V) / n
             w[i] = sphere.nodes[j]
         return a, w, b
 
@@ -614,38 +636,14 @@ class TestConstructorsAgainstLoops:
         np.testing.assert_array_equal(net.a, a)
         np.testing.assert_array_equal(net.omega, w)
         np.testing.assert_array_equal(net.b, b)
-        assert net.poly is tables.poly
-
-    def test_interp_branches(self):
-        # from_sampling's reads against np.interp row by row, in both roles
-        # (per-row xp with shared fp, shared xp with per-row fp), at points
-        # below the first node, on repeated nodes, on a node whose cell has
-        # an infinite slope (a subnormal width), inside cells, on the last
-        # node and past it
-        table = np.array([[0.0, 0.0, 0.25, 0.25, 0.5, 1.0],
-                          [0.0, 5e-324, 0.3, 0.6, 0.6, 1.0]])
-        knots = np.linspace(-1.0, 1.0, 6)
-        x = np.array([-0.5, 0.0, 5e-324, 0.1, 0.25, 0.3, 0.6, 0.7, 1.0, 1.5])
-        t = np.concatenate([knots, [-1.5, -0.7, 0.1, 0.95, 1.5]])
-        for row in range(len(table)):
-            rows = np.full(len(x), row)
-            count = network._searchsorted_rows(table, rows, x)
-            np.testing.assert_array_equal(
-                count, np.searchsorted(table[row], x, side="right"))
-            np.testing.assert_array_equal(
-                network._interp(x, count, table, rows, knots[None], 0),
-                np.interp(x, table[row], knots))
-            np.testing.assert_array_equal(
-                network._interp(t, np.searchsorted(knots, t, side="right"),
-                                knots[None], 0, table, np.full(len(t), row)),
-                np.interp(t, knots, table[row]))
+        assert net.poly == tables.poly + tables.end_term
 
     @pytest.mark.parametrize("d,k,level", [(1, 0, 1), (2, 1, 3), (3, 2, 2)])
-    def test_sampling_special_branches(self, d, k, level):
+    def test_no_atom_without_mass(self, d, k, level):
         # profiles vanish on a stretch of knots, and on the first knots of
-        # every other direction, so each CDF row is flat there and repeats
-        # a value; the draws hit u = 0, CDF nodes (flat ones included, so
-        # b lands on a knot and on a zero of the profile) and the last node
+        # every other direction, so the cumulative rows repeat values
+        # there; the draws hit u = 0, u just below 1 and every node of the
+        # cumulative rows below 1 (the flat ones included)
         f = make_gaussian(GaussianSpec(d=d, center=np.full(d, 0.2), width=0.5))
         tables = peano_tables(f, k, sphere_grid(d, level), LineGrid(2.0, 256))
         profiles = np.array(tables.profiles)
@@ -653,34 +651,35 @@ class TestConstructorsAgainstLoops:
         profiles[::2, :20] = 0.0
         tables = _with_profiles(tables, profiles)
         J, M = profiles.shape
-        rng = np.random.default_rng(d)
-        js = np.concatenate([np.arange(J), np.arange(J), np.arange(J),
-                             rng.integers(0, J, 40)])
-        nodes = rng.integers(0, M, 40)
-        us = np.concatenate([np.zeros(J), tables.cdf[np.arange(J), 75],
-                             tables.cdf[np.arange(J), -1],
-                             tables.cdf[js[-40:], nodes]])
-        us[-10:] = rng.uniform(size=10)
+        nodes = tables.cumulative.imag
+        node_js, node_ms = np.nonzero(nodes < 1.0)
+        js = np.concatenate([np.arange(J), np.arange(J), node_js])
+        us = np.concatenate([np.zeros(J), np.full(J, np.nextafter(1.0, 0.0)),
+                             nodes[node_js, node_ms]])
         n = len(js)
         a, w, b = self._sampling_loop(tables, n, js, us)
         net = from_sampling(tables, n, _FixedDraws(js, us))
-        assert np.isin(b, tables.knots).sum() >= 3 * J
         np.testing.assert_array_equal(net.a, a)
         np.testing.assert_array_equal(net.omega, w)
         np.testing.assert_array_equal(net.b, b)
+        m = np.searchsorted(tables.knots, net.b)
+        np.testing.assert_array_equal(tables.knots[m], net.b)
+        assert np.all(profiles[js, m] != 0.0)
+        # u = 0 takes the first atom with mass, u below 1 the last, and u
+        # on a node the atom after it
+        first = np.argmax(profiles != 0.0, axis=1)
+        last = M - 1 - np.argmax(profiles[:, ::-1] != 0.0, axis=1)
+        np.testing.assert_array_equal(m[:J], first)
+        np.testing.assert_array_equal(m[J:2 * J], last)
+        assert np.all(m[2 * J:] > node_ms)
 
 
 def _with_profiles(tables, profiles):
-    """tables with other profiles, and the cdf, mass and variation that
+    """tables with other profiles, and the mass and variation that
     peano_tables computes from them."""
-    absv = np.abs(profiles)
-    cdf = np.zeros_like(absv)
-    np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(tables.knots),
-              axis=1, out=cdf[:, 1:])
-    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
-    mass = tables.sphere.weights * (absv @ tables.weights)
+    mass = tables.sphere.weights * (np.abs(profiles) @ tables.weights)
     return dataclasses.replace(
-        tables, profiles=profiles, cdf=cdf, mass=mass,
+        tables, profiles=profiles, mass=mass,
         variation=float(mass.sum() / math.factorial(tables.k)))
 
 
@@ -716,6 +715,8 @@ class TestFromSampling:
         assert abs(net.a[0]) == tables.variation
 
     def test_unbiased_against_quadrature(self):
+        # the mean of the sampled networks is from_quadrature's network,
+        # end term included
         f = make_gaussian(GaussianSpec(d=2))
         sphere = sphere_grid(2, 6)
         x = np.array([0.3, -0.4])
@@ -725,6 +726,37 @@ class TestFromSampling:
                          for seed in range(100)])
         stderr = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - reference) <= 3 * stderr
+
+    @pytest.mark.parametrize("d,center", [(1, 0.0), (1, 0.3), (2, 0.0),
+                                          (2, 0.3)])
+    def test_atom_frequencies(self, d, center):
+        # 2^20 draws of the atoms of a small table (2 or 8 directions, 17
+        # knots), with one profile row for all directions or one per
+        # direction, against their probabilities w_j weights_m |F_jm| /
+        # (k! V) by a chi-squared test
+        c = np.zeros(d)
+        c[0] = center
+        f = make_gaussian(GaussianSpec(d=d, center=c, width=0.5))
+        tables = peano_tables(f, 1, sphere_grid(d, 3), LineGrid(2.0, 32))
+        sphere, J, M = tables.sphere, len(tables.sphere), len(tables.knots)
+        assert tables.profiles.shape == (1 if center == 0 else J, M)
+        draws = 2 ** 20
+        net = from_sampling(tables, draws, 2024)
+        # the direction of each draw, found by a projection that tells the
+        # J directions apart
+        key = sphere.nodes @ np.sqrt(np.arange(1.0, d + 1))
+        order = np.argsort(key)
+        j = order[np.searchsorted(key[order],
+                                  net.omega @ np.sqrt(np.arange(1.0, d + 1)))]
+        np.testing.assert_array_equal(sphere.nodes[j], net.omega)
+        observed = np.bincount(j * M + np.searchsorted(tables.knots, net.b),
+                               minlength=J * M)
+        mass = (sphere.weights[:, None] * tables.weights
+                * np.abs(tables.profiles[tables.rows])).ravel()
+        expected = draws * mass / mass.sum()
+        assert expected.min() >= 5
+        statistic = np.sum((observed - expected) ** 2 / expected)
+        assert stats.chi2.sf(statistic, J * M - 1) > 1e-3
 
     def test_invalid_width(self):
         f = make_gaussian(GaussianSpec(d=1))

@@ -375,10 +375,10 @@ class TestRadialRoute:
             tables = peano_tables(g, 1, sphere, grid)
             np.testing.assert_array_equal(tables.rows, expected)
             M = len(tables.knots)
-            assert tables.profiles.shape == tables.cdf.shape == (R, M)
+            assert tables.profiles.shape == tables.cumulative.shape == (R, M)
             assert tables.mass.shape == (J,)
             for array in (tables.knots, tables.weights, tables.rows,
-                          tables.profiles, tables.cdf, tables.mass):
+                          tables.profiles, tables.mass, tables.cumulative):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 1.0
@@ -423,8 +423,7 @@ class TestRadialRoute:
         tables = peano_tables(f, k, sphere, grid)
         J, M = len(sphere), len(tables.knots)
         np.testing.assert_array_equal(tables.rows, np.zeros(J))
-        for table in (tables.profiles, tables.cdf):
-            assert table.shape == (1, M)
+        assert tables.profiles.shape == (1, M)
         # the same Gaussian with every direction's slice read and filtered
         # on its own, and the tables built one row per direction
         spectrum = radon_slice(f, np.eye(d)[0], grid)
@@ -434,12 +433,11 @@ class TestRadialRoute:
         per_direction = peano_tables(sliced, k, sphere, grid)
         np.testing.assert_array_equal(per_direction.rows, np.arange(J))
         copied = _tables_row_by_row(f, k, sphere, grid)
-        for name in ("profiles", "cdf"):
-            assert getattr(per_direction, name).shape == (J, M)
-            np.testing.assert_array_equal(getattr(tables, name)[tables.rows],
-                                          getattr(per_direction, name))
-            np.testing.assert_array_equal(getattr(tables, name)[tables.rows],
-                                          copied[name])
+        assert per_direction.profiles.shape == (J, M)
+        np.testing.assert_array_equal(tables.profiles[tables.rows],
+                                      per_direction.profiles)
+        np.testing.assert_array_equal(tables.profiles[tables.rows],
+                                      copied["profiles"])
         assert tables.poly == per_direction.poly == copied["poly"]
         # the mass of direction j is w_j int |F^{(k+1)}| over the knots
         fsum = np.array([wj * math.fsum(tables.weights * np.abs(row))
@@ -450,38 +448,33 @@ class TestRadialRoute:
 
     def test_from_sampling_copies_no_table(self):
         # J = 512 directions, M = 2049 knots (peano-d2k2's stage 1): drawing
-        # from the one-row CDF through rows allocates far less than one
-        # (J, M) array
+        # atoms from the one-row cumulative through rows allocates far less
+        # than one (J, M) array
         f = make_gaussian(GaussianSpec(d=2))
         tables = peano_tables(f, 2, sphere_grid(2, 9), LineGrid(4.0, 8192))
         J, M = 512, 2049
         np.testing.assert_array_equal(tables.rows, np.zeros(J))
-        assert tables.profiles.shape == tables.cdf.shape == (1, M)
+        assert tables.profiles.shape == (1, M)
         tracemalloc.start()
         try:
             net = from_sampling(tables, 1000, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < J * M * tables.cdf.itemsize
+        assert peak < J * M * tables.profiles.itemsize
+        assert tables.cumulative.shape == (1, M)
         assert len(net) == 1000
 
 
 def _tables_row_by_row(f, k, sphere, grid):
-    """profiles, cdf, mass and poly of peano_tables as built with one row
+    """profiles, mass and poly of peano_tables as built with one row
     per direction, each direction's F copied into its own row."""
-    knots = grid.nodes[grid.knot_window]
     weights = peano_tables(f, k, sphere, grid).weights
     [profiles], at_minus_one = _blocks(f, sphere.nodes, grid, (k + 1,),
                                        range(k + 1))
     at_minus_one = at_minus_one.T
-    absv = np.abs(profiles)
-    cdf = np.zeros_like(absv)
-    np.cumsum(0.5 * (absv[:, 1:] + absv[:, :-1]) * np.diff(knots), axis=1,
-              out=cdf[:, 1:])
-    mass = sphere.weights * (absv @ weights)
-    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)
-    return dict(profiles=profiles, cdf=cdf, mass=mass,
+    mass = sphere.weights * (np.abs(profiles) @ weights)
+    return dict(profiles=profiles, mass=mass,
                 poly=peano_polynomial(f.d, k, sphere, at_minus_one)[0])
 
 
@@ -579,7 +572,7 @@ class TestPeanoTables:
         f = make_gaussian(GaussianSpec(d=1))
         tables = peano_tables(f, 0, sphere_grid(1, 1), LineGrid(4.0, 64))
         for array in (tables.knots, tables.weights, tables.rows,
-                      tables.profiles, tables.cdf, tables.mass):
+                      tables.profiles, tables.mass, tables.cumulative):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
