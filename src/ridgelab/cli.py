@@ -485,7 +485,16 @@ def _run_mollify_sweep(config, f):
         err = lp_error(f, lambda x: smooth_approximant(f, config.s, eps, x),
                        config.p, sampler)
         rows.append((float(eps), float(err)))
-    return _fit_slope(ExperimentReport(config, ("epsilon", "error"), rows))
+    report = ExperimentReport(config, ("epsilon", "error"), rows)
+    # errors this far below the target's size are rounding, not the rate
+    # of f - f_eps, and a line through them reads a meaningless slope
+    scale = float(np.max(np.abs(f(ball_points(sampler)))))
+    if all(row[-1] < 1e-12 * scale for row in rows):
+        raise _fail(report, "mollify-sweep: every error is below 1e-12 of "
+                    "max|f| = %g on the sweep's points (the largest is %g), "
+                    "at the rounding floor, so no rate can be fitted"
+                    % (scale, max(row[-1] for row in rows)))
+    return _fit_slope(report)
 
 
 def _fit_slope(report):

@@ -4,8 +4,12 @@ derivative_blocks is the one spectral core: it filters a block of Radon
 rows by the multipliers (i t)^m M_d(t) for any orders m on the nodes that
 cover [-1, 1], and reconstruct (m = 0, 1) and the Peano tables of
 ridge_density (m <= k + 2) read it, for the directions that shared_rows
-picks (one for a radial target).  hermite is the one read of a profile
-between nodes: the cubic through F^(m) with F^(m+1) as slopes.
+picks (one for a radial target).  At even d it convolves each row with
+the band-limited kernel of the multiplier, whose samples _kernel_samples
+takes in closed form on a coarse table of lags and fills in between by a
+12-point Lagrange stencil where the line grid oversamples the kernel's
+band.  hermite is the one read of a profile between nodes: the cubic
+through F^(m) with F^(m+1) as slopes.
 
 The filtered back-projection operator acts on a profile g by the Fourier
 multiplier
@@ -89,36 +93,123 @@ def _window(grid):
     return slice(int(np.floor(first)), min(int(np.ceil(last)) + 1, grid.N))
 
 
+# Largest c * Delta, c the cutoff and Delta = R h the step of the coarse
+# closed-form table that _kernel_samples interpolates with its stencil.
+COARSE_STEP = 0.15
+
+# Nodes of the Lagrange stencil, relative to the coarse node below a lag.
+STENCIL = np.arange(-5, 7)
+
+# Lags per block of a kernel build; bounds its working arrays.  Blocks of
+# 2048 lags were faster than 1024, 4096 or one block at N = 16384 (5
+# orders, best of 7, one BLAS thread, 2-core Xeon).
+KERNEL_BLOCK = 2048
+
+
 @lru_cache(maxsize=64)
 def _kernel_samples(grid, d, cutoff, top):
     """Row m of a read-only (top + 1, 2N) array: the band-limited spatial
     kernel k_m of the multiplier (i t)^m M_d(t), tapered to zero at
     ``cutoff``, on the lags l from i0 - N + 1 to i1 that the window (nodes
     i0 to i1) reads, at l mod 2N (zeros elsewhere: a row's 2N-point real
-    FFT times a kernel's is their linear convolution on the window).  k_m
-    is sampled in closed form on u = l h, 0 <= l <= i1 (N/2 + N/(2L) on a
-    knot grid; i1 >= N - 1 - i0; Ramachandran & Lakshminarayanan, PNAS
-    1971; Natterer, The Mathematics of Computerized Tomography, ch. V):
+    FFT times a kernel's is their linear convolution on the window).  The
+    lags 0 <= l <= i1 (N/2 + N/(2L) on a knot grid; i1 >= N - 1 - i0) are
+    filled and mirrored by k_m(-u) = (-1)^m k_m(u).
+
+    k_m is band-limited to the cutoff c, so a grid fine against it samples
+    it far above its Nyquist rate pi / c.  With R the largest power of two
+    with c R h <= COARSE_STEP, the closed form (_closed_form) is evaluated
+    only on the coarse lags q R, 0 <= q <= i1 / R + 6, and reflected
+    through u = 0 to q = -5..-1.  Every lag q R + r, 0 < r < R, is the
+    12-point Lagrange interpolant on the coarse nodes q - 5 to q + 6 at
+    offset r / R (weights from _stencil, one table per R, summed by
+    einsum, not a BLAS product, so the bits do not depend on the thread
+    count).  Lags at multiples of R keep the closed form's bits: the
+    stencil's weights at offset 0 are one 1 and zeros.  Bernstein's
+    inequality, |k^(12)| <= c^12 max|k| (Natterer, The Mathematics of
+    Computerized Tomography, ch. V), with the Lagrange remainder bounds the
+    error by (c Delta)^12 max|w| / 12! max|k|, w(x) the product of x - j
+    over the stencil's nodes (max|w| = 2.6e4 on [0, 1]): 7e-15 of max|k|
+    at c Delta = 0.15.  Where c 2 h > COARSE_STEP (R = 1) every lag is the
+    closed form.  Both passes run in blocks of KERNEL_BLOCK lags.  Cached.
+    """
+    h, N, window = grid.h, grid.N, _window(grid)
+    first, last = window.start, window.stop - 1
+    R = 1
+    while cutoff * 2 * R * h <= COARSE_STEP:
+        R *= 2
+    circle = np.zeros((top + 1, 2 * N))
+    if R == 1:
+        _closed_form(np.arange(last + 1), h, d, cutoff, circle)
+        circle[1::2, 0] = 0.0
+    else:
+        # coarse node q at column q + a, from q = -a to last // R + b
+        a, b = -STENCIL[0], STENCIL[-1]
+        coarse = np.empty((top + 1, a + last // R + b + 1))
+        _closed_form(np.arange(last // R + b + 1) * R, h, d, cutoff,
+                     coarse[:, a:])
+        coarse[1::2, a] = 0.0
+        coarse[:, a - 1::-1] = coarse[:, a + 1:2 * a + 1]
+        coarse[1::2, :a] *= -1.0
+        weights = _stencil(R)
+        # windows[m, q] holds order m's coarse nodes q - a to q + b
+        windows = np.lib.stride_tricks.sliding_window_view(
+            coarse, len(STENCIL), axis=-1)
+        cells = max(1, KERNEL_BLOCK // R)
+        for m in range(top + 1):
+            for q in range(0, last // R + 1, cells):
+                # one order at a time, so that its bits do not depend on
+                # top; block[r, p] is lag (q + p) R + r
+                block = np.einsum("jr,pj->rp", weights,
+                                  windows[m, q:q + cells])
+                stop = min(block.size, last + 1 - q * R)
+                circle[m, q * R:q * R + stop] = block.T.ravel()[:stop]
+    # lags first - N + 1 to -1 at N + first + 1 to 2N - 1
+    circle[:, N + first + 1:] = circle[:, N - 1 - first:0:-1]
+    circle[1::2, N + first + 1:] *= -1.0
+    circle.setflags(write=False)
+    return circle
+
+
+@lru_cache(maxsize=16)
+def _stencil(R):
+    """(12, R) weights of the Lagrange interpolant on the nodes STENCIL at
+    the offsets r / R, 0 <= r < R: column r holds, for each node j, the
+    product over the other nodes i of (r / R - i) / (j - i).  Column 0 is
+    exactly one 1 and zeros."""
+    offsets = np.arange(R) / R
+    apart = np.subtract.outer(STENCIL, STENCIL) + np.eye(len(STENCIL))
+    factors = np.subtract.outer(offsets, STENCIL)[:, None, :] / apart
+    factors[:, np.eye(len(STENCIL), dtype=bool)] = 1.0
+    weights = np.ascontiguousarray(factors.prod(axis=-1).T)
+    weights.setflags(write=False)
+    return weights
+
+
+def _closed_form(lags, h, d, cutoff, out):
+    """out[m, i] = k_m(lags[i] h) for m < len(out), in blocks of
+    KERNEL_BLOCK lags, in closed form (Ramachandran & Lakshminarayanan,
+    PNAS 1971; Natterer, ch. V):
 
         k_m(u) = c^(n+1) Re[i^m J_n(u c)] / (2 pi)^d,   n = m + d - 1,
 
     with c the cutoff and J_n(lam) = int_0^1 s^n w(s) e^{i lam s} ds, w the
     taper in s = t / c: 1 on [0, tau], tau = TAPER_START, then
-    1/2 + cos(B (s - tau)) / 2 with B = pi / (1 - tau).  k_m(-u) is
-    (-1)^m k_m(u).  The cosine splits J_n into four integrals
-    int_a^b s^n e^{i alpha s} ds, all read off e^{i lam tau} and e^{i lam}:
-    alpha = lam on [0, tau] and on [tau, 1] (weights 1 and 1/2), and
-    alpha = lam +- B on [tau, 1] (weights e^{-+i B tau} / 4).  Each has the
-    primitive P_n = (s^n e^{i alpha s} - n P_{n-1}) / (i alpha), so one pass
-    over n gives every order; where |alpha| < 2 that recurrence loses
-    digits and the Taylor series of e^{i alpha s} (28 terms) takes over.
-    These are the continuous kernel's samples, without the periodic images
-    of the order-0 kernel's -1/(2 pi u)^2 tail that a quadrature of the
-    spectrum on a finite period adds.  A cutoff near the input's own band
-    keeps the t^m growth from amplifying rounding noise.  Cached.
+    1/2 + cos(B (s - tau)) / 2 with B = pi / (1 - tau).  The cosine splits
+    J_n into four integrals int_a^b s^n e^{i alpha s} ds, all read off
+    e^{i lam tau} and e^{i lam}: alpha = lam on [0, tau] and on [tau, 1]
+    (weights 1 and 1/2), and alpha = lam +- B on [tau, 1] (weights
+    e^{-+i B tau} / 4).  Each has the primitive
+    P_n = (s^n e^{i alpha s} - n P_{n-1}) / (i alpha), so one pass over n
+    gives every order; where |alpha| < 2 that recurrence loses digits and
+    the Taylor series of e^{i alpha s} (28 terms) takes over.  These are
+    the continuous kernel's samples, without the periodic images of the
+    order-0 kernel's -1/(2 pi u)^2 tail that a quadrature of the spectrum
+    on a finite period adds.  A cutoff near the input's own band keeps the
+    t^m growth from amplifying rounding noise.  Each entry's bits depend
+    on its lag alone, not on the other lags of the call.
     """
-    h, N, window = grid.h, grid.N, _window(grid)
-    first, last = window.start, window.stop - 1
+    top = len(out) - 1
     tau = TAPER_START
     B = np.pi / (1.0 - tau)
     top_n = top + d - 1
@@ -134,16 +225,15 @@ def _kernel_samples(grid, d, cutoff, top):
     power = np.arange(28)[:, None] + np.arange(1, top_n + 2)
     moments = (np.array([1.0, 1j, -1.0, -1j])[np.arange(28) % 4, None]
                * (hi[:, :, None] ** power - lo[:, :, None] ** power) / power)
-    circle = np.zeros((top + 1, 2 * N))
-    # blocks of 2048 lags were faster than 1024, 4096 or one block at
-    # N = 16384 (5 orders, best of 7, one BLAS thread, 2-core Xeon)
-    for start in range(0, last + 1, 2048):
-        lam = np.arange(start, min(start + 2048, last + 1)) * (h * cutoff)
+    for start in range(0, len(lags), KERNEL_BLOCK):
+        part = lags[start:start + KERNEL_BLOCK]
+        lam = part * (h * cutoff)
         e_tau = np.exp(1j * tau * lam)
         alpha = lam + shift
         at_lo = at_tau * e_tau
-        at_lo[0] = 1.0
         at_hi = at_one * np.exp(1j * lam)
+        # the first interval starts at s = 0
+        at_lo[0] = 1.0
         at_hi[0] = e_tau
         series = np.abs(alpha) < 2.0
         rows, cols = np.nonzero(series)
@@ -172,16 +262,10 @@ def _kernel_samples(grid, d, cutoff, top):
             if m >= 0:
                 # Re[i^m J_n] = Re[sum_r (i^m weight_r) D_r], by einsum
                 turned = weight * 1j ** m
-                circle[m, start:start + len(lam)] = (
+                out[m, start:start + len(part)] = (
                     (np.einsum("r,rl->l", turned.real, D.real)
                      - np.einsum("r,rl->l", turned.imag, D.imag))
                     * (cutoff ** (n + 1) / (2.0 * np.pi) ** d))
-    circle[1::2, 0] = 0.0
-    # lags first - N + 1 to -1 at N + first + 1 to 2N - 1
-    circle[:, N + first + 1:] = circle[:, N - 1 - first:0:-1]
-    circle[1::2, N + first + 1:] *= -1.0
-    circle.setflags(write=False)
-    return circle
 
 
 def _effective_cutoff(spectra, grid):

@@ -246,7 +246,10 @@ def sobolev_seminorm(f, s):
         r = np.asarray(r, float)
         xi = r[:, None, None] * grid.nodes[None, :, :]
         vals = np.abs(f.fourier(xi)) ** 2
-        return vals @ grid.weights
+        # numpy's pairwise sum per shell, not a BLAS matrix-vector
+        # product, so the bits do not depend on the thread count
+        vals *= grid.weights
+        return vals.sum(axis=-1)
 
     R = SEMINORM_FIRST_CUTOFF
     while True:

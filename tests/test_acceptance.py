@@ -117,14 +117,30 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # 4.864842752633e-02 -> 4.863403514217e-02 and
 # 4.268262164240e-02 -> 4.264551679736e-02 (at most 1.3e-3 relative), and
 # the slope -0.4718481424117 -> -0.4721671285776.
+# "inversion", "peano-d2k2", "variation" and "peano-offcentre-d2" moved,
+# and only they, when the even-d kernel began to interpolate its lags off
+# multiples of R from a coarse closed-form table with a 12-point stencil
+# where the cutoff c and step h allow it (c R h <= 0.15, R > 1; within
+# 7e-15 of max|k|, tests/test_fourier_radon.py,
+# test_interpolated_kernel_against_quad): "inversion" max_rel_err
+# 1.484889884265e-05 -> 1.484889884198e-05 and 1.829016347098e-13 ->
+# 1.833458402586e-13, "peano-d2k2" sup_err 1.142532004350e-05 ->
+# 1.142532003939e-05 and 2.765232487434e-12 -> 2.760125461521e-12,
+# "variation" ratio_drift 3.214095829133e-04 -> 3.214095829093e-04 (the
+# ratios read the same to 12 digits), "peano-offcentre-d2"
+# 1.626086406381e-05 -> 1.626086406292e-05 and 3.183000161222e-07 ->
+# 3.183000206741e-07.  "schedule" (N <= 256 at L = 4, where c 2 h >
+# 0.15) keeps the closed form and its bits; "sampling"
+# builds one interpolated kernel (LineGrid(4, 2048), R = 4) and reads the
+# same to its 12 printed digits.
 GOLDEN_BODIES = {
     "sampling": "8a11042b71da7a801e45ac8f14db44871c5ca6dfb79c0e342e6df11258a59585",
     "schedule": "543f9d3b313f87c23d76019dc0c54aad6958e74fdf0bc344e2b41eb3193daf57",
-    "peano-d2k2": "3c4becc1f44cedc8703fd735ba24b1fd3c09e97c7ab7c20b60a3949174bf1870",
+    "peano-d2k2": "2fca4b56973517443314a7dff6044ee28ddcc1bc42e9a6a4f07097a16f6d3d9e",
     "mollify": "fb39475beb0ba81bad35044820a91931ce54a9f782145e1ef282e927eb69124a",
-    "inversion": "567aba4466a9f24d843ed9610b22e5e10b97ca88ca986dd2f5f51e5002f7cd7c",
-    "variation": "6f12b0f10b2bd3804c8121fd402b37878cb617ba9a9f0d8062b2bae440df70a6",
-    "peano-offcentre-d2": "5d3def87e3823f727a9b15f27644391aba13e2352a0a4199787b0ca1546d58a2",
+    "inversion": "939e9ce97c8da182a1e0e3e64811de249af6ae5f6021b5ffb4adb63538db4bb3",
+    "variation": "7071729d072ecfea7a76e466f5243d6676a99439c54bbeb2c8ac319410e46147",
+    "peano-offcentre-d2": "13ed59360539740ce8041bee4fad3d6f199ddedfde0c51d5bfc1b2dfcb782173",
     "peano-offcentre-d3": "c9f866390190ac3a30e567fed59bf054a7ae61201f82e5ba7248c1b4572bda1c",
     "radon-check-d2": "10b904052e002d615b6288d2b4210743af7300fd1a75a91088b82fc8695da6dc",
     "radon-check-d3": "74f90dc081d8c28ed12e6d31dc12f0efc9acbdc4da7b0e871110f33b0be380f6",

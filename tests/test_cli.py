@@ -388,6 +388,23 @@ class TestMain:
         assert lines[4:7] == ["%.12e,0.000000000000e+00" % eps
                               for eps in (0.125, 0.25, 0.5)]
 
+    def test_rounding_floor_errors_exit_3_with_report(self, tmp_path,
+                                                      capsys):
+        # at eps = 1e-9 to 1e-7 an order-7 mollifier leaves only rounding
+        # (6e-15 to 9e-15), whose fitted slope (+0.09) means nothing
+        path = tmp_path / "floor.cfg"
+        path.write_text("kind = mollify-sweep\nd = 3\ns = 7\n"
+                        "epsilons = 1e-9, 1e-8, 1e-7\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: mollify-sweep: every error is "
+                              "below 1e-12 of max|f| = ")
+        assert "at the rounding floor, so no rate can be fitted" in err
+        lines = (tmp_path / "mollify-sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[4:7]] == [
+            "%.12e" % eps for eps in (1e-9, 1e-8, 1e-7)]
+        assert not any(line.startswith("# slope") for line in lines)
+
     @pytest.mark.parametrize("schedule", ["none", "epsilon"])
     def test_zero_target_rate_sweep_exit_3(self, tmp_path, capsys,
                                            monkeypatch, schedule):

@@ -163,11 +163,12 @@ class TestBackprojectFilter:
     @pytest.mark.parametrize("at_nyquist", [False, True])
     @pytest.mark.parametrize("m", range(5))
     def test_kernel_against_quad(self, N, at_nyquist, m):
-        # the closed-form samples of order m against QUADPACK's cosine-
-        # and sine-weighted rules at the lags where the recurrence starts,
-        # inside the series branch, at the crossover, at u = beta (where
-        # the lam - B integral is in the series branch) and at the ends of
-        # the lags that the window reads, i0 - N + 1 to i1
+        # the samples of order m against QUADPACK's cosine- and sine-
+        # weighted rules at the lags where the recurrence starts, inside
+        # the series branch, at the crossover, at u = beta (where the
+        # lam - B integral is in the series branch) and at the ends of the
+        # lags that the window reads, i0 - N + 1 to i1; at N = 4096 below
+        # the Nyquist frequency most of them are interpolated (R = 8)
         grid = LineGrid(L=4.0, N=N)
         window = fourier_radon._window(grid)
         first, last = window.start - N + 1, window.stop - 1
@@ -189,14 +190,83 @@ class TestBackprojectFilter:
     @pytest.mark.parametrize("N", [16, 1024, 8192])
     def test_kernel_orders_from_one_build(self, N):
         # one build gives every order up to its top, each the same bits
-        # as in a build with a higher top
+        # as in a build with a higher top, whether its lags are all closed
+        # form (the Nyquist cutoff; 3 pi at N = 16) or interpolated (3 pi:
+        # R = 2 at N = 1024, 16 at N = 8192)
         grid = LineGrid(L=4.0, N=N)
-        full = fourier_radon._kernel_samples(grid, 2, grid.nyquist, 4)
-        assert full.shape == (5, 2 * N)
-        assert not full.flags.writeable
-        for top in range(4):
-            part = fourier_radon._kernel_samples(grid, 2, grid.nyquist, top)
-            np.testing.assert_array_equal(part, full[:top + 1])
+        for cutoff in (grid.nyquist, 3.0 * np.pi):
+            full = fourier_radon._kernel_samples(grid, 2, cutoff, 4)
+            assert full.shape == (5, 2 * N)
+            assert not full.flags.writeable
+            for top in range(4):
+                part = fourier_radon._kernel_samples(grid, 2, cutoff, top)
+                np.testing.assert_array_equal(part, full[:top + 1])
+
+    @pytest.mark.parametrize("grid", [LineGrid(4.0, 4096),
+                                      LineGrid(8.0, 16384)],
+                             ids=["4-4096", "8-16384"])
+    @pytest.mark.parametrize("m", range(5))
+    def test_interpolated_kernel_against_quad(self, grid, m):
+        # the grids of peano-d2k2's two stages at cutoff 3 pi, where the
+        # lags off multiples of R (8 and 16) come from the 12-point
+        # stencil: 1, R / 2 and R - 1 lags past a coarse node near 0, in
+        # the middle and at the end, the first interpolated lag past the
+        # series crossover, and the last lags on both sides (i1 is a
+        # multiple of R on these knot grids, i1 - 1 is not)
+        cutoff = 3.0 * np.pi
+        R = _coarsening(grid, cutoff)
+        assert R == {4096: 8, 16384: 16}[grid.N]
+        window = fourier_radon._window(grid)
+        first, last = window.start - grid.N + 1, window.stop - 1
+        crossover = int(2.0 / (grid.h * cutoff)) + 1
+        if crossover % R == 0:
+            crossover += 1
+        lags = {crossover, last, last - 1, first, -1, -R // 2}
+        for node in (0, R * (last // R // 2), R * (last // R - 1)):
+            lags |= {node + 1, node + R // 2, node + R - 1}
+        samples = fourier_radon._kernel_samples(grid, 2, cutoff, 4)[m]
+        scale = np.max(np.abs(samples))
+        for l in sorted(lags):
+            assert first <= l <= last
+            exact = _kernel_by_quad(m, l * grid.h, cutoff)
+            assert abs(samples[l % (2 * grid.N)] - exact) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("grid", [LineGrid(4.0, 256), LineGrid(4.0, 4096),
+                                      LineGrid(8.0, 16384)],
+                             ids=["R1-4-256", "R8-4-4096", "R16-8-16384"])
+    def test_kernel_keeps_closed_form_bits(self, grid):
+        # at cutoff 3 pi LineGrid(4, 256) interpolates nothing (3 pi 2 h
+        # > 0.15), and every lag is the closed form's sample; on the
+        # others the lags at multiples of R are.  The closed form's bits
+        # depend on the lag alone, not on the other lags of a call
+        cutoff = 3.0 * np.pi
+        R = _coarsening(grid, cutoff)
+        N, window = grid.N, fourier_radon._window(grid)
+        first, last = window.start - N + 1, window.stop - 1
+        closed = np.empty((5, last + 1))
+        fourier_radon._closed_form(np.arange(last + 1), grid.h, 2, cutoff,
+                                   closed)
+        closed[1::2, 0] = 0.0
+        for l in (1, R + 1, last):
+            alone = np.empty((5, 1))
+            fourier_radon._closed_form(np.array([l]), grid.h, 2, cutoff,
+                                       alone)
+            np.testing.assert_array_equal(alone[:, 0], closed[:, l])
+        samples = fourier_radon._kernel_samples(grid, 2, cutoff, 4)
+        lags = np.arange(0, last + 1, R)
+        np.testing.assert_array_equal(samples[:, lags], closed[:, lags])
+        back = lags[(lags > 0) & (-lags >= first)]
+        sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0])[:, None]
+        np.testing.assert_array_equal(samples[:, -back % (2 * N)],
+                                      sign * closed[:, back])
+
+
+def _coarsening(grid, cutoff):
+    """R, the largest power of two with cutoff R h <= 0.15 (1 if none)."""
+    R = 1
+    while cutoff * 2 * R * grid.h <= 0.15:
+        R *= 2
+    return R
 
 
 def _kernel_by_quad(m, u, cutoff):

@@ -112,11 +112,14 @@ class TestSmoothApproximant:
                                    x[:, 0], atol=1e-10)
 
     def test_tiny_eps_has_no_mass_floor(self, tmp_path):
-        # a table of mass 1 - 5.35e-5 read 8.2355e-05 here at every eps
-        from ridgelab.cli import ExperimentConfig, run
+        # a table of mass 1 - 5.35e-5 read 8.2355e-05 here at every eps;
+        # errors at the rounding floor fail the run, with the report kept
+        from ridgelab.cli import ExperimentConfig, NumericalCheckError, run
         config = ExperimentConfig(kind="mollify-sweep", d=3, s=7,
                                   epsilons=(1e-9, 1e-8, 1e-7), seed=42)
-        errors = [row[-1] for row in run(config, out_dir=str(tmp_path)).rows]
+        with pytest.raises(NumericalCheckError) as caught:
+            run(config, out_dir=str(tmp_path))
+        errors = [row[-1] for row in caught.value.report.rows]
         assert len(errors) == 3
         assert max(errors) < 1e-12
 
