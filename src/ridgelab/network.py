@@ -150,17 +150,31 @@ def _evaluate_dense(net, pts):
     # entries (3.4-4.4, 4.9-6.7 and 7.9 ms at 256 neurons); 2^14, 2^15 and
     # 2^17 entries were slower.
     block = max(1, 2 ** 16 // n)
-    lifted = np.empty((net.d + 1, -(-P // block) * block))
+    lifted = _aligned_empty((net.d + 1, -(-P // block) * block))
     lifted[:-1, :P] = pts.T
     lifted[:-1, P:] = pts[-1:].T
     lifted[-1] = -1.0
     weights = np.column_stack([net.omega, net.b])
     out = np.empty(lifted.shape[1])
-    buffer = np.empty((n, block))
+    buffer = _aligned_empty((n, block))
     for lo in range(0, P, block):
         z = np.matmul(weights, lifted[:, lo:lo + block], out=buffer)
         np.matmul(net.a, _truncated_power(net.k, z), out=out[lo:lo + block])
     return out[:P]
+
+
+def _aligned_empty(shape):
+    """np.empty(shape) whose data starts on a 64-byte boundary.
+
+    malloc aligns to 16 bytes only, so where a fresh array starts within a
+    cache line depends on the heap's history.  With the product's buffer
+    off a 64-byte boundary, _evaluate_dense at 1024 neurons and 16384
+    points took 15-16 ms instead of 11 ms (one BLAS thread, 2-core Xeon).
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // raw.itemsize
+    return raw[start:start + size].reshape(shape)
 
 
 def _evaluate_grouped(k, table, pts):

@@ -531,6 +531,34 @@ class TestDenseEvaluation:
         lifted, out, buffer = 3 * points * 8, points * 8, 2 ** 16 * 8
         assert peak <= lifted + out + buffer + 64 * 1024
 
+    @pytest.mark.parametrize("shape", [(1,), (3, 5), (1024, 64)])
+    def test_aligned_empty_starts_on_a_cache_line(self, shape):
+        # wherever the allocator starts the array (moved here by arrays of
+        # 1 to 15 doubles kept alive before it)
+        kept = []
+        for size in range(1, 16, 2):
+            kept.append(np.empty(size))
+            arr = network._aligned_empty(shape)
+            assert arr.shape == shape and arr.flags.c_contiguous
+            assert arr.ctypes.data % 64 == 0
+
+    def test_dense_blocks_start_on_a_cache_line(self, monkeypatch):
+        # the lifted points and the product's buffer: with the buffer off
+        # a 64-byte boundary a call at 1024 neurons, 16384 points took
+        # about 35% longer
+        aligned, made = network._aligned_empty, []
+
+        def spy(shape):
+            made.append(aligned(shape))
+            return made[-1]
+
+        monkeypatch.setattr(network, "_aligned_empty", spy)
+        x, omega, b, a = _random_layer(2, 300, 500, 0)
+        net = ShallowNetwork(d=2, k=1, a=a, omega=omega, b=b)
+        network._evaluate_dense(net, x)
+        assert [arr.shape for arr in made] == [(3, 393), (500, 131)]
+        assert all(arr.ctypes.data % 64 == 0 for arr in made)
+
 
 class TestFromQuadrature:
     def test_zero_target(self):
