@@ -9,9 +9,7 @@ import warnings
 
 from ridgelab.cli import ExperimentConfig, run
 
-for message in ("grid Nyquist frequency", "spectral taper removed",
-                "profile support"):
-    warnings.filterwarnings("ignore", message=message)
+warnings.filterwarnings("ignore", message="profile support")
 
 
 def main():

@@ -13,7 +13,7 @@ from .targets import (GaussianSpec, TargetFunction, combine,
 from .quadrature import SphereGrid, LineGrid, BallSampler, sphere_grid, sample_directions, ball_points
 from .fourier_radon import hermite, radon_slice, radon_transform, radon_direct, reconstruct
 from .ridge_density import (PeanoTables, PolynomialPart, peano_tables,
-                            sobolev_seminorm)
+                            sobolev_seminorm, sub_rule)
 from .network import (ShallowNetwork, activation, from_quadrature,
                       from_sampling, poly_to_ridge)
 from .mollify import MollifierSpec, mollifier_value, finite_difference, smooth_approximant, epsilon_schedule

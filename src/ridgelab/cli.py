@@ -28,7 +28,8 @@ from .mollify import epsilon_schedule, smooth_approximant
 from .network import from_quadrature, from_sampling
 from .quadrature import (BallSampler, LineGrid, ball_points, component_seed,
                          sample_directions, sphere_grid)
-from .ridge_density import peano_tables, sobolev_seminorm, theorem_order
+from .ridge_density import (peano_tables, sobolev_seminorm, sub_rule,
+                            theorem_order)
 from .targets import GaussianSpec, make_cusp_radial, make_gaussian
 
 KINDS = ("radon-check", "inversion-check", "variation-bound",
@@ -418,7 +419,9 @@ def _quadrature_layout(n, d):
 
     Knot spacing dominates the quadrature error, so most of the budget goes
     to knots: J ~ n^{1/3} directions, M = n // J knots, with the line grid
-    rounded down to a power of two.
+    rounded down to a power of two at L = 4.  Every layout's knots are
+    every r-th knot of a wider layout's, so _sweep_tables reads a whole
+    sweep from tables on the widest layout's grid.
     """
     if d == 1:
         level = 1
@@ -431,7 +434,33 @@ def _quadrature_layout(n, d):
     return level, LineGrid(L=4.0, N=line_n)
 
 
+def _sweep_tables(config, f):
+    """The PeanoTables of each width's _quadrature_layout, keyed by width,
+    each a sub_rule of a table filtered on the layouts' largest line grid:
+    one table on their largest sphere level for a radial target, whose one
+    profile row serves every level, and one table per sphere level
+    otherwise.  The widest width's tables are its own layout's, bit for
+    bit."""
+    layouts = {n: _quadrature_layout(n, config.d) for n in config.widths}
+    grid = max((g for _, g in layouts.values()), key=lambda g: g.N)
+    top = max(level for level, _ in layouts.values())
+    built = {}
+    out = {}
+    for n, (level, qgrid) in layouts.items():
+        source = top if f.radial else level
+        if source not in built:
+            built[source] = peano_tables(f, config.k,
+                                         sphere_grid(config.d, source), grid)
+        out[n] = sub_rule(built[source], sphere_grid(config.d, level), qgrid)
+    return out
+
+
 def _run_rate_sweep(config, f):
+    """Rows (n, neurons[, epsilon], error) for each width n and the fitted
+    slope.  The sampled constructor draws every width and seed from one
+    table on the configured sphere level and line grid; the quadrature
+    constructor builds width n's network on its _quadrature_layout, read as
+    a nested sub-rule of one table (_sweep_tables)."""
     sampler = BallSampler(d=config.d, mode="lattice", count=config.eval_count,
                           seed=component_seed(config.seed, "rate-eval"))
     rows = []
@@ -446,6 +475,8 @@ def _run_rate_sweep(config, f):
             raise NumericalCheckError(
                 "rate-sweep: the variation bound is %s, so no width can be "
                 "sampled" % tables.variation)
+    else:
+        sweep_tables = _sweep_tables(config, f)
     for n in config.widths:
         if config.constructor == "sampling":
             errs = []
@@ -457,9 +488,7 @@ def _run_rate_sweep(config, f):
             err = float(np.mean(errs))
             width = n
         else:
-            level, qgrid = _quadrature_layout(n, config.d)
-            net = from_quadrature(peano_tables(
-                f, config.k, sphere_grid(config.d, level), qgrid))
+            net = from_quadrature(sweep_tables[n])
             err = float(lp_error(f, net, config.p, sampler))
             width = len(net)
         eps = epsilon_schedule(n, config.d)

@@ -65,10 +65,6 @@ class SphereGrid:
     def __len__(self):
         return len(self.weights)
 
-    def integrate(self, values):
-        """Weighted sum of per-node values (fixed order, reproducible)."""
-        return float(np.dot(self.weights, values))
-
 
 @functools.lru_cache(maxsize=16)
 def gauss_legendre(n):

@@ -11,7 +11,8 @@ On the unit ball a smooth target decomposes as
 where F_omega is the back-projected profile, p has degree <= k, and the
 double integral of |F^{(k+1)}| (divided by k!) upper-bounds the network
 variation norm of the integral term.  peano_tables tabulates all three
-from one pass of derivative_blocks.
+from one pass of derivative_blocks; sub_rule reads the tables of a coarser
+rule (every r-th knot) from them.
 """
 
 import math
@@ -128,7 +129,8 @@ class PeanoTables:
     nodes of grid.knot_window (-1 to 1) and weights their trapezoid
     weights.  The R distinct profile rows are those of shared_rows: one for
     a radial target (rows all 0), one per direction otherwise
-    (rows = arange(J)).
+    (rows = arange(J)); at_minus_one[m, r] is row r's F^{(m)}(-1),
+    m <= k + 2.
     mass[j] is w_j sum_m weights_m |profiles[rows[j], m]|, and variation =
     sum_j mass[j] / k! is the variation-norm upper bound of the integral
     term, the ell_1 mass of its atoms (j, m), from_quadrature's neurons.
@@ -146,6 +148,7 @@ class PeanoTables:
     weights: np.ndarray  # (M,)
     rows: np.ndarray  # (J,)
     profiles: np.ndarray  # (R, M)
+    at_minus_one: np.ndarray  # (k + 3, R)
     mass: np.ndarray  # (J,)
     variation: float
     poly: PolynomialPart
@@ -175,7 +178,9 @@ def peano_tables(f, k, sphere, grid):
     raises ValueError where -1 and 1 are not nodes): the window on which
     derivative_blocks filters F^{(k+1)}, the other orders at -1 alone.  The
     trapezoid weights are h, with h/2 at both ends.  The tables keep one
-    profile row per direction that shared_rows filters.
+    profile row per direction that shared_rows filters, and its values
+    F^{(m)}(-1), m <= k + 2, from which sub_rule rebuilds the polynomial
+    part and the end term of a coarser rule.
 
     The end term: with g(b) = F^{(k+1)}(b) (u - b)_+^k / k! and u = omega.x,
     the trapezoid rule over the knots (spacing h) misses (h^2/12) g'(-1)
@@ -188,11 +193,9 @@ def peano_tables(f, k, sphere, grid):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    knots = grid.nodes[grid.knot_window]
-    weights = np.full(len(knots), grid.h)
-    weights[[0, -1]] = grid.h / 2.0
+    window = grid.knot_window
     omegas, rows = shared_rows(f, sphere.nodes)
-    profiles = np.empty((len(omegas), len(knots)))
+    profiles = np.empty((len(omegas), window.stop - window.start))
     # at_minus_one[m] holds F^{(m)}(-1), m <= k + 2
     at_minus_one = np.empty((k + 3, len(omegas)))
     ends = [*range(k + 1), k + 2]
@@ -200,20 +203,64 @@ def peano_tables(f, k, sphere, grid):
         profiles[lo:lo + F.shape[1]] = F[0]
         at_minus_one[ends, lo:lo + F.shape[1]] = E
     at_minus_one[k + 1] = profiles[:, 0]
+    return _assemble(f.d, k, sphere, grid, rows, profiles, at_minus_one)
+
+
+def sub_rule(tables, sphere, grid):
+    """The tables of the coarser rule on (sphere, grid) for the same
+    integrand, read from tables without filtering again: a nested
+    sub-rule.
+
+    grid has the tables' half-width L and N = tables.grid.N / r points, so
+    its knots are every r-th knot of the tables, bit for bit, and the
+    profile columns are every r-th column; the trapezoid weights, mass,
+    polynomial part and end term are rebuilt with the coarse h from the
+    stored rows and values F^{(m)}(-1).  sphere is the tables' own, or any
+    sphere grid for a table of one row (a radial target); other spheres
+    raise ValueError.  The knots, weights, sphere and rows are those of
+    peano_tables(f, k, sphere, grid) bit for bit; the profiles and end
+    values are the finer grid's filter.  With sphere and grid the tables'
+    own, the result equals tables bit for bit.
+    """
+    r, rest = divmod(tables.grid.N, grid.N)
+    if grid.L != tables.grid.L or rest:
+        raise ValueError(
+            "the knots of LineGrid(L=%g, N=%d) are not every r-th knot of "
+            "LineGrid(L=%g, N=%d)" % (grid.L, grid.N, tables.grid.L,
+                                      tables.grid.N))
+    if len(tables.profiles) == 1:
+        rows = np.zeros(len(sphere), np.intp)
+    elif (np.array_equal(sphere.nodes, tables.sphere.nodes)
+          and np.array_equal(sphere.weights, tables.sphere.weights)):
+        rows = tables.rows
+    else:
+        raise ValueError("a table of %d profile rows serves only its own "
+                         "sphere grid" % len(tables.profiles))
+    return _assemble(tables.d, tables.k, sphere, grid, rows,
+                     tables.profiles[:, ::r], tables.at_minus_one)
+
+
+def _assemble(d, k, sphere, grid, rows, profiles, at_minus_one):
+    """PeanoTables from the profile rows on grid's knots and their values
+    F^{(m)}(-1), m <= k + 2 (shape (k + 3, R)): the knots, trapezoid
+    weights, mass, variation, polynomial part and end term."""
+    knots = grid.nodes[grid.knot_window]
+    weights = np.full(len(knots), grid.h)
+    weights[[0, -1]] = grid.h / 2.0
     mass = sphere.weights * (np.abs(profiles) @ weights)[rows]
-    for array in (knots, weights, rows, profiles, mass):
+    for array in (knots, weights, rows, profiles, at_minus_one, mass):
         array.flags.writeable = False
     # the end term in peano_polynomial's form: coefficients of
     # (omega.x + 1)^m / m! at m = k and k - 1
-    end = np.zeros((len(omegas), k + 1))
+    end = np.zeros((len(profiles), k + 1))
     end[:, k] = grid.h ** 2 / 12.0 * at_minus_one[k + 2]
     if k >= 1:
         end[:, k - 1] = -grid.h ** 2 / 12.0 * at_minus_one[k + 1]
-    poly, end_term = peano_polynomial(f.d, k, sphere,
+    poly, end_term = peano_polynomial(d, k, sphere,
                                       at_minus_one[:k + 1, rows].T, end[rows])
-    return PeanoTables(d=f.d, k=k, sphere=sphere, grid=grid, knots=knots,
+    return PeanoTables(d=d, k=k, sphere=sphere, grid=grid, knots=knots,
                        weights=weights, rows=rows, profiles=profiles,
-                       mass=mass,
+                       at_minus_one=at_minus_one, mass=mass,
                        variation=float(mass.sum() / math.factorial(k)),
                        poly=poly, end_term=end_term)
 

@@ -133,9 +133,32 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # 0.15) keeps the closed form and its bits; "sampling"
 # builds one interpolated kernel (LineGrid(4, 2048), R = 4) and reads the
 # same to its 12 printed digits.
+# "quadrature" (the d = 2, k = 1 width sweep) is pinned, and "schedule"
+# moved, when the quadrature sweep began to read every width's tables as a
+# nested sub-rule of one table on the widest layout's sphere level and
+# line grid (ridge_density.sub_rule, tests/test_ridge_density.py,
+# TestSubRule): every r-th knot of the radial target's one profile row on
+# LineGrid(4, 256), in place of a table filtered on each width's own
+# grid, whose N = 16 grids alias (Nyquist 6.28 below the bandwidth 8.26).  The n = 1024 row keeps its bits.  "quadrature" errors
+# at n = 16, 32, 64, 128, 256, 512 read
+# 2.867025241831e-01 -> 2.868055075700e-01,
+# 2.406865793522e-02 -> 2.414997039853e-02,
+# 1.871929142914e-02 -> 1.871785455482e-02,
+# 1.832274848130e-02 -> 1.832246737233e-02,
+# 7.279179922235e-04 -> 7.279627447577e-04 and
+# 1.839339054210e-04 -> 1.839731153832e-04 (at most 3.38e-3 relative, at
+# n = 32), slope -1.9908893908311 -> -1.9912633674432; "schedule"
+# 2.967920892681e-01 -> 2.968949716987e-01,
+# 2.872986747105e-02 -> 2.881103133706e-02,
+# 2.109659100020e-02 -> 2.109508447882e-02,
+# 1.954691472708e-02 -> 1.954662051259e-02,
+# 1.304897274409e-03 -> 1.304944266014e-03 and
+# 4.715415220792e-04 -> 4.715818088599e-04 (at most 2.83e-3 relative, at
+# n = 32), slope -1.6957222186441 -> -1.6960521654292.
 GOLDEN_BODIES = {
     "sampling": "8a11042b71da7a801e45ac8f14db44871c5ca6dfb79c0e342e6df11258a59585",
-    "schedule": "543f9d3b313f87c23d76019dc0c54aad6958e74fdf0bc344e2b41eb3193daf57",
+    "quadrature": "fe25335e98571c814f9cf51e23584a249fb79d4285b374630c34a5b7726a6d83",
+    "schedule": "ba507bf58313930eae061f5a534e1a5a8f2d5338663165c61cdb4b5e2050faa9",
     "peano-d2k2": "2fca4b56973517443314a7dff6044ee28ddcc1bc42e9a6a4f07097a16f6d3d9e",
     "mollify": "fb39475beb0ba81bad35044820a91931ce54a9f782145e1ef282e927eb69124a",
     "inversion": "939e9ce97c8da182a1e0e3e64811de249af6ae5f6021b5ffb4adb63538db4bb3",
@@ -166,7 +189,8 @@ def _body_sha256(body):
 
 @pytest.fixture(scope="module")
 def sweep_reports(tmp_path_factory):
-    """Run the three sweep experiments twice each for the determinism check."""
+    """Run the four sweep experiments twice each for the determinism check,
+    as (report, body, messages of the warnings the run emitted)."""
     import warnings
     configs = {
         "sampling": ExperimentConfig(kind="rate-sweep", d=2, k=1, p=2.0,
@@ -184,16 +208,18 @@ def sweep_reports(tmp_path_factory):
                                     epsilons=EPSILONS, seed=42),
     }
     out = {}
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="profile support")
-        for name, config in configs.items():
-            runs = []
-            for rep in ("a", "b"):
-                directory = tmp_path_factory.mktemp("%s_%s" % (name, rep))
+    for name, config in configs.items():
+        runs = []
+        for rep in ("a", "b"):
+            directory = tmp_path_factory.mktemp("%s_%s" % (name, rep))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                warnings.filterwarnings("ignore", message="profile support")
                 report = run(config, out_dir=str(directory))
-                runs.append((report, _csv_body(directory / (config.kind
-                                                            + ".csv"))))
-            out[name] = runs
+            runs.append((report,
+                         _csv_body(directory / (config.kind + ".csv")),
+                         [str(w.message) for w in caught]))
+        out[name] = runs
     return out
 
 
@@ -318,15 +344,27 @@ def test_criterion_09_schedule_coupling_monotone(sweep_reports):
 
 def test_criterion_10_deterministic_reports(sweep_reports):
     for name, runs in sweep_reports.items():
-        (_, body_a), (_, body_b) = runs
+        (_, body_a, _), (_, body_b, _) = runs
         assert body_a == body_b, "%s report bodies differ" % name
 
 
 def test_criterion_11_golden_bodies(sweep_reports):
-    for name in ("sampling", "schedule", "mollify"):
-        (_, body), _ = sweep_reports[name]
+    for name in ("sampling", "quadrature", "schedule", "mollify"):
+        (_, body, _), _ = sweep_reports[name]
         assert _body_sha256(body) == GOLDEN_BODIES[name], \
             "%s report body changed" % name
+
+
+@pytest.mark.parametrize("name", ["sampling", "quadrature", "schedule",
+                                  "mollify"])
+def test_sweeps_emit_no_warning(sweep_reports, name):
+    # the fixture ignores only "profile support".  The quadrature width
+    # sweeps read every width's tables from one table on the widest
+    # layout's line grid, LineGrid(4, 256), whose Nyquist frequency is 12
+    # times the Gaussian's bandwidth, so no width filters on an aliasing
+    # grid and neither "grid Nyquist" nor "spectral taper" fires
+    for _, _, messages in sweep_reports[name]:
+        assert messages == []
 
 
 @pytest.mark.parametrize("name,center,level", [

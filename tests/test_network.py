@@ -733,6 +733,13 @@ class TestFromSampling:
         tables = peano_tables(f, 1, sphere, GRID)
         net = from_sampling(tables, 64, 99)
         np.testing.assert_allclose(net.l1_mass, tables.variation, rtol=1e-12)
+        # the quadrature network's atoms carry the same mass
+        for center in (None, np.array([0.3, 0.0])):
+            tables = peano_tables(make_gaussian(GaussianSpec(d=2,
+                                                             center=center)),
+                                  1, sphere, GRID)
+            np.testing.assert_allclose(from_quadrature(tables).l1_mass,
+                                       tables.variation, rtol=1e-12)
 
     def test_single_sample(self):
         f = make_gaussian(GaussianSpec(d=1))

@@ -21,7 +21,8 @@ from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.ridge_density import (PolynomialPart, affine_powers,
                                     monomials, multi_indices,
                                     peano_polynomial, peano_tables,
-                                    sobolev_seminorm, theorem_order)
+                                    sobolev_seminorm, sub_rule,
+                                    theorem_order)
 from ridgelab.targets import (GaussianSpec, combine, gaussian_radon_oracle,
                               make_cusp_radial, make_gaussian)
 
@@ -580,6 +581,157 @@ class TestPeanoTables:
         f = make_gaussian(GaussianSpec(d=1))
         with pytest.raises(ValueError):
             peano_tables(f, -1, sphere_grid(1, 1), GRID)
+
+
+def _sub_rule_target(d, centred):
+    c = np.zeros(d)
+    if not centred:
+        c[0] = 0.3
+    return make_gaussian(GaussianSpec(d=d, center=c, width=0.7))
+
+
+class TestSubRule:
+    # the quadrature width sweep's layouts: (sphere level, L = 4 line grid)
+    FINE = {1: (1, 256), 2: (3, 256), 3: (3, 256)}
+    COARSE = {1: [(1, 16), (1, 64)], 2: [(1, 16), (2, 32), (2, 128)],
+              3: [(1, 16), (2, 64)]}
+
+    @pytest.mark.parametrize("d,centred", [(2, True), (2, False), (1, True),
+                                           (3, True), (3, False)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_the_coarse_layout(self, d, centred, k):
+        # a radial target's one row is read from the finest sphere level,
+        # any other target's rows from a table on the coarse level itself
+        f = _sub_rule_target(d, centred)
+        top, N_fine = self.FINE[d]
+        fines = {}
+        for level, N in self.COARSE[d]:
+            sphere, grid = sphere_grid(d, level), LineGrid(4.0, N)
+            source = top if centred else level
+            if source not in fines:
+                fines[source] = peano_tables(f, k, sphere_grid(d, source),
+                                             LineGrid(4.0, N_fine))
+            fine = fines[source]
+            sub = sub_rule(fine, sphere, grid)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message="grid Nyquist")
+                warnings.filterwarnings("ignore", message="spectral taper")
+                coarse = peano_tables(f, k, sphere, grid)
+            for name in ("knots", "weights", "rows"):
+                np.testing.assert_array_equal(getattr(sub, name),
+                                              getattr(coarse, name))
+            for name in ("nodes", "weights"):
+                np.testing.assert_array_equal(getattr(sub.sphere, name),
+                                              getattr(coarse.sphere, name))
+            assert (sub.d, sub.k, sub.grid) == (d, k, grid)
+            assert sub.profiles.shape == coarse.profiles.shape
+            # the values are the fine filter's: every r-th knot of each row
+            r = fine.grid.N // N
+            np.testing.assert_array_equal(sub.profiles,
+                                          fine.profiles[:, ::r])
+            np.testing.assert_array_equal(sub.at_minus_one,
+                                          fine.at_minus_one)
+            # the mass is the coarse trapezoid integral of the rows
+            fsum = np.array([wj * math.fsum(sub.weights * np.abs(row))
+                             for wj, row in zip(sphere.weights,
+                                                sub.profiles[sub.rows])])
+            np.testing.assert_allclose(sub.mass, fsum, rtol=1e-14, atol=0)
+            for array in (sub.knots, sub.weights, sub.rows, sub.profiles,
+                          sub.at_minus_one, sub.mass):
+                assert not array.flags.writeable
+
+    @pytest.mark.parametrize("d,centred", [(2, True), (2, False), (1, True),
+                                           (3, True), (3, False)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_knot_stride_scales_only_the_end_term(self, d, centred, k):
+        # on the tables' own directions the polynomial part does not
+        # depend on h, and the end term is h^2 times one polynomial: at
+        # r = 4, 16 times the fine one, bit for bit (a power of two)
+        f = _sub_rule_target(d, centred)
+        fine = peano_tables(f, k, sphere_grid(d, 2), LineGrid(4.0, 256))
+        sub = sub_rule(fine, fine.sphere, LineGrid(4.0, 64))
+        assert sub.poly == fine.poly
+        assert sub.end_term.coefficients == {
+            alpha: 16.0 * c for alpha, c in fine.end_term.coefficients.items()}
+
+    @pytest.mark.parametrize("d,centred", [(2, True), (2, False), (1, True),
+                                           (3, True), (3, False)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_stride_one_returns_the_tables(self, d, centred, k):
+        fine = peano_tables(_sub_rule_target(d, centred), k,
+                            sphere_grid(d, 3), LineGrid(4.0, 128))
+        sub = sub_rule(fine, fine.sphere, fine.grid)
+        for field in dataclasses.fields(fine):
+            got, expected = getattr(sub, field.name), getattr(fine, field.name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+            else:
+                assert got == expected, field.name
+
+    def test_other_spheres_raise_unless_radial(self):
+        # a table of one profile row per direction serves only its own
+        # sphere grid, even where the directions nest (the d = 2 circle
+        # rule of a lower level); a radial target's one row serves any
+        for d in (2, 3):
+            fine = peano_tables(_sub_rule_target(d, False), 1,
+                                sphere_grid(d, 3), LineGrid(4.0, 256))
+            for level in (1, 2):
+                with pytest.raises(ValueError, match="its own sphere grid"):
+                    sub_rule(fine, sphere_grid(d, level), LineGrid(4.0, 64))
+            radial = peano_tables(_sub_rule_target(d, True), 1,
+                                  sphere_grid(d, 3), LineGrid(4.0, 256))
+            sub = sub_rule(radial, sphere_grid(d, 1), LineGrid(4.0, 64))
+            np.testing.assert_array_equal(sub.rows,
+                                          np.zeros(len(sphere_grid(d, 1))))
+
+    @pytest.mark.parametrize("grid", [LineGrid(2.0, 64), LineGrid(4.0, 512)])
+    def test_knots_that_do_not_nest_raise(self, grid):
+        fine = peano_tables(_sub_rule_target(2, True), 1, sphere_grid(2, 3),
+                            LineGrid(4.0, 256))
+        with pytest.raises(ValueError, match="every r-th knot"):
+            sub_rule(fine, fine.sphere, grid)
+
+    @pytest.mark.parametrize("d,centred,built", [
+        (2, True, [3]), (2, False, [1, 2, 3]), (3, True, [3]),
+        (3, False, [1, 2, 3]), (1, False, [1])])
+    def test_sweep_filters_once_per_sphere_level(self, d, centred, built,
+                                                 monkeypatch):
+        # widths 16, 64 and 256 take sphere levels 1, 2 and 3 (1 at d = 1)
+        # and N = 16, 32 and 64: every table is filtered on the widest
+        # layout's grid, one table for a radial target and one per level
+        # for an off-centre one
+        from ridgelab import cli
+        config = cli.ExperimentConfig(
+            kind="rate-sweep", d=d, constructor="quadrature",
+            center=None if centred else (0.3,) + (0.0,) * (d - 1),
+            widths=(16, 64, 256))
+        f = cli._make_target(config)
+        calls = []
+
+        def counted(f, k, sphere, grid):
+            calls.append((len(sphere), grid))
+            return peano_tables(f, k, sphere, grid)
+
+        monkeypatch.setattr(cli, "peano_tables", counted)
+        sweep = cli._sweep_tables(config, f)
+        assert list(sweep) == list(config.widths)
+        sub_rules = [sweep[n] for n in config.widths]
+        layouts = [cli._quadrature_layout(n, d) for n in config.widths]
+        widest = layouts[-1][1]
+        assert calls == [(len(sphere_grid(d, level)), widest)
+                         for level in built]
+        for (level, grid), sub in zip(layouts, sub_rules):
+            assert sub.grid == grid
+            np.testing.assert_array_equal(sub.sphere.nodes,
+                                          sphere_grid(d, level).nodes)
+        # the widest width's tables are those of its own layout, bit for bit
+        own = peano_tables(f, 1, sphere_grid(d, layouts[-1][0]), widest)
+        for name in ("profiles", "mass", "at_minus_one"):
+            np.testing.assert_array_equal(getattr(sub_rules[-1], name),
+                                          getattr(own, name))
+        assert (sub_rules[-1].poly, sub_rules[-1].end_term) == (
+            own.poly, own.end_term)
 
 
 class TestPolynomialPart:
