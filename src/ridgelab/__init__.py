@@ -16,7 +16,7 @@ from .ridge_density import (PeanoTables, PolynomialPart, peano_tables,
                             sobolev_seminorm, sub_rule)
 from .network import (ShallowNetwork, activation, from_quadrature,
                       from_sampling, poly_to_ridge)
-from .mollify import MollifierSpec, mollifier_value, finite_difference, smooth_approximant, epsilon_schedule
+from .mollify import smooth_approximant, epsilon_schedule
 from .metrics import lp_error, rate_fit
 from .quadrature import component_seed
 from .ridge_density import theorem_order

@@ -1,15 +1,16 @@
 """Radon slices, Radon transforms, filtered back-projection, reconstruction.
 
-derivative_blocks is the one spectral core: it filters a block of Radon
+filtered_rows is the one spectral core: one call filters a target's Radon
 rows by the multipliers (i t)^m M_d(t) for any orders m on the nodes that
-cover [-1, 1], and reconstruct (m = 0, 1) and the Peano tables of
-ridge_density (m <= k + 2) read it, for the directions that shared_rows
-picks (one for a radial target).  At even d it convolves each row with
-the band-limited kernel of the multiplier, whose samples _kernel_samples
-takes in closed form on a coarse table of lags and fills in between by a
-12-point Lagrange stencil where the line grid oversamples the kernel's
-band.  hermite is the one read of a profile between nodes: the cubic
-through F^(m) with F^(m+1) as slopes.
+cover [-1, 1], one row per direction (one row for a radial target), and
+returns them with the row that each direction reads; reconstruct
+(m = 0, 1) and the Peano tables of ridge_density (m <= k + 2) read them.
+At even d it convolves each row with the band-limited kernel of the
+multiplier, whose samples _kernel_samples takes in closed form on a
+coarse table of lags and fills in between by a 12-point Lagrange stencil
+(on a grid that does not oversample the kernel's band the coarse table
+is every lag).  hermite is the one read of a profile between nodes: the
+cubic through F^(m) with F^(m+1) as slopes.
 
 The filtered back-projection operator acts on a profile g by the Fourier
 multiplier
@@ -36,10 +37,10 @@ from .quadrature import gauss_legendre
 TAPER_START = 0.8
 
 # Share of a profile's spectral mass the taper may remove before
-# derivative_blocks warns.
+# filtered_rows warns.
 SPECTRAL_MASS_TOL = 1e-8
 
-# Frequency points per block of directions in derivative_blocks; bounds the
+# Frequency points per block of directions in filtered_rows; bounds the
 # (directions x frequencies) working arrays.
 BLOCK_POINTS = 2 ** 20
 
@@ -130,8 +131,8 @@ def _kernel_samples(grid, d, cutoff, top):
     Computerized Tomography, ch. V), with the Lagrange remainder bounds the
     error by (c Delta)^12 max|w| / 12! max|k|, w(x) the product of x - j
     over the stencil's nodes (max|w| = 2.6e4 on [0, 1]): 7e-15 of max|k|
-    at c Delta = 0.15.  Where c 2 h > COARSE_STEP (R = 1) every lag is the
-    closed form.  Both passes run in blocks of KERNEL_BLOCK lags.  Cached.
+    at c Delta = 0.15.  Where c 2 h > COARSE_STEP, R = 1: every lag is a
+    coarse lag.  Both passes run in blocks of KERNEL_BLOCK lags.  Cached.
     """
     h, N, window = grid.h, grid.N, _window(grid)
     first, last = window.start, window.stop - 1
@@ -139,31 +140,26 @@ def _kernel_samples(grid, d, cutoff, top):
     while cutoff * 2 * R * h <= COARSE_STEP:
         R *= 2
     circle = np.zeros((top + 1, 2 * N))
-    if R == 1:
-        _closed_form(np.arange(last + 1), h, d, cutoff, circle)
-        circle[1::2, 0] = 0.0
-    else:
-        # coarse node q at column q + a, from q = -a to last // R + b
-        a, b = -STENCIL[0], STENCIL[-1]
-        coarse = np.empty((top + 1, a + last // R + b + 1))
-        _closed_form(np.arange(last // R + b + 1) * R, h, d, cutoff,
-                     coarse[:, a:])
-        coarse[1::2, a] = 0.0
-        coarse[:, a - 1::-1] = coarse[:, a + 1:2 * a + 1]
-        coarse[1::2, :a] *= -1.0
-        weights = _stencil(R)
-        # windows[m, q] holds order m's coarse nodes q - a to q + b
-        windows = np.lib.stride_tricks.sliding_window_view(
-            coarse, len(STENCIL), axis=-1)
-        cells = max(1, KERNEL_BLOCK // R)
-        for m in range(top + 1):
-            for q in range(0, last // R + 1, cells):
-                # one order at a time, so that its bits do not depend on
-                # top; block[r, p] is lag (q + p) R + r
-                block = np.einsum("jr,pj->rp", weights,
-                                  windows[m, q:q + cells])
-                stop = min(block.size, last + 1 - q * R)
-                circle[m, q * R:q * R + stop] = block.T.ravel()[:stop]
+    # coarse node q at column q + a, from q = -a to last // R + b
+    a, b = -STENCIL[0], STENCIL[-1]
+    coarse = np.empty((top + 1, a + last // R + b + 1))
+    _closed_form(np.arange(last // R + b + 1) * R, h, d, cutoff,
+                 coarse[:, a:])
+    coarse[1::2, a] = 0.0
+    coarse[:, a - 1::-1] = coarse[:, a + 1:2 * a + 1]
+    coarse[1::2, :a] *= -1.0
+    weights = _stencil(R)
+    # windows[m, q] holds order m's coarse nodes q - a to q + b
+    windows = np.lib.stride_tricks.sliding_window_view(
+        coarse, len(STENCIL), axis=-1)
+    cells = max(1, KERNEL_BLOCK // R)
+    for m in range(top + 1):
+        for q in range(0, last // R + 1, cells):
+            # one order at a time, so that its bits do not depend on top;
+            # block[r, p] is lag (q + p) R + r
+            block = np.einsum("jr,pj->rp", weights, windows[m, q:q + cells])
+            stop = min(block.size, last + 1 - q * R)
+            circle[m, q * R:q * R + stop] = block.T.ravel()[:stop]
     # lags first - N + 1 to -1 at N + first + 1 to 2N - 1
     circle[:, N + first + 1:] = circle[:, N - 1 - first:0:-1]
     circle[1::2, N + first + 1:] *= -1.0
@@ -321,6 +317,8 @@ def _apply_multiplier_linear(rows, grid, d, orders=(0,), ends=()):
             first = lambda m: np.sum(block * np.concatenate(
                 (kernels[m, i0::-1], kernels[m, :N + i0:-1])), -1) * grid.h
         else:
+            # odd d stays circular: through the even-d linear kernel the
+            # d = 3 inversion-check's stage-0 error rose from 1.6e-10 to 7.9e-5
             filtered = lambda m: np.fft.ifft(
                 part * (1j * t) ** m * multiplier(d, t)
                 * taper_window(t, cutoff)).real[:, window]
@@ -397,41 +395,45 @@ def _taper_loss(spectra, grid, d, orders):
     return worst
 
 
-def shared_rows(f, omegas):
-    """(directions to filter, rows): direction j of omegas has the Radon
-    row of filtered direction rows[j].  A target radial about the origin
-    (f.radial) has one Radon row, filtered along e1 (rows all 0); any other
-    target filters every direction (rows = arange(J)).  rows is
-    non-decreasing."""
-    omegas = _check_unit(omegas)
-    if f.radial:
-        return np.eye(f.d)[:1], np.zeros(len(omegas), np.intp)
-    return omegas, np.arange(len(omegas))
+def filtered_rows(f, omegas, grid, orders, ends=()):
+    """(rows, F, E): the filtered Radon rows of f for the directions
+    omegas, direction j reading row rows[j].  F[i, r] holds row r's
+    F^{(m)}, m = orders[i], on the nodes that cover [-1, 1] (_window),
+    shape (len(orders), R, W), and E[i, r] its F^{(m)}, m = ends[i], at
+    the first of them alone, shape (len(ends), R).  A target radial about
+    the origin (f.radial) has one Radon row, filtered along e1 (R = 1,
+    rows all 0); any other target filters every direction (R = J,
+    rows = arange(J)).
 
-
-def derivative_blocks(f, omegas, grid, orders, ends=()):
-    """Samples of F_omega^{(m)} on the nodes that cover [-1, 1] (_window)
-    for every m in orders, and at the first of them alone for every m in
-    ends, a block of directions at a time: yields (lo, F, E), F[i, j] of
-    order orders[i] and E[i, j] of order ends[i] along omegas[lo + j].
-    Each block evaluates the Fourier slice once; the Radon rows, their
-    cutoffs and their spectra are shared by all orders.  The multiplier of
-    order m is (i t)^m M_d(t) with the standard high-frequency taper.
-    After the last block, warns once when the taper removed a
-    non-negligible share of some profile's spectral mass.
+    The Fourier slice is evaluated BLOCK_POINTS frequency points at a
+    time; within a block the Radon rows, their cutoffs and their spectra
+    are shared by all orders.  The multiplier of order m is
+    (i t)^m M_d(t) with the standard high-frequency taper.  Warns once
+    when the taper removed a non-negligible share of some profile's
+    spectral mass.
     """
+    omegas = _check_unit(omegas)
     _check_grid(f, grid)
+    if f.radial:
+        omegas, rows = np.eye(f.d)[:1], np.zeros(len(omegas), np.intp)
+    else:
+        rows = np.arange(len(omegas))
+    orders, ends = tuple(orders), tuple(ends)
+    window = _window(grid)
+    F = np.empty((len(orders), len(omegas), window.stop - window.start))
+    E = np.empty((len(ends), len(omegas)))
     block = max(1, BLOCK_POINTS // grid.N)
     worst = 0.0
     for lo in range(0, len(omegas), block):
         spectra = radon_slice(f, omegas[lo:lo + block], grid)
-        worst = max(worst, _taper_loss(spectra, grid, f.d, (*orders, *ends)))
-        rows = _spectrum_to_profile(spectra, grid).real
-        yield (lo, *_apply_multiplier_linear(rows, grid, f.d, orders, ends))
+        worst = max(worst, _taper_loss(spectra, grid, f.d, orders + ends))
+        F[:, lo:lo + block], E[:, lo:lo + block] = _apply_multiplier_linear(
+            _spectrum_to_profile(spectra, grid).real, grid, f.d, orders, ends)
     if worst > SPECTRAL_MASS_TOL:
         warnings.warn(
             "spectral taper removed %.3g of the derivative profile mass; "
             "increase the grid resolution" % worst)
+    return rows, F, E
 
 
 def radon_direct(f, omega, b, resolution=200):
@@ -476,19 +478,15 @@ def reconstruct(f, x, sphere, grid):
 
     Returns sum_j w_j F_{omega_j}(omega_j . x), each back-projected profile
     F = F^{(0)} read by hermite from the window samples of orders (0, 1)
-    of derivative_blocks (so x in the unit ball), direction j from row
-    rows[j] of shared_rows; directions are reduced in sphere order.  Warns
-    as derivative_blocks does.
+    of filtered_rows (so x in the unit ball); directions are reduced in
+    sphere order.  Warns as filtered_rows does.
     """
     single = np.ndim(x) == 1
     pts = np.atleast_2d(np.asarray(x, float))
     out = np.zeros(len(pts))
-    omegas, rows = shared_rows(f, sphere.nodes)
+    rows, F, _ = filtered_rows(f, sphere.nodes, grid, (0, 1))
     start = _window(grid).start
-    for lo, F, _ in derivative_blocks(f, omegas, grid, (0, 1)):
-        # rows is non-decreasing, so block by block j runs in sphere order
-        for j in np.flatnonzero((rows >= lo) & (rows < lo + F.shape[1])):
-            row = rows[j] - lo
-            out += sphere.weights[j] * hermite(F[0, row], F[1, row], grid,
-                                               pts @ sphere.nodes[j], start)
+    for j, r in enumerate(rows):
+        out += sphere.weights[j] * hermite(F[0, r], F[1, r], grid,
+                                           pts @ sphere.nodes[j], start)
     return float(out[0]) if single else out

@@ -1,5 +1,5 @@
-"""Smoothing machinery: mollifier, binomial approximant, difference
-operator, and the epsilon(n) coupling schedule.
+"""Smoothing machinery: mollifier, binomial approximant, and the epsilon(n)
+coupling schedule.
 
 The mollifier is the standard bump phi(x) = Z_d^{-1} exp(-1/(1-|x|^2)) on
 |x| < 1, normalized to unit mass, rescaled as phi_eps(x) = eps^{-d}
@@ -12,30 +12,23 @@ whose error against f is controlled by the s-fold difference of f.
 smooth_approximant integrates over the eps-ball by a tensor Gauss-Legendre
 rule, its weight table built on each call from a rule built once per node
 count and divided by its own sum, so that the discrete mollifier has mass
-one and reproduces constants; Z_d serves mollifier_value only.  Targets
-with factors (Gaussians and combines of Gaussians, see TargetFunction) are
-summed axis by axis from their per-axis factors, each folded onto the
+one and reproduces constants without Z_d.  Targets with factors
+(Gaussians and combines of Gaussians, see TargetFunction) are summed axis
+by axis from their per-axis factors, each folded onto the
 mirror-symmetric table's orthant, reading in it only the blocks that hold
 nonzero weights; every other target, such as the cusp, and any plain
 callable f is called on tiles of translates, one value per ball node.
 """
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import gauss_legendre, surface_area
+from .quadrature import gauss_legendre
 
 # Gauss-Legendre nodes per axis of smooth_approximant's tensor rule on the
 # eps-ball, by dimension (16 beyond d = 3).
 NODES_PER_AXIS = {1: 64, 2: 48, 3: 20}
-
-# Gauss-Legendre nodes on [0, 1] for the bump's normalization Z_d: the
-# integrand is C-infinity, and 256 nodes put Z_1, Z_2 and Z_3 within 3e-16
-# (relative) of a 40-digit quadrature.
-BUMP_NORM_NODES = 256
 
 # (point, node) pairs per call of f in smooth_approximant's tile loop (a
 # tile is at least one point by the whole node set), and entries per
@@ -60,19 +53,6 @@ TILE_PAIRS = 2 ** 14
 BAND = 8
 
 
-@dataclass(frozen=True)
-class MollifierSpec:
-    d: int
-    eps: float = 1.0
-    s: int = 1
-
-    def __post_init__(self):
-        if not (0.0 < self.eps <= 1.0):
-            raise ValueError("eps must lie in (0, 1]")
-        if self.s < 1:
-            raise ValueError("order s must be >= 1")
-
-
 def _bump_raw(r2):
     out = np.zeros_like(r2)
     inside = r2 < 1.0
@@ -80,42 +60,9 @@ def _bump_raw(r2):
     return out
 
 
-@lru_cache(maxsize=None)
-def _bump_norm(d):
-    """Z_d so that the unit-scale bump integrates to one: the area of
-    S^{d-1} times the integral of r^{d-1} exp(-1/(1-r^2)) over [0, 1]."""
-    u, w = gauss_legendre(BUMP_NORM_NODES)
-    r = 0.5 * (u + 1.0)
-    return surface_area(d) * math.fsum(
-        0.5 * w * r ** (d - 1) * np.exp(-1.0 / (1.0 - r * r)))
-
-
-def mollifier_value(spec, x):
-    """phi_eps(x) = eps^{-d} phi(x / eps); radial, supported in |x| < eps."""
-    x = np.asarray(x, float)
-    r2 = np.sum((x / spec.eps) ** 2, axis=-1)
-    scalar = r2.ndim == 0
-    r2 = np.atleast_1d(r2)
-    vals = _bump_raw(r2) / (_bump_norm(spec.d) * spec.eps ** spec.d)
-    return float(vals[0]) if scalar else vals
-
-
 def binomial_weights(s):
     """Signed weights C(s,t)(-1)^{t-1} for t = 1..s; they sum to one exactly."""
     return [(t, math.comb(s, t) * (-1) ** (t - 1)) for t in range(1, s + 1)]
-
-
-def finite_difference(f, y, s, x):
-    """s-fold difference Delta_y^s f(x) = sum_t C(s,t)(-1)^t f(x - t y)."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    out = None
-    for t in range(s + 1):
-        term = math.comb(s, t) * (-1) ** t * np.asarray(f(x - t * y), float)
-        out = term if out is None else out + term
-    return out
 
 
 def _ball_table(d, eps, nodes_per_axis):

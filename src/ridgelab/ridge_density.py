@@ -11,7 +11,7 @@ On the unit ball a smooth target decomposes as
 where F_omega is the back-projected profile, p has degree <= k, and the
 double integral of |F^{(k+1)}| (divided by k!) upper-bounds the network
 variation norm of the integral term.  peano_tables tabulates all three
-from one pass of derivative_blocks; sub_rule reads the tables of a coarser
+from one call of filtered_rows; sub_rule reads the tables of a coarser
 rule (every r-th knot) from them.
 """
 
@@ -22,7 +22,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .fourier_radon import derivative_blocks, shared_rows
+from .fourier_radon import filtered_rows
 from .quadrature import LineGrid, SphereGrid, sphere_grid
 
 
@@ -127,8 +127,8 @@ class PeanoTables:
 
     with profiles[rows[j], m] = F_{omega_j}^{(k+1)}(knots_m), the knots the
     nodes of grid.knot_window (-1 to 1) and weights their trapezoid
-    weights.  The R distinct profile rows are those of shared_rows: one for
-    a radial target (rows all 0), one per direction otherwise
+    weights.  The R distinct profile rows are those of filtered_rows: one
+    for a radial target (rows all 0), one per direction otherwise
     (rows = arange(J)); at_minus_one[m, r] is row r's F^{(m)}(-1),
     m <= k + 2.
     mass[j] is w_j sum_m weights_m |profiles[rows[j], m]|, and variation =
@@ -173,14 +173,14 @@ def peano_tables(f, k, sphere, grid):
     """Tabulate F^{(k+1)} on the knots for every direction of the sphere
     grid, its mass and variation bound, the polynomial part from
     F^{(m)}(-1), m <= k, and the end term from F^{(k+1)}(-1) and
-    F^{(k+2)}(-1), in one pass of derivative_blocks; warns as it does.
-    The knots are the grid's nodes on [-1, 1], grid.knot_window (which
-    raises ValueError where -1 and 1 are not nodes): the window on which
-    derivative_blocks filters F^{(k+1)}, the other orders at -1 alone.  The
-    trapezoid weights are h, with h/2 at both ends.  The tables keep one
-    profile row per direction that shared_rows filters, and its values
-    F^{(m)}(-1), m <= k + 2, from which sub_rule rebuilds the polynomial
-    part and the end term of a coarser rule.
+    F^{(k+2)}(-1), in one call of filtered_rows; warns as it does.  The
+    knots are the grid's nodes on [-1, 1], grid.knot_window (which raises
+    ValueError, before any filtering, where -1 and 1 are not nodes): the
+    window on which filtered_rows filters F^{(k+1)}, the other orders at -1
+    alone.  The trapezoid weights are h, with h/2 at both ends.  The
+    tables keep each profile row that filtered_rows returns, and its
+    values F^{(m)}(-1), m <= k + 2, from which sub_rule rebuilds the
+    polynomial part and the end term of a coarser rule.
 
     The end term: with g(b) = F^{(k+1)}(b) (u - b)_+^k / k! and u = omega.x,
     the trapezoid rule over the knots (spacing h) misses (h^2/12) g'(-1)
@@ -193,15 +193,14 @@ def peano_tables(f, k, sphere, grid):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    window = grid.knot_window
-    omegas, rows = shared_rows(f, sphere.nodes)
-    profiles = np.empty((len(omegas), window.stop - window.start))
-    # at_minus_one[m] holds F^{(m)}(-1), m <= k + 2
-    at_minus_one = np.empty((k + 3, len(omegas)))
+    # raises ValueError, before any filtering, where -1 and 1 are not nodes
+    grid.knot_window
     ends = [*range(k + 1), k + 2]
-    for lo, F, E in derivative_blocks(f, omegas, grid, (k + 1,), ends):
-        profiles[lo:lo + F.shape[1]] = F[0]
-        at_minus_one[ends, lo:lo + F.shape[1]] = E
+    rows, (profiles,), E = filtered_rows(f, sphere.nodes, grid, (k + 1,),
+                                         ends)
+    # at_minus_one[m] holds F^{(m)}(-1), m <= k + 2
+    at_minus_one = np.empty((k + 3, len(profiles)))
+    at_minus_one[ends] = E
     at_minus_one[k + 1] = profiles[:, 0]
     return _assemble(f.d, k, sphere, grid, rows, profiles, at_minus_one)
 

@@ -13,7 +13,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ridgelab import fourier_radon
 from ridgelab.cli import ExperimentConfig, run
-from ridgelab.fourier_radon import derivative_blocks, hermite
+from ridgelab.fourier_radon import filtered_rows, hermite
 from ridgelab.network import poly_to_ridge
 from ridgelab.quadrature import BallSampler, LineGrid, ball_points
 from ridgelab.ridge_density import PolynomialPart, multi_indices
@@ -45,9 +45,10 @@ EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 # (d = 2, k = 1, width 1) pins the variation-bound kind.  "schedule" and
 # "mollify" moved in the last printed digits (at most 1.1e-10 relative)
 # when the bump's normalization Z_d became a Gauss-Legendre sum, closer to
-# the closed forms (tests/test_mollify.py, test_bump_norm_closed_forms)
-# than the adaptive quadrature was; f - f_eps is small, so Z_2's 5.5e-15
-# change shows.  "mollify" moved in the last printed digit of the
+# the closed forms (a test since deleted with Z_d, when the ball table
+# began to divide by its own sum; see below) than the adaptive quadrature
+# was; f - f_eps is small, so Z_2's 5.5e-15 change shows.  "mollify"
+# moved in the last printed digit of the
 # eps = 1/64 row (7.199142442486e-05 to 7.199142442487e-05) when
 # smooth_approximant began to sum each point's row pairwise instead of by
 # a BLAS matrix-vector product; a per-point math.fsum reference reads
@@ -270,8 +271,7 @@ def test_criterion_03_one_dimensional_profile_identity():
     f = make_gaussian(GaussianSpec(d=1, center=np.array([0.15]), width=0.9))
     grid = LineGrid(L=4.0, N=2048)
     u = np.linspace(-1.0, 1.0, 201)
-    [(_, F, _)] = derivative_blocks(f, np.array([[-1.0], [1.0]]), grid,
-                                    (0, 1))
+    _, F, _ = filtered_rows(f, np.array([[-1.0], [1.0]]), grid, (0, 1))
     start = grid.knot_window.start
     for w, row, slope in zip((-1.0, 1.0), F[0], F[1]):
         exact = f((u * w)[:, None]) / 2.0

@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from ridgelab import fourier_radon, quadrature
-from ridgelab.fourier_radon import (derivative_blocks, hermite, multiplier,
+from ridgelab.fourier_radon import (filtered_rows, hermite, multiplier,
                                     radon_direct, radon_slice,
                                     radon_transform, reconstruct,
                                     taper_window)
@@ -135,15 +135,14 @@ class TestBackprojectFilter:
         # d=1 the multiplier is flat, so filtering just halves the profile
         f = make_gaussian(GaussianSpec(d=1))
         values, _ = radon_transform(f, np.array([1.0]), GRID)
-        [(_, F, _)] = derivative_blocks(f, np.array([[1.0]]), GRID, (0,))
+        _, F, _ = filtered_rows(f, np.array([[1.0]]), GRID, (0,))
         np.testing.assert_allclose(F[0, 0], values[GRID.knot_window] / 2,
                                    atol=1e-9)
 
     def test_zero_profile(self):
         grid = LineGrid(L=2.0, N=128)
         f = make_gaussian(GaussianSpec(d=2, amplitude=0.0))
-        [(_, F, E)] = derivative_blocks(f, np.array([[1.0, 0.0]]), grid, (0,),
-                                        (1,))
+        _, F, E = filtered_rows(f, np.array([[1.0, 0.0]]), grid, (0,), (1,))
         np.testing.assert_array_equal(F, 0.0)
         np.testing.assert_array_equal(E, 0.0)
 
@@ -260,6 +259,30 @@ class TestBackprojectFilter:
         np.testing.assert_array_equal(samples[:, -back % (2 * N)],
                                       sign * closed[:, back])
 
+    @pytest.mark.parametrize("grid", [LineGrid(4.0, n) for n in
+                                      (16, 32, 64, 128, 256)]
+                             + [LineGrid(8.0, 256)],
+                             ids=lambda grid: "%g-%d" % (grid.L, grid.N))
+    def test_kernel_without_interpolation_is_the_closed_form(self, grid):
+        # where R = 1 the stencil's offset-0 column (one 1 and zeros) reads
+        # every lag off the closed form: every order's sample, its mirror
+        # and the zeros between them keep the closed form's bits, sign
+        # bits included
+        N, window = grid.N, fourier_radon._window(grid)
+        first, last = window.start - N + 1, window.stop - 1
+        for cutoff in (grid.nyquist, 8.0 * np.pi / grid.L):
+            assert _coarsening(grid, cutoff) == 1
+            closed = np.zeros((5, 2 * N))
+            fourier_radon._closed_form(np.arange(last + 1), grid.h, 2,
+                                       cutoff, closed[:, :last + 1])
+            closed[1::2, 0] = 0.0
+            back = np.arange(1, 1 - first)
+            closed[:, -back] = closed[:, back]
+            closed[1::2, -back] *= -1.0
+            samples = fourier_radon._kernel_samples(grid, 2, cutoff, 4)
+            np.testing.assert_array_equal(samples.view(np.int64),
+                                          closed.view(np.int64))
+
 
 def _coarsening(grid, cutoff):
     """R, the largest power of two with cutoff R h <= 0.15 (1 if none)."""
@@ -298,7 +321,7 @@ class TestReconstruct:
         f = make_gaussian(GaussianSpec(d=1, center=np.array([0.2])))
         sphere = sphere_grid(1, 1)
         u = np.linspace(-1, 1, 101)
-        [(_, F, _)] = derivative_blocks(f, sphere.nodes, GRID, (0, 1))
+        _, F, _ = filtered_rows(f, sphere.nodes, GRID, (0, 1))
         start = GRID.knot_window.start
         for omega, row, slope in zip(sphere.nodes, F[0], F[1]):
             np.testing.assert_allclose(hermite(row, slope, GRID, u, start),

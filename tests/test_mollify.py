@@ -4,87 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, special
 
 from ridgelab import mollify
-from ridgelab.mollify import (TILE_PAIRS, MollifierSpec, _ball_quadrature,
+from ridgelab.mollify import (TILE_PAIRS, _ball_quadrature,
                               binomial_weights, epsilon_schedule,
-                              finite_difference, mollifier_value,
                               smooth_approximant)
 from ridgelab.targets import (GaussianSpec, combine, make_cusp_radial,
                               make_gaussian)
 
 
-class TestMollifier:
-    def test_compact_support(self):
-        spec = MollifierSpec(d=2, eps=0.5, s=1)
-        assert mollifier_value(spec, np.array([0.5, 0.0])) == 0.0
-        assert mollifier_value(spec, np.array([0.6, 0.1])) == 0.0
-        assert mollifier_value(spec, np.array([0.2, 0.1])) > 0.0
-
-    def test_unit_mass_1d(self):
-        for eps in (1.0, 0.25):
-            spec = MollifierSpec(d=1, eps=eps, s=1)
-            mass, _ = integrate.quad(
-                lambda x: mollifier_value(spec, np.array([x])), -eps, eps,
-                limit=200)
-            np.testing.assert_allclose(mass, 1.0, atol=1e-8)
-
-    def test_unit_mass_2d(self):
-        spec = MollifierSpec(d=2, eps=1.0, s=1)
-        mass, _ = integrate.quad(
-            lambda r: 2 * np.pi * r * mollifier_value(spec,
-                                                      np.array([r, 0.0])),
-            0, 1, limit=200)
-        np.testing.assert_allclose(mass, 1.0, atol=1e-8)
-
-    def test_bump_norm_closed_forms(self):
-        # Z_1 = e^{-1/2} (K_1(1/2) - K_0(1/2)) and Z_2 = pi E_2(1)
-        z1 = math.exp(-0.5) * (special.k1(0.5) - special.k0(0.5))
-        z2 = math.pi * special.expn(2, 1.0)
-        np.testing.assert_allclose(mollify._bump_norm(1), z1, rtol=1e-15)
-        np.testing.assert_allclose(mollify._bump_norm(2), z2, rtol=1e-15)
-
-    def test_bump_norm_refined_rule_agrees(self, monkeypatch):
-        # no closed form at d = 3; the rule with twice the nodes agrees to
-        # the rounding of numpy's Gauss-Legendre weights (3.3e-15 here)
-        z3 = mollify._bump_norm(3)
-        monkeypatch.setattr(mollify, "BUMP_NORM_NODES",
-                            2 * mollify.BUMP_NORM_NODES)
-        np.testing.assert_allclose(mollify._bump_norm.__wrapped__(3), z3,
-                                   rtol=5e-15)
-
-    def test_even_symmetry(self):
-        spec = MollifierSpec(d=3, eps=0.7, s=1)
-        x = np.array([0.1, -0.2, 0.3])
-        np.testing.assert_allclose(mollifier_value(spec, x),
-                                   mollifier_value(spec, -x))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MollifierSpec(d=2, eps=0.0, s=1)
-        with pytest.raises(ValueError):
-            MollifierSpec(d=2, eps=1.5, s=1)
-
-
 class TestFiniteDifference:
-    def test_s1_is_plain_difference(self):
-        f = make_gaussian(GaussianSpec(d=2))
-        x = np.array([0.3, 0.1])
-        y = np.array([0.05, -0.02])
-        np.testing.assert_allclose(finite_difference(f, y, 1, x),
-                                   f(x) - f(x - y))
-
-    def test_annihilates_affine(self):
-        affine = lambda x: 2.0 + 3.0 * np.atleast_2d(x)[:, 0]
-        x = np.array([[0.4]])
-        val = finite_difference(affine, np.array([0.1]), 2, x)
-        np.testing.assert_allclose(val, 0.0, atol=1e-12)
-
-    def test_quadratic_second_difference(self):
-        quad = lambda x: np.atleast_2d(x)[:, 0] ** 2
-        val = finite_difference(quad, np.array([0.1]), 2, np.array([[0.7]]))
-        np.testing.assert_allclose(val, 2 * 0.1 ** 2, atol=1e-14)
+    """binomial_weights: the signed weights of the s-fold difference from
+    which the binomial approximant is built."""
 
     def test_binomial_weights_sum_to_one(self):
         # sum_t C(s,t) (-1)^(t-1) = 1, so constants are preserved
@@ -477,17 +408,6 @@ class TestBallTable:
             tiled = smooth_approximant(f.evaluate, s, eps, pts)
             np.testing.assert_allclose(separable, 1.0, rtol=0, atol=1e-15)
             np.testing.assert_allclose(tiled, 1.0, rtol=0, atol=1e-15)
-
-    def test_no_run_builds_the_norm_rule(self, monkeypatch):
-        # the table's division by its own sum replaces Z_d
-        def refuse(d):
-            raise AssertionError("bump norm read")
-        monkeypatch.setattr(mollify, "_bump_norm", refuse)
-        for d in (1, 2, 3):
-            f = _targets(d)["gaussian"]
-            pts = _points(d, 5)
-            smooth_approximant(f, 2, 0.25, pts)
-            smooth_approximant(f.evaluate, 2, 0.25, pts)
 
 
 class TestSeparableBits:

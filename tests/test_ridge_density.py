@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -13,9 +14,8 @@ from scipy.interpolate import CubicSpline
 from ridgelab import fourier_radon
 from ridgelab.fourier_radon import (_apply_multiplier_linear,
                                     _effective_cutoff, _spectrum_to_profile,
-                                    derivative_blocks, hermite, radon_slice,
-                                    radon_transform, reconstruct,
-                                    shared_rows)
+                                    filtered_rows, hermite, radon_slice,
+                                    radon_transform, reconstruct)
 from ridgelab.network import from_sampling
 from ridgelab.quadrature import LineGrid, sample_directions, sphere_grid
 from ridgelab.ridge_density import (PolynomialPart, affine_powers,
@@ -39,10 +39,19 @@ def _quiet_support_warning():
         yield
 
 
+def _profiles(f, omegas, grid, orders):
+    """F^{(m)} along every direction of omegas on the window, for every m
+    in orders, shape (len(orders), J, W): each direction's row of
+    filtered_rows (a copy)."""
+    rows, F, _ = filtered_rows(f, omegas, grid, orders)
+    return F[:, rows]
+
+
 def _profile(f, omega, grid, orders):
     """F^{(m)} along one direction omega on the window, for every m in
     orders."""
-    return _blocks(f, np.asarray(omega, float)[None, :], grid, orders)[:, 0]
+    return _profiles(f, np.asarray(omega, float)[None, :], grid,
+                     orders)[:, 0]
 
 
 class TestDerivativeProfile:
@@ -105,9 +114,8 @@ class TestDerivativeBlocks:
         # blocks of 3 directions: 8 is not a multiple, so the last is short
         monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 3 * grid.N)
         orders, ends = (0, 1, 2, 3), (0, 2)
-        blocks = list(derivative_blocks(f, omegas, grid, orders, ends))
-        batched = np.concatenate([F for _, F, _ in blocks], axis=1)
-        at_start = np.concatenate([E for _, _, E in blocks], axis=1)
+        read, batched, at_start = filtered_rows(f, omegas, grid, orders, ends)
+        np.testing.assert_array_equal(read, np.arange(len(omegas)))
         assert batched.shape == (len(orders), len(omegas), 129)
         assert at_start.shape == (len(ends), len(omegas))
         rows = np.array([radon_transform(f, w, grid)[0] for w in omegas])
@@ -125,15 +133,27 @@ class TestDerivativeBlocks:
                 scale = np.max(np.abs(single[orders.index(m)]))
                 assert abs(at_start[i, j] - first[i, 0]) <= 1e-13 * scale
 
-    def test_block_offsets(self, monkeypatch):
-        grid = LineGrid(L=4.0, N=64)
-        monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 2 * grid.N)
-        f = make_gaussian(GaussianSpec(d=2))
-        blocks = list(derivative_blocks(f, sphere_grid(2, 2).nodes, grid, (1,),
-                                        (0, 2)))
-        assert [lo for lo, _, _ in blocks] == [0, 2]
-        assert [F.shape for _, F, _ in blocks] == [(1, 2, 17)] * 2
-        assert [E.shape for _, _, E in blocks] == [(2, 2)] * 2
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_direction_per_block_keeps_the_bits(self, d, monkeypatch):
+        # the blocks stay inside the one plain call: an off-centre target
+        # filtered one direction per block gives the rows, the end values
+        # and the reconstruction of one block for all, bit for bit
+        assert not inspect.isgeneratorfunction(filtered_rows)
+        c = np.zeros(d)
+        c[0] = 0.3
+        f = make_gaussian(GaussianSpec(d=d, center=c))
+        grid = LineGrid(4.0, 256)
+        sphere = sphere_grid(d, 3)
+        assert len(sphere) <= fourier_radon.BLOCK_POINTS // grid.N
+        x = np.random.default_rng(d).uniform(-0.5, 0.5, (20, d))
+        results = []
+        for block_points in (fourier_radon.BLOCK_POINTS, grid.N):
+            monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", block_points)
+            rows, F, E = filtered_rows(f, sphere.nodes, grid, (0, 1, 2),
+                                       (0, 3))
+            results.append((rows, F, E, reconstruct(f, x, sphere, grid)))
+        for default, one_per_block in zip(*results):
+            np.testing.assert_array_equal(one_per_block, default)
 
     @pytest.mark.parametrize("grid", [LineGrid(4.0, 64), LineGrid(8.0, 4096),
                                       LineGrid(3.0, 1024)])
@@ -150,7 +170,7 @@ class TestDerivativeBlocks:
         f = _two_gaussians(d)
         omegas = sample_directions(d, 5, seed=d)
         orders = range(5)
-        [(_, F, E)] = derivative_blocks(f, omegas, grid, orders, orders)
+        _, F, E = filtered_rows(f, omegas, grid, orders, orders)
         if d % 2:
             np.testing.assert_array_equal(E, F[:, :, 0])
             return
@@ -190,20 +210,6 @@ class TestDerivativeBlocks:
                        for w in caught) == 1
 
 
-def _blocks(f, omegas, grid, orders, ends=()):
-    """F^{(m)} along every direction of omegas on the window, shape
-    (len(orders), J, W): the rows that derivative_blocks filters for
-    shared_rows' directions, read through its rows (each direction's row a
-    copy).  With ends, also their values at the window's first node,
-    shape (len(ends), J)."""
-    filtered, rows = shared_rows(f, omegas)
-    blocks = list(derivative_blocks(f, filtered, grid, orders, ends))
-    F = np.concatenate([F for _, F, _ in blocks], axis=1)[:, rows]
-    if not ends:
-        return F
-    return F, np.concatenate([E for _, _, E in blocks], axis=1)[:, rows]
-
-
 def _per_direction(f):
     """f with the radial route switched off: one Fourier slice per direction."""
     return dataclasses.replace(f, radial=False)
@@ -232,17 +238,17 @@ def _dawson_profile(b, s2, a):
 
 class TestRadialRoute:
     """A target radial about the origin has one Radon row for every
-    direction: shared_rows has derivative_blocks filter it once, along e1,
-    and every direction reads row 0."""
+    direction: filtered_rows filters it once, along e1, and every
+    direction reads row 0."""
 
     @pytest.mark.parametrize("s2,a", [(1.0, 1.0), (0.5, 2.0)])
     def test_d2_dawson_oracle(self, s2, a):
         f = make_gaussian(GaussianSpec(d=2, width=s2, amplitude=a))
-        omegas = np.array([[0.6, 0.8]])
+        omega = [0.6, 0.8]
         errors = []
         for grid in (LineGrid(4.0, 4096), LineGrid(8.0, 16384)):
-            F = _blocks(f, omegas, grid, (0,))[0, 0]
-            direct = _blocks(_per_direction(f), omegas, grid, (0,))[0, 0]
+            [F] = _profile(f, omega, grid, (0,))
+            [direct] = _profile(_per_direction(f), omega, grid, (0,))
             assert np.max(np.abs(F - direct)) <= 1e-12 * np.max(np.abs(direct))
             exact = _dawson_profile(grid.nodes[grid.knot_window], s2, a)
             errors.append(np.max(np.abs(F - exact)) / np.max(np.abs(exact)))
@@ -258,9 +264,9 @@ class TestRadialRoute:
         f = make_gaussian(spec)
         grid = LineGrid(8.0, 1024)
         omegas = sample_directions(3, 3, seed=5)
-        F = _blocks(f, omegas, grid, (0,))[0]
-        _assert_rows_close(F, _blocks(_per_direction(f), omegas, grid, (0,))[0],
-                           1e-12)
+        [F] = _profiles(f, omegas, grid, (0,))
+        _assert_rows_close(F, _profiles(_per_direction(f), omegas, grid,
+                                        (0,))[0], 1e-12)
         b = grid.nodes[grid.knot_window]
         radon = gaussian_radon_oracle(spec, omegas[0], b)
         exact = -radon * (b ** 2 / s2 ** 2 - 1.0 / s2) / (8.0 * np.pi ** 2)
@@ -284,8 +290,8 @@ class TestRadialRoute:
         orders = range(k + 2)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message="profile support")
-            radial = _blocks(f, omegas, grid, orders)
-            direct = _blocks(_per_direction(f), omegas, grid, orders)
+            radial = _profiles(f, omegas, grid, orders)
+            direct = _profiles(_per_direction(f), omegas, grid, orders)
         for got, rows in zip(radial, direct):
             # the per-direction rows differ from each other by rounding
             # alone (sum((t omega_i)^2) is not t^2); for a combine at order
@@ -307,12 +313,12 @@ class TestRadialRoute:
         with warnings.catch_warnings():
             # the cusp's spectrum is not band-limited; both routes warn
             warnings.filterwarnings("ignore", message="spectral taper")
-            _assert_rows_close(_blocks(f, omegas, grid, orders),
-                               _blocks(direct, omegas, grid, orders), 1e-10)
+            _assert_rows_close(_profiles(f, omegas, grid, orders),
+                               _profiles(direct, omegas, grid, orders), 1e-10)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_one_slice_along_e1(self, d, monkeypatch):
-        # one call of f.fourier per derivative_blocks call, on the N
+        # one call of f.fourier per filtered_rows call, on the N
         # frequencies along e1, whatever the number of blocks; the rows
         # equal bit for bit those filtered from the Gaussian's closed-form
         # radial profile norm exp(-s2 rho^2 / 2) at rho = |t|
@@ -330,7 +336,7 @@ class TestRadialRoute:
         omegas = (np.array([[1.0], [-1.0]]) if d == 1
                   else sample_directions(d, 7, seed=2))
         orders = (0, 1, 2)
-        got = _blocks(counted, omegas, grid, orders)
+        got = _profiles(counted, omegas, grid, orders)
         [xi] = calls
         t = grid.frequencies
         assert xi.shape == (1, grid.N, d)
@@ -354,25 +360,36 @@ class TestRadialRoute:
                                       peano_tables(f, 1, sphere, grid).profiles)
 
     def test_rows_index_the_filtered_directions(self, monkeypatch):
-        # a radial target filters e1 alone, in one block, and every
-        # direction reads row 0; the same target with the radial route off
-        # filters every direction, in blocks of 3, and reads its own row.
+        # a radial target slices and filters e1 alone, in one block, and
+        # every direction reads row 0; the same target with the radial
+        # route off filters every direction, in blocks of 3, and reads its
+        # own row.
         # The Peano tables hold the R filtered rows, and every array of
         # them is read-only
         grid = LineGrid(4.0, 64)
         monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 3 * grid.N)
+        sliced, original = [], fourier_radon.radon_slice
+
+        def radon_slice(f, omega, grid):
+            sliced.append(np.array(omega))
+            return original(f, omega, grid)
+
+        monkeypatch.setattr(fourier_radon, "radon_slice", radon_slice)
         f = make_gaussian(GaussianSpec(d=2))
         sphere = sphere_grid(2, 3)
         J = len(sphere)
         for g, R, expected in ((f, 1, np.zeros(J)),
                                (_per_direction(f), J, np.arange(J))):
-            filtered, rows = shared_rows(g, sphere.nodes)
-            assert filtered.shape == (R, 2)
+            sliced.clear()
+            rows, F, E = filtered_rows(g, sphere.nodes, grid, (0, 2))
             np.testing.assert_array_equal(rows, expected)
             assert rows.dtype == np.intp
-            blocks = list(derivative_blocks(g, filtered, grid, (0, 2)))
-            assert [F.shape for _, F, _ in blocks] == (
-                [(2, 1, 17)] if R == 1 else [(2, 3, 17)] * 2 + [(2, 2, 17)])
+            assert F.shape == (2, R, 17) and E.shape == (0, R)
+            assert [len(omega) for omega in sliced] == (
+                [1] if R == 1 else [3, 3, 2])
+            np.testing.assert_array_equal(
+                np.concatenate(sliced),
+                np.eye(2)[:1] if R == 1 else sphere.nodes)
             tables = peano_tables(g, 1, sphere, grid)
             np.testing.assert_array_equal(tables.rows, expected)
             M = len(tables.knots)
@@ -383,7 +400,6 @@ class TestRadialRoute:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 1.0
-        np.testing.assert_array_equal(filtered, sphere.nodes)
 
     @pytest.mark.parametrize("radial", [True, False])
     def test_non_unit_direction_raises(self, radial):
@@ -391,7 +407,7 @@ class TestRadialRoute:
         f = f if radial else _per_direction(f)
         omegas = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
         with pytest.raises(ValueError, match="unit vector"):
-            list(derivative_blocks(f, omegas, LineGrid(4.0, 64), (0,)))
+            filtered_rows(f, omegas, LineGrid(4.0, 64), (0,))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_off_centre_tables_keep_per_direction_path(self, d):
@@ -471,9 +487,9 @@ def _tables_row_by_row(f, k, sphere, grid):
     """profiles, mass and poly of peano_tables as built with one row
     per direction, each direction's F copied into its own row."""
     weights = peano_tables(f, k, sphere, grid).weights
-    [profiles], at_minus_one = _blocks(f, sphere.nodes, grid, (k + 1,),
-                                       range(k + 1))
-    at_minus_one = at_minus_one.T
+    rows, (profiles,), at_minus_one = filtered_rows(
+        f, sphere.nodes, grid, (k + 1,), range(k + 1))
+    profiles, at_minus_one = profiles[rows], at_minus_one[:, rows].T
     mass = sphere.weights * (np.abs(profiles) @ weights)
     return dict(profiles=profiles, mass=mass,
                 poly=peano_polynomial(f.d, k, sphere, at_minus_one)[0])
@@ -556,7 +572,8 @@ class TestPeanoTables:
         # the first knot's sample of F^(k+1)
         f = _two_gaussians(2)
         sphere = sphere_grid(2, 3)
-        F, E = _blocks(f, sphere.nodes, grid, range(k + 3), range(k + 3))
+        _, F, E = filtered_rows(f, sphere.nodes, grid, range(k + 3),
+                                range(k + 3))
         first = F[:, :, 0]
         for m in range(k + 3):
             assert np.max(np.abs(E[m] - first[m])) \
@@ -812,10 +829,8 @@ class TestPolynomialExpansion:
         f = make_gaussian(GaussianSpec(
             d=d, center=None if center is None else np.array(center)))
         sphere = sphere_grid(d, 9)
-        filtered, rows = shared_rows(f, sphere.nodes)
-        at_minus_one = np.concatenate([
-            E.T for _, _, E in derivative_blocks(f, filtered, grid, (),
-                                                 range(k + 1))])[rows]
+        rows, _, E = filtered_rows(f, sphere.nodes, grid, (), range(k + 1))
+        at_minus_one = E.T[rows]
         exact = _exact_polynomial(d, k, sphere, at_minus_one)
         scale = max(abs(c) for c in exact.values())
 
