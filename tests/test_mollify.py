@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ridgelab import mollify
 from ridgelab.mollify import (TILE_PAIRS, _ball_quadrature,
@@ -17,11 +18,106 @@ class TestFiniteDifference:
     """binomial_weights: the signed weights of the s-fold difference from
     which the binomial approximant is built."""
 
+    def test_s1_is_plain_difference(self):
+        f = make_gaussian(GaussianSpec(d=2))
+        x = np.array([0.3, 0.1])
+        y = np.array([0.05, -0.02])
+        assert binomial_weights(1) == [(1, 1)]
+        np.testing.assert_allclose(_difference(f, y, 1, x), f(x) - f(x - y))
+
+    def test_annihilates_affine(self):
+        # the order-2 approximant reproduces affine targets
+        affine = lambda x: 2.0 + 3.0 * np.atleast_2d(x)[:, 0]
+        x = np.array([[0.4]])
+        val = _difference(affine, np.array([0.1]), 2, x)
+        np.testing.assert_allclose(val, 0.0, atol=1e-12)
+
+    def test_quadratic_second_difference(self):
+        quad = lambda x: np.atleast_2d(x)[:, 0] ** 2
+        val = _difference(quad, np.array([0.1]), 2, np.array([[0.7]]))
+        np.testing.assert_allclose(val, 2 * 0.1 ** 2, atol=1e-14)
+
     def test_binomial_weights_sum_to_one(self):
         # sum_t C(s,t) (-1)^(t-1) = 1, so constants are preserved
         for s in range(1, 6):
             total = sum(c for _, c in binomial_weights(s))
             np.testing.assert_allclose(total, 1.0)
+
+
+def _difference(f, y, s, x):
+    """The s-fold difference Delta_y^s f(x) = f(x) - sum_t c_t f(x - t y)
+    over the weights (t, c_t) of binomial_weights(s)."""
+    return f(x) - sum(c * f(x - t * y) for t, c in binomial_weights(s))
+
+
+class TestMollifier:
+    """phi_eps as smooth_approximant reads it: the bump _bump_raw, and the
+    ball rule whose weights are divided by their own sum."""
+
+    def test_compact_support(self):
+        # phi_eps(x) = eps^{-d} phi(x / eps) vanishes from |x| = eps out,
+        # and the order-1 approximant calls f only inside the eps-ball
+        eps = 0.5
+        r2 = np.sum((np.array([[0.5, 0.0], [0.6, 0.1], [0.2, 0.1]])
+                     / eps) ** 2, axis=-1)
+        bump = mollify._bump_raw(r2)
+        assert bump[0] == 0.0 and bump[1] == 0.0 and bump[2] > 0.0
+        x = np.array([0.3, -0.2])
+        called = []
+
+        def f(pts):
+            called.append(np.array(pts))
+            return np.ones(len(pts))
+
+        smooth_approximant(f, 1, eps, x)
+        distance = np.linalg.norm(np.concatenate(called) - x, axis=-1)
+        assert distance.max() < eps
+
+    def test_unit_mass_1d(self):
+        # the order-1 approximant is f * phi_eps, phi_eps of unit mass:
+        # its normalization and the convolution by adaptive quadrature
+        f = make_gaussian(GaussianSpec(d=1))
+        bump = lambda r2: mollify._bump_raw(np.array([r2]))[0]
+        mass, _ = integrate.quad(lambda y: bump(y * y), -1, 1, limit=200)
+        for eps in (1.0, 0.25):
+            conv, _ = integrate.quad(
+                lambda y: f(np.array([[0.3 - y]]))[0] * bump((y / eps) ** 2),
+                -eps, eps, limit=200)
+            value = smooth_approximant(f, 1, eps, np.array([[0.3]]))[0]
+            np.testing.assert_allclose(value, conv / (eps * mass), rtol=0,
+                                       atol=1e-11)
+
+    def test_unit_mass_2d(self):
+        # as in d = 1, in polar coordinates; the 48-node tensor rule reads
+        # the convolution at eps = 1 within 1.2e-8 (within 5e-11 at 96
+        # nodes, so the gap is the rule's and not the normalization's)
+        f = make_gaussian(GaussianSpec(d=2))
+        x = np.array([0.3, -0.1])
+        bump = lambda r2: mollify._bump_raw(np.array([r2]))[0]
+        mass, _ = integrate.quad(lambda r: 2 * np.pi * r * bump(r * r), 0, 1,
+                                 limit=200)
+
+        def integrand(r, theta):
+            y = r * np.array([np.cos(theta), np.sin(theta)])
+            return r * f((x - y)[None])[0] * bump(r * r)
+
+        conv, _ = integrate.dblquad(integrand, 0, 2 * np.pi, 0, 1,
+                                    epsabs=1e-13, epsrel=1e-13)
+        np.testing.assert_allclose(smooth_approximant(f, 1, 1.0, x),
+                                   conv / mass, rtol=0, atol=2e-8)
+
+    def test_even_symmetry(self):
+        # phi is radial, so the approximant of an even target is even
+        f = make_gaussian(GaussianSpec(d=3))
+        x = np.array([0.1, -0.2, 0.3])
+        np.testing.assert_allclose(smooth_approximant(f.evaluate, 1, 0.7, x),
+                                   smooth_approximant(f.evaluate, 1, 0.7, -x))
+
+    def test_validation(self):
+        f = make_gaussian(GaussianSpec(d=2))
+        for eps in (0.0, 1.5):
+            with pytest.raises(ValueError, match="eps"):
+                smooth_approximant(f, 1, eps, np.zeros(2))
 
 
 class TestSmoothApproximant:

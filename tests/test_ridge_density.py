@@ -155,6 +155,31 @@ class TestDerivativeBlocks:
         for default, one_per_block in zip(*results):
             np.testing.assert_array_equal(one_per_block, default)
 
+    def test_block_offsets(self, monkeypatch):
+        # blocks of 2 directions: the slice reads directions 0-1, then 2-3,
+        # and each block's F and E land at its offset, with the bits of
+        # that block filtered alone
+        grid = LineGrid(L=4.0, N=64)
+        monkeypatch.setattr(fourier_radon, "BLOCK_POINTS", 2 * grid.N)
+        sliced, original = [], fourier_radon.radon_slice
+
+        def radon_slice(f, omega, grid):
+            sliced.append(np.array(omega))
+            return original(f, omega, grid)
+
+        monkeypatch.setattr(fourier_radon, "radon_slice", radon_slice)
+        f = _two_gaussians(2)
+        omegas = sphere_grid(2, 2).nodes
+        rows, F, E = filtered_rows(f, omegas, grid, (1,), (0, 2))
+        np.testing.assert_array_equal(rows, np.arange(4))
+        assert F.shape == (1, 4, 17) and E.shape == (2, 4)
+        blocks = list(sliced)
+        np.testing.assert_array_equal(blocks, [omegas[0:2], omegas[2:4]])
+        for lo, block in zip((0, 2), blocks):
+            _, alone, at_start = filtered_rows(f, block, grid, (1,), (0, 2))
+            np.testing.assert_array_equal(F[:, lo:lo + 2], alone)
+            np.testing.assert_array_equal(E[:, lo:lo + 2], at_start)
+
     @pytest.mark.parametrize("grid", [LineGrid(4.0, 64), LineGrid(8.0, 4096),
                                       LineGrid(3.0, 1024)])
     @pytest.mark.parametrize("d", [2, 3])
