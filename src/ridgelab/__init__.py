@@ -14,9 +14,9 @@ from .quadrature import SphereGrid, LineGrid, BallSampler, sphere_grid, sample_d
 from .fourier_radon import hermite, radon_slice, radon_transform, radon_direct, reconstruct
 from .ridge_density import (PeanoTables, PolynomialPart, peano_tables,
                             sobolev_seminorm, sub_rule)
-from .network import (ShallowNetwork, activation, from_quadrature,
+from .network import (PointSet, ShallowNetwork, activation, from_quadrature,
                       from_sampling, poly_to_ridge)
 from .mollify import smooth_approximant, epsilon_schedule
-from .metrics import lp_error, rate_fit
+from .metrics import lp_error, lp_norm, rate_fit
 from .quadrature import component_seed
 from .ridge_density import theorem_order

@@ -6,11 +6,11 @@ wall-clock line) is byte-identical across runs with the same config and
 seed.  See the README for the per-kind report schema.
 
 Exit codes: 0 success; 2 config error, a non-finite center, width,
-amplitude, gamma, line_l or tolerance and a seed outside [0, 2^64) among
-them; 3 a failed numerical check, where a NaN figure fails every check, a
-sampled rate-sweep fails on a non-finite variation bound and
-variation-bound on a seminorm or stage-0 ratio that is 0 or not finite; 4
-I/O error.
+amplitude, gamma, line_l or tolerance, a Gaussian whose Fourier scale
+overflows and a seed outside [0, 2^64) among them; 3 a failed numerical
+check, where a NaN figure fails every check, a sampled rate-sweep fails on
+a non-finite variation bound and variation-bound on a seminorm or stage-0
+ratio that is 0 or not finite; 4 I/O error.
 """
 
 import argparse
@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .fourier_radon import hermite, radon_direct, radon_transform, reconstruct
-from .metrics import lp_error, rate_fit
+from .metrics import lp_error, lp_norm, rate_fit
 from .mollify import epsilon_schedule, smooth_approximant
-from .network import from_quadrature, from_sampling
+from .network import PointSet, from_quadrature, from_sampling
 from .quadrature import (BallSampler, LineGrid, ball_points, component_seed,
                          sample_directions, sphere_grid)
 from .ridge_density import (peano_tables, sobolev_seminorm, sub_rule,
@@ -271,6 +271,17 @@ def _validate(config):
             and config.amplitude == 0.0:
         raise ConfigError("%s %s and needs a nonzero target (amplitude = 0)"
                           % (config.kind, _NONZERO_TARGET[config.kind]))
+    if config.target == "gaussian":
+        # every kind reads the Fourier data, A (2 pi sigma^2)^(d/2) times
+        # a factor of at most 1; an overflow there makes every figure NaN
+        with np.errstate(over="ignore"):
+            scale = config.amplitude * np.float64(
+                2.0 * math.pi * config.width) ** (config.d / 2.0)
+        if not np.isfinite(scale):
+            raise ConfigError("the Gaussian's Fourier scale amplitude * "
+                              "(2 pi width)^(d/2) = %g * (2 pi * %g)^(%d/2) "
+                              "is not finite" % (config.amplitude,
+                                                 config.width, config.d))
     if config.kind == "radon-check" and config.d == 1:
         raise ConfigError("radon-check needs d >= 2 (the d = 1 transform is "
                           "a point evaluation)")
@@ -460,9 +471,17 @@ def _run_rate_sweep(config, f):
     slope.  The sampled constructor draws every width and seed from one
     table on the configured sphere level and line grid; the quadrature
     constructor builds width n's network on its _quadrature_layout, read as
-    a nested sub-rule of one table (_sweep_tables)."""
+    a nested sub-rule of one table (_sweep_tables).  Every error is
+    measured on one PointSet of the sweep's lattice against the target's
+    values there, read once; each equals lp_error's, bit for bit."""
     sampler = BallSampler(d=config.d, mode="lattice", count=config.eval_count,
                           seed=component_seed(config.seed, "rate-eval"))
+    points = PointSet(ball_points(sampler))
+    values = np.asarray(f(points.pts), float)
+
+    def error(approximant_values):
+        return lp_norm(values - approximant_values, config.p, config.d)
+
     rows = []
     # the mollifier's order for schedule = epsilon
     order = 1 if config.s is None else config.s
@@ -484,19 +503,16 @@ def _run_rate_sweep(config, f):
                 net = from_sampling(tables, n,
                                     component_seed(config.seed,
                                                    "rate-%d-%d" % (n, sd)))
-                errs.append(lp_error(f, net, config.p, sampler))
+                errs.append(error(points.evaluate(net)))
             err = float(np.mean(errs))
             width = n
         else:
             net = from_quadrature(sweep_tables[n])
-            err = float(lp_error(f, net, config.p, sampler))
+            err = error(points.evaluate(net))
             width = len(net)
         eps = epsilon_schedule(n, config.d)
         if config.schedule == "epsilon":
-            smooth_gap = lp_error(
-                f, lambda x, e=eps: smooth_approximant(f, order, e, x),
-                config.p, sampler)
-            err = err + float(smooth_gap)
+            err += error(smooth_approximant(f, order, eps, points.pts))
             rows.append((n, width, float(eps), err))
         else:
             rows.append((n, width, err))

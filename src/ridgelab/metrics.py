@@ -8,17 +8,27 @@ from .quadrature import ball_points, ball_volume
 
 
 def lp_error(f, g, p, sampler):
-    """Sampled L_p(unit ball) distance between two callables.
-
-    p=2 uses volume-weighted mean of squares over the sample points; p=inf
-    is a max over a dense point set (the exact sup is unattainable).
-    """
+    """Sampled L_p(unit ball) distance between two callables: lp_norm of
+    f - g at the sampler's points."""
     pts = ball_points(sampler)
-    diff = np.abs(np.asarray(f(pts), float) - np.asarray(g(pts), float))
+    return lp_norm(np.asarray(f(pts), float) - np.asarray(g(pts), float), p,
+                   sampler.d)
+
+
+def lp_norm(values, p, d):
+    """Sampled L_p(unit ball in R^d) norm of a function from its values at
+    the points of a ball sampler.
+
+    p=2 is the ball's volume times the mean of the squares; p=inf is the
+    largest |value| (the exact sup is unattainable).  A sweep that measures
+    many functions against one target reads the target's values once and
+    passes each difference here.
+    """
+    diff = np.abs(values)
     if p in (np.inf, math.inf, "inf"):
         return float(diff.max()) if len(diff) else 0.0
     if p == 2:
-        return math.sqrt(ball_volume(sampler.d) * float(np.mean(diff ** 2)))
+        return math.sqrt(ball_volume(d) * float(np.mean(diff ** 2)))
     raise ValueError("only p in {2, inf} is supported")
 
 

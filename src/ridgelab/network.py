@@ -5,7 +5,9 @@ knot in [-1, 1], a literal transcription of the Peano integral.
 from_quadrature keeps every (direction, knot) atom of a PeanoTables as a
 neuron; from_sampling draws n atoms i.i.d. by their ell_1 mass (Maurey's
 empirical method), so its mean is from_quadrature's network.  Both attach
-the polynomial part and the end term exactly.
+the polynomial part and the end term exactly.  A PointSet evaluates any
+number of networks on one set of points, keeping the dense path's working
+arrays between them.
 """
 
 import math
@@ -28,14 +30,19 @@ def activation(k, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _truncated_power(k, t):
-    """sigma_k of the float array t, written over t and returned."""
+def _truncated_power(k, t, zero=0.0):
+    """sigma_k of the float array t, written over t and returned.
+
+    zero is 0.0 or an array of zeros of t's shape; both give the same
+    bits, signed zeros and NaN included, but an array takes numpy's
+    two-array loops, which are faster (see PointSet.dense).
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
-        np.greater(t, 0.0, out=t)
+        np.greater(t, zero, out=t)
     else:
-        np.maximum(t, 0.0, out=t)
+        np.maximum(t, zero, out=t)
         if k > 1:
             t **= k
     return t
@@ -88,21 +95,15 @@ class ShallowNetwork:
 
         A network's KnotTable is read as one degree-k spline in omega.x
         per direction (_evaluate_grouped); a network of arrays is summed
-        neuron by neuron (_evaluate_dense).
+        neuron by neuron (PointSet.dense).  To evaluate many networks on
+        the same points, hold them in one PointSet.
         """
         x = np.asarray(x, float)
         if x.ndim not in (1, 2) or x.shape[-1] != self.d:
             raise ValueError("points must have shape (d,) or (P, d) with "
                              "d = %d, got shape %s" % (self.d, x.shape))
         single = x.ndim == 1
-        pts = x[None, :] if single else x
-        out = np.zeros(len(pts))
-        if self.poly is not None:
-            out += self.poly(pts)
-        if self.table is not None:
-            out += _evaluate_grouped(self.k, self.table, pts)
-        elif len(self):
-            out += _evaluate_dense(self, pts)
+        out = PointSet(x[None, :] if single else x).evaluate(self)
         return float(out[0]) if single else out
 
     __call__ = evaluate
@@ -129,50 +130,106 @@ class KnotTable:
         return self.grid.nodes[self.grid.knot_window]
 
 
-def _evaluate_dense(net, pts):
-    """sum_i a_i sigma_k(omega_i.x - b_i) from (neurons x points) blocks.
+class PointSet:
+    """Points (P, d) that any number of networks are evaluated on.
 
-    omega.x - b is one product of the rows [omega, b] with the lifted
-    points [x, -1]^T, written into one buffer, where sigma_k acts in place.
-    OpenBLAS adds the bias term last at d = 2, so the values are those of
-    the product and then the subtraction, bit for bit; at d = 3 one neuron
-    and some edge rows add it elsewhere.  The products and the sums over
-    the neurons (gemv) round a point by the shape of its block but not by
-    its place in it, so every block is `block` points wide, the last one
-    filled up with copies of the last point: a point's value does not
-    depend on the points evaluated with it.
+    evaluate(net) is net(pts), bit for bit.  The dense path's working
+    arrays are kept between calls: the lifted points [x, -1]^T, padded
+    once, and one block buffer and one block of zeros, all starting on a
+    64-byte boundary and grown only when a network needs more room.  A
+    sweep that holds one PointSet builds them once for all its networks.
     """
-    n, P = len(net.a), len(pts)
-    # blocks of about 2^16 entries (512 KiB) stay in the second-level cache
-    # from the product to the sums.  At 16384 points, k = 1, d = 2 (one BLAS
-    # thread, 2-core Xeon, numpy 2.4) a call at 1024 neurons took 12-15 ms,
-    # 18-21 ms in (points x neurons) blocks and 31 ms in blocks of 2^20
-    # entries (3.4-4.4, 4.9-6.7 and 7.9 ms at 256 neurons); 2^14, 2^15 and
-    # 2^17 entries were slower.
-    block = max(1, 2 ** 16 // n)
-    lifted = _aligned_empty((net.d + 1, -(-P // block) * block))
-    lifted[:-1, :P] = pts.T
-    lifted[:-1, P:] = pts[-1:].T
-    lifted[-1] = -1.0
-    weights = np.column_stack([net.omega, net.b])
-    out = np.empty(lifted.shape[1])
-    buffer = _aligned_empty((n, block))
-    for lo in range(0, P, block):
-        z = np.matmul(weights, lifted[:, lo:lo + block], out=buffer)
-        np.matmul(net.a, _truncated_power(net.k, z), out=out[lo:lo + block])
-    return out[:P]
+
+    def __init__(self, pts):
+        self.pts = pts
+        self._lifted = self._buffer = self._zeros = None
+
+    def evaluate(self, net):
+        """The values of net at the points, poly(x) plus the neurons."""
+        out = np.zeros(len(self.pts))
+        if net.poly is not None:
+            out += net.poly(self.pts)
+        if net.table is not None:
+            out += _evaluate_grouped(net.k, net.table, self.pts)
+        elif len(net):
+            out += self.dense(net)
+        return out
+
+    def dense(self, net):
+        """sum_i a_i sigma_k(omega_i.x - b_i) from (neurons x points) blocks.
+
+        omega.x - b is one product of the rows [omega, b] with the lifted
+        points [x, -1]^T, written into the block buffer, where sigma_k acts
+        in place against the block of zeros.  OpenBLAS adds the bias term
+        last at d = 2, so the values are those of the product and then the
+        subtraction, bit for bit; at d = 3 one neuron and some edge rows add
+        it elsewhere.  The products and the sums over the neurons (gemv)
+        round a point by the shape of its block but not by its place in it,
+        so every block is `block` points wide, the last one filled up with
+        copies of the last point: a point's value does not depend on the
+        points evaluated with it, nor on the networks evaluated before it.
+        """
+        n, P = len(net.a), len(self.pts)
+        # blocks of about 2^16 entries (512 KiB) stay in the second-level
+        # cache from the product to the sums.  At 16384 points, k = 1, d = 2
+        # (one BLAS thread, 2-core Xeon, numpy 2.4) a call at 1024 neurons
+        # took 12-15 ms, 18-21 ms in (points x neurons) blocks and 31 ms in
+        # blocks of 2^20 entries (3.4-4.4, 4.9-6.7 and 7.9 ms at 256
+        # neurons); 2^14, 2^15 and 2^17 entries were slower.
+        block = max(1, 2 ** 16 // n)
+        width = -(-P // block) * block
+        lifted = self._lift(width)
+        size = n * block
+        if self._buffer is None or self._buffer.size < size:
+            self._buffer = _aligned_empty((size,))
+            # sigma_k's maximum against an array of zeros rather than the
+            # scalar 0.0: numpy 2.4's scalar-operand loop took 21-22 us per
+            # 65,536 mixed-sign doubles and the two-array loop 13-14 us
+            # (AVX-512 Xeon), for the same bits; greater took 29 us either
+            # way
+            self._zeros = _aligned_empty((size,), np.zeros)
+        buffer = self._buffer[:size].reshape(n, block)
+        zeros = self._zeros[:size].reshape(n, block)
+        weights = np.column_stack([net.omega, net.b])
+        out = np.empty(width)
+        for lo in range(0, P, block):
+            z = np.matmul(weights, lifted[:, lo:lo + block], out=buffer)
+            np.matmul(net.a, _truncated_power(net.k, z, zeros),
+                      out=out[lo:lo + block])
+        return out[:P]
+
+    def _lift(self, width):
+        """The lifted points [x, -1]^T with at least width columns, those
+        past the last point its copies; rebuilt only to widen them."""
+        if self._lifted is None or self._lifted.shape[1] < width:
+            pts, P = self.pts, len(self.pts)
+            lifted = _aligned_empty((pts.shape[1] + 1, width))
+            lifted[:-1, :P] = pts.T
+            lifted[:-1, P:] = pts[-1:].T
+            lifted[-1] = -1.0
+            self._lifted = lifted
+        return self._lifted
 
 
-def _aligned_empty(shape):
-    """np.empty(shape) whose data starts on a 64-byte boundary.
+def _evaluate_dense(net, pts):
+    """The neurons of a network of arrays at pts, on a one-shot PointSet."""
+    return PointSet(pts).dense(net)
+
+
+def _aligned_empty(shape, allocate=np.empty):
+    """allocate(shape), np.empty or np.zeros, with its data starting on a
+    64-byte boundary.
 
     malloc aligns to 16 bytes only, so where a fresh array starts within a
     cache line depends on the heap's history.  With the product's buffer
-    off a 64-byte boundary, _evaluate_dense at 1024 neurons and 16384
+    off a 64-byte boundary, PointSet.dense at 1024 neurons and 16384
     points took 15-16 ms instead of 11 ms (one BLAS thread, 2-core Xeon).
+    np.zeros takes calloc's memory, which for a block of zeros that is
+    only read can stay unmapped: the sampled sweep's peak RSS read 42.0
+    MiB with it, as with no block at all, and 42.5 MiB with a filled one.
     """
     size = math.prod(shape)
-    raw = np.empty(size + 7)
+    raw = allocate(size + 7)
     start = -raw.ctypes.data % 64 // raw.itemsize
     return raw[start:start + size].reshape(shape)
 

@@ -26,11 +26,6 @@ SOBOL_INITIAL = ((), (1,), (1, 3))
 SOBOL_BITS = 30
 
 
-def surface_area(d):
-    """Surface area of the unit sphere S^{d-1} (2 for d=1, 2*pi for d=2, ...)."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
 def ball_volume(d):
     """Volume of the unit ball in R^d."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)

@@ -83,10 +83,12 @@ class PolynomialPart:
         for alpha, c in self.coefficients.items():
             if c == 0.0:
                 continue
-            term = np.full(len(pts), c)
+            # c * x_i^e_i * x_j^e_j ..., multiplied in that order; no
+            # array of c is needed for the first product
+            term = c
             for i, e in enumerate(alpha):
                 if e:
-                    term *= pts[:, i] ** e
+                    term = term * pts[:, i] ** e
             out += term
         return float(out[0]) if single else out
 

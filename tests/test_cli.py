@@ -209,10 +209,11 @@ class TestMain:
     ])
     def test_nan_figures_exit_3_with_report(self, tmp_path, capsys, text,
                                             message):
-        # amplitude = 1e308 is finite, but the profiles overflow: the
-        # figures are NaN, and a NaN figure fails its check
+        # amplitude = 1e307 keeps the Fourier scale finite, but the
+        # profiles overflow: the figures are NaN, and a NaN figure fails
+        # its check
         path = tmp_path / "huge.cfg"
-        path.write_text(text + "amplitude = 1e308\n")
+        path.write_text(text + "amplitude = 1e307\n")
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3
@@ -220,13 +221,31 @@ class TestMain:
         [report] = tmp_path.glob("*.csv")
         assert "nan" in report.read_text()
 
+    @pytest.mark.parametrize("text", [
+        "kind = inversion-check\nd = 1\nsphere_level = 1\nline_n = 512\n"
+        "points = 20\namplitude = 1e308\n",
+        "kind = rate-sweep\nd = 2\nwidths = 4, 8, 16\namplitude = 5e307\n",
+        "kind = inversion-check\nd = 3\nwidth = 1e300\n",
+    ])
+    def test_overflowing_gaussian_scale_exit_2(self, tmp_path, capsys, text):
+        # a (2 pi sigma^2)^(d/2) is inf here: before any work, with no
+        # report, rather than NaN figures (or, for the width, a raw
+        # OverflowError from make_gaussian)
+        path = tmp_path / "huge.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the Gaussian's Fourier scale")
+        assert "is not finite" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_sampled_rate_sweep_without_finite_variation_exit_3(
             self, tmp_path, capsys):
         # the sampled sweep draws from the tables' mass, which is NaN here
         path = tmp_path / "huge.cfg"
         path.write_text("kind = rate-sweep\nd = 2\nwidths = 4, 8, 16\n"
                         "sphere_level = 4\nline_n = 512\neval_count = 64\n"
-                        "amplitude = 1e308\n")
+                        "amplitude = 1e307\n")
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 3

@@ -127,9 +127,9 @@ def _table_network(directions, grid, weights, k):
 @pytest.fixture
 def grouped_only(monkeypatch):
     """Make the dense path raise, so evaluate must take the grouped one."""
-    def refuse(net, pts):
+    def refuse(points, net):
         raise AssertionError("dense path taken")
-    monkeypatch.setattr(network, "_evaluate_dense", refuse)
+    monkeypatch.setattr(network.PointSet, "dense", refuse)
 
 
 @pytest.fixture
@@ -517,8 +517,9 @@ class TestDenseEvaluation:
 
     def test_one_block_buffer(self):
         # a sweep's widest sampled network on its lattice: the lifted
-        # points, the output and one (n x 64) block buffer, and no array
-        # per block (the 256 blocks would hold 512 KiB each)
+        # points, the output, one (n x 64) block buffer and one block of
+        # zeros, and no array per block (the 256 blocks would hold 512 KiB
+        # each)
         points, neurons = 16384, 1024
         x, omega, b, a = _random_layer(2, points, neurons, 0)
         net = ShallowNetwork(d=2, k=1, a=a, omega=omega, b=b)
@@ -529,7 +530,7 @@ class TestDenseEvaluation:
         finally:
             tracemalloc.stop()
         lifted, out, buffer = 3 * points * 8, points * 8, 2 ** 16 * 8
-        assert peak <= lifted + out + buffer + 64 * 1024
+        assert peak <= lifted + out + 2 * buffer + 64 * 1024
 
     @pytest.mark.parametrize("shape", [(1,), (3, 5), (1024, 64)])
     def test_aligned_empty_starts_on_a_cache_line(self, shape):
@@ -542,22 +543,117 @@ class TestDenseEvaluation:
             assert arr.shape == shape and arr.flags.c_contiguous
             assert arr.ctypes.data % 64 == 0
 
-    def test_dense_blocks_start_on_a_cache_line(self, monkeypatch):
-        # the lifted points and the product's buffer: with the buffer off
-        # a 64-byte boundary a call at 1024 neurons, 16384 points took
+    def test_dense_blocks_start_on_a_cache_line(self):
+        # the lifted points, the product's buffer and the block of zeros
+        # (each network's (n x block) views start at their first entry),
+        # wherever the allocator put them (moved here by arrays of 1 and 3 doubles kept
+        # alive before them) and however they were grown: with the buffer
+        # off a 64-byte boundary a call at 1024 neurons, 16384 points took
         # about 35% longer
-        aligned, made = network._aligned_empty, []
+        x, omega, b, a = _random_layer(2, 150, 2 ** 16 + 3, 0)
+        kept = []
+        for size in (1, 3):
+            kept.append(np.empty(size))
+            points = network.PointSet(x)
+            for n in (500, 16, 300, 2 ** 16 + 3):
+                points.dense(ShallowNetwork(d=2, k=1, a=a[:n],
+                                            omega=omega[:n], b=b[:n]))
+                for arr in (points._lifted, points._buffer, points._zeros):
+                    assert arr.ctypes.data % 64 == 0
 
-        def spy(shape):
-            made.append(aligned(shape))
-            return made[-1]
 
-        monkeypatch.setattr(network, "_aligned_empty", spy)
-        x, omega, b, a = _random_layer(2, 300, 500, 0)
-        net = ShallowNetwork(d=2, k=1, a=a, omega=omega, b=b)
-        network._evaluate_dense(net, x)
-        assert [arr.shape for arr in made] == [(3, 393), (500, 131)]
-        assert all(arr.ctypes.data % 64 == 0 for arr in made)
+class TestDensePointSet:
+    """A PointSet keeps the dense path's lifted points, block buffer and
+    block of zeros from one network to the next; every value is the one a
+    one-shot evaluate gives, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_resident_matches_one_shot(self, d, k):
+        # widths 1024, 16, 300 and 1024 on one PointSet of 1000 points:
+        # blocks of 64, 4096 (the lifted points widen to 4096 columns),
+        # 218 (neither a power of two nor a divisor of 1000, read from the
+        # wider lifted points) and 64 again
+        x, _, _, _ = _random_layer(d, 1000, 1, d)
+        points = network.PointSet(x)
+        poly = PolynomialPart(d=d, coefficients={(0,) * d: 0.25,
+                                                 (1,) + (0,) * (d - 1): -0.5})
+        for i, n in enumerate((1024, 16, 300, 1024)):
+            _, omega, b, a = _random_layer(d, 1, n, 10 * d + i)
+            net = ShallowNetwork(d=d, k=k, a=a, omega=omega, b=b, poly=poly)
+            np.testing.assert_array_equal(points.dense(net),
+                                          network._evaluate_dense(net, x))
+            np.testing.assert_array_equal(points.evaluate(net), net(x))
+        assert points._lifted.shape == (d + 1, 4096)
+        assert points._buffer.size == 2 ** 16
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_zero_block_keeps_the_bits(self, k):
+        # sigma_k against an array of zeros and against the scalar 0.0:
+        # the same bits for signed zeros, infinities, NaN and mixed signs
+        rng = np.random.default_rng(k)
+        t = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                             5e-324, -5e-324], rng.normal(size=4096)])
+        with np.errstate(over="ignore"):
+            scalar = network._truncated_power(k, t.copy())
+            block = network._truncated_power(k, t.copy(), np.zeros_like(t))
+        np.testing.assert_array_equal(block.view(np.int64),
+                                      scalar.view(np.int64))
+
+    def test_second_network_allocates_no_block(self):
+        # after the first network, the next of the same or a smaller block
+        # finds its lifted points and buffers: it allocates its weights,
+        # its output and the values (a few times 128 KiB), not the 384 KiB
+        # of lifted points or the 512 KiB buffer and block of zeros
+        points_count = 16384
+        x, omega, b, a = _random_layer(2, points_count, 1024, 0)
+        points = network.PointSet(x)
+        points.evaluate(ShallowNetwork(d=2, k=1, a=a, omega=omega, b=b))
+        kept = points._lifted, points._buffer, points._zeros
+        for n in (1024, 256):
+            net = ShallowNetwork(d=2, k=1, a=a[:n], omega=omega[:n], b=b[:n])
+            tracemalloc.start()
+            try:
+                points.evaluate(net)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * points_count * 8 + 3 * n * 8 + 16 * 1024
+            assert all(new is old for new, old in zip(
+                (points._lifted, points._buffer, points._zeros), kept))
+
+    @pytest.mark.parametrize("seed", [23, 42])
+    @pytest.mark.parametrize("text", [
+        "d = 2\nk = 1\nsphere_level = 4\nline_n = 512\n",
+        "d = 3\nk = 2\nsphere_level = 3\nline_n = 512\n",
+        "d = 2\nk = 0\nsphere_level = 5\nline_n = 512\n",
+        "d = 1\nk = 1\nsphere_level = 1\nline_n = 512\np = inf\n",
+    ])
+    def test_sweep_errors_match_lp_error(self, tmp_path, seed, text):
+        # every width and seed of a sampled rate-sweep, measured on the
+        # sweep's PointSet against the target's values read once, is
+        # lp_error(f, net, p, sampler) of the same network, bit for bit
+        from ridgelab import cli
+        from ridgelab.metrics import lp_error
+        from ridgelab.quadrature import component_seed
+        config = cli.parse_config(
+            "kind = rate-sweep\nconstructor = sampling\n"
+            "widths = 16, 64, 256\nn_seeds = 2\neval_count = 1000\n"
+            "seed = %d\n" % seed + text)
+        report = cli.run(config, out_dir=tmp_path)
+        f = cli._make_target(config)
+        tables = peano_tables(f, config.k,
+                              sphere_grid(config.d, config.sphere_level),
+                              LineGrid(config.line_l, config.line_n))
+        sampler = BallSampler(d=config.d, mode="lattice",
+                              count=config.eval_count,
+                              seed=component_seed(seed, "rate-eval"))
+        for n, width, err in report.rows:
+            nets = [from_sampling(tables, n, component_seed(
+                seed, "rate-%d-%d" % (n, sd))) for sd in range(2)]
+            assert width == n
+            assert err == float(np.mean([lp_error(f, net, config.p, sampler)
+                                         for net in nets]))
 
 
 class TestFromQuadrature:

@@ -8,7 +8,7 @@ from scipy.stats import qmc
 from ridgelab.quadrature import (BallSampler, LineGrid, _sobol,
                                  ball_points, ball_volume, component_seed,
                                  gauss_legendre, sample_directions,
-                                 sphere_grid, surface_area)
+                                 sphere_grid)
 
 
 class TestSphereGrid:
@@ -28,11 +28,6 @@ class TestSphereGrid:
         grid = sphere_grid(3, 8)
         val = np.sum(grid.weights * grid.nodes[:, 2] ** 2)
         np.testing.assert_allclose(val, 4 * np.pi / 3, rtol=1e-10)
-
-    def test_surface_areas(self):
-        np.testing.assert_allclose(
-            [surface_area(d) for d in (1, 2, 3)],
-            [2.0, 2 * np.pi, 4 * np.pi])
 
     def test_nodes_are_unit_vectors(self):
         for d in (2, 3):

@@ -802,6 +802,32 @@ class TestPolynomialPart:
         p = PolynomialPart(d=3, coefficients={})
         assert p(np.ones((4, 3))).tolist() == [0.0] * 4
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 333])
+    def test_terms_keep_their_bits(self, d, degree, count):
+        # each term c * x_i^e_i * x_j^e_j ... as the np.full(P, c) term
+        # times the strided columns, in the same order, summed in the
+        # coefficients' order; a lone point too, as an array and as (d,)
+        rng = np.random.default_rng(100 * d + 10 * degree + count)
+        basis = multi_indices(d, degree)
+        coefficients = dict(zip(basis, rng.normal(size=len(basis))))
+        if len(basis) > 1:
+            coefficients[basis[1]] = 0.0
+        p = PolynomialPart(d=d, coefficients=coefficients)
+        pts = rng.uniform(-1.0, 1.0, (count, d))
+        expected = np.zeros(count)
+        for alpha, c in coefficients.items():
+            if c == 0.0:
+                continue
+            term = np.full(count, c)
+            for i, e in enumerate(alpha):
+                if e:
+                    term *= pts[:, i] ** e
+            expected += term
+        np.testing.assert_array_equal(p(pts), expected)
+        assert p(pts[0]) == expected[0]
+
 
 def _exact_polynomial(d, k, sphere, at_minus_one):
     """The coefficients of peano_polynomial in exact rational arithmetic
