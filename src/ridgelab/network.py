@@ -211,11 +211,6 @@ class PointSet:
         return self._lifted
 
 
-def _evaluate_dense(net, pts):
-    """The neurons of a network of arrays at pts, on a one-shot PointSet."""
-    return PointSet(pts).dense(net)
-
-
 def _aligned_empty(shape, allocate=np.empty):
     """allocate(shape), np.empty or np.zeros, with its data starting on a
     64-byte boundary.

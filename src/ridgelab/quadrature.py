@@ -90,19 +90,14 @@ def sphere_grid(d, level):
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(n, 2.0 * np.pi / n)
     elif d == 3:
-        n_pol = level + 1
-        n_az = 2 * (level + 1)
+        n_pol, n_az = level + 1, 2 * (level + 1)
         u, wu = gauss_legendre(n_pol)  # u = cos(polar angle)
         phi = 2.0 * np.pi * np.arange(n_az) / n_az
         su = np.sqrt(1.0 - u ** 2)
-        nodes = np.empty((n_pol * n_az, 3))
-        weights = np.empty(n_pol * n_az)
-        idx = 0
-        for i in range(n_pol):
-            for j in range(n_az):
-                nodes[idx] = (su[i] * np.cos(phi[j]), su[i] * np.sin(phi[j]), u[i])
-                weights[idx] = wu[i] * (2.0 * np.pi / n_az)
-                idx += 1
+        nodes = np.column_stack([np.outer(su, np.cos(phi)).ravel(),
+                                 np.outer(su, np.sin(phi)).ravel(),
+                                 np.repeat(u, n_az)])
+        weights = np.repeat(wu * (2.0 * np.pi / n_az), n_az)
     else:
         raise ValueError(
             "deterministic sphere grids are limited to d <= 3; "
@@ -265,32 +260,24 @@ def _sobol(d, seed, start, stop):
 
 @functools.lru_cache(maxsize=8)
 def ball_points(sampler):
-    """Emit sampler.count points in the open unit ball of R^d.
-
-    The points of a sampler are generated once and shared by every later
-    call (a sweep measures all its networks on one point set), so the
-    returned array is read-only.
+    """Emit sampler.count points in the open unit ball of R^d, in order:
+    the cube points inside it from batches of max(2 * missing, 64), the
+    next Sobol points or rng.uniform draws by mode.  They are generated
+    once and shared by later calls (tests, lp_error), so are read-only.
     """
     d, m = sampler.d, sampler.count
     pts = np.empty((m, d))
-    filled = 0
-    if sampler.mode == "lattice":
-        drawn = 0
-        while filled < m:
-            size = max(2 * (m - filled), 64)
+    filled = drawn = 0
+    rng = np.random.default_rng(sampler.seed)
+    while filled < m:
+        size = max(2 * (m - filled), 64)
+        if sampler.mode == "lattice":
             batch = 2.0 * _sobol(d, sampler.seed, drawn, drawn + size) - 1.0
-            drawn += size
-            batch = batch[np.linalg.norm(batch, axis=1) < 1.0]
-            take = min(len(batch), m - filled)
-            pts[filled:filled + take] = batch[:take]
-            filled += take
-    else:
-        rng = np.random.default_rng(sampler.seed)
-        while filled < m:
-            batch = rng.uniform(-1.0, 1.0, size=(max(2 * (m - filled), 64), d))
-            batch = batch[np.linalg.norm(batch, axis=1) < 1.0]
-            take = min(len(batch), m - filled)
-            pts[filled:filled + take] = batch[:take]
-            filled += take
+        else:
+            batch = rng.uniform(-1.0, 1.0, size=(size, d))
+        drawn += size
+        batch = batch[np.linalg.norm(batch, axis=1) < 1.0][:m - filled]
+        pts[filled:filled + len(batch)] = batch
+        filled += len(batch)
     pts.flags.writeable = False
     return pts

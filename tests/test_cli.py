@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -6,6 +8,9 @@ import pytest
 
 from ridgelab import cli
 from ridgelab.cli import ConfigError, ExperimentConfig, parse_config, run
+from ridgelab.metrics import lp_error
+from ridgelab.mollify import smooth_approximant
+from ridgelab.quadrature import BallSampler, component_seed
 from ridgelab.targets import GaussianSpec, TargetFunction, make_gaussian
 
 
@@ -64,6 +69,65 @@ class TestParseConfig:
         config = parse_config("kind = rate-sweep\nd = 2\nwidths = 4, 8, 16\n")
         assert config.widths == (4, 8, 16)
 
+    # every ExperimentConfig field: a text form and its parsed value, which
+    # differs from the field's default (kind and d from BASE's)
+    BASE = {"kind": "inversion-check", "d": "2"}
+    NON_DEFAULT = {
+        "kind": ("variation-bound", "variation-bound"),
+        "d": ("3", 3),
+        "k": ("2", 2),
+        "s": ("3", 3),
+        "p": ("inf", math.inf),
+        "target": ("cusp", "cusp"),
+        "center": ("0.25, -0.5", (0.25, -0.5)),
+        "width": ("0.5", 0.5),
+        "amplitude": ("-2", -2.0),
+        "gamma": ("3.5", 3.5),
+        "sphere_level": ("3", 3),
+        "line_n": ("512", 512),
+        "line_l": ("8", 8.0),
+        "widths": ("4, 8,16,", (4, 8, 16)),
+        "epsilons": ("0.5, 0.25, 1e-1", (0.5, 0.25, 0.1)),
+        "constructor": ("quadrature", "quadrature"),
+        "schedule": ("epsilon", "epsilon"),
+        "seed": ("7", 7),
+        "n_seeds": ("3", 3),
+        "trials": ("5", 5),
+        "points": ("20", 20),
+        "eval_count": ("64", 64),
+        "tolerance": ("1e-3", 1e-3),
+        "out": ("sweep.csv", "sweep.csv"),
+    }
+
+    def test_every_field_has_a_non_default_form(self):
+        assert set(self.NON_DEFAULT) == {
+            f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("name", sorted(NON_DEFAULT))
+    def test_field_round_trips(self, name):
+        text, value = self.NON_DEFAULT[name]
+        lines = dict(self.BASE, **{name: text})
+        config = parse_config("".join("%s = %s\n" % item
+                                      for item in lines.items()))
+        # repr tells 4 from 4.0, inside a tuple too
+        assert repr(getattr(config, name)) == repr(value)
+        default = ExperimentConfig(kind=self.BASE["kind"], d=2)
+        assert getattr(default, name) != value
+
+    @pytest.mark.parametrize("key", ["kind", "d"])
+    def test_missing_required_key(self, key):
+        lines = {"kind": "radon-check", "d": "2", "trials": "3"}
+        del lines[key]
+        with pytest.raises(ConfigError,
+                           match="^missing required key %r$" % key):
+            parse_config("".join("%s = %s\n" % item
+                                 for item in lines.items()))
+
+    def test_bad_value_names_line_and_key(self):
+        with pytest.raises(ConfigError,
+                           match="line 3: bad value '4, x' for key 'widths'"):
+            parse_config("kind = rate-sweep\nd = 2\nwidths = 4, x\n")
+
 
 class TestRun:
     def test_radon_check_report(self, tmp_path):
@@ -106,6 +170,50 @@ class TestRun:
                                   eval_count=128)
         report = run(config, out_dir=str(tmp_path))
         assert report.slopes["slope"] >= 0.8
+
+
+class TestMollifySweepRows:
+    """mollify-sweep reads the target once on its points; every row is
+    lp_error's of f and the approximant on the sweep's sampler."""
+
+    @staticmethod
+    def _config(target, d, p):
+        return ExperimentConfig(kind="mollify-sweep", d=d, s=2, p=p,
+                                target=target, eval_count=200,
+                                epsilons=(0.125, 0.5, 0.25))
+
+    @pytest.mark.parametrize("target", ["gaussian", "cusp"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_rows_equal_lp_error(self, target, d, p):
+        config = self._config(target, d, p)
+        f = cli._make_target(config)
+        sampler = BallSampler(d=d, mode="pseudo-random", count=200,
+                              seed=component_seed(config.seed, "mollify-eval"))
+        rows = cli._run_mollify_sweep(config, f).rows
+        assert [row[0] for row in rows] == [0.125, 0.25, 0.5]
+        for eps, err in rows:
+            expected = lp_error(
+                f, lambda x: smooth_approximant(f, config.s, eps, x), p,
+                sampler)
+            assert err == expected
+
+    @pytest.mark.parametrize("target", ["gaussian", "cusp"])
+    def test_target_read_once_on_the_points(self, target):
+        # the cusp's tile loop calls f on (rows, nodes, d) translates,
+        # which are not counted
+        config = self._config(target, 2, 2.0)
+        f = cli._make_target(config)
+        calls = []
+
+        def counting(x):
+            if np.shape(x) == (200, 2):
+                calls.append(x)
+            return f.evaluate(x)
+
+        cli._run_mollify_sweep(config, dataclasses.replace(f,
+                                                           evaluate=counting))
+        assert len(calls) == 1
 
 
 class TestMain:
@@ -348,6 +456,31 @@ class TestMain:
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "nope.cfg")]) == 4
+
+    @pytest.mark.parametrize("prefix", [b"", b"#" + b"x" * 20000 + b"\n"],
+                             ids=["first-line", "past-20000-bytes"])
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys, prefix):
+        # a Latin-1 e-acute in a comment: a config error that names the
+        # file and the byte's offset, whatever the locale, and no report
+        path = tmp_path / "latin1.cfg"
+        head = prefix + b"kind = inversion-check  # caf"
+        path.write_bytes(head + b"\xe9\nd = 1\nsphere_level = 1\n"
+                         b"line_n = 512\npoints = 20\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s is not UTF-8: " % path)
+        assert "byte 0xe9 in position %d:" % len(head) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_utf8_config_runs(self, tmp_path):
+        path = tmp_path / "utf8.cfg"
+        path.write_bytes("kind = inversion-check  # café\nd = 1\n"
+                         "sphere_level = 1\nline_n = 512\npoints = 20\n"
+                         .encode("utf-8"))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "inversion-check.csv").exists()
 
     def test_seminorm_without_decay_exit_3(self, tmp_path, capsys,
                                            monkeypatch):

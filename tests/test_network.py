@@ -217,7 +217,7 @@ class TestGroupedEvaluation:
         net = from_quadrature(self._tables(2, 0))
         with np.errstate(invalid="ignore"):
             grouped = network._evaluate_grouped(0, net.table, self.NON_FINITE)
-            dense = network._evaluate_dense(net, self.NON_FINITE)
+            dense = network.PointSet(self.NON_FINITE).dense(net)
         assert np.isfinite(grouped).all()
         np.testing.assert_allclose(grouped, dense, rtol=0,
                                    atol=1e-14 * (1.0 + net.l1_mass))
@@ -263,7 +263,7 @@ class TestGroupedEvaluation:
         pts = self._points(3)
         np.testing.assert_allclose(
             network._evaluate_grouped(net.k, net.table, pts),
-            network._evaluate_dense(net, pts), rtol=0,
+            network.PointSet(pts).dense(net), rtol=0,
             atol=1e-14 * (1.0 + net.l1_mass))
 
 
@@ -493,7 +493,7 @@ class TestDenseEvaluation:
             expected[lo:lo + block] = a @ activation(k, z)
         expected = expected[:points]
         net = ShallowNetwork(d=2, k=k, a=a, omega=omega, b=b)
-        np.testing.assert_array_equal(network._evaluate_dense(net, x),
+        np.testing.assert_array_equal(network.PointSet(x).dense(net),
                                       expected)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -508,9 +508,9 @@ class TestDenseEvaluation:
         net = _neurons_only(from_sampling(tables, n, 17))
         pts = ball_points(BallSampler(d=d, mode="pseudo-random", count=404,
                                       seed=5))
-        whole = network._evaluate_dense(net, pts)
+        whole = network.PointSet(pts).dense(net)
         for size in (2, 7, 37):
-            parts = [network._evaluate_dense(net, pts[lo:lo + size])
+            parts = [network.PointSet(pts[lo:lo + size]).dense(net)
                      for lo in range(0, len(pts), size)]
             np.testing.assert_array_equal(np.concatenate(parts), whole)
         np.testing.assert_array_equal([net(x) for x in pts], whole)
@@ -525,7 +525,7 @@ class TestDenseEvaluation:
         net = ShallowNetwork(d=2, k=1, a=a, omega=omega, b=b)
         tracemalloc.start()
         try:
-            network._evaluate_dense(net, x)
+            network.PointSet(x).dense(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -582,7 +582,7 @@ class TestDensePointSet:
             _, omega, b, a = _random_layer(d, 1, n, 10 * d + i)
             net = ShallowNetwork(d=d, k=k, a=a, omega=omega, b=b, poly=poly)
             np.testing.assert_array_equal(points.dense(net),
-                                          network._evaluate_dense(net, x))
+                                          network.PointSet(x).dense(net))
             np.testing.assert_array_equal(points.evaluate(net), net(x))
         assert points._lifted.shape == (d + 1, 4096)
         assert points._buffer.size == 2 ** 16

@@ -41,6 +41,26 @@ class TestSphereGrid:
         val = np.sum(grid.weights * grid.nodes[:, 0] * grid.nodes[:, 1])
         np.testing.assert_allclose(val, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("level", range(1, 14))
+    def test_d3_equals_the_element_loop(self, level):
+        # the product rule built node by node, polar angle outermost
+        n_pol, n_az = level + 1, 2 * (level + 1)
+        u, wu = gauss_legendre(n_pol)
+        phi = 2.0 * np.pi * np.arange(n_az) / n_az
+        su = np.sqrt(1.0 - u ** 2)
+        nodes = np.empty((n_pol * n_az, 3))
+        weights = np.empty(n_pol * n_az)
+        for i in range(n_pol):
+            for j in range(n_az):
+                nodes[i * n_az + j] = (su[i] * np.cos(phi[j]),
+                                       su[i] * np.sin(phi[j]), u[i])
+                weights[i * n_az + j] = wu[i] * (2.0 * np.pi / n_az)
+        grid = sphere_grid(3, level)
+        np.testing.assert_array_equal(grid.nodes.view(np.int64),
+                                      nodes.view(np.int64))
+        np.testing.assert_array_equal(grid.weights.view(np.int64),
+                                      weights.view(np.int64))
+
 
 class TestGaussLegendre:
     def test_gauss_legendre_rule_is_built_once(self):
@@ -181,6 +201,66 @@ class TestBallPoints:
     def test_ball_volume(self):
         np.testing.assert_allclose([ball_volume(d) for d in (1, 2, 3)],
                                    [2.0, np.pi, 4 * np.pi / 3])
+
+
+def _two_loop_ball_points(mode, d, count, seed):
+    """ball_points written with one rejection loop per mode; returns the
+    points and the number of batches drawn."""
+    pts = np.empty((count, d))
+    filled = batches = 0
+    if mode == "lattice":
+        drawn = 0
+        while filled < count:
+            size = max(2 * (count - filled), 64)
+            batch = 2.0 * _sobol(d, seed, drawn, drawn + size) - 1.0
+            drawn += size
+            batch = batch[np.linalg.norm(batch, axis=1) < 1.0]
+            take = min(len(batch), count - filled)
+            pts[filled:filled + take] = batch[:take]
+            filled += take
+            batches += 1
+    else:
+        rng = np.random.default_rng(seed)
+        while filled < count:
+            batch = rng.uniform(-1.0, 1.0,
+                                size=(max(2 * (count - filled), 64), d))
+            batch = batch[np.linalg.norm(batch, axis=1) < 1.0]
+            take = min(len(batch), count - filled)
+            pts[filled:filled + take] = batch[:take]
+            filled += take
+            batches += 1
+    return pts, batches
+
+
+class TestBallPointsLoop:
+    """ball_points' one rejection loop gives the points of one loop per
+    mode, bit for bit."""
+
+    MODES = ["lattice", "pseudo-random"]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("count", [1, 63, 64, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_the_two_loop_form(self, mode, d, count, seed):
+        expected, _ = _two_loop_ball_points(mode, d, count, seed)
+        np.testing.assert_array_equal(
+            ball_points(BallSampler(d=d, mode=mode, count=count, seed=seed)),
+            expected)
+
+    # d = 3 counts whose first batch of 64 cube points holds fewer
+    # than count points of the ball (about 52% of them fall inside)
+    SECOND_BATCH = {("lattice", 0): 44, ("lattice", 7): 30,
+                    ("pseudo-random", 0): 30, ("pseudo-random", 7): 35}
+
+    @pytest.mark.parametrize("mode,seed", sorted(SECOND_BATCH))
+    def test_second_batch(self, mode, seed):
+        count = self.SECOND_BATCH[mode, seed]
+        expected, batches = _two_loop_ball_points(mode, 3, count, seed)
+        assert batches == 2
+        np.testing.assert_array_equal(
+            ball_points(BallSampler(d=3, mode=mode, count=count, seed=seed)),
+            expected)
 
 
 class TestSobol:
